@@ -7,8 +7,10 @@ reference shifts), ``convergence`` (force across quadrature orders) and
 
 Scenarios come from the built-in catalog (``--scenario``) or a JSON
 config (``--config``); output is canonical JSON (sorted keys, two-space
-indent, trailing newline) or CSV with fixed columns.  Exit codes: 0 all
-checks passed, 1 a numerical check failed, 2 bad usage or config.
+indent, trailing newline, non-finite numbers written as null) or CSV with
+fixed columns.  Exit codes: 0 all checks passed, 1 a numerical check
+failed or a result was not finite, 2 bad usage or config, including
+non-finite numbers and a thread count below 1.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import math
 import sys
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
+
+import numpy as np
 
 from .quaternion import Quaternion, ReducedPoint
 from .fields import QuaternionField, Jet, is_monogenic
@@ -64,51 +68,68 @@ DEFAULT_SCENARIO = "sphere-stream"
 # configuration
 # ----------------------------------------------------------------------
 
+def _finite(value, what: str) -> float:
+    """A finite float from outside input; ValueError otherwise."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return number
+
+
+def _number(cfg: dict, key: str, default: float) -> float:
+    return _finite(cfg.get(key, default), repr(key))
+
+
+def _numbers(cfg: dict, key: str, default: list, count: int) -> tuple:
+    values = cfg.get(key, default)
+    if not isinstance(values, (list, tuple)) or len(values) != count:
+        raise ValueError(f"{key!r} needs {count} numbers, got {values!r}")
+    return tuple(_finite(v, repr(key)) for v in values)
+
+
 def _build_potential(cfg: dict) -> FlowPotential:
     kind = cfg.get("kind")
     if kind == "uniform":
-        v = cfg.get("velocity", [1.0, 0.0, 0.0])
-        if len(v) != 3:
-            raise ValueError("uniform potential needs a 3-component velocity")
-        return uniform_flow(*map(float, v))
+        return uniform_flow(*_numbers(cfg, "velocity", [1.0, 0.0, 0.0], 3))
     if kind == "identity":
         return identity_flow()
     if kind == "saddle":
         return saddle_flow()
     if kind == "source":
-        c = cfg.get("center", [0.0, 0.0, 0.0])
-        return point_source(float(cfg.get("strength", 1.0)),
-                            ReducedPoint(*map(float, c)))
+        return point_source(_number(cfg, "strength", 1.0),
+                            ReducedPoint(*_numbers(cfg, "center",
+                                                   [0.0, 0.0, 0.0], 3)))
     if kind == "dipole":
-        c = cfg.get("center", [0.0, 0.0, 0.0])
-        return dipole_flow(float(cfg.get("coefficient", 1.0)),
-                           ReducedPoint(*map(float, c)))
+        return dipole_flow(_number(cfg, "coefficient", 1.0),
+                           ReducedPoint(*_numbers(cfg, "center",
+                                                  [0.0, 0.0, 0.0], 3)))
     if kind == "sphere":
-        return sphere_flow(float(cfg.get("speed", 1.0)),
-                           float(cfg.get("radius", 1.0)))
+        return sphere_flow(_number(cfg, "speed", 1.0),
+                           _number(cfg, "radius", 1.0))
     if kind == "embedded_cylinder":
-        return embedded_cylinder_flow(float(cfg.get("speed", 1.0)),
-                                      float(cfg.get("radius", 1.0)),
-                                      float(cfg.get("circulation", 0.0)))
+        return embedded_cylinder_flow(_number(cfg, "speed", 1.0),
+                                      _number(cfg, "radius", 1.0),
+                                      _number(cfg, "circulation", 0.0))
     raise ValueError(f"unknown potential kind {kind!r}")
 
 
 def _build_body(cfg: dict) -> RegularBody:
     kind = cfg.get("kind")
     if kind == "sphere":
-        c = cfg.get("center", [0.0, 0.0, 0.0])
-        return sphere_body(float(cfg.get("radius", 1.0)),
-                           ReducedPoint(*map(float, c)))
+        return sphere_body(_number(cfg, "radius", 1.0),
+                           ReducedPoint(*_numbers(cfg, "center",
+                                                  [0.0, 0.0, 0.0], 3)))
     if kind == "box":
-        return box_body(tuple(map(float, cfg.get("x", [-0.5, 0.5]))),
-                        tuple(map(float, cfg.get("y", [-0.5, 0.5]))),
-                        tuple(map(float, cfg.get("z", [-0.5, 0.5]))))
+        return box_body(_numbers(cfg, "x", [-0.5, 0.5], 2),
+                        _numbers(cfg, "y", [-0.5, 0.5], 2),
+                        _numbers(cfg, "z", [-0.5, 0.5], 2))
     if kind == "cylinder":
-        z = cfg.get("z", [-0.5, 0.5])
-        c2 = cfg.get("center2d", [0.0, 0.0])
-        return cylinder_body(float(cfg.get("radius", 1.0)),
-                             float(z[0]), float(z[1]),
-                             (float(c2[0]), float(c2[1])))
+        z = _numbers(cfg, "z", [-0.5, 0.5], 2)
+        return cylinder_body(_number(cfg, "radius", 1.0), z[0], z[1],
+                             _numbers(cfg, "center2d", [0.0, 0.0], 2))
     raise ValueError(f"unknown body kind {kind!r}")
 
 
@@ -134,7 +155,7 @@ class ScenarioConfig:
         return cls(name=str(data.get("name", "custom")),
                    potential=dict(data["potential"]),
                    body=dict(data["body"]),
-                   rho=float(data.get("rho", 1.0)))
+                   rho=_number(data, "rho", 1.0))
 
     def to_dict(self) -> dict:
         return {"name": self.name, "potential": dict(self.potential),
@@ -172,10 +193,31 @@ def _resolve_scenario(args) -> FlowScenario:
 # output
 # ----------------------------------------------------------------------
 
+def _strict(value):
+    """The payload with every non-finite float replaced by None."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _all_finite(value) -> bool:
+    """True when every float in a nested payload is finite."""
+    if isinstance(value, dict):
+        return all(_all_finite(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_all_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _emit(args, payload: dict, csv_header: list[str],
           csv_rows: list[list]) -> None:
     if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(_strict(payload), sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -191,6 +233,15 @@ def _emit(args, payload: dict, csv_header: list[str],
         sys.stdout.write(text)
 
 
+def _finish(args, payload: dict, ok: bool, csv_header: list[str],
+            csv_rows: list[list]) -> int:
+    """Set the status (a non-finite result fails), emit, return the code."""
+    ok = ok and _all_finite(payload)
+    payload["status"] = "pass" if ok else "fail"
+    _emit(args, payload, csv_header, csv_rows)
+    return 0 if ok else 1
+
+
 def _vec(p: ReducedPoint) -> list[float]:
     return [p.x, p.y, p.z]
 
@@ -200,7 +251,7 @@ def _parse_components(text: str, count: int) -> tuple[float, ...]:
     if len(parts) != count:
         raise ValueError(f"expected {count} comma-separated numbers, "
                          f"got {text!r}")
-    return tuple(float(t) for t in parts)
+    return tuple(_finite(t, "coordinate") for t in parts)
 
 
 def _single_order(args, default: int = 16) -> int:
@@ -241,14 +292,12 @@ def _cmd_force(args) -> int:
         "max_disagreement": comparison.max_disagreement,
         "expected_force": _vec(expected) if expected is not None else None,
         "expected_gap": expected_gap,
-        "status": "pass" if ok else "fail",
     }
     rows = [[scenario.name, name, order, r.node_count,
              r.force.x, r.force.y, r.force.z]
             for name, r in sorted(comparison.results.items())]
-    _emit(args, payload, ["scenario", "method", "order", "nodes",
-                          "fx", "fy", "fz"], rows)
-    return 0 if ok else 1
+    return _finish(args, payload, ok, ["scenario", "method", "order",
+                                       "nodes", "fx", "fy", "fz"], rows)
 
 
 def _cmd_moment(args) -> int:
@@ -282,14 +331,13 @@ def _cmd_moment(args) -> int:
                            "nodes": m.node_count}
                     for name, m in results.items()},
         "method_gap": gap,
-        "status": "pass" if ok else "fail",
     }
     rows = [[scenario.name, name, order, m.about.x, m.about.y, m.about.z,
              m.moment.x, m.moment.y, m.moment.z]
             for name, m in sorted(results.items())]
-    _emit(args, payload, ["scenario", "method", "order", "about_x",
-                          "about_y", "about_z", "mx", "my", "mz"], rows)
-    return 0 if ok else 1
+    return _finish(args, payload, ok, ["scenario", "method", "order",
+                                       "about_x", "about_y", "about_z",
+                                       "mx", "my", "mz"], rows)
 
 
 def _coordinate_field() -> QuaternionField:
@@ -347,10 +395,10 @@ def _cmd_verify(args) -> int:
 
     ok = all(c["status"] == "pass" for c in checks)
     payload = {"command": "verify", "order": order, "tol": tol,
-               "checks": checks, "status": "pass" if ok else "fail"}
+               "checks": checks}
     rows = [[c["check"], c["gap"], c["tol"], c["status"]] for c in checks]
-    _emit(args, payload, ["check", "gap", "tol", "status"], rows)
-    return 0 if ok else 1
+    return _finish(args, payload, ok, ["check", "gap", "tol", "status"],
+                   rows)
 
 
 def _cmd_convergence(args) -> int:
@@ -369,15 +417,15 @@ def _cmd_convergence(args) -> int:
         prev = res.force
     payload = {"command": "convergence", "scenario": scenario.name,
                "rho": scenario.rho, "method": "blasius",
-               "entries": entries, "status": "pass"}
+               "entries": entries}
     rows = [[scenario.name, "blasius", e["order"], e["nodes"],
              e["force"][0], e["force"][1], e["force"][2],
              "" if e["change_from_previous"] is None
              else repr(e["change_from_previous"])]
             for e in entries]
-    _emit(args, payload, ["scenario", "method", "order", "nodes",
-                          "fx", "fy", "fz", "change"], rows)
-    return 0
+    return _finish(args, payload, True, ["scenario", "method", "order",
+                                         "nodes", "fx", "fy", "fz",
+                                         "change"], rows)
 
 
 def _cmd_reduce2d(args) -> int:
@@ -389,9 +437,9 @@ def _cmd_reduce2d(args) -> int:
         if cfg.potential.get("kind") != "embedded_cylinder":
             raise ValueError(
                 "reduce2d config needs an embedded_cylinder potential")
-        speed = float(cfg.potential.get("speed", 1.0))
-        radius = float(cfg.potential.get("radius", 1.0))
-        circulation = float(cfg.potential.get("circulation", 0.0))
+        speed = _number(cfg.potential, "speed", 1.0)
+        radius = _number(cfg.potential, "radius", 1.0)
+        circulation = _number(cfg.potential, "circulation", 0.0)
         rho = cfg.rho
     about = complex(*_parse_components(args.about, 2)) if args.about else 0j
     potential = cylinder_vortex_2d(speed, radius, circulation)
@@ -411,32 +459,51 @@ def _cmd_reduce2d(args) -> int:
         "moment_3d_z": report.moment_3d.z,
         "moment_gap": report.moment_gap,
         "tol": report.tol,
-        "status": "pass" if report.ok else "fail",
     }
     rows = [
         ["force_x", report.force_2d.real, report.force_3d.x],
         ["force_y", report.force_2d.imag, report.force_3d.y],
         ["moment_z", report.moment_2d, report.moment_3d.z],
     ]
-    _emit(args, payload, ["quantity", "planar", "embedded_3d"], rows)
-    return 0 if report.ok else 1
+    return _finish(args, payload, report.ok,
+                   ["quantity", "planar", "embedded_3d"], rows)
 
 
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
 
+def _finite_arg(text: str) -> float:
+    try:
+        return _finite(text, "the value")
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
+def _thread_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"thread count must be at least 1, got {count}")
+    return count
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--scenario", help="named scenario from the catalog")
     sub.add_argument("--config", help="path to a JSON scenario config")
     sub.add_argument("--order", action="append", type=int,
                      help="quadrature order (repeatable for convergence)")
-    sub.add_argument("--tol", type=float, default=1e-8,
+    sub.add_argument("--tol", type=_finite_arg, default=1e-8,
                      help="pass/fail tolerance (default 1e-8)")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--output", help="write output to this file")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads for node evaluation")
+    sub.add_argument("--threads", type=_thread_count, default=None,
+                     help="worker threads for per-node evaluation of fields "
+                          "without an array form")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -482,7 +549,10 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # non-finite results are reported in the JSON verdict, so numpy's
+        # overflow and invalid-value warnings would only repeat them
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as err:
         print(f"quatflow: {err}", file=sys.stderr)
         return 2

@@ -13,6 +13,12 @@ Moisil-Theodorescu system of four first-order equations.
 Derivatives come either from caller-supplied analytic formulas or from
 central finite differences; every operator consumes the jet, so analytic
 and FD-backed fields share one code path.
+
+A field may also carry an array form: a jet on an (N, 3) array of points
+returning a (4, N, 4) array (value, d/dx, d/dy, d/dz; quaternion
+components last), with an array domain predicate.  Quadrature routes use
+it to evaluate a whole chart in one call; fields without it are
+evaluated point by point through the scalar jet.
 """
 
 from __future__ import annotations
@@ -20,7 +26,10 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .quaternion import Quaternion, ReducedPoint, I, J
+import numpy as np
+
+from .quaternion import Quaternion, ReducedPoint, I, J, qconj
+from .surfaces import as_points, evaluate_nodes
 
 __all__ = [
     "DomainError",
@@ -51,6 +60,10 @@ FD_STEP2 = 1e-4
 DEFAULT_EXCLUSION = 1e-8
 
 
+# A function of an (N, 3) point array returning an array over its N rows.
+ArrayMap = Callable[[np.ndarray], np.ndarray]
+
+
 class DomainError(ValueError):
     """Evaluation was requested outside a field's domain of definition."""
 
@@ -62,6 +75,24 @@ class Jet(NamedTuple):
     dx: Quaternion
     dy: Quaternion
     dz: Quaternion
+
+
+def _domain_mask(domain, domain_array, xyz: np.ndarray) -> np.ndarray:
+    """Where the rows of xyz lie in the domain, as an (N,) bool array."""
+    if domain is None:
+        return np.ones(len(xyz), dtype=bool)
+    if domain_array is not None:
+        return np.asarray(domain_array(xyz), dtype=bool)
+    return np.array([bool(domain(p)) for p in as_points(xyz)], dtype=bool)
+
+
+def _check_array(field, xyz: np.ndarray) -> None:
+    """Raise DomainError at the first row of xyz outside the field's domain."""
+    inside = field.in_domain_array(xyz)
+    if not inside.all():
+        p = ReducedPoint(*xyz[int(np.argmin(inside))].tolist())
+        raise DomainError(
+            f"field {field.name or '<anonymous>'} is not defined at {p!r}")
 
 
 def _fd_steps(p: ReducedPoint, scale: float) -> tuple[float, float, float]:
@@ -84,23 +115,59 @@ class QuaternionField:
     domain : callable, optional
         Predicate marking where the field may be evaluated.  Violations
         raise :class:`DomainError`.
+    jet_array : callable, optional
+        The analytic jet on an (N, 3) point array, returning a (4, N, 4)
+        array that matches ``jet`` row by row.  Requires ``jet``.
+    domain_array : callable, optional
+        ``domain`` on an (N, 3) point array, returning (N,) booleans.
     """
 
     def __init__(self, evaluate: Callable[[ReducedPoint], Quaternion],
                  jet: Optional[Callable[[ReducedPoint], Jet]] = None,
                  domain: Optional[Callable[[ReducedPoint], bool]] = None,
-                 name: str = ""):
+                 name: str = "",
+                 jet_array: Optional[ArrayMap] = None,
+                 domain_array: Optional[ArrayMap] = None):
+        if jet_array is not None and jet is None:
+            raise ValueError("an array jet needs the scalar jet beside it")
         self._evaluate = evaluate
         self._jet = jet
         self._domain = domain
+        self._jet_array = jet_array
+        self._domain_array = domain_array
         self.name = name
 
     @property
     def has_analytic_jet(self) -> bool:
         return self._jet is not None
 
+    @property
+    def has_array_jet(self) -> bool:
+        return self._jet_array is not None
+
     def in_domain(self, p: ReducedPoint) -> bool:
         return self._domain is None or self._domain(p)
+
+    def in_domain_array(self, xyz: np.ndarray) -> np.ndarray:
+        """``in_domain`` for every row of an (N, 3) array."""
+        return _domain_mask(self._domain, self._domain_array, xyz)
+
+    def jet_array(self, xyz: np.ndarray,
+                  workers: Optional[int] = None) -> np.ndarray:
+        """Jets at the rows of an (N, 3) array as a (4, N, 4) array.
+
+        Index 0 of the first axis is the value, 1 to 3 the partials along
+        x, y, z.  Fields without an array jet call ``jet_at`` row by row
+        (on ``workers`` threads when given).  DomainError names the first
+        row outside the domain.
+        """
+        if self._jet_array is None:
+            jets = evaluate_nodes(self.jet_at, as_points(xyz), workers)
+            table = np.array([[q.as_tuple() for q in jet] for jet in jets])
+            return table.reshape(-1, 4, 4).transpose(1, 0, 2)
+        if self._domain is not None:
+            _check_array(self, xyz)
+        return self._jet_array(xyz)
 
     def _check(self, p: ReducedPoint) -> None:
         if not self.in_domain(p):
@@ -142,54 +209,71 @@ class QuaternionField:
     # ------------------------------------------------------------------
     def _combined_domain(self, other: "QuaternionField"):
         if self._domain is None:
-            return other._domain
+            return other._domain, other._domain_array
         if other._domain is None:
-            return self._domain
-        return lambda p: self._domain(p) and other._domain(p)
+            return self._domain, self._domain_array
+        return (lambda p: self._domain(p) and other._domain(p),
+                lambda xyz: self.in_domain_array(xyz)
+                & other.in_domain_array(xyz))
 
     def __add__(self, other: "QuaternionField") -> "QuaternionField":
         if not isinstance(other, QuaternionField):
             return NotImplemented
-        jet = None
+        jet = jet_array = None
         if self.has_analytic_jet and other.has_analytic_jet:
             def jet(p, a=self._jet, b=other._jet):
                 ja, jb = a(p), b(p)
                 return Jet(ja.value + jb.value, ja.dx + jb.dx,
                            ja.dy + jb.dy, ja.dz + jb.dz)
+        if self.has_array_jet and other.has_array_jet:
+            def jet_array(xyz, a=self._jet_array, b=other._jet_array):
+                return a(xyz) + b(xyz)
+        domain, domain_array = self._combined_domain(other)
         return QuaternionField(
             lambda p: self._evaluate(p) + other._evaluate(p),
-            jet=jet, domain=self._combined_domain(other),
-            name=f"({self.name}+{other.name})")
+            jet=jet, domain=domain, name=f"({self.name}+{other.name})",
+            jet_array=jet_array, domain_array=domain_array)
 
     def __mul__(self, s):
         if not isinstance(s, (int, float)):
             return NotImplemented
-        jet = None
+        jet = jet_array = None
         if self.has_analytic_jet:
             def jet(p, a=self._jet, s=float(s)):
                 ja = a(p)
                 return Jet(ja.value * s, ja.dx * s, ja.dy * s, ja.dz * s)
+        if self.has_array_jet:
+            def jet_array(xyz, a=self._jet_array, s=float(s)):
+                return a(xyz) * s
         return QuaternionField(lambda p: self._evaluate(p) * s, jet=jet,
-                               domain=self._domain, name=f"{s}*{self.name}")
+                               domain=self._domain, name=f"{s}*{self.name}",
+                               jet_array=jet_array,
+                               domain_array=self._domain_array)
 
     __rmul__ = __mul__
 
     def conjugated(self) -> "QuaternionField":
         """The field p -> conj(f(p)), jets conjugated componentwise."""
-        jet = None
+        jet = jet_array = None
         if self.has_analytic_jet:
             def jet(p, a=self._jet):
                 ja = a(p)
                 return Jet(ja.value.conjugate(), ja.dx.conjugate(),
                            ja.dy.conjugate(), ja.dz.conjugate())
+        if self.has_array_jet:
+            def jet_array(xyz, a=self._jet_array):
+                return qconj(a(xyz))
         return QuaternionField(lambda p: self._evaluate(p).conjugate(),
                                jet=jet, domain=self._domain,
-                               name=f"conj({self.name})")
+                               name=f"conj({self.name})",
+                               jet_array=jet_array,
+                               domain_array=self._domain_array)
 
     def without_analytic_jet(self) -> "QuaternionField":
         """A copy that always differentiates by finite differences."""
         return QuaternionField(self._evaluate, jet=None, domain=self._domain,
-                               name=self.name)
+                               name=self.name,
+                               domain_array=self._domain_array)
 
 
 class ScalarField:
@@ -199,16 +283,21 @@ class ScalarField:
     nested sequence (row-major, symmetric); ``laplacian`` to a float.
     Missing derivatives fall back to central differences with steps
     ``FD_STEP`` (first order) and ``FD_STEP2`` (second order).
+    ``evaluate_array`` and ``domain_array`` are optional array forms of
+    ``evaluate`` and ``domain`` on (N, 3) point arrays.
     """
 
     def __init__(self, evaluate: Callable[[ReducedPoint], float],
                  gradient=None, laplacian=None, hessian=None,
-                 domain=None, name: str = ""):
+                 domain=None, name: str = "", evaluate_array=None,
+                 domain_array=None):
         self._evaluate = evaluate
         self._gradient = gradient
         self._laplacian = laplacian
         self._hessian = hessian
         self._domain = domain
+        self._evaluate_array = evaluate_array
+        self._domain_array = domain_array
         self.name = name
 
     @property
@@ -226,6 +315,10 @@ class ScalarField:
     def in_domain(self, p: ReducedPoint) -> bool:
         return self._domain is None or self._domain(p)
 
+    def in_domain_array(self, xyz: np.ndarray) -> np.ndarray:
+        """``in_domain`` for every row of an (N, 3) array."""
+        return _domain_mask(self._domain, self._domain_array, xyz)
+
     def _check(self, p: ReducedPoint) -> None:
         if not self.in_domain(p):
             raise DomainError(
@@ -234,6 +327,20 @@ class ScalarField:
     def __call__(self, p: ReducedPoint) -> float:
         self._check(p)
         return float(self._evaluate(p))
+
+    def value_array(self, xyz: np.ndarray,
+                    workers: Optional[int] = None) -> np.ndarray:
+        """Values at the rows of an (N, 3) array as an (N,) array.
+
+        Without ``evaluate_array`` the field is called row by row (on
+        ``workers`` threads when given).
+        """
+        if self._evaluate_array is None:
+            return np.array(evaluate_nodes(self, as_points(xyz), workers),
+                            dtype=float)
+        if self._domain is not None:
+            _check_array(self, xyz)
+        return self._evaluate_array(xyz)
 
     def gradient_at(self, p: ReducedPoint) -> ReducedPoint:
         self._check(p)
@@ -420,7 +527,10 @@ def default_monogenicity_tol(f) -> float:
 
 def is_monogenic(f, points: Sequence[ReducedPoint],
                  tol: float | None = None) -> MonogenicityReport:
-    """Check max |D f| over sample points against a tolerance."""
+    """Check max |D f| over sample points against a tolerance.
+
+    A NaN residual fails the check at once and is reported with its point.
+    """
     pts = list(points)
     if not pts:
         raise ValueError("is_monogenic needs at least one sample point")
@@ -429,6 +539,8 @@ def is_monogenic(f, points: Sequence[ReducedPoint],
     worst, worst_p = -1.0, pts[0]
     for p in pts:
         r = apply_D(f, p).norm()
+        if math.isnan(r):
+            return MonogenicityReport(False, r, p, tol)
         if r > worst:
             worst, worst_p = r, p
     return MonogenicityReport(worst <= tol, worst, worst_p, tol)

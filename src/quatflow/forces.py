@@ -18,6 +18,14 @@ how the quadratic velocity term is expressed:
 
 Moments use the same quadratic densities against the moment arm
 (x - about) x n.
+
+Every route works on arrays: one (4, N, 4) jet table per chart from the
+potential's array jet (or, for fields without one, from ``jet_at`` node
+by node), (N, 3) node arrays, and the array Hamilton product.  Rows are
+reduced chart by chart with numpy's pairwise summation.
+``all_force_methods`` evaluates the jet tables once and passes them to
+each route (``jets=``), so the four routes and the stream-surface gate
+share them.
 """
 
 from __future__ import annotations
@@ -27,10 +35,16 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .quaternion import Quaternion, ReducedPoint, sc, I, J
-from .fields import Jet, QuaternionField, ScalarField
+from .quaternion import ReducedPoint, qconj, qmul
+from .fields import QuaternionField, ScalarField
 from .potentials import FlowPotential
-from .surfaces import ParametricSurface, RegularBody, evaluate_nodes
+from .surfaces import (
+    ChartNodes,
+    ParametricSurface,
+    RegularBody,
+    cross_rows,
+    evaluate_nodes,
+)
 
 __all__ = [
     "ForceResult",
@@ -50,8 +64,13 @@ __all__ = [
     "all_force_methods",
 ]
 
-_MINUS_I = Quaternion(0.0, -1.0, 0.0, 0.0)
-_MINUS_J = Quaternion(0.0, 0.0, -1.0, 0.0)
+# One (4, N, 4) jet table per chart of a quadrature, in chart order.
+JetTables = list[np.ndarray]
+
+_I = np.array([0.0, 1.0, 0.0, 0.0])
+_J = np.array([0.0, 0.0, 1.0, 0.0])
+_MINUS_I = np.array([0.0, -1.0, 0.0, 0.0])
+_MINUS_J = np.array([0.0, 0.0, -1.0, 0.0])
 
 
 class ForceResult(NamedTuple):
@@ -98,82 +117,167 @@ def _surface_of(body) -> ParametricSurface:
     return body
 
 
-def _conj_grad(jet: Jet) -> Quaternion:
-    """w Dbar from a jet; equals 2(v1 - v2 i - v3 j) when D w = 0."""
-    return jet.dx - jet.dy * I - jet.dz * J
+# ----------------------------------------------------------------------
+# per-chart row kernels on (4, N, 4) jet tables and (N, 3) node arrays
+# ----------------------------------------------------------------------
 
+def _conj_grad(jets: np.ndarray) -> np.ndarray:
+    """w Dbar = dx - dy i - dz j as (N, 4); 2(v1 - v2 i - v3 j) if D w = 0."""
+    dx, dy, dz = jets[1], jets[2], jets[3]
+    return np.stack((dx[:, 0] + dy[:, 1] + dz[:, 2],
+                     dx[:, 1] - dy[:, 0] + dz[:, 3],
+                     dx[:, 2] - dy[:, 3] - dz[:, 0],
+                     dx[:, 3] + dy[:, 2] - dz[:, 1]), axis=1)
+
+
+def _norm_sq(q: np.ndarray) -> np.ndarray:
+    return q[:, 0] * q[:, 0] + q[:, 1] * q[:, 1] + q[:, 2] * q[:, 2] \
+        + q[:, 3] * q[:, 3]
+
+
+def _bernoulli(jets: np.ndarray, rho: float, stagnation: float) -> np.ndarray:
+    """p0 - (rho/2) |grad Sc w|^2 at every node of a jet table."""
+    vx, vy, vz = jets[1][:, 0], jets[2][:, 0], jets[3][:, 0]
+    return stagnation - 0.5 * rho * (vx * vx + vy * vy + vz * vz)
+
+
+def _arms(cn: ChartNodes, about: ReducedPoint) -> np.ndarray:
+    """(x - about) x n at every node."""
+    arm = cn.point_array - np.array(about.as_tuple())
+    return cross_rows(arm, cn.normal_array)
+
+
+def _jet_tables(potential, quadrature, workers) -> JetTables:
+    f = _field_of(potential)
+    return [f.jet_array(cn.point_array, workers) for cn in quadrature]
+
+
+def _route_tables(potential, body, order, workers, jets):
+    """The body's quadrature and its jet tables, unless already given."""
+    quadrature = _surface_of(body).quadrature(order)
+    if jets is None:
+        jets = _jet_tables(potential, quadrature, workers)
+    return quadrature, jets
+
+
+def _reduce(quadrature, per_chart, rows_fn, scale: float) -> ReducedPoint:
+    """scale times the sum of rows_fn(chart nodes, data) dS over charts.
+
+    ``per_chart`` holds one entry (a jet table or pressure values) per
+    chart.  Each chart's (N, 3) rows are summed pairwise by numpy, and the
+    chart sums are added in chart order.
+    """
+    total = np.zeros(3)
+    for cn, data in zip(quadrature, per_chart):
+        total = total + np.sum(rows_fn(cn, data) * cn.weights[:, None],
+                               axis=0)
+    return ReducedPoint(scale * total[0], scale * total[1], scale * total[2])
+
+
+def _node_count(quadrature) -> int:
+    return sum(len(cn.weights) for cn in quadrature)
+
+
+def _force(quadrature, per_chart, rows_fn, scale, method, order):
+    return ForceResult(_reduce(quadrature, per_chart, rows_fn, scale),
+                       method, order, _node_count(quadrature))
+
+
+def _pressure_values(pressure, cn: ChartNodes, workers) -> np.ndarray:
+    if isinstance(pressure, ScalarField):
+        return pressure.value_array(cn.point_array, workers)
+    return np.array(evaluate_nodes(lambda p: float(pressure(p)), cn.points,
+                                   workers), dtype=float)
+
+
+def _pressure_rows(cn: ChartNodes, values: np.ndarray) -> np.ndarray:
+    return -values[:, None] * cn.normal_array
+
+
+def _blasius_rows(cn: ChartNodes, jets: np.ndarray) -> np.ndarray:
+    return _norm_sq(_conj_grad(jets))[:, None] * cn.normal_array
+
+
+def _components_sc_rows(cn: ChartNodes, jets: np.ndarray) -> np.ndarray:
+    g = _conj_grad(jets)
+    t = qmul(qmul(qconj(g), g), cn.normal_quaternions())
+    return np.stack((t[:, 0], qmul(t, _MINUS_I)[:, 0],
+                     qmul(t, _MINUS_J)[:, 0]), axis=1)
+
+
+def _monogenic_form_rows(cn: ChartNodes, jets: np.ndarray) -> np.ndarray:
+    g = _conj_grad(jets)
+    t = qmul(qmul(g, cn.normal_quaternions()), g)
+    return np.stack((t[:, 0], qmul(t, _I)[:, 0], qmul(t, _J)[:, 0]), axis=1)
+
+
+# ----------------------------------------------------------------------
+# force routes
+# ----------------------------------------------------------------------
+#
+# The routes built on the potential's jet accept ``jets``: one (4, N, 4)
+# table per chart of ``body``'s quadrature at ``order``, evaluated by the
+# caller (``all_force_methods`` shares one set across routes).  Without
+# it each route evaluates its own.
 
 def pressure_field(potential, rho: float = 1.0,
                    stagnation: float = 0.0) -> ScalarField:
-    """Bernoulli pressure p0 - (rho/2) |grad Sc w|^2."""
+    """Bernoulli pressure p0 - (rho/2) |grad Sc w|^2.
+
+    When the potential has an array jet, so does the pressure.
+    """
     pot = potential if isinstance(potential, FlowPotential) \
         else FlowPotential(potential)
+    field = pot.field
 
     def ev(p: ReducedPoint) -> float:
         return stagnation - 0.5 * rho * pot.speed_squared_at(p)
 
-    return ScalarField(ev, domain=pot.field.in_domain,
-                       name=f"pressure({pot.name})")
+    ev_array = None
+    if field.has_array_jet:
+        def ev_array(xyz: np.ndarray) -> np.ndarray:
+            # the ScalarField has checked the domain already
+            return _bernoulli(field._jet_array(xyz), rho, stagnation)
 
-
-def _sum_chart_rows(surf: ParametricSurface, order: int, row_fn, workers):
-    """Chart-major deterministic reduction of 3-vector rows times dS."""
-    total = np.zeros(3)
-    count = 0
-    for cn in surf.quadrature(order):
-        indices = list(range(len(cn.points)))
-        rows = evaluate_nodes(lambda k: row_fn(cn, k), indices, workers)
-        arr = np.array(rows) * cn.weights[:, None]
-        total = total + np.sum(arr, axis=0)
-        count += len(indices)
-    return total, count
+    return ScalarField(ev, domain=field.in_domain,
+                       name=f"pressure({pot.name})", evaluate_array=ev_array,
+                       domain_array=field.in_domain_array)
 
 
 def force_from_pressure(pressure, body, order: int = 16,
                         workers: Optional[int] = None,
                         method: str = "pressure") -> ForceResult:
     """F = - (integral of) p dsigma for any scalar pressure callable."""
-    surf = _surface_of(body)
-
-    def row(cn, k):
-        p, n = cn.points[k], cn.normals[k]
-        val = -float(pressure(p))
-        return (val * n.x, val * n.y, val * n.z)
-
-    total, count = _sum_chart_rows(surf, order, row, workers)
-    return ForceResult(ReducedPoint(*total), method, order, count)
+    quadrature = _surface_of(body).quadrature(order)
+    values = [_pressure_values(pressure, cn, workers) for cn in quadrature]
+    return _force(quadrature, values, _pressure_rows, 1.0, method, order)
 
 
 def force_pressure_direct(potential, body, rho: float = 1.0,
                           order: int = 16, workers: Optional[int] = None,
-                          stagnation: float = 0.0) -> ForceResult:
+                          stagnation: float = 0.0, *,
+                          jets: Optional[JetTables] = None) -> ForceResult:
     """The pressure route, with p from the Bernoulli relation."""
-    pressure = pressure_field(potential, rho=rho, stagnation=stagnation)
-    return force_from_pressure(pressure, body, order=order, workers=workers,
-                               method="pressure")
+    quadrature, jets = _route_tables(potential, body, order, workers, jets)
+
+    def rows(cn, j):
+        return _pressure_rows(cn, _bernoulli(j, rho, stagnation))
+
+    return _force(quadrature, jets, rows, 1.0, "pressure", order)
 
 
 def force_blasius(potential, body, rho: float = 1.0, order: int = 16,
-                  workers: Optional[int] = None) -> ForceResult:
+                  workers: Optional[int] = None, *,
+                  jets: Optional[JetTables] = None) -> ForceResult:
     """F = (rho/8) (integral of) |w Dbar|^2 dsigma."""
-    f = _field_of(potential)
-    surf = _surface_of(body)
-
-    def row(cn, k):
-        g = _conj_grad(f.jet_at(cn.points[k]))
-        s = g.norm_sq()
-        n = cn.normals[k]
-        return (s * n.x, s * n.y, s * n.z)
-
-    total, count = _sum_chart_rows(surf, order, row, workers)
-    scale = rho / 8.0
-    return ForceResult(ReducedPoint(scale * total[0], scale * total[1],
-                                    scale * total[2]),
-                       "blasius", order, count)
+    quadrature, jets = _route_tables(potential, body, order, workers, jets)
+    return _force(quadrature, jets, _blasius_rows, rho / 8.0, "blasius",
+                  order)
 
 
 def force_components_sc(potential, body, rho: float = 1.0, order: int = 16,
-                        workers: Optional[int] = None) -> ForceResult:
+                        workers: Optional[int] = None, *,
+                        jets: Optional[JetTables] = None) -> ForceResult:
     """Componentwise scalar-part force formulas.
 
     Each component is the scalar part of (conj(g) g) dsigma followed by a
@@ -181,35 +285,24 @@ def force_components_sc(potential, body, rho: float = 1.0, order: int = 16,
     conj(g) g is a scalar, these agree with the norm route exactly, which
     the tests pin down to the last bit.
     """
-    f = _field_of(potential)
-    surf = _surface_of(body)
-
-    def row(cn, k):
-        g = _conj_grad(f.jet_at(cn.points[k]))
-        q = g.conjugate() * g
-        t = q * cn.normals[k].to_quaternion()
-        return (sc(t), sc(t * _MINUS_I), sc(t * _MINUS_J))
-
-    total, count = _sum_chart_rows(surf, order, row, workers)
-    scale = rho / 8.0
-    return ForceResult(ReducedPoint(scale * total[0], scale * total[1],
-                                    scale * total[2]),
-                       "components-sc", order, count)
+    quadrature, jets = _route_tables(potential, body, order, workers, jets)
+    return _force(quadrature, jets, _components_sc_rows, rho / 8.0,
+                  "components-sc", order)
 
 
 # ----------------------------------------------------------------------
 # monogenic form with its stream-surface gate
 # ----------------------------------------------------------------------
 
-def _gradient_of_component(jet: Jet, slot: int) -> ReducedPoint:
-    if slot == 1:
-        return ReducedPoint(jet.dx.q1, jet.dy.q1, jet.dz.q1)
-    if slot == 2:
-        return ReducedPoint(jet.dx.q2, jet.dy.q2, jet.dz.q2)
-    return ReducedPoint(jet.dx.q3, jet.dy.q3, jet.dz.q3)
+_PROBE_LABELS = ("psi1 varies with z", "psi2 varies with y",
+                 "psi3 varies with x")
 
 
-def _gate_stream_surface(surf: ParametricSurface, quadrature, jets_per_chart,
+def _quaternion_norms(q: np.ndarray) -> np.ndarray:
+    return np.sqrt(_norm_sq(q))
+
+
+def _gate_stream_surface(quadrature, jets_per_chart,
                          tol: Optional[float]) -> None:
     """Raise StreamSurfaceError unless the surface fits the derivation.
 
@@ -218,29 +311,29 @@ def _gate_stream_surface(surf: ParametricSurface, quadrature, jets_per_chart,
     constant along both chart tangent directions.  Cap charts that come
     in mirrored pairs are exempt from the tangency probe when the jet is
     z-invariant on them, because a mirrored pair's contributions cancel
-    identically for z-invariant integrands.
+    identically for z-invariant integrands.  The first offending node is
+    reported, in chart-major node order, pattern probes before tangency.
     """
     if tol is None:
         scale = 0.0
         for jets in jets_per_chart:
-            for jet in jets:
-                scale = max(scale, jet.dx.norm(), jet.dy.norm(),
-                            jet.dz.norm())
+            for partial in jets[1:]:
+                # fmax skips NaN, as the running max over nodes did
+                scale = float(np.fmax.reduce(_quaternion_norms(partial),
+                                             initial=scale))
         tol = 1e-8 * (1.0 + scale)
 
     for cn, jets in zip(quadrature, jets_per_chart):
-        for p, jet in zip(cn.points, jets):
-            probes = (
-                ("psi1 varies with z", jet.dz.q1),
-                ("psi2 varies with y", jet.dy.q2),
-                ("psi3 varies with x", jet.dx.q3),
-            )
-            for label, val in probes:
-                if abs(val) > tol:
-                    raise StreamSurfaceError(
-                        f"monogenic force form refused: {label} "
-                        f"({val:.3e} > {tol:.1e}) at {p.as_tuple()} "
-                        f"on chart {cn.chart.name!r}")
+        probes = np.stack((jets[3][:, 1], jets[2][:, 2], jets[1][:, 3]),
+                          axis=1)
+        bad = np.abs(probes) > tol
+        if bad.any():
+            k, which = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            raise StreamSurfaceError(
+                f"monogenic force form refused: {_PROBE_LABELS[which]} "
+                f"({probes[k, which]:.3e} > {tol:.1e}) at "
+                f"{tuple(cn.point_array[k].tolist())} "
+                f"on chart {cn.chart.name!r}")
 
     exempt: set[int] = set()
     pairs: dict[str, list[int]] = {}
@@ -254,30 +347,34 @@ def _gate_stream_surface(surf: ParametricSurface, quadrature, jets_per_chart,
         a, b = idxs
         if quadrature[a].chart.orientation == quadrature[b].chart.orientation:
             continue
-        flat = all(jet.dz.norm() <= tol
-                   for idx in (a, b) for jet in jets_per_chart[idx])
+        flat = all(np.all(_quaternion_norms(jets_per_chart[idx][3]) <= tol)
+                   for idx in (a, b))
         if flat:
             exempt.update((a, b))
 
     for idx, (cn, jets) in enumerate(zip(quadrature, jets_per_chart)):
         if idx in exempt:
             continue
-        chart = cn.chart
-        for (a, b), p, jet in zip(cn.params, cn.points, jets):
-            for tv in (chart.partial_s(a, b), chart.partial_t(a, b)):
-                that = tv.unit()
-                for slot in (1, 2, 3):
-                    drift = _gradient_of_component(jet, slot).dot(that)
-                    if abs(drift) > tol:
-                        raise StreamSurfaceError(
-                            f"monogenic force form refused: component "
-                            f"{slot} drifts along chart {chart.name!r} "
-                            f"({drift:.3e} > {tol:.1e}) at {p.as_tuple()}")
+        # drift[k, d, slot]: gradient of component slot + 1 at node k
+        # along the unit tangent d (s, then t)
+        tangents = cn.tangent_array.transpose(1, 0, 2)[:, :, :, None]
+        dx, dy, dz = (jets[axis][:, None, 1:] for axis in (1, 2, 3))
+        drift = (dx * tangents[:, :, 0] + dy * tangents[:, :, 1]
+                 + dz * tangents[:, :, 2])
+        bad = np.abs(drift) > tol
+        if bad.any():
+            k, d, slot = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            raise StreamSurfaceError(
+                f"monogenic force form refused: component "
+                f"{slot + 1} drifts along chart {cn.chart.name!r} "
+                f"({drift[k, d, slot]:.3e} > {tol:.1e}) at "
+                f"{tuple(cn.point_array[k].tolist())}")
 
 
 def force_monogenic_form(potential, body, rho: float = 1.0, order: int = 16,
                          workers: Optional[int] = None,
-                         gate_tol: Optional[float] = None) -> ForceResult:
+                         gate_tol: Optional[float] = None, *,
+                         jets: Optional[JetTables] = None) -> ForceResult:
     """F = -(rho/8) (integral of) [Sc(g dsigma g) + Sc(g dsigma g i) i
     + Sc(g dsigma g j) j] with g = w Dbar.
 
@@ -285,28 +382,10 @@ def force_monogenic_form(potential, body, rho: float = 1.0, order: int = 16,
     the integral deformation invariant; the stream-surface gate rejects
     surfaces where the assembled scalar parts stop being a force density.
     """
-    f = _field_of(potential)
-    surf = _surface_of(body)
-    quadrature = surf.quadrature(order)
-    jets_per_chart = [evaluate_nodes(f.jet_at, cn.points, workers)
-                      for cn in quadrature]
-    _gate_stream_surface(surf, quadrature, jets_per_chart, gate_tol)
-
-    total = np.zeros(3)
-    count = 0
-    for cn, jets in zip(quadrature, jets_per_chart):
-        rows = []
-        for n, jet in zip(cn.normals, jets):
-            g = _conj_grad(jet)
-            t = g * n.to_quaternion() * g
-            rows.append((sc(t), sc(t * I), sc(t * J)))
-        arr = np.array(rows) * cn.weights[:, None]
-        total = total + np.sum(arr, axis=0)
-        count += len(rows)
-    scale = -rho / 8.0
-    return ForceResult(ReducedPoint(scale * total[0], scale * total[1],
-                                    scale * total[2]),
-                       "monogenic-form", order, count)
+    quadrature, jets = _route_tables(potential, body, order, workers, jets)
+    _gate_stream_surface(quadrature, jets, gate_tol)
+    return _force(quadrature, jets, _monogenic_form_rows, -rho / 8.0,
+                  "monogenic-form", order)
 
 
 # ----------------------------------------------------------------------
@@ -317,37 +396,26 @@ def moment_quadratic(potential, body, about: ReducedPoint, rho: float = 1.0,
                      order: int = 16,
                      workers: Optional[int] = None) -> MomentResult:
     """M = (rho/8) (integral of) |w Dbar|^2 (x - about) x n dS."""
-    f = _field_of(potential)
-    surf = _surface_of(body)
+    def rows(cn, jets):
+        return _norm_sq(_conj_grad(jets))[:, None] * _arms(cn, about)
 
-    def row(cn, k):
-        p, n = cn.points[k], cn.normals[k]
-        s = _conj_grad(f.jet_at(p)).norm_sq()
-        arm = p - about
-        c = arm.cross(n)
-        return (s * c.x, s * c.y, s * c.z)
-
-    total, count = _sum_chart_rows(surf, order, row, workers)
-    scale = rho / 8.0
-    return MomentResult(ReducedPoint(scale * total[0], scale * total[1],
-                                     scale * total[2]),
-                        about, "quadratic-form", order, count)
+    quadrature, jets = _route_tables(potential, body, order, workers, None)
+    return MomentResult(_reduce(quadrature, jets, rows, rho / 8.0), about,
+                        "quadratic-form", order, _node_count(quadrature))
 
 
 def moment_from_pressure(pressure, body, about: ReducedPoint,
                          order: int = 16,
                          workers: Optional[int] = None) -> MomentResult:
     """M = -(integral of) p (x - about) x n dS for a scalar pressure."""
-    surf = _surface_of(body)
+    quadrature = _surface_of(body).quadrature(order)
+    values = [_pressure_values(pressure, cn, workers) for cn in quadrature]
 
-    def row(cn, k):
-        p, n = cn.points[k], cn.normals[k]
-        val = -float(pressure(p))
-        c = (p - about).cross(n)
-        return (val * c.x, val * c.y, val * c.z)
+    def rows(cn, v):
+        return -v[:, None] * _arms(cn, about)
 
-    total, count = _sum_chart_rows(surf, order, row, workers)
-    return MomentResult(ReducedPoint(*total), about, "pressure", order, count)
+    return MomentResult(_reduce(quadrature, values, rows, 1.0), about,
+                        "pressure", order, _node_count(quadrature))
 
 
 def moment_reference_shift(moment: MomentResult, force: ForceResult,
@@ -374,29 +442,30 @@ def all_force_methods(potential, body, rho: float = 1.0, order: int = 16,
                       stagnation: float = 0.0) -> ForceComparison:
     """Run every force route and report their largest pairwise gap.
 
-    The monogenic form participates only when its gate admits the
-    surface; a refusal is recorded verbatim under ``gated``.
+    One jet table per chart, evaluated here, is passed to all four routes
+    and so to the gate.  The monogenic form participates only when its
+    gate admits the surface; a refusal is recorded verbatim under
+    ``gated``.  A non-finite route
+    result makes ``max_disagreement`` non-finite.
     """
+    jets = _jet_tables(potential, _surface_of(body).quadrature(order),
+                       workers)
+    shared = {"rho": rho, "order": order, "jets": jets}
     results = {
-        "pressure": force_pressure_direct(potential, body, rho=rho,
-                                          order=order, workers=workers,
-                                          stagnation=stagnation),
-        "blasius": force_blasius(potential, body, rho=rho, order=order,
-                                 workers=workers),
-        "components-sc": force_components_sc(potential, body, rho=rho,
-                                             order=order, workers=workers),
+        "pressure": force_pressure_direct(potential, body,
+                                          stagnation=stagnation, **shared),
+        "blasius": force_blasius(potential, body, **shared),
+        "components-sc": force_components_sc(potential, body, **shared),
     }
     gated: dict = {}
     try:
-        results["monogenic-form"] = force_monogenic_form(
-            potential, body, rho=rho, order=order, workers=workers)
+        results["monogenic-form"] = force_monogenic_form(potential, body,
+                                                         **shared)
     except StreamSurfaceError as err:
         gated["monogenic-form"] = str(err)
 
     names = sorted(results)
-    gap = 0.0
-    for a in range(len(names)):
-        for b in range(a + 1, len(names)):
-            diff = (results[names[a]].force - results[names[b]].force).norm()
-            gap = max(gap, diff)
-    return ForceComparison(results, gated, gap)
+    gaps = [(results[a].force - results[b].force).norm()
+            for i, a in enumerate(names) for b in names[i + 1:]]
+    # np.max propagates NaN where the builtin max would drop it
+    return ForceComparison(results, gated, float(np.max(gaps)))

@@ -29,6 +29,7 @@ from .potentials import dipole_flow
 from .surfaces import (
     ParametricSurface,
     RegularBody,
+    norm_rows,
     evaluate_nodes,
     integrate_g_dsigma_f,
 )
@@ -164,7 +165,8 @@ def cauchy_reconstruct(surface, f, point: ReducedPoint, order: int = 48,
     """
     surf = surface.surface if isinstance(surface, RegularBody) else surface
     margin = reconstruction_margin(surf, order, margin_factor)
-    dist = min(min(p.distance_to(point) for p in cn.points)
+    dist = min(float(np.min(norm_rows(cn.point_array
+                                  - np.array(point.as_tuple()))))
                for cn in surf.quadrature(order))
     if dist < margin:
         raise MarginError(

@@ -13,7 +13,9 @@ stream-function surrogates.  Two construction routes are provided:
 
 ``catalog`` collects closed-form potentials used across the test suite:
 uniform streams, a point source, a dipole, flow past a sphere, and the
-planar cylinder flows embedded in the i-plane.
+planar cylinder flows embedded in the i-plane.  Each carries its jet and
+domain in array form as well, so surface quadrature evaluates a whole
+chart in one call.
 """
 
 from __future__ import annotations
@@ -438,6 +440,22 @@ def gauge_transform(potential: FlowPotential, extra: QuaternionField,
 # closed-form catalog
 # ----------------------------------------------------------------------
 
+def _jets(n: int, *entries) -> np.ndarray:
+    """A (4, n, 4) jet array from 16 entries, arrays or scalars.
+
+    The entries run over the value, d/dx, d/dy and d/dz, four quaternion
+    components each.
+    """
+    out = np.empty((4, n, 4))
+    for idx, entry in enumerate(entries):
+        out[idx // 4, :, idx % 4] = entry
+    return out
+
+
+def _columns(xyz: np.ndarray, center: ReducedPoint = ReducedPoint()):
+    return xyz[:, 0] - center.x, xyz[:, 1] - center.y, xyz[:, 2] - center.z
+
+
 def uniform_flow(u1: float, u2: float = 0.0, u3: float = 0.0) -> FlowPotential:
     """Uniform stream with velocity (u1, u2, u3)."""
     u1, u2, u3 = float(u1), float(u2), float(u3)
@@ -452,8 +470,16 @@ def uniform_flow(u1: float, u2: float = 0.0, u3: float = 0.0) -> FlowPotential:
     dy = Quaternion(u2, 0.5 * u1, 0.0, 0.5 * u3)
     dz = Quaternion(u3, 0.0, 0.5 * u1, -0.5 * u2)
 
+    def jet_array(xyz: np.ndarray) -> np.ndarray:
+        x, y, z = _columns(xyz)
+        return _jets(len(xyz), u1 * x + u2 * y + u3 * z,
+                     0.5 * (u1 * y - u2 * x), 0.5 * (u1 * z - u3 * x),
+                     0.5 * (u3 * y - u2 * z),
+                     *dx.as_tuple(), *dy.as_tuple(), *dz.as_tuple())
+
     field = QuaternionField(value, jet=lambda p: Jet(value(p), dx, dy, dz),
-                            name=f"uniform({u1},{u2},{u3})")
+                            name=f"uniform({u1},{u2},{u3})",
+                            jet_array=jet_array)
     return FlowPotential(field, name=field.name,
                          description="uniform stream")
 
@@ -466,8 +492,13 @@ def identity_flow() -> FlowPotential:
     dx = Quaternion(1.0)
     dy = Quaternion(0.0, 0.5, 0.0, 0.0)
     dz = Quaternion(0.0, 0.0, 0.5, 0.0)
+    def jet_array(xyz: np.ndarray) -> np.ndarray:
+        x, y, z = _columns(xyz)
+        return _jets(len(xyz), x, 0.5 * y, 0.5 * z, 0.0,
+                     *dx.as_tuple(), *dy.as_tuple(), *dz.as_tuple())
+
     field = QuaternionField(value, jet=lambda p: Jet(value(p), dx, dy, dz),
-                            name="identity")
+                            name="identity", jet_array=jet_array)
     return FlowPotential(field, name="identity",
                          description="monogenic extension of x")
 
@@ -488,7 +519,17 @@ def saddle_flow() -> FlowPotential:
             Quaternion(0.0, 0.0, 2.0 * p.x / 3.0, 2.0 * p.y / 3.0),
         )
 
-    field = QuaternionField(value, jet=jet, name="saddle")
+    def jet_array(xyz: np.ndarray) -> np.ndarray:
+        x, y, z = _columns(xyz)
+        return _jets(len(xyz),
+                     x * x - y * y, 4.0 * x * y / 3.0, 2.0 * x * z / 3.0,
+                     2.0 * y * z / 3.0,
+                     2.0 * x, 4.0 * y / 3.0, 2.0 * z / 3.0, 0.0,
+                     -2.0 * y, 4.0 * x / 3.0, 0.0, 2.0 * z / 3.0,
+                     0.0, 0.0, 2.0 * x / 3.0, 2.0 * y / 3.0)
+
+    field = QuaternionField(value, jet=jet, name="saddle",
+                            jet_array=jet_array)
     return FlowPotential(field, name="saddle",
                          description="monogenic extension of x^2 - y^2")
 
@@ -543,12 +584,38 @@ def point_source(strength: float,
                 (scale * -w / r3, scale * -v * w * c,
                  scale * (1.0 / (r * s) - w * w * c)))
 
+    def domain_array(xyz: np.ndarray) -> np.ndarray:
+        u, v, w = _columns(xyz, center)
+        r = np.sqrt(u * u + v * v + w * w)
+        off_ray = (u > 0.0) | (np.hypot(v, w) > DEFAULT_EXCLUSION)
+        return (r > DEFAULT_EXCLUSION) & off_ray
+
+    def jet_array(xyz: np.ndarray) -> np.ndarray:
+        # Dbar of the primitive: value (g_x, -g_y, -g_z), partials from
+        # the Hessian, with the expressions of grad and hess above
+        u, v, w = _columns(xyz, center)
+        r = np.sqrt(u * u + v * v + w * w)
+        s = u + r
+        r3 = r ** 3
+        c = (s + r) / (r3 * s * s)
+        h01, h02 = scale * -v / r3, scale * -w / r3
+        h12 = scale * -v * w * c
+        return _jets(len(xyz),
+                     scale / r, -(scale * v / (r * s)), -(scale * w / (r * s)),
+                     0.0,
+                     scale * -u / r3, -h01, -h02, 0.0,
+                     h01, -(scale * (1.0 / (r * s) - v * v * c)), -h12, 0.0,
+                     h02, -h12, -(scale * (1.0 / (r * s) - w * w * c)), 0.0)
+
     g = ScalarField(ev, gradient=grad, laplacian=lambda p: 0.0, hessian=hess,
                     domain=domain, name=f"source_log({m})")
-    pot = monogenic_from_gradient(g)
-    pot.name = f"source({m})"
-    pot.description = "point source (ray-cut logarithmic primitive)"
-    return pot
+    dbar = scalar_dbar_field(g)
+    field = QuaternionField(dbar._evaluate, jet=dbar._jet, domain=domain,
+                            name=dbar.name, jet_array=jet_array,
+                            domain_array=domain_array)
+    return FlowPotential(field, name=f"source({m})",
+                         description="point source (ray-cut logarithmic "
+                                     "primitive)")
 
 
 def dipole_flow(coefficient: float,
@@ -578,8 +645,27 @@ def dipole_flow(coefficient: float,
                         c0 * (-1.0 / r3 + 3.0 * z * z / r5), 0.0)
         return Jet(value(p), dx, dy, dz)
 
+    def domain_array(xyz: np.ndarray) -> np.ndarray:
+        x, y, z = _columns(xyz, center)
+        return np.sqrt(x * x + y * y + z * z) > DEFAULT_EXCLUSION
+
+    def jet_array(xyz: np.ndarray) -> np.ndarray:
+        x, y, z = _columns(xyz, center)
+        r = np.sqrt(x * x + y * y + z * z)
+        r3, r5 = r ** 3, r ** 5
+        return _jets(len(xyz),
+                     c0 * x / r3, -c0 * y / r3, -c0 * z / r3, 0.0,
+                     c0 * (1.0 / r3 - 3.0 * x * x / r5),
+                     c0 * 3.0 * x * y / r5, c0 * 3.0 * x * z / r5, 0.0,
+                     -c0 * 3.0 * x * y / r5,
+                     c0 * (-1.0 / r3 + 3.0 * y * y / r5),
+                     c0 * 3.0 * y * z / r5, 0.0,
+                     -c0 * 3.0 * x * z / r5, c0 * 3.0 * y * z / r5,
+                     c0 * (-1.0 / r3 + 3.0 * z * z / r5), 0.0)
+
     field = QuaternionField(value, jet=jet, domain=domain,
-                            name=f"dipole({c0})")
+                            name=f"dipole({c0})", jet_array=jet_array,
+                            domain_array=domain_array)
     return FlowPotential(field, name=field.name,
                          description="x-directed dipole")
 
@@ -596,11 +682,14 @@ def sphere_flow(speed: float, radius: float) -> FlowPotential:
 def embedded_potential(f: Callable[[complex], complex],
                        fprime: Callable[[complex], complex],
                        domain2d: Optional[Callable[[complex], bool]] = None,
-                       name: str = "") -> FlowPotential:
+                       name: str = "",
+                       vectorized: bool = False) -> FlowPotential:
     """Embed a planar complex potential into the i-plane of the algebra.
 
     The plane carries zeta = x + iy; the field w = Re f + (Im f) i is
-    independent of z and monogenic wherever f is holomorphic.
+    independent of z and monogenic wherever f is holomorphic.  With
+    ``vectorized`` the three callables also map numpy complex arrays
+    elementwise, which gives the field its array jet.
     """
     def domain(p: ReducedPoint) -> bool:
         return domain2d is None or domain2d(complex(p.x, p.y))
@@ -616,8 +705,28 @@ def embedded_potential(f: Callable[[complex], complex],
                    Quaternion(-fp.imag, fp.real, 0.0, 0.0),
                    Quaternion())
 
+    jet_array = domain_array = None
+    if vectorized:
+        def zeta(xyz: np.ndarray) -> np.ndarray:
+            z = xyz[:, 0].astype(complex)
+            z.imag = xyz[:, 1]
+            return z
+
+        def jet_array(xyz: np.ndarray) -> np.ndarray:
+            z = zeta(xyz)
+            fz, fp = f(z), fprime(z)
+            return _jets(len(xyz), fz.real, fz.imag, 0.0, 0.0,
+                         fp.real, fp.imag, 0.0, 0.0,
+                         -fp.imag, fp.real, 0.0, 0.0,
+                         0.0, 0.0, 0.0, 0.0)
+
+        if domain2d is not None:
+            def domain_array(xyz: np.ndarray) -> np.ndarray:
+                return domain2d(zeta(xyz))
+
     field = QuaternionField(value, jet=jet, domain=domain,
-                            name=name or "embedded")
+                            name=name or "embedded", jet_array=jet_array,
+                            domain_array=domain_array)
     return FlowPotential(field, name=field.name,
                          description="embedded planar potential")
 
@@ -652,10 +761,16 @@ def embedded_cylinder_flow(speed: float, radius: float,
         return abs(z) > DEFAULT_EXCLUSION
 
     name = f"embedded_cylinder(U={u},a={a},G={gamma})"
-    return embedded_potential(f, fp, domain2d=domain2d, name=name)
+    return embedded_potential(f, fp, domain2d=domain2d, name=name,
+                              vectorized=True)
 
 
-def _principal_log(z: complex) -> complex:
+def _principal_log(z):
+    """Principal logarithm of a complex number or numpy complex array."""
+    if isinstance(z, np.ndarray):
+        out = np.log(np.abs(z)).astype(complex)
+        out.imag = np.arctan2(z.imag, z.real)
+        return out
     return complex(math.log(abs(z)), math.atan2(z.imag, z.real))
 
 

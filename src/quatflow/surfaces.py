@@ -10,11 +10,13 @@ with n the outward unit normal.  Integrals of the two-sided form
 g dsigma f are the workhorse for Cauchy-type theorems and for force and
 moment evaluation.
 
-Node evaluation is deterministic by construction: nodes are generated
-chart-major in a fixed order, per-node values land in arrays indexed by
-node, and reductions use numpy's pairwise summation.  An optional thread
-pool only parallelizes the per-node evaluations; it cannot change the
-result, bit for bit.
+Nodes are numpy arrays: a chart maps the whole parameter grid at once
+to (N, 3) points, unit normals and unit tangents, generated chart-major
+in a fixed order.  The force and moment routes (``forces``) evaluate
+fields with an array form on those arrays in one call.  The integrators
+here apply their callables node by node, on an optional thread pool
+that cannot change the result, bit for bit.  Rows are reduced per chart
+with numpy's pairwise summation.
 """
 
 from __future__ import annotations
@@ -61,11 +63,42 @@ def _scaled_gauss(n: int, a: float, b: float):
     return mid + half * x, half * w
 
 
+def _vectors(x, y, z) -> np.ndarray:
+    """Stack three coordinate arrays (or scalars) into an (..., 3) array."""
+    return np.stack(np.broadcast_arrays(x, y, z), axis=-1).astype(float)
+
+
+def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise vector product, the expressions of ReducedPoint.cross."""
+    ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
+    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack((ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx),
+                    axis=-1)
+
+
+def norm_rows(a: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean norm, the expression of ReducedPoint.norm."""
+    return np.sqrt(a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1]
+                   + a[..., 2] * a[..., 2])
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def as_points(xyz: np.ndarray) -> list[ReducedPoint]:
+    """The rows of an (N, 3) array as ReducedPoint values."""
+    return [ReducedPoint(x, y, z) for x, y, z in xyz.tolist()]
+
+
 class Chart:
     """One oriented parametric patch.
 
-    ``position`` and the two analytic ``partial`` callables take (s, t)
-    within ``s_range`` x ``t_range``.  The oriented normal is
+    ``position`` and the two analytic ``partial`` callables take parameter
+    arrays s, t of equal shape within ``s_range`` x ``t_range`` and
+    return an array of shape ``s.shape + (3,)``, or a 3-vector that is
+    the same at every node.  The oriented normal is
     ``orientation * (r_s x r_t)`` normalized; orientation is +1 or -1.
     ``node_counts`` maps a quadrature order to per-axis node counts.
     ``meta`` carries structural tags (chart role, cap pairing) consumed
@@ -93,44 +126,71 @@ class Chart:
         ns, nt = self.node_counts(order)
         s_nodes, s_w = _scaled_gauss(ns, *self.s_range)
         t_nodes, t_w = _scaled_gauss(nt, *self.t_range)
-        points: list[ReducedPoint] = []
-        normals: list[ReducedPoint] = []
-        weights = np.empty(ns * nt)
-        params = np.empty((ns * nt, 2))
-        idx = 0
-        for a, ws in zip(s_nodes, s_w):
-            for b, wt in zip(t_nodes, t_w):
-                p = self.position(a, b)
-                rs = self.partial_s(a, b)
-                rt = self.partial_t(a, b)
-                cr = rs.cross(rt)
-                area = cr.norm()
-                if area <= 0.0:
-                    raise ValueError(
-                        f"degenerate surface element on chart "
-                        f"{self.name or '<anonymous>'} at ({a}, {b})")
-                n = cr / area
-                if self.orientation < 0:
-                    n = -n
-                points.append(p)
-                normals.append(n)
-                weights[idx] = ws * wt * area
-                params[idx, 0] = a
-                params[idx, 1] = b
-                idx += 1
-        weights.setflags(write=False)
-        params.setflags(write=False)
-        return ChartNodes(self, points, normals, weights, params)
+        # s-major tensor grid: node k sits at (s[k // nt], t[k % nt])
+        s = np.repeat(s_nodes, nt)
+        t = np.tile(t_nodes, ns)
+        shape = (ns * nt, 3)
+        points = np.broadcast_to(self.position(s, t), shape).astype(float)
+        rs = np.broadcast_to(self.partial_s(s, t), shape)
+        rt = np.broadcast_to(self.partial_t(s, t), shape)
+        cr = cross_rows(rs, rt)
+        area = norm_rows(cr)
+        degenerate = area <= 0.0
+        if degenerate.any():
+            k = int(np.argmax(degenerate))
+            raise ValueError(
+                f"degenerate surface element on chart "
+                f"{self.name or '<anonymous>'} at ({s[k]}, {t[k]})")
+        normals = cr / area[:, None]
+        if self.orientation < 0:
+            normals = -normals
+        tangents = np.stack((rs / norm_rows(rs)[:, None],
+                             rt / norm_rows(rt)[:, None]))
+        weights = np.repeat(s_w, nt) * np.tile(t_w, ns) * area
+        return ChartNodes(self, _frozen(points), _frozen(normals),
+                          _frozen(tangents), _frozen(weights),
+                          _frozen(np.stack((s, t), axis=1)))
 
 
-class ChartNodes(NamedTuple):
-    """Quadrature data for one chart: points, unit normals, dS weights."""
+class ChartNodes:
+    """Quadrature data for one chart, in chart-major node order.
 
-    chart: Chart
-    points: list[ReducedPoint]
-    normals: list[ReducedPoint]
-    weights: np.ndarray
-    params: np.ndarray
+    ``point_array`` holds the (N, 3) node positions, ``normal_array`` the
+    outward unit normals, ``tangent_array`` the (2, N, 3) unit tangents
+    along s and t, ``weights`` the dS weights and ``params`` the (N, 2)
+    chart parameters; all are read-only.  ``points`` and ``normals`` give
+    the same nodes as ReducedPoint lists, built on first use.
+    """
+
+    def __init__(self, chart: Chart, point_array: np.ndarray,
+                 normal_array: np.ndarray, tangent_array: np.ndarray,
+                 weights: np.ndarray, params: np.ndarray):
+        self.chart = chart
+        self.point_array = point_array
+        self.normal_array = normal_array
+        self.tangent_array = tangent_array
+        self.weights = weights
+        self.params = params
+        self._points: Optional[list[ReducedPoint]] = None
+        self._normals: Optional[list[ReducedPoint]] = None
+
+    @property
+    def points(self) -> list[ReducedPoint]:
+        if self._points is None:
+            self._points = as_points(self.point_array)
+        return self._points
+
+    @property
+    def normals(self) -> list[ReducedPoint]:
+        if self._normals is None:
+            self._normals = as_points(self.normal_array)
+        return self._normals
+
+    def normal_quaternions(self) -> np.ndarray:
+        """The (N, 4) reduced quaternions n1 + n2 i + n3 j of dsigma / dS."""
+        out = np.zeros((len(self.weights), 4))
+        out[:, :3] = self.normal_array
+        return out
 
 
 class ParametricSurface:
@@ -152,7 +212,7 @@ class ParametricSurface:
         return self._node_cache[order]
 
     def node_count(self, order: int) -> int:
-        return sum(len(cn.points) for cn in self.quadrature(order))
+        return sum(len(cn.weights) for cn in self.quadrature(order))
 
     def area(self, order: int) -> float:
         return float(sum(np.sum(cn.weights) for cn in self.quadrature(order)))
@@ -213,21 +273,18 @@ def sphere_body(radius: float,
     cx, cy, cz = center.x, center.y, center.z
 
     def pos(u, phi):
-        s = math.sqrt(max(0.0, 1.0 - u * u))
-        return ReducedPoint(cx + r0 * s * math.cos(phi),
-                            cy + r0 * s * math.sin(phi),
-                            cz + r0 * u)
+        s = np.sqrt(np.maximum(0.0, 1.0 - u * u))
+        return _vectors(cx + r0 * s * np.cos(phi), cy + r0 * s * np.sin(phi),
+                        cz + r0 * u)
 
     def dpos_du(u, phi):
-        s = math.sqrt(max(0.0, 1.0 - u * u))
-        return ReducedPoint(-r0 * u * math.cos(phi) / s,
-                            -r0 * u * math.sin(phi) / s,
-                            r0)
+        s = np.sqrt(np.maximum(0.0, 1.0 - u * u))
+        return _vectors(-r0 * u * np.cos(phi) / s, -r0 * u * np.sin(phi) / s,
+                        r0)
 
     def dpos_dphi(u, phi):
-        s = math.sqrt(max(0.0, 1.0 - u * u))
-        return ReducedPoint(-r0 * s * math.sin(phi),
-                            r0 * s * math.cos(phi), 0.0)
+        s = np.sqrt(np.maximum(0.0, 1.0 - u * u))
+        return _vectors(-r0 * s * np.sin(phi), r0 * s * np.cos(phi), 0.0)
 
     chart = Chart(pos, dpos_du, dpos_dphi, (-1.0, 1.0), (0.0, 2.0 * math.pi),
                   orientation=-1, name="sphere",
@@ -266,33 +323,33 @@ def box_body(x_range: tuple[float, float], y_range: tuple[float, float],
     if not (x0 < x1 and y0 < y1 and z0 < z1):
         raise ValueError("box ranges must be increasing")
 
+    ex = np.array([1.0, 0.0, 0.0])
+    ey = np.array([0.0, 1.0, 0.0])
+    ez = np.array([0.0, 0.0, 1.0])
+
     def const(v):
         return lambda s, t: v
 
-    ex = ReducedPoint(1.0, 0.0, 0.0)
-    ey = ReducedPoint(0.0, 1.0, 0.0)
-    ez = ReducedPoint(0.0, 0.0, 1.0)
-
     charts = [
         # r_s x r_t for (y, z) parameters is +x; flip on the low face.
-        Chart(lambda s, t: ReducedPoint(x1, s, t), const(ey), const(ez),
+        Chart(lambda s, t: _vectors(x1, s, t), const(ey), const(ez),
               (y0, y1), (z0, z1), orientation=1, name="face+x",
               meta={"role": "box_face"}),
-        Chart(lambda s, t: ReducedPoint(x0, s, t), const(ey), const(ez),
+        Chart(lambda s, t: _vectors(x0, s, t), const(ey), const(ez),
               (y0, y1), (z0, z1), orientation=-1, name="face-x",
               meta={"role": "box_face"}),
         # (x, z) parameters give r_s x r_t = -y; flip on the high face.
-        Chart(lambda s, t: ReducedPoint(s, y1, t), const(ex), const(ez),
+        Chart(lambda s, t: _vectors(s, y1, t), const(ex), const(ez),
               (x0, x1), (z0, z1), orientation=-1, name="face+y",
               meta={"role": "box_face"}),
-        Chart(lambda s, t: ReducedPoint(s, y0, t), const(ex), const(ez),
+        Chart(lambda s, t: _vectors(s, y0, t), const(ex), const(ez),
               (x0, x1), (z0, z1), orientation=1, name="face-y",
               meta={"role": "box_face"}),
         # (x, y) parameters give r_s x r_t = +z; flip on the low face.
-        Chart(lambda s, t: ReducedPoint(s, t, z1), const(ex), const(ey),
+        Chart(lambda s, t: _vectors(s, t, z1), const(ex), const(ey),
               (x0, x1), (y0, y1), orientation=1, name="face+z",
               meta={"role": "box_face"}),
-        Chart(lambda s, t: ReducedPoint(s, t, z0), const(ex), const(ey),
+        Chart(lambda s, t: _vectors(s, t, z0), const(ex), const(ey),
               (x0, x1), (y0, y1), orientation=-1, name="face-z",
               meta={"role": "box_face"}),
     ]
@@ -336,27 +393,27 @@ def cylinder_body(radius: float, z_min: float, z_max: float,
     cx, cy = map(float, center2d)
 
     def side_pos(s, t):
-        return ReducedPoint(cx + r0 * math.cos(s), cy + r0 * math.sin(s), t)
+        return _vectors(cx + r0 * np.cos(s), cy + r0 * np.sin(s), t)
 
     def side_ds(s, t):
-        return ReducedPoint(-r0 * math.sin(s), r0 * math.cos(s), 0.0)
+        return _vectors(-r0 * np.sin(s), r0 * np.cos(s), 0.0)
 
     side = Chart(side_pos, side_ds,
-                 lambda s, t: ReducedPoint(0.0, 0.0, 1.0),
+                 lambda s, t: np.array([0.0, 0.0, 1.0]),
                  (0.0, 2.0 * math.pi), (z0, z1), orientation=1,
                  name="cylinder_side",
                  node_counts=lambda order: (2 * order, order),
                  meta={"role": "cylinder_side"})
 
     def cap_pos(z_cap):
-        return lambda u, s: ReducedPoint(cx + u * r0 * math.cos(s),
-                                         cy + u * r0 * math.sin(s), z_cap)
+        return lambda u, s: _vectors(cx + u * r0 * np.cos(s),
+                                     cy + u * r0 * np.sin(s), z_cap)
 
     def cap_du(u, s):
-        return ReducedPoint(r0 * math.cos(s), r0 * math.sin(s), 0.0)
+        return _vectors(r0 * np.cos(s), r0 * np.sin(s), 0.0)
 
     def cap_ds(u, s):
-        return ReducedPoint(-u * r0 * math.sin(s), u * r0 * math.cos(s), 0.0)
+        return _vectors(-u * r0 * np.sin(s), u * r0 * np.cos(s), 0.0)
 
     caps_meta = {"role": "cap", "pair_id": "cylinder_caps"}
     top = Chart(cap_pos(z1), cap_du, cap_ds, (0.0, 1.0), (0.0, 2.0 * math.pi),

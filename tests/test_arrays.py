@@ -1,0 +1,344 @@
+"""The array path: chart node arrays, array jets and the batched routes.
+
+Reference values for the routes were computed by the node-by-node
+implementation (one Quaternion jet per node and route) at order 12; the
+array routes must reproduce them to 1e-12 relative, with the same gate
+decisions and messages.
+"""
+
+import json
+import math
+import random
+import re
+
+import numpy as np
+import pytest
+
+from quatflow import (
+    DomainError,
+    FlowPotential,
+    QuaternionField,
+    ReducedPoint,
+    all_force_methods,
+    box_body,
+    catalog,
+    cylinder_body,
+    force_monogenic_form,
+    integrate_g_dsigma_f,
+    is_monogenic,
+    moment_from_pressure,
+    moment_quadratic,
+    point_source,
+    pressure_field,
+    scenario_catalog,
+    sphere_body,
+    sphere_flow,
+    uniform_flow,
+)
+from quatflow import cli
+from quatflow.planar import cylinder_vortex_2d, embed_2d
+
+ORDER = 12
+ABOUT = ReducedPoint(0.3, -0.2, 0.1)
+
+PARENT_VALUES = {
+    'control-box-uniform': {
+        "forces": {
+            'blasius': (0.0, 0.0, 0.0),
+            'components-sc': (0.0, 0.0, 0.0),
+            'pressure': (0.0, 0.0, 0.0),
+        },
+        "gated": {'monogenic-form': "monogenic force form refused: component 1 drifts along chart 'face+x' (4.000e-01 > 1.9e-08) at (0.7, -0.4907803171233596, -0.39124130126719164)"},
+        'moment_quadratic': (0.0, 0.0, 0.0),
+        'moment_pressure': (0.0, 0.0, 0.0),
+    },
+    'control-cylinder-uniform': {
+        "forces": {
+            'blasius': (2.5792627582343908e-15, 2.9690368273747186e-16, 0.0),
+            'components-sc': (2.5792627582343908e-15, 2.9690368273747186e-16, 0.0),
+            'pressure': (2.5792627582343908e-15, 2.9690368273747186e-16, 0.0),
+        },
+        "gated": {'monogenic-form': "monogenic force form refused: component 1 drifts along chart 'cylinder_side' (3.977e-01 > 1.9e-08) at (0.9998856980877064, 0.015119218222510979, -0.4907803171233596)"},
+        'moment_quadratic': (5.551115123125783e-17, -1.6653345369377348e-16, -2.5039649173552725e-16),
+        'moment_pressure': (5.551115123125783e-17, -1.6653345369377348e-16, -2.5039649173552725e-16),
+    },
+    'control-sphere-uniform': {
+        "forces": {
+            'blasius': (3.431825136568367e-15, 2.1841888039430928e-16, -3.209238430557093e-17),
+            'components-sc': (3.431825136568367e-15, 2.1841888039430928e-16, -3.209238430557093e-17),
+            'pressure': (3.431825136568367e-15, 2.1841888039430928e-16, -3.209238430557093e-17),
+        },
+        "gated": {'monogenic-form': "monogenic force form refused: component 1 drifts along chart 'sphere' (7.420e-03 > 2.0e-08) at (0.19112919421982594, 0.002890054334839337, -0.9815606342467192)"},
+        'moment_quadratic': (2.4259023609363162e-17, 4.700016417724662e-17, -6.53740028690869e-16),
+        'moment_pressure': (2.4259023609363162e-17, 4.700016417724662e-17, -6.53740028690869e-16),
+    },
+    'cylinder-uniform': {
+        "forces": {
+            'blasius': (-1.0877210120461948e-15, 2.8886581404251955e-16, 0.0),
+            'components-sc': (-1.0877210120461948e-15, 2.8886581404251955e-16, 0.0),
+            'monogenic-form': (-1.180230191836606e-15, 6.846681174067828e-16, -0.0),
+            'pressure': (-1.0877210120461948e-15, 2.8886581404251955e-16, 0.0),
+        },
+        "gated": {},
+        'moment_quadratic': (0.0, 0.0, -8.642049520731052e-17),
+        'moment_pressure': (0.0, 0.0, -8.642049520731052e-17),
+    },
+    'cylinder-vortex': {
+        "forces": {
+            'blasius': (4.3942714050837495e-16, -6.283185307179579, 0.0),
+            'components-sc': (4.3942714050837495e-16, -6.283185307179579, 0.0),
+            'monogenic-form': (9.794682426234047e-16, -6.283185307179581, -0.0),
+            'pressure': (4.3942714050837495e-16, -6.283185307179579, 0.0),
+        },
+        "gated": {},
+        'moment_quadratic': (-0.6283185307183885, 0.0, 1.884955592153873),
+        'moment_pressure': (-0.6283185307183885, 0.0, 1.884955592153873),
+    },
+    'sphere-stream': {
+        "forces": {
+            'blasius': (1.2648844645302137e-15, 4.711485243830485e-16, -3.8077180297690916e-16),
+            'components-sc': (1.2648844645302137e-15, 4.711485243830485e-16, -3.8077180297690916e-16),
+            'pressure': (1.2282384311002037e-15, 3.540682422817701e-16, -3.885780586188048e-16),
+        },
+        "gated": {'monogenic-form': "monogenic force form refused: psi1 varies with z (-4.255e-03 > 2.5e-08) at (0.19112919421982594, 0.002890054334839337, -0.9815606342467192) on chart 'sphere'"},
+        'moment_quadratic': (2.6400322900022033e-17, -1.3665284182007298e-15, -4.362287440995427e-16),
+        'moment_pressure': (3.832654679736258e-17, -1.3268466186877603e-15, -3.702821469581119e-16),
+    },
+    'user-embedded-vortex': {
+        "forces": {
+            'blasius': (5.712552826608875e-16, -8.168140899333453, 0.0),
+            'components-sc': (5.712552826608875e-16, -8.168140899333453, 0.0),
+            'monogenic-form': (1.2733087154104262e-15, -8.168140899333455, -0.0),
+            'pressure': (-1.9992688060632702e-16, -8.168140899333453, 0.0),
+        },
+        "gated": {},
+        'moment_quadratic': (-0.816814089933905, 0.0, 2.450442269800035),
+        'moment_pressure': (-0.8168140899324499, 0.0, 2.4504422698000368),
+    },
+    'user-fd-uniform': {
+        "forces": {
+            'blasius': (-1.1582956815914258e-12, 1.3244960683778118e-13, -1.918354364249808e-12),
+            'components-sc': (-1.1582956815914258e-12, 1.3244960683778118e-13, -1.918354364249808e-12),
+            'pressure': (-2.3184787423247144e-12, -1.2079226507921703e-13, -1.6237011735142914e-12),
+        },
+        "gated": {'monogenic-form': "monogenic force form refused: component 1 drifts along chart 'face+x' (4.000e-01 > 1.9e-08) at (0.7, -0.4907803171233596, -0.39124130126719164)"},
+        'moment_quadratic': (-3.5216274341109965e-13, -4.698186284457506e-13, 3.5743630277806915e-13),
+        'moment_pressure': (-2.771394225220547e-13, -4.827804822582493e-13, 7.573663918236662e-13),
+    },
+}
+
+
+def array_fields():
+    """Every catalog potential plus a sum, a multiple and a conjugate."""
+    fields = {name: pot.field for name, pot in catalog().items()}
+    fields["sum"] = (uniform_flow(0.2, 0.1, -0.3)
+                     + point_source(0.7, ReducedPoint(0.1, 0.2, 0.0))).field
+    fields["multiple"] = 2.5 * catalog()["dipole"].field
+    fields["conjugate"] = catalog()["embedded_cylinder_vortex"].field.conjugated()
+    return fields
+
+
+def sample_points():
+    rng = random.Random(20250803)
+    seeded = [ReducedPoint(rng.uniform(-2, 2), rng.uniform(-2, 2),
+                           rng.uniform(-2, 2)) for _ in range(200)]
+    nodes = [p for body in (sphere_body(1.0),
+                            box_body((-0.6, 0.7), (-0.5, 0.5), (-0.4, 0.55)),
+                            cylinder_body(1.0, -0.5, 0.5))
+             for cn in body.surface.quadrature(8) for p in cn.points]
+    return seeded + nodes
+
+
+def close(a, b, rel):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.all(np.abs(a - b) <= rel * max(1.0, float(np.max(np.abs(b)))))
+
+
+@pytest.mark.parametrize("name", sorted(array_fields()))
+def test_array_jet_matches_scalar_jet(name):
+    field = array_fields()[name]
+    assert field.has_array_jet
+    points = sample_points()
+    xyz = np.array([p.as_tuple() for p in points])
+    inside = field.in_domain_array(xyz)
+    assert inside.tolist() == [field.in_domain(p) for p in points]
+    kept = [p for p, ok in zip(points, inside) if ok]
+    assert len(kept) > 0.9 * len(points)
+    table = field.jet_array(xyz[inside])
+    assert table.shape == (4, len(kept), 4)
+    for k, p in enumerate(kept):
+        ref = [q.as_tuple() for q in field.jet_at(p)]
+        assert close(table[:, k, :], ref, 1e-13), (name, p)
+
+
+def test_array_domain_error_names_the_first_node_on_the_cut_ray():
+    # The odd-order face -x has its centre node on the source's cut ray.
+    pot = point_source(1.0)
+    body = box_body((-0.5, 0.5), (-0.5, 0.5), (-0.5, 0.5))
+    where = "is not defined at ReducedPoint(-0.5, 0.0, 0.0)"
+    calls = (
+        lambda: all_force_methods(pot, body, order=5),
+        lambda: moment_quadratic(pot, body, ABOUT, order=5),
+        lambda: moment_from_pressure(pressure_field(pot), body, ABOUT,
+                                     order=5),
+        lambda: force_monogenic_form(pot, body, order=5),
+        lambda: integrate_g_dsigma_f(body.surface, None, pot, 5),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match=re.escape(where)):
+            call()
+    with pytest.raises(DomainError,
+                       match=re.escape("field pressure(source(1.0)) " + where)):
+        moment_from_pressure(pressure_field(pot), body, ABOUT, order=5)
+
+
+def route_cases():
+    cases = {name: (sc.potential, sc.body, sc.rho)
+             for name, sc in scenario_catalog().items()}
+    # planar callables without numpy forms: the per-node fallback
+    cases["user-embedded-vortex"] = (
+        embed_2d(cylinder_vortex_2d(1.0, 1.0, 2.0 * math.pi)),
+        cylinder_body(1.0, -0.5, 0.5), 1.3)
+    cases["user-fd-uniform"] = (
+        FlowPotential(uniform_flow(0.8, -0.3, 0.5).field
+                      .without_analytic_jet()),
+        box_body((-0.6, 0.7), (-0.5, 0.5), (-0.4, 0.55)), 1.0)
+    return cases
+
+
+_NUMBER = re.compile(r"[-+]?\d+\.\d+(?:e[-+]\d+)?")
+
+
+@pytest.mark.parametrize("name", sorted(PARENT_VALUES))
+def test_routes_reproduce_the_node_by_node_values(name):
+    pot, body, rho = route_cases()[name]
+    assert pot.field.has_array_jet == (not name.startswith("user-"))
+    want = PARENT_VALUES[name]
+    comparison = all_force_methods(pot, body, rho=rho, order=ORDER)
+    assert set(comparison.results) == set(want["forces"])
+    for route, force in want["forces"].items():
+        got = comparison.results[route].force.as_tuple()
+        assert close(got, force, 1e-12), (name, route, got, force)
+    assert set(comparison.gated) == set(want["gated"])
+    for route, message in want["gated"].items():
+        got = comparison.gated[route]
+        assert _NUMBER.sub("#", got) == _NUMBER.sub("#", message)
+        assert close([float(x) for x in _NUMBER.findall(got)],
+                     [float(x) for x in _NUMBER.findall(message)], 1e-9)
+    mq = moment_quadratic(pot, body, ABOUT, rho=rho, order=ORDER).moment
+    mp = moment_from_pressure(pressure_field(pot, rho=rho), body, ABOUT,
+                              order=ORDER).moment
+    assert close(mq.as_tuple(), want["moment_quadratic"], 1e-12)
+    assert close(mp.as_tuple(), want["moment_pressure"], 1e-12)
+
+
+def scalar_only(field):
+    """The same field without its array forms."""
+    return QuaternionField(field._evaluate, jet=field._jet,
+                           domain=field._domain, name=field.name)
+
+
+def test_array_routes_match_the_per_node_fallback():
+    pot = sphere_flow(1.0, 1.0) + point_source(0.4, ReducedPoint(0.1, 0.0, 0.2))
+    loop = FlowPotential(scalar_only(pot.field))
+    for body in (sphere_body(1.0), cylinder_body(1.0, -0.5, 0.5)):
+        a = all_force_methods(pot, body, order=8)
+        b = all_force_methods(loop, body, order=8, workers=2)
+        for route in b.results:
+            assert close(a.results[route].force.as_tuple(),
+                         b.results[route].force.as_tuple(), 1e-13)
+        assert a.gated == b.gated
+        ma = moment_quadratic(pot, body, ABOUT, order=8).moment
+        mb = moment_quadratic(loop, body, ABOUT, order=8).moment
+        assert close(ma.as_tuple(), mb.as_tuple(), 1e-13)
+
+
+def test_all_force_methods_evaluates_one_jet_table_per_chart(monkeypatch):
+    pot = sphere_flow(1.0, 1.0)
+    body = cylinder_body(1.0, -0.5, 0.5)
+    field = pot.field
+    tables, scalar_jets = [], []
+    original = field.jet_array
+
+    def counted(xyz, workers=None):
+        tables.append(len(xyz))
+        return original(xyz, workers)
+
+    def no_scalar_jets(self, p):
+        scalar_jets.append(p)
+        raise AssertionError("scalar jet on the array path")
+
+    monkeypatch.setattr(field, "jet_array", counted)
+    monkeypatch.setattr(QuaternionField, "jet_at", no_scalar_jets)
+    all_force_methods(pot, body, order=8)
+    quadrature = body.surface.quadrature(8)
+    assert tables == [len(cn.weights) for cn in quadrature]
+    assert scalar_jets == []
+
+
+def test_non_finite_route_results_reach_max_disagreement():
+    # |w Dbar|^2 overflows, so every route returns NaN components
+    with np.errstate(all="ignore"):
+        comparison = all_force_methods(sphere_flow(1e200, 1.0),
+                                       sphere_body(1.0), order=8)
+    assert any(not math.isfinite(c) for r in comparison.results.values()
+               for c in r.force.as_tuple())
+    assert math.isnan(comparison.max_disagreement)
+
+
+def test_is_monogenic_fails_on_nan():
+    nan_field = QuaternionField(lambda p: uniform_flow(1.0)(p) * math.nan)
+    report = is_monogenic(nan_field, [ReducedPoint(0.1, 0.2, 0.3),
+                                      ReducedPoint(0.4, 0.5, 0.6)])
+    assert not report.ok
+    assert math.isnan(report.max_residual)
+    assert report.worst_point == ReducedPoint(0.1, 0.2, 0.3)
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command", ["force", "moment", "convergence"])
+def test_cli_fails_on_non_finite_results(command, tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "name": "overflow", "potential": {"kind": "sphere", "speed": 1e200},
+        "body": {"kind": "sphere", "radius": 1.0}}))
+    code = cli.main([command, "--config", str(path), "--order", "8"])
+    captured = capsys.readouterr()
+    text = captured.out
+    payload = strict_json(text)
+    assert code == 1
+    assert captured.err == ""
+    assert payload["status"] == "fail"
+    assert "null" in text
+
+
+@pytest.mark.parametrize("change", [
+    {"rho": "nan"}, {"rho": float("inf")}, {"rho": "abc"},
+    {"potential": {"kind": "sphere", "radius": "inf"}},
+    {"potential": {"kind": "uniform", "velocity": [1.0, float("nan"), 0.0]}},
+    {"body": {"kind": "box", "x": [-0.5, "-inf"]}},
+    {"body": {"kind": "sphere", "center": [0.0, 0.0]}},
+])
+def test_cli_rejects_non_finite_config_numbers(change, tmp_path, capsys):
+    config = {"name": "bad", "potential": {"kind": "sphere"},
+              "body": {"kind": "sphere", "radius": 1.0}}
+    config.update(change)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["force", "--config", str(path), "--order", "4"]) == 2
+    assert "quatflow:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["force", "--threads", "0"], ["force", "--threads", "-3"],
+    ["verify", "--threads", "0"], ["force", "--tol", "nan"],
+    ["moment", "--about", "0,inf,0"],
+])
+def test_cli_rejects_bad_numeric_arguments(argv, capsys):
+    assert cli.main(argv + ["--order", "4"]) == 2
+    capsys.readouterr()
