@@ -10,7 +10,7 @@ config (``--config``); output is canonical JSON (sorted keys, two-space
 indent, trailing newline, non-finite numbers written as null) or CSV with
 fixed columns.  Exit codes: 0 all checks passed, 1 a numerical check
 failed or a result was not finite, 2 bad usage or config, including
-non-finite numbers and a thread count below 1.
+non-finite numbers, unknown config keys and a thread count below 1.
 """
 
 from __future__ import annotations
@@ -90,10 +90,38 @@ def _numbers(cfg: dict, key: str, default: list, count: int) -> tuple:
     return tuple(_finite(v, repr(key)) for v in values)
 
 
+# The keys each potential and body kind reads besides "kind".
+_POTENTIAL_KEYS = {
+    "uniform": {"components"},
+    "identity": set(),
+    "saddle": set(),
+    "source": {"strength", "center"},
+    "dipole": {"coefficient", "center"},
+    "sphere": {"speed", "radius"},
+    "embedded_cylinder": {"speed", "radius", "circulation"},
+}
+_BODY_KEYS = {
+    "sphere": {"radius", "center"},
+    "box": {"x", "y", "z"},
+    "cylinder": {"radius", "z", "center2d"},
+}
+
+
+def _check_keys(cfg: dict, what: str, known: dict) -> None:
+    """Reject an unknown kind, or a key its kind does not read."""
+    kind = cfg.get("kind")
+    if kind not in known:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    unknown = set(cfg) - {"kind"} - known[kind]
+    if unknown:
+        raise ValueError(
+            f"unknown {what} keys for kind {kind!r}: {sorted(unknown)}")
+
+
 def _build_potential(cfg: dict) -> FlowPotential:
     kind = cfg.get("kind")
     if kind == "uniform":
-        return uniform_flow(*_numbers(cfg, "velocity", [1.0, 0.0, 0.0], 3))
+        return uniform_flow(*_numbers(cfg, "components", [1.0, 0.0, 0.0], 3))
     if kind == "identity":
         return identity_flow()
     if kind == "saddle":
@@ -135,12 +163,20 @@ def _build_body(cfg: dict) -> RegularBody:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """JSON-facing description of a potential, a body, and a density."""
+    """JSON-facing description of a potential, a body, and a density.
+
+    An unknown potential or body kind, or a key its kind does not read,
+    raises ValueError.
+    """
 
     name: str
     potential: dict
     body: dict
     rho: float = 1.0
+
+    def __post_init__(self):
+        _check_keys(self.potential, "potential", _POTENTIAL_KEYS)
+        _check_keys(self.body, "body", _BODY_KEYS)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -269,8 +305,7 @@ def _cmd_force(args) -> int:
     scenario = _resolve_scenario(args)
     order = _single_order(args)
     comparison = all_force_methods(scenario.potential, scenario.body,
-                                   rho=scenario.rho, order=order,
-                                   workers=args.threads)
+                                   rho=scenario.rho, order=order)
     expected = scenario.expected_force
     expected_gap = None
     if expected is not None:
@@ -305,18 +340,16 @@ def _cmd_moment(args) -> int:
     order = _single_order(args)
     about = ReducedPoint(*_parse_components(args.about, 3))
     mq = moment_quadratic(scenario.potential, scenario.body, about,
-                          rho=scenario.rho, order=order,
-                          workers=args.threads)
+                          rho=scenario.rho, order=order)
     mp = moment_from_pressure(
         pressure_field(scenario.potential, rho=scenario.rho),
-        scenario.body, about, order=order, workers=args.threads)
+        scenario.body, about, order=order)
     gap = (mq.moment - mp.moment).norm()
     results = {mq.method: mq, mp.method: mp}
     if args.shift_to:
         target = ReducedPoint(*_parse_components(args.shift_to, 3))
         force = force_blasius(scenario.potential, scenario.body,
-                              rho=scenario.rho, order=order,
-                              workers=args.threads)
+                              rho=scenario.rho, order=order)
         shifted = moment_reference_shift(mq, force, target)
         results[shifted.method] = shifted
     ok = gap <= args.tol
@@ -366,30 +399,25 @@ def _cmd_verify(args) -> int:
         record(f"monogenic:{name}", report.max_residual, report.tol)
 
     for name, pot, body in vanishing_integral_cases():
-        q = integrate_g_dsigma_f(body.surface, None, pot, order,
-                                 args.threads)
+        q = integrate_g_dsigma_f(body.surface, None, pot, order)
         record(f"vanishing-integral:{name}", q.norm(), tol)
 
     coord = _coordinate_field()
     box = box_body((-0.5, 0.6), (-0.4, 0.5), (-0.55, 0.45))
-    rep = verify_stokes(box, coord, coord, order=order, tol=tol,
-                        workers=args.threads)
+    rep = verify_stokes(box, coord, coord, order=order, tol=tol)
     record("stokes-two-sided:box", rep.gap, tol)
-    rep = verify_stokes(sphere_body(1.0), None, coord, order=order, tol=tol,
-                        workers=args.threads)
+    rep = verify_stokes(sphere_body(1.0), None, coord, order=order, tol=tol)
     record("stokes-left:sphere", rep.gap, tol)
 
     target = ReducedPoint(0.2, 0.1, -0.1)
     f = saddle_flow().field
-    rec = cauchy_reconstruct(sphere_body(1.0), f, target,
-                             workers=args.threads)
+    rec = cauchy_reconstruct(sphere_body(1.0), f, target)
     record("cauchy-reconstruct:saddle", (rec - f(target)).norm(), 1e-6)
 
     report = reduce_and_compare(cylinder_vortex_2d(1.0, 1.0, 2.0 * math.pi),
                                 PlanarContour.circle(1.0),
                                 cylinder_body(1.0, -0.5, 0.5),
-                                order_3d=order, tol=tol,
-                                workers=args.threads)
+                                order_3d=order, tol=tol)
     record("planar-reduction:cylinder-vortex",
            max(report.force_gap, report.moment_gap), tol)
 
@@ -408,8 +436,7 @@ def _cmd_convergence(args) -> int:
     prev: Optional[ReducedPoint] = None
     for order in orders:
         res = force_blasius(scenario.potential, scenario.body,
-                            rho=scenario.rho, order=order,
-                            workers=args.threads)
+                            rho=scenario.rho, order=order)
         step = (res.force - prev).norm() if prev is not None else None
         entries.append({"order": order, "nodes": res.node_count,
                         "force": _vec(res.force),
@@ -447,7 +474,7 @@ def _cmd_reduce2d(args) -> int:
     body = cylinder_body(radius, -0.5, 0.5)
     report = reduce_and_compare(potential, contour, body, rho=rho,
                                 order_3d=_single_order(args), about=about,
-                                tol=args.tol, workers=args.threads)
+                                tol=args.tol)
     payload = {
         "command": "reduce2d",
         "speed": speed, "radius": radius, "circulation": circulation,
@@ -502,8 +529,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--output", help="write output to this file")
     sub.add_argument("--threads", type=_thread_count, default=None,
-                     help="worker threads for per-node evaluation of fields "
-                          "without an array form")
+                     help="accepted for compatibility; has no effect, "
+                          "evaluation is serial")
 
 
 def _build_parser() -> argparse.ArgumentParser:

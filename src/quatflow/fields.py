@@ -101,6 +101,30 @@ def _fd_steps(p: ReducedPoint, scale: float) -> tuple[float, float, float]:
             scale * max(1.0, abs(p.z)))
 
 
+def _fd_stencil(fn, p: ReducedPoint, scale: float, field=None) -> list:
+    """fn on the central-difference stencil at p, axis by axis.
+
+    Returns [(h, fn(p + h e), fn(p - h e))] for e = x, y, z with the steps
+    of ``_fd_steps``, calling fn in that order.  With ``field`` given, a
+    stencil point outside its domain raises DomainError before fn runs.
+    """
+    hx, hy, hz = _fd_steps(p, scale)
+    axes = ((hx, ReducedPoint(p.x + hx, p.y, p.z),
+             ReducedPoint(p.x - hx, p.y, p.z)),
+            (hy, ReducedPoint(p.x, p.y + hy, p.z),
+             ReducedPoint(p.x, p.y - hy, p.z)),
+            (hz, ReducedPoint(p.x, p.y, p.z + hz),
+             ReducedPoint(p.x, p.y, p.z - hz)))
+    if field is not None:
+        for _, plus, minus in axes:
+            if not (field.in_domain(plus) and field.in_domain(minus)):
+                raise DomainError(
+                    f"finite-difference stencil of "
+                    f"{field.name or '<anonymous>'} leaves the domain near "
+                    f"{p!r}")
+    return [(h, fn(plus), fn(minus)) for h, plus, minus in axes]
+
+
 class QuaternionField:
     """A quaternion-valued function of a point, with an optional analytic jet.
 
@@ -152,17 +176,15 @@ class QuaternionField:
         """``in_domain`` for every row of an (N, 3) array."""
         return _domain_mask(self._domain, self._domain_array, xyz)
 
-    def jet_array(self, xyz: np.ndarray,
-                  workers: Optional[int] = None) -> np.ndarray:
+    def jet_array(self, xyz: np.ndarray) -> np.ndarray:
         """Jets at the rows of an (N, 3) array as a (4, N, 4) array.
 
         Index 0 of the first axis is the value, 1 to 3 the partials along
-        x, y, z.  Fields without an array jet call ``jet_at`` row by row
-        (on ``workers`` threads when given).  DomainError names the first
-        row outside the domain.
+        x, y, z.  Fields without an array jet call ``jet_at`` row by row.
+        DomainError names the first row outside the domain.
         """
         if self._jet_array is None:
-            jets = evaluate_nodes(self.jet_at, as_points(xyz), workers)
+            jets = evaluate_nodes(self.jet_at, as_points(xyz))
             table = np.array([[q.as_tuple() for q in jet] for jet in jets])
             return table.reshape(-1, 4, 4).transpose(1, 0, 2)
         if self._domain is not None:
@@ -185,24 +207,9 @@ class QuaternionField:
         return self._fd_jet(p)
 
     def _fd_jet(self, p: ReducedPoint) -> Jet:
-        hx, hy, hz = _fd_steps(p, FD_STEP)
-        stencil = [
-            ReducedPoint(p.x + hx, p.y, p.z), ReducedPoint(p.x - hx, p.y, p.z),
-            ReducedPoint(p.x, p.y + hy, p.z), ReducedPoint(p.x, p.y - hy, p.z),
-            ReducedPoint(p.x, p.y, p.z + hz), ReducedPoint(p.x, p.y, p.z - hz),
-        ]
-        for q in stencil:
-            if not self.in_domain(q):
-                raise DomainError(
-                    f"finite-difference stencil of {self.name or '<anonymous>'} "
-                    f"leaves the domain near {p!r}")
-        vals = [self._evaluate(q) for q in stencil]
-        return Jet(
-            self._evaluate(p),
-            (vals[0] - vals[1]) / (2.0 * hx),
-            (vals[2] - vals[3]) / (2.0 * hy),
-            (vals[4] - vals[5]) / (2.0 * hz),
-        )
+        partials = [(plus - minus) / (2.0 * h) for h, plus, minus
+                    in _fd_stencil(self._evaluate, p, FD_STEP, self)]
+        return Jet(self._evaluate(p), *partials)
 
     # ------------------------------------------------------------------
     # combinators
@@ -328,15 +335,13 @@ class ScalarField:
         self._check(p)
         return float(self._evaluate(p))
 
-    def value_array(self, xyz: np.ndarray,
-                    workers: Optional[int] = None) -> np.ndarray:
+    def value_array(self, xyz: np.ndarray) -> np.ndarray:
         """Values at the rows of an (N, 3) array as an (N,) array.
 
-        Without ``evaluate_array`` the field is called row by row (on
-        ``workers`` threads when given).
+        Without ``evaluate_array`` the field is called row by row.
         """
         if self._evaluate_array is None:
-            return np.array(evaluate_nodes(self, as_points(xyz), workers),
+            return np.array(evaluate_nodes(self, as_points(xyz)),
                             dtype=float)
         if self._domain is not None:
             _check_array(self, xyz)
@@ -350,25 +355,9 @@ class ScalarField:
                 return g
             gx, gy, gz = g
             return ReducedPoint(gx, gy, gz)
-        hx, hy, hz = _fd_steps(p, FD_STEP)
-        for q in (ReducedPoint(p.x + hx, p.y, p.z),
-                  ReducedPoint(p.x - hx, p.y, p.z),
-                  ReducedPoint(p.x, p.y + hy, p.z),
-                  ReducedPoint(p.x, p.y - hy, p.z),
-                  ReducedPoint(p.x, p.y, p.z + hz),
-                  ReducedPoint(p.x, p.y, p.z - hz)):
-            if not self.in_domain(q):
-                raise DomainError(
-                    f"finite-difference stencil of {self.name or '<anonymous>'} "
-                    f"leaves the domain near {p!r}")
-        return ReducedPoint(
-            (self._evaluate(ReducedPoint(p.x + hx, p.y, p.z))
-             - self._evaluate(ReducedPoint(p.x - hx, p.y, p.z))) / (2 * hx),
-            (self._evaluate(ReducedPoint(p.x, p.y + hy, p.z))
-             - self._evaluate(ReducedPoint(p.x, p.y - hy, p.z))) / (2 * hy),
-            (self._evaluate(ReducedPoint(p.x, p.y, p.z + hz))
-             - self._evaluate(ReducedPoint(p.x, p.y, p.z - hz))) / (2 * hz),
-        )
+        partials = [(plus - minus) / (2.0 * h) for h, plus, minus
+                    in _fd_stencil(self._evaluate, p, FD_STEP, self)]
+        return ReducedPoint(*partials)
 
     def hessian_at(self, p: ReducedPoint):
         self._check(p)
@@ -383,15 +372,10 @@ class ScalarField:
         if self._hessian is not None:
             h = self._hessian(p)
             return float(h[0][0] + h[1][1] + h[2][2])
-        hx, hy, hz = _fd_steps(p, FD_STEP2)
         c = self._evaluate(p)
         out = 0.0
-        for h, plus, minus in (
-            (hx, ReducedPoint(p.x + hx, p.y, p.z), ReducedPoint(p.x - hx, p.y, p.z)),
-            (hy, ReducedPoint(p.x, p.y + hy, p.z), ReducedPoint(p.x, p.y - hy, p.z)),
-            (hz, ReducedPoint(p.x, p.y, p.z + hz), ReducedPoint(p.x, p.y, p.z - hz)),
-        ):
-            out += (self._evaluate(plus) - 2.0 * c + self._evaluate(minus)) / (h * h)
+        for h, plus, minus in _fd_stencil(self._evaluate, p, FD_STEP2):
+            out += (plus - 2.0 * c + minus) / (h * h)
         return out
 
     def as_quaternion_field(self) -> QuaternionField:
@@ -478,15 +462,10 @@ def laplacian(f, p: ReducedPoint) -> Quaternion:
         return Quaternion(f.laplacian_at(p))
     g = _as_field(f)
     g._check(p)
-    hx, hy, hz = _fd_steps(p, FD_STEP2)
     c = g(p)
     total = Quaternion()
-    for h, plus, minus in (
-        (hx, ReducedPoint(p.x + hx, p.y, p.z), ReducedPoint(p.x - hx, p.y, p.z)),
-        (hy, ReducedPoint(p.x, p.y + hy, p.z), ReducedPoint(p.x, p.y - hy, p.z)),
-        (hz, ReducedPoint(p.x, p.y, p.z + hz), ReducedPoint(p.x, p.y, p.z - hz)),
-    ):
-        total = total + (g(plus) - c * 2.0 + g(minus)) / (h * h)
+    for h, plus, minus in _fd_stencil(g, p, FD_STEP2):
+        total = total + (plus - c * 2.0 + minus) / (h * h)
     return total
 
 

@@ -40,8 +40,8 @@ from .fields import QuaternionField, ScalarField
 from .potentials import FlowPotential
 from .surfaces import (
     ChartNodes,
-    ParametricSurface,
     RegularBody,
+    _surface_of,
     cross_rows,
     evaluate_nodes,
 )
@@ -111,12 +111,6 @@ def _field_of(potential) -> QuaternionField:
     return potential
 
 
-def _surface_of(body) -> ParametricSurface:
-    if isinstance(body, RegularBody):
-        return body.surface
-    return body
-
-
 # ----------------------------------------------------------------------
 # per-chart row kernels on (4, N, 4) jet tables and (N, 3) node arrays
 # ----------------------------------------------------------------------
@@ -147,16 +141,16 @@ def _arms(cn: ChartNodes, about: ReducedPoint) -> np.ndarray:
     return cross_rows(arm, cn.normal_array)
 
 
-def _jet_tables(potential, quadrature, workers) -> JetTables:
+def _jet_tables(potential, quadrature) -> JetTables:
     f = _field_of(potential)
-    return [f.jet_array(cn.point_array, workers) for cn in quadrature]
+    return [f.jet_array(cn.point_array) for cn in quadrature]
 
 
-def _route_tables(potential, body, order, workers, jets):
+def _route_tables(potential, body, order, jets):
     """The body's quadrature and its jet tables, unless already given."""
     quadrature = _surface_of(body).quadrature(order)
     if jets is None:
-        jets = _jet_tables(potential, quadrature, workers)
+        jets = _jet_tables(potential, quadrature)
     return quadrature, jets
 
 
@@ -183,11 +177,11 @@ def _force(quadrature, per_chart, rows_fn, scale, method, order):
                        method, order, _node_count(quadrature))
 
 
-def _pressure_values(pressure, cn: ChartNodes, workers) -> np.ndarray:
+def _pressure_values(pressure, cn: ChartNodes) -> np.ndarray:
     if isinstance(pressure, ScalarField):
-        return pressure.value_array(cn.point_array, workers)
-    return np.array(evaluate_nodes(lambda p: float(pressure(p)), cn.points,
-                                   workers), dtype=float)
+        return pressure.value_array(cn.point_array)
+    return np.array(evaluate_nodes(lambda p: float(pressure(p)), cn.points),
+                    dtype=float)
 
 
 def _pressure_rows(cn: ChartNodes, values: np.ndarray) -> np.ndarray:
@@ -244,21 +238,19 @@ def pressure_field(potential, rho: float = 1.0,
                        domain_array=field.in_domain_array)
 
 
-def force_from_pressure(pressure, body, order: int = 16,
-                        workers: Optional[int] = None,
+def force_from_pressure(pressure, body, order: int = 16, *,
                         method: str = "pressure") -> ForceResult:
     """F = - (integral of) p dsigma for any scalar pressure callable."""
     quadrature = _surface_of(body).quadrature(order)
-    values = [_pressure_values(pressure, cn, workers) for cn in quadrature]
+    values = [_pressure_values(pressure, cn) for cn in quadrature]
     return _force(quadrature, values, _pressure_rows, 1.0, method, order)
 
 
 def force_pressure_direct(potential, body, rho: float = 1.0,
-                          order: int = 16, workers: Optional[int] = None,
-                          stagnation: float = 0.0, *,
+                          order: int = 16, *, stagnation: float = 0.0,
                           jets: Optional[JetTables] = None) -> ForceResult:
     """The pressure route, with p from the Bernoulli relation."""
-    quadrature, jets = _route_tables(potential, body, order, workers, jets)
+    quadrature, jets = _route_tables(potential, body, order, jets)
 
     def rows(cn, j):
         return _pressure_rows(cn, _bernoulli(j, rho, stagnation))
@@ -266,18 +258,16 @@ def force_pressure_direct(potential, body, rho: float = 1.0,
     return _force(quadrature, jets, rows, 1.0, "pressure", order)
 
 
-def force_blasius(potential, body, rho: float = 1.0, order: int = 16,
-                  workers: Optional[int] = None, *,
+def force_blasius(potential, body, rho: float = 1.0, order: int = 16, *,
                   jets: Optional[JetTables] = None) -> ForceResult:
     """F = (rho/8) (integral of) |w Dbar|^2 dsigma."""
-    quadrature, jets = _route_tables(potential, body, order, workers, jets)
+    quadrature, jets = _route_tables(potential, body, order, jets)
     return _force(quadrature, jets, _blasius_rows, rho / 8.0, "blasius",
                   order)
 
 
 def force_components_sc(potential, body, rho: float = 1.0, order: int = 16,
-                        workers: Optional[int] = None, *,
-                        jets: Optional[JetTables] = None) -> ForceResult:
+                        *, jets: Optional[JetTables] = None) -> ForceResult:
     """Componentwise scalar-part force formulas.
 
     Each component is the scalar part of (conj(g) g) dsigma followed by a
@@ -285,7 +275,7 @@ def force_components_sc(potential, body, rho: float = 1.0, order: int = 16,
     conj(g) g is a scalar, these agree with the norm route exactly, which
     the tests pin down to the last bit.
     """
-    quadrature, jets = _route_tables(potential, body, order, workers, jets)
+    quadrature, jets = _route_tables(potential, body, order, jets)
     return _force(quadrature, jets, _components_sc_rows, rho / 8.0,
                   "components-sc", order)
 
@@ -313,6 +303,8 @@ def _gate_stream_surface(quadrature, jets_per_chart,
     z-invariant on them, because a mirrored pair's contributions cancel
     identically for z-invariant integrands.  The first offending node is
     reported, in chart-major node order, pattern probes before tangency.
+    A tolerance that is not finite (the default one is, when the jets
+    overflow) admits nothing, since no probe could exceed it.
     """
     if tol is None:
         scale = 0.0
@@ -322,6 +314,10 @@ def _gate_stream_surface(quadrature, jets_per_chart,
                 scale = float(np.fmax.reduce(_quaternion_norms(partial),
                                              initial=scale))
         tol = 1e-8 * (1.0 + scale)
+    if not np.isfinite(tol):
+        raise StreamSurfaceError(
+            f"monogenic force form refused: gate tolerance {tol} is not "
+            f"finite")
 
     for cn, jets in zip(quadrature, jets_per_chart):
         probes = np.stack((jets[3][:, 1], jets[2][:, 2], jets[1][:, 3]),
@@ -372,8 +368,7 @@ def _gate_stream_surface(quadrature, jets_per_chart,
 
 
 def force_monogenic_form(potential, body, rho: float = 1.0, order: int = 16,
-                         workers: Optional[int] = None,
-                         gate_tol: Optional[float] = None, *,
+                         *, gate_tol: Optional[float] = None,
                          jets: Optional[JetTables] = None) -> ForceResult:
     """F = -(rho/8) (integral of) [Sc(g dsigma g) + Sc(g dsigma g i) i
     + Sc(g dsigma g j) j] with g = w Dbar.
@@ -382,7 +377,7 @@ def force_monogenic_form(potential, body, rho: float = 1.0, order: int = 16,
     the integral deformation invariant; the stream-surface gate rejects
     surfaces where the assembled scalar parts stop being a force density.
     """
-    quadrature, jets = _route_tables(potential, body, order, workers, jets)
+    quadrature, jets = _route_tables(potential, body, order, jets)
     _gate_stream_surface(quadrature, jets, gate_tol)
     return _force(quadrature, jets, _monogenic_form_rows, -rho / 8.0,
                   "monogenic-form", order)
@@ -393,23 +388,21 @@ def force_monogenic_form(potential, body, rho: float = 1.0, order: int = 16,
 # ----------------------------------------------------------------------
 
 def moment_quadratic(potential, body, about: ReducedPoint, rho: float = 1.0,
-                     order: int = 16,
-                     workers: Optional[int] = None) -> MomentResult:
+                     order: int = 16) -> MomentResult:
     """M = (rho/8) (integral of) |w Dbar|^2 (x - about) x n dS."""
     def rows(cn, jets):
         return _norm_sq(_conj_grad(jets))[:, None] * _arms(cn, about)
 
-    quadrature, jets = _route_tables(potential, body, order, workers, None)
+    quadrature, jets = _route_tables(potential, body, order, None)
     return MomentResult(_reduce(quadrature, jets, rows, rho / 8.0), about,
                         "quadratic-form", order, _node_count(quadrature))
 
 
 def moment_from_pressure(pressure, body, about: ReducedPoint,
-                         order: int = 16,
-                         workers: Optional[int] = None) -> MomentResult:
+                         order: int = 16) -> MomentResult:
     """M = -(integral of) p (x - about) x n dS for a scalar pressure."""
     quadrature = _surface_of(body).quadrature(order)
-    values = [_pressure_values(pressure, cn, workers) for cn in quadrature]
+    values = [_pressure_values(pressure, cn) for cn in quadrature]
 
     def rows(cn, v):
         return -v[:, None] * _arms(cn, about)
@@ -438,8 +431,7 @@ class ForceComparison(NamedTuple):
 
 
 def all_force_methods(potential, body, rho: float = 1.0, order: int = 16,
-                      workers: Optional[int] = None,
-                      stagnation: float = 0.0) -> ForceComparison:
+                      *, stagnation: float = 0.0) -> ForceComparison:
     """Run every force route and report their largest pairwise gap.
 
     One jet table per chart, evaluated here, is passed to all four routes
@@ -448,8 +440,7 @@ def all_force_methods(potential, body, rho: float = 1.0, order: int = 16,
     ``gated``.  A non-finite route
     result makes ``max_disagreement`` non-finite.
     """
-    jets = _jet_tables(potential, _surface_of(body).quadrature(order),
-                       workers)
+    jets = _jet_tables(potential, _surface_of(body).quadrature(order))
     shared = {"rho": rho, "order": order, "jets": jets}
     results = {
         "pressure": force_pressure_direct(potential, body,

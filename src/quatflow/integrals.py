@@ -21,14 +21,14 @@ that raises MarginError rather than returning a silently bad value.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .quaternion import Quaternion, ReducedPoint
 from .fields import QuaternionField, apply_D, apply_D_right
 from .potentials import dipole_flow
 from .surfaces import (
-    ParametricSurface,
     RegularBody,
+    _surface_of,
     norm_rows,
     evaluate_nodes,
     integrate_g_dsigma_f,
@@ -86,17 +86,16 @@ class TheoremReport(NamedTuple):
                 f"{self.node_count} nodes) {status}")
 
 
-def _volume_integral(body: RegularBody, integrand, order: int,
-                     workers: Optional[int]) -> Quaternion:
+def _volume_integral(body: RegularBody, integrand,
+                     order: int) -> Quaternion:
     vn = body.volume_nodes(order)
-    vals = evaluate_nodes(integrand, vn.points, workers)
+    vals = evaluate_nodes(integrand, vn.points)
     arr = np.array([v.as_tuple() for v in vals]) * vn.weights[:, None]
     return Quaternion(*np.sum(arr, axis=0))
 
 
 def verify_stokes(body: RegularBody, g, f, order: int = 12,
-                  tol: float = 1e-8,
-                  workers: Optional[int] = None) -> TheoremReport:
+                  tol: float = 1e-8) -> TheoremReport:
     """Compare the boundary integral of g dsigma f with its volume form.
 
     The volume integrand is (gD) f + g (Df) with the right action on g
@@ -105,7 +104,7 @@ def verify_stokes(body: RegularBody, g, f, order: int = 12,
     on independent quadratures, so agreement is a genuine cross-check of
     orientation, elements and derivatives at once.
     """
-    surface_side = integrate_g_dsigma_f(body.surface, g, f, order, workers)
+    surface_side = integrate_g_dsigma_f(body.surface, g, f, order)
 
     def integrand(p: ReducedPoint) -> Quaternion:
         total = Quaternion()
@@ -120,18 +119,18 @@ def verify_stokes(body: RegularBody, g, f, order: int = 12,
     if g is None and f is None:
         volume_side = Quaternion()
     else:
-        volume_side = _volume_integral(body, integrand, order, workers)
+        volume_side = _volume_integral(body, integrand, order)
     gap = (surface_side - volume_side).norm()
     return TheoremReport(surface_side, volume_side, gap, gap <= tol, tol,
                          order, body.surface.node_count(order),
                          "boundary vs volume")
 
 
-def verify_cauchy_theorem(surface, f, order: int = 12, tol: float = 1e-8,
-                          workers: Optional[int] = None) -> TheoremReport:
+def verify_cauchy_theorem(surface, f, order: int = 12,
+                          tol: float = 1e-8) -> TheoremReport:
     """Boundary integral of dsigma f on a closed surface; zero if Df = 0."""
-    surf = surface.surface if isinstance(surface, RegularBody) else surface
-    lhs = integrate_g_dsigma_f(surf, None, f, order, workers)
+    surf = _surface_of(surface)
+    lhs = integrate_g_dsigma_f(surf, None, f, order)
     gap = lhs.norm()
     return TheoremReport(lhs, Quaternion(), gap, gap <= tol, tol, order,
                          surf.node_count(order),
@@ -145,15 +144,14 @@ class MarginError(ValueError):
 def reconstruction_margin(surface, order: int,
                           margin_factor: float = 10.0) -> float:
     """Margin distance: factor times the mean node spacing sqrt(area/N)."""
-    surf = surface.surface if isinstance(surface, RegularBody) else surface
+    surf = _surface_of(surface)
     area = surf.area(order)
     n = surf.node_count(order)
     return margin_factor * math.sqrt(area / n)
 
 
 def cauchy_reconstruct(surface, f, point: ReducedPoint, order: int = 48,
-                       margin_factor: float = 10.0,
-                       workers: Optional[int] = None) -> Quaternion:
+                       margin_factor: float = 10.0) -> Quaternion:
     """Reconstruct a left-monogenic f at an interior point from the boundary.
 
     Computes the boundary integral of E(x - point) dsigma(x) f(x).  The
@@ -163,7 +161,7 @@ def cauchy_reconstruct(surface, f, point: ReducedPoint, order: int = 48,
     outside the body are not detected; for them the integral simply
     returns (approximately) zero.
     """
-    surf = surface.surface if isinstance(surface, RegularBody) else surface
+    surf = _surface_of(surface)
     margin = reconstruction_margin(surf, order, margin_factor)
     dist = min(float(np.min(norm_rows(cn.point_array
                                   - np.array(point.as_tuple()))))
@@ -174,4 +172,4 @@ def cauchy_reconstruct(surface, f, point: ReducedPoint, order: int = 48,
             f"the order-{order} grid needs a margin of {margin:.3f}; "
             f"raise the order or move the point inward")
     kernel = cauchy_kernel_field(pole=point)
-    return integrate_g_dsigma_f(surf, kernel, f, order, workers)
+    return integrate_g_dsigma_f(surf, kernel, f, order)

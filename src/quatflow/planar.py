@@ -266,8 +266,7 @@ def reduce_and_compare(potential: ComplexPotential, contour: PlanarContour,
                        body: RegularBody, rho: float = 1.0,
                        order_2d: int = 32, order_3d: int = 16,
                        about: complex = 0j, height: float = 1.0,
-                       tol: float = 1e-8,
-                       workers: Optional[int] = None) -> ReductionReport:
+                       tol: float = 1e-8) -> ReductionReport:
     """Check that the embedded 3D force and moment match the 2D formulas.
 
     ``body`` must be the extrusion of the contour region over a z-interval
@@ -280,11 +279,10 @@ def reduce_and_compare(potential: ComplexPotential, contour: PlanarContour,
     m2 = blasius_moment_2d(potential, contour, about=about, rho=rho,
                            order=order_2d)
     embedded = embed_2d(potential)
-    f3 = force_blasius(embedded, body, rho=rho, order=order_3d,
-                       workers=workers).force
+    f3 = force_blasius(embedded, body, rho=rho, order=order_3d).force
     about3 = ReducedPoint(about.real, about.imag, 0.0)
-    m3 = moment_quadratic(embedded, body, about3, rho=rho, order=order_3d,
-                          workers=workers).moment
+    m3 = moment_quadratic(embedded, body, about3, rho=rho,
+                          order=order_3d).moment
     f3_per_h = f3 / height
     m3_per_h = m3 / height
     force_gap = math.hypot(f3_per_h.x - f2.real, f3_per_h.y - f2.imag,

@@ -34,6 +34,7 @@ from .fields import (
     MonogenicityReport,
     QuaternionField,
     ScalarField,
+    _fd_stencil,
     apply_Dbar_right,
     is_monogenic,
     scalar_dbar_field,
@@ -156,19 +157,8 @@ class VelocityField:
     def jacobian_at(self, p: ReducedPoint):
         if self._jacobian is not None:
             return self._jacobian(p)
-        steps = (FD_STEP * max(1.0, abs(p.x)),
-                 FD_STEP * max(1.0, abs(p.y)),
-                 FD_STEP * max(1.0, abs(p.z)))
-        cols = []
-        for axis, h in enumerate(steps):
-            shift = [0.0, 0.0, 0.0]
-            shift[axis] = h
-            plus = self(ReducedPoint(p.x + shift[0], p.y + shift[1],
-                                     p.z + shift[2]))
-            minus = self(ReducedPoint(p.x - shift[0], p.y - shift[1],
-                                      p.z - shift[2]))
-            d = (plus - minus) / (2.0 * h)
-            cols.append((d.x, d.y, d.z))
+        cols = [((plus - minus) / (2.0 * h)).as_tuple() for h, plus, minus
+                in _fd_stencil(self, p, FD_STEP)]
         return tuple(tuple(cols[b][a] for b in range(3)) for a in range(3))
 
 

@@ -14,15 +14,13 @@ Nodes are numpy arrays: a chart maps the whole parameter grid at once
 to (N, 3) points, unit normals and unit tangents, generated chart-major
 in a fixed order.  The force and moment routes (``forces``) evaluate
 fields with an array form on those arrays in one call.  The integrators
-here apply their callables node by node, on an optional thread pool
-that cannot change the result, bit for bit.  Rows are reduced per chart
+here apply their callables node by node.  Rows are reduced per chart
 with numpy's pairwise summation.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -453,34 +451,30 @@ def cylinder_body(radius: float, z_min: float, z_max: float,
 # integration
 # ----------------------------------------------------------------------
 
-def evaluate_nodes(fn, points: Sequence[ReducedPoint],
-                   workers: Optional[int] = None) -> list:
-    """Apply fn to every point, preserving order; threads optional."""
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, points))
+def evaluate_nodes(fn, points: Sequence[ReducedPoint]) -> list:
+    """Apply fn to every point, in order."""
     return [fn(p) for p in points]
 
 
 def _surface_of(obj) -> ParametricSurface:
+    """The surface of a RegularBody; any other object is returned as is."""
     if isinstance(obj, RegularBody):
         return obj.surface
     return obj
 
 
-def _accumulate_quaternion(surface, per_node, order, workers) -> Quaternion:
+def _accumulate_quaternion(surface, per_node, order) -> Quaternion:
     """Sum per_node(point, normal) * weight chart by chart, pairwise."""
     total = np.zeros(4)
     for cn in _surface_of(surface).quadrature(order):
         pairs = list(zip(cn.points, cn.normals))
-        vals = evaluate_nodes(lambda pn: per_node(*pn), pairs, workers)
+        vals = evaluate_nodes(lambda pn: per_node(*pn), pairs)
         arr = np.array([v.as_tuple() for v in vals]) * cn.weights[:, None]
         total = total + np.sum(arr, axis=0)
     return Quaternion(*total)
 
 
-def integrate_g_dsigma_f(surface, g, f, order: int,
-                         workers: Optional[int] = None) -> Quaternion:
+def integrate_g_dsigma_f(surface, g, f, order: int) -> Quaternion:
     """The two-sided surface integral of g dsigma f.
 
     Either side may be None (treated as the constant 1).  g and f are
@@ -492,37 +486,34 @@ def integrate_g_dsigma_f(surface, g, f, order: int,
         left = g(p) * nq if g is not None else nq
         return left * f(p) if f is not None else left
 
-    return _accumulate_quaternion(surface, per_node, order, workers)
+    return _accumulate_quaternion(surface, per_node, order)
 
 
-def integrate_scalar_dsigma(surface, h, order: int,
-                            workers: Optional[int] = None) -> Quaternion:
+def integrate_scalar_dsigma(surface, h, order: int) -> Quaternion:
     """Integral of a scalar weight against the quaternion element dsigma."""
     def per_node(p: ReducedPoint, n: ReducedPoint) -> Quaternion:
         return n.to_quaternion() * float(h(p))
 
-    return _accumulate_quaternion(surface, per_node, order, workers)
+    return _accumulate_quaternion(surface, per_node, order)
 
 
-def integrate_scalar(surface, h, order: int,
-                     workers: Optional[int] = None) -> float:
+def integrate_scalar(surface, h, order: int) -> float:
     """Plain scalar surface integral of h dS."""
     total = 0.0
     for cn in _surface_of(surface).quadrature(order):
-        vals = evaluate_nodes(lambda p: float(h(p)), cn.points, workers)
+        vals = evaluate_nodes(lambda p: float(h(p)), cn.points)
         total += float(np.sum(np.array(vals) * cn.weights))
     return total
 
 
-def integrate_vector_area(surface, order: int,
-                          workers: Optional[int] = None) -> ReducedPoint:
+def integrate_vector_area(surface, order: int) -> ReducedPoint:
     """The vector area: integral of the unit normal dS; zero when closed."""
-    q = integrate_scalar_dsigma(surface, lambda p: 1.0, order, workers)
+    q = integrate_scalar_dsigma(surface, lambda p: 1.0, order)
     return ReducedPoint(q.q0, q.q1, q.q2)
 
 
-def integrate_moment_kernel(surface, h, about: ReducedPoint, order: int,
-                            workers: Optional[int] = None) -> ReducedPoint:
+def integrate_moment_kernel(surface, h, about: ReducedPoint,
+                            order: int) -> ReducedPoint:
     """Integral of h(x) (x - about) x n dS, the moment-arm weighted normal."""
     total = np.zeros(3)
     for cn in _surface_of(surface).quadrature(order):
@@ -533,7 +524,7 @@ def integrate_moment_kernel(surface, h, about: ReducedPoint, order: int,
             arm = p - about
             return (float(h(p)) * arm.cross(n)).as_tuple()
 
-        vals = evaluate_nodes(per_node, pairs, workers)
+        vals = evaluate_nodes(per_node, pairs)
         arr = np.array(vals) * cn.weights[:, None]
         total = total + np.sum(arr, axis=0)
     return ReducedPoint(*total)

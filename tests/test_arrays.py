@@ -19,6 +19,7 @@ from quatflow import (
     FlowPotential,
     QuaternionField,
     ReducedPoint,
+    StreamSurfaceError,
     all_force_methods,
     box_body,
     catalog,
@@ -243,7 +244,7 @@ def test_array_routes_match_the_per_node_fallback():
     loop = FlowPotential(scalar_only(pot.field))
     for body in (sphere_body(1.0), cylinder_body(1.0, -0.5, 0.5)):
         a = all_force_methods(pot, body, order=8)
-        b = all_force_methods(loop, body, order=8, workers=2)
+        b = all_force_methods(loop, body, order=8)
         for route in b.results:
             assert close(a.results[route].force.as_tuple(),
                          b.results[route].force.as_tuple(), 1e-13)
@@ -260,9 +261,9 @@ def test_all_force_methods_evaluates_one_jet_table_per_chart(monkeypatch):
     tables, scalar_jets = [], []
     original = field.jet_array
 
-    def counted(xyz, workers=None):
+    def counted(xyz):
         tables.append(len(xyz))
-        return original(xyz, workers)
+        return original(xyz)
 
     def no_scalar_jets(self, p):
         scalar_jets.append(p)
@@ -317,10 +318,27 @@ def test_cli_fails_on_non_finite_results(command, tmp_path, capsys):
     assert "null" in text
 
 
+def test_gate_refuses_when_overflowing_jets_make_its_tolerance_inf(
+        tmp_path, capsys):
+    # the default tolerance scales with max |partial|, which overflows here
+    with pytest.raises(StreamSurfaceError, match="not finite"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        force_monogenic_form(sphere_flow(1e200, 1.0), sphere_body(1.0),
+                             order=8)
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "name": "overflow", "potential": {"kind": "sphere", "speed": 1e200},
+        "body": {"kind": "sphere", "radius": 1.0}}))
+    assert cli.main(["force", "--config", str(path), "--order", "8"]) == 1
+    payload = strict_json(capsys.readouterr().out)
+    assert "monogenic-form" in payload["gated"]
+    assert "monogenic-form" not in payload["results"]
+
+
 @pytest.mark.parametrize("change", [
     {"rho": "nan"}, {"rho": float("inf")}, {"rho": "abc"},
     {"potential": {"kind": "sphere", "radius": "inf"}},
-    {"potential": {"kind": "uniform", "velocity": [1.0, float("nan"), 0.0]}},
+    {"potential": {"kind": "uniform", "components": [1.0, float("nan"), 0.0]}},
     {"body": {"kind": "box", "x": [-0.5, "-inf"]}},
     {"body": {"kind": "sphere", "center": [0.0, 0.0]}},
 ])

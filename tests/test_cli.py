@@ -134,6 +134,39 @@ def test_config_file_round_trip(tmp_path):
     assert max(abs(c) for c in blasius) <= 1e-8
 
 
+def test_config_components_set_the_uniform_stream():
+    from quatflow import ReducedPoint
+    from quatflow.cli import ScenarioConfig
+
+    cfg = ScenarioConfig.from_dict({
+        "name": "stream", "potential": {"kind": "uniform",
+                                        "components": [0.0, 0.0, 2.0]},
+        "body": {"kind": "sphere", "radius": 1.0}})
+    v = cfg.build().potential.velocity_at(ReducedPoint(0.3, -0.2, 0.1))
+    assert v.as_tuple() == (0.0, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("command", ["force", "reduce2d"])
+@pytest.mark.parametrize("config", [
+    {"potential": {"kind": "uniform", "velocity": [0.0, 0.0, 2.0]},
+     "body": {"kind": "sphere", "radius": 1.0}},
+    {"potential": {"kind": "embedded_cylinder", "raduis": 1.0},
+     "body": {"kind": "cylinder"}},
+    {"potential": {"kind": "embedded_cylinder"},
+     "body": {"kind": "sphere", "raduis": 1.0}},
+])
+def test_misspelled_config_key_exits_with_usage_error(command, config,
+                                                      tmp_path, capsys):
+    from quatflow import cli
+
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(dict(config, name="typo")))
+    assert cli.main([command, "--config", str(path), "--order", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown" in captured.err
+
+
 def test_bad_config_exits_with_usage_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"name": "x", "potential": {"kind": "no"},

@@ -15,12 +15,14 @@ from quatflow import (
     apply_D_right,
     apply_Dbar,
     apply_Dbar_right,
+    catalog,
     euler_operator,
     harmonic_catalog,
     is_monogenic,
     laplacian,
     moisil_theodorescu_residual,
     scalar_dbar_field,
+    velocity_from_potential,
 )
 
 
@@ -246,3 +248,146 @@ def test_right_operator_on_right_monogenic_kernel():
             continue
         assert apply_D(f, p).norm() <= 1e-4
         assert apply_D_right(f, p).norm() <= 1e-4
+
+
+# Central-difference values of the five finite-difference paths, recorded
+# from the hand-written stencils each path had before they shared
+# ``fields._fd_stencil``.  The shared stencil keeps every path's call order
+# and arithmetic, so the values must come back bit for bit.
+PARENT_FD_VALUES = {
+    ('jet_at', 'dipole'): [
+        (-0.06752492009551349, -0.5153426371505735, 0.4430622585479579, 0.0,
+         0.5478624436533464, -0.12632288637348665, 0.10860522555167228, 0.0,
+         0.12632288638805833, 0.39966771175348187, -0.8288629334163299, 0.0,
+         -0.10860522555514172, -0.8288629333663698, 0.14819473181937326, 0.0),
+        (0.2607812306844752, 0.06054044174135431, -0.14585391328508587, 0.0,
+         -0.20116857645714314, -0.08578003973384017, 0.20666110317443062, 0.0,
+         0.08578003971582147, -0.14841972687078264, -0.04797643772674886, 0.0,
+         -0.20666110313871663, -0.04797643772883053, -0.05274884958827996,
+         0.0),
+    ],
+    ('laplacian', 'dipole'): [
+        (2.7755575615628914e-09, 7.771561172376096e-08, -6.661338147750939e-08,
+         0.0),
+        (-4.2077492878878076e-08, -2.21893939333917e-09,
+         1.1204174477086326e-08, 0.0),
+    ],
+    ('jet_at', 'embedded_cylinder_vortex'): [
+        (1.4403623666023935, -0.08123309767906203, 0.0, 0.0,
+         1.0627193050227746, -0.16273606680411445, 0.0, 0.0,
+         0.16273606692207565, 1.0627193051691852, 0.0, 0.0, 0.0, 0.0, 0.0,
+         0.0),
+        (1.933571430444894, -0.6814363809803048, 0.0, 0.0, 0.7872654701581866,
+         -0.7866665243288157, 0.0, 0.0, 0.7866665242772796, 0.7872654701646108,
+         0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    ],
+    ('laplacian', 'embedded_cylinder_vortex'): [
+        (-1.3322676295501878e-07, 2.220446049250313e-08, 0.0, 0.0),
+        (-9.895021996220166e-09, 4.730269731467729e-09, 0.0, 0.0),
+    ],
+    ('gradient_at', '1/r'): [
+        (0.06752492009431954, -0.5153426371418135, 0.44306225852608344),
+        (-0.26078123069211806, 0.06054044173753325, -0.14585391328036934),
+    ],
+    ('laplacian_at', '1/r'): [
+        (-3.3306690738754696e-08,),
+        (-2.157425188498152e-08,),
+    ],
+    ('laplacian', '1/r'): [
+        (-3.3306690738754696e-08, 0.0, 0.0, 0.0),
+        (-2.157425188498152e-08, 0.0, 0.0, 0.0),
+    ],
+    ('gradient_at', 'log(x+r)'): [
+        (0.8264172405708646, 0.6920051826557471, -0.5949466569316053),
+        (0.5521498108896009, -0.05909547491356192, 0.14237270201666874),
+    ],
+    ('laplacian_at', 'log(x+r)'): [
+        (5.2735593669694936e-08,),
+        (1.525146031688962e-08,),
+    ],
+    ('laplacian', 'log(x+r)'): [
+        (5.2735593669694936e-08, 0.0, 0.0, 0.0),
+        (1.525146031688962e-08, 0.0, 0.0, 0.0),
+    ],
+    ('jacobian_at', 'sphere'): [
+        (0.20414627043274788, -0.5021378447045421, 0.4317095297912132,
+         -0.5021378446025404, -0.12775733572653603, 0.16931188206378844,
+         0.43170952972564064, 0.16931188208391124, -0.07638893473708996),
+        (0.07852215184408391, -0.07359972827858385, 0.17731632075967949,
+         -0.07359972829263442, -0.09574295962225253, -0.0566483689224545,
+         0.17731632078293882, -0.05664836891863811, 0.017220807754098066),
+    ],
+}
+
+
+def _fd_points():
+    rng = random.Random(2024)
+    points = []
+    while len(points) < 2:
+        p = ReducedPoint(*(rng.uniform(-2.0, 2.0) for _ in range(3)))
+        if p.norm() > 0.5 and abs(p.y) > 0.1 and abs(p.z) > 0.1:
+            points.append(p)
+    return points
+
+
+def _flat(value):
+    if isinstance(value, float):
+        return (value,)
+    if hasattr(value, "as_tuple"):
+        return value.as_tuple()
+    return tuple(x for part in value for x in _flat(part))
+
+
+def _fd_paths():
+    """(path, field name) -> the FD evaluation at a point."""
+    pots = catalog()
+    harm = harmonic_catalog()
+    paths = {}
+    for name in ("dipole", "embedded_cylinder_vortex"):
+        f = pots[name].field.without_analytic_jet()
+        paths["jet_at", name] = f.jet_at
+        paths["laplacian", name] = lambda p, f=f: laplacian(f, p)
+    for name in ("1/r", "log(x+r)"):
+        u = ScalarField(harm[name], domain=harm[name].in_domain, name=name)
+        paths["gradient_at", name] = u.gradient_at
+        paths["laplacian_at", name] = u.laplacian_at
+        paths["laplacian", name] = lambda p, u=u: laplacian(u, p)
+    paths["jacobian_at", "sphere"] = \
+        velocity_from_potential(pots["sphere"]).jacobian_at
+    return paths
+
+
+def test_fd_paths_reproduce_the_recorded_stencil_values():
+    paths = _fd_paths()
+    assert set(paths) == set(PARENT_FD_VALUES)
+    for key, expected in PARENT_FD_VALUES.items():
+        got = [_flat(paths[key](p)) for p in _fd_points()]
+        assert got == expected, key
+
+
+def test_fd_paths_keep_their_domain_errors():
+    pots = catalog()
+    one_over_r = harmonic_catalog()["1/r"]
+    u = ScalarField(one_over_r, domain=one_over_r.in_domain, name="1/r")
+    f = pots["source"].field.without_analytic_jet()
+    v = velocity_from_potential(pots["source"])
+    near = ReducedPoint(1e-5, 0.0, 0.0)     # one FD_STEP off the pole
+    near2 = ReducedPoint(1e-4, 0.0, 0.0)    # one FD_STEP2 off the pole
+    stencil = "finite-difference stencil of {} leaves the domain near {!r}"
+    undefined = "field {} is not defined at ReducedPoint(0.0, 0.0, 0.0)"
+    cases = [
+        (lambda: f.jet_at(near),
+         stencil.format("dbar(source_log(1.0))", near)),
+        (lambda: u.gradient_at(near), stencil.format("1/r", near)),
+        (lambda: u.laplacian_at(near2), undefined.format("1/r")),
+        (lambda: laplacian(f, near2),
+         undefined.format("dbar(source_log(1.0))")),
+        (lambda: laplacian(u, near2), undefined.format("1/r")),
+        (lambda: v.jacobian_at(near),
+         "velocity grad_sc(source(1.0)) undefined at "
+         "ReducedPoint(0.0, 0.0, 0.0)"),
+    ]
+    for call, message in cases:
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == message

@@ -1,0 +1,69 @@
+"""The public API evaluates serially and takes no thread-count argument."""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import quatflow
+from quatflow import (
+    all_force_methods,
+    force_from_pressure,
+    force_monogenic_form,
+    force_pressure_direct,
+    pressure_field,
+    sphere_body,
+    sphere_flow,
+)
+
+
+def _public_objects():
+    """Every object named by quatflow or by a quatflow module's __all__."""
+    names = getattr(quatflow, "__all__",
+                    [n for n in vars(quatflow) if not n.startswith("_")])
+    objects = [getattr(quatflow, n) for n in names]
+    for info in pkgutil.iter_modules(quatflow.__path__):
+        module = importlib.import_module(f"quatflow.{info.name}")
+        objects.extend(getattr(module, n) for n in getattr(module, "__all__",
+                                                           ()))
+    return objects
+
+
+def _callables(obj):
+    """obj itself when it is a function, or a class's own methods."""
+    if inspect.isclass(obj):
+        for name, member in vars(obj).items():
+            if isinstance(member, (staticmethod, classmethod)):
+                member = member.__func__
+            if inspect.isfunction(member):
+                yield f"{obj.__qualname__}.{name}", member
+    elif inspect.isfunction(obj):
+        yield obj.__qualname__, obj
+
+
+def test_no_public_callable_takes_workers():
+    checked = set()
+    offenders = []
+    for obj in _public_objects():
+        for name, fn in _callables(obj):
+            if fn in checked:
+                continue
+            checked.add(fn)
+            if "workers" in inspect.signature(fn).parameters:
+                offenders.append(name)
+    assert len(checked) > 100
+    assert offenders == []
+
+
+def test_parameters_after_order_are_keyword_only():
+    # a stale positional thread count must not land in another parameter
+    pot, body = sphere_flow(1.0, 1.0), sphere_body(1.0)
+    with pytest.raises(TypeError):
+        force_pressure_direct(pot, body, 1.0, 16, 2)
+    with pytest.raises(TypeError):
+        all_force_methods(pot, body, 1.0, 16, 2)
+    with pytest.raises(TypeError):
+        force_monogenic_form(pot, body, 1.0, 16, 2)
+    with pytest.raises(TypeError):
+        force_from_pressure(pressure_field(pot), body, 16, 2)

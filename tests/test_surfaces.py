@@ -10,7 +10,6 @@ from quatflow import (
     ReducedPoint,
     box_body,
     cylinder_body,
-    evaluate_nodes,
     integrate_g_dsigma_f,
     integrate_moment_kernel,
     integrate_scalar,
@@ -158,14 +157,6 @@ def test_moment_kernel_of_constant_vanishes():
     for body in (sphere_body(1.0), unit_cube()):
         m = integrate_moment_kernel(body.surface, lambda p: 1.0, about, ORDER)
         assert m.norm() <= 1e-10
-
-
-def test_evaluate_nodes_keeps_order_across_workers():
-    body = sphere_body(1.0)
-    pts = [p for cn in body.surface.quadrature(8) for p in cn.points]
-    serial = evaluate_nodes(lambda p: p.norm_sq() + p.x, pts, workers=None)
-    threaded = evaluate_nodes(lambda p: p.norm_sq() + p.x, pts, workers=4)
-    assert serial == threaded
 
 
 def test_builder_rejects_degenerate_input():
