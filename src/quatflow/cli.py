@@ -29,7 +29,6 @@ import numpy as np
 from .quaternion import Quaternion, ReducedPoint
 from .fields import QuaternionField, Jet, is_monogenic
 from .potentials import (
-    FlowPotential,
     catalog,
     dipole_flow,
     embedded_cylinder_flow,
@@ -40,7 +39,6 @@ from .potentials import (
     uniform_flow,
 )
 from .surfaces import (
-    RegularBody,
     box_body,
     cylinder_body,
     integrate_g_dsigma_f,
@@ -79,94 +77,70 @@ def _finite(value, what: str) -> float:
     return number
 
 
-def _number(cfg: dict, key: str, default: float) -> float:
-    return _finite(cfg.get(key, default), repr(key))
+def _read(cfg: dict, key: str, default):
+    """cfg[key] shaped like its default: a float default reads one finite
+    number, a tuple default reads that many."""
+    value = cfg.get(key, default)
+    if not isinstance(default, tuple):
+        return _finite(value, repr(key))
+    if not isinstance(value, (list, tuple)) or len(value) != len(default):
+        raise ValueError(f"{key!r} needs {len(default)} numbers, got {value!r}")
+    return tuple(_finite(v, repr(key)) for v in value)
 
 
-def _numbers(cfg: dict, key: str, default: list, count: int) -> tuple:
-    values = cfg.get(key, default)
-    if not isinstance(values, (list, tuple)) or len(values) != count:
-        raise ValueError(f"{key!r} needs {count} numbers, got {values!r}")
-    return tuple(_finite(v, repr(key)) for v in values)
-
-
-# The keys each potential and body kind reads besides "kind".
-_POTENTIAL_KEYS = {
-    "uniform": {"components"},
-    "identity": set(),
-    "saddle": set(),
-    "source": {"strength", "center"},
-    "dipole": {"coefficient", "center"},
-    "sphere": {"speed", "radius"},
-    "embedded_cylinder": {"speed", "radius", "circulation"},
+# Each potential and body kind: its constructor and the keys it reads
+# besides "kind", with their defaults.
+_POTENTIAL_KINDS = {
+    "uniform": (lambda components: uniform_flow(*components),
+                {"components": (1.0, 0.0, 0.0)}),
+    "identity": (identity_flow, {}),
+    "saddle": (saddle_flow, {}),
+    "source": (lambda strength, center:
+               point_source(strength, ReducedPoint(*center)),
+               {"strength": 1.0, "center": (0.0, 0.0, 0.0)}),
+    "dipole": (lambda coefficient, center:
+               dipole_flow(coefficient, ReducedPoint(*center)),
+               {"coefficient": 1.0, "center": (0.0, 0.0, 0.0)}),
+    "sphere": (sphere_flow, {"speed": 1.0, "radius": 1.0}),
+    "embedded_cylinder": (embedded_cylinder_flow,
+                          {"speed": 1.0, "radius": 1.0, "circulation": 0.0}),
 }
-_BODY_KEYS = {
-    "sphere": {"radius", "center"},
-    "box": {"x", "y", "z"},
-    "cylinder": {"radius", "z", "center2d"},
+_BODY_KINDS = {
+    "sphere": (lambda radius, center: sphere_body(radius,
+                                                  ReducedPoint(*center)),
+               {"radius": 1.0, "center": (0.0, 0.0, 0.0)}),
+    "box": (lambda x, y, z: box_body(x, y, z),
+            {"x": (-0.5, 0.5), "y": (-0.5, 0.5), "z": (-0.5, 0.5)}),
+    "cylinder": (lambda radius, z, center2d:
+                 cylinder_body(radius, z[0], z[1], center2d),
+                 {"radius": 1.0, "z": (-0.5, 0.5), "center2d": (0.0, 0.0)}),
 }
 
 
-def _check_keys(cfg: dict, what: str, known: dict) -> None:
-    """Reject an unknown kind, or a key its kind does not read."""
+def _kind(cfg: dict, what: str, kinds: dict):
+    """The constructor of a config object's kind and its parsed keys.
+
+    An unknown kind, a key the kind does not read, or a value of the
+    wrong shape raises ValueError.
+    """
     kind = cfg.get("kind")
-    if kind not in known:
+    if not isinstance(kind, str) or kind not in kinds:
         raise ValueError(f"unknown {what} kind {kind!r}")
-    unknown = set(cfg) - {"kind"} - known[kind]
+    make, defaults = kinds[kind]
+    unknown = set(cfg) - {"kind"} - set(defaults)
     if unknown:
         raise ValueError(
             f"unknown {what} keys for kind {kind!r}: {sorted(unknown)}")
-
-
-def _build_potential(cfg: dict) -> FlowPotential:
-    kind = cfg.get("kind")
-    if kind == "uniform":
-        return uniform_flow(*_numbers(cfg, "components", [1.0, 0.0, 0.0], 3))
-    if kind == "identity":
-        return identity_flow()
-    if kind == "saddle":
-        return saddle_flow()
-    if kind == "source":
-        return point_source(_number(cfg, "strength", 1.0),
-                            ReducedPoint(*_numbers(cfg, "center",
-                                                   [0.0, 0.0, 0.0], 3)))
-    if kind == "dipole":
-        return dipole_flow(_number(cfg, "coefficient", 1.0),
-                           ReducedPoint(*_numbers(cfg, "center",
-                                                  [0.0, 0.0, 0.0], 3)))
-    if kind == "sphere":
-        return sphere_flow(_number(cfg, "speed", 1.0),
-                           _number(cfg, "radius", 1.0))
-    if kind == "embedded_cylinder":
-        return embedded_cylinder_flow(_number(cfg, "speed", 1.0),
-                                      _number(cfg, "radius", 1.0),
-                                      _number(cfg, "circulation", 0.0))
-    raise ValueError(f"unknown potential kind {kind!r}")
-
-
-def _build_body(cfg: dict) -> RegularBody:
-    kind = cfg.get("kind")
-    if kind == "sphere":
-        return sphere_body(_number(cfg, "radius", 1.0),
-                           ReducedPoint(*_numbers(cfg, "center",
-                                                  [0.0, 0.0, 0.0], 3)))
-    if kind == "box":
-        return box_body(_numbers(cfg, "x", [-0.5, 0.5], 2),
-                        _numbers(cfg, "y", [-0.5, 0.5], 2),
-                        _numbers(cfg, "z", [-0.5, 0.5], 2))
-    if kind == "cylinder":
-        z = _numbers(cfg, "z", [-0.5, 0.5], 2)
-        return cylinder_body(_number(cfg, "radius", 1.0), z[0], z[1],
-                             _numbers(cfg, "center2d", [0.0, 0.0], 2))
-    raise ValueError(f"unknown body kind {kind!r}")
+    return make, {key: _read(cfg, key, default)
+                  for key, default in defaults.items()}
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """JSON-facing description of a potential, a body, and a density.
 
-    An unknown potential or body kind, or a key its kind does not read,
-    raises ValueError.
+    An unknown potential or body kind, a key its kind does not read, or
+    a value that is not finite or has the wrong length raises ValueError.
     """
 
     name: str
@@ -175,8 +149,8 @@ class ScenarioConfig:
     rho: float = 1.0
 
     def __post_init__(self):
-        _check_keys(self.potential, "potential", _POTENTIAL_KEYS)
-        _check_keys(self.body, "body", _BODY_KEYS)
+        _kind(self.potential, "potential", _POTENTIAL_KINDS)
+        _kind(self.body, "body", _BODY_KINDS)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -191,23 +165,19 @@ class ScenarioConfig:
         return cls(name=str(data.get("name", "custom")),
                    potential=dict(data["potential"]),
                    body=dict(data["body"]),
-                   rho=_number(data, "rho", 1.0))
+                   rho=_read(data, "rho", 1.0))
 
     def to_dict(self) -> dict:
         return {"name": self.name, "potential": dict(self.potential),
                 "body": dict(self.body), "rho": self.rho}
 
     def build(self) -> FlowScenario:
+        make_potential, potential = _kind(self.potential, "potential",
+                                          _POTENTIAL_KINDS)
+        make_body, body = _kind(self.body, "body", _BODY_KINDS)
         return FlowScenario(name=self.name,
-                            potential=_build_potential(self.potential),
-                            body=_build_body(self.body),
-                            rho=self.rho)
-
-    @classmethod
-    def default(cls) -> "ScenarioConfig":
-        return cls(name=DEFAULT_SCENARIO,
-                   potential={"kind": "sphere", "speed": 1.0, "radius": 1.0},
-                   body={"kind": "sphere", "radius": 1.0})
+                            potential=make_potential(**potential),
+                            body=make_body(**body), rho=self.rho)
 
 
 def _resolve_scenario(args) -> FlowScenario:
@@ -457,24 +427,31 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_reduce2d(args) -> int:
     speed, radius, circulation = 1.0, 1.0, 2.0 * math.pi
-    rho = 1.0
+    (z_min, z_max), rho = (-0.5, 0.5), 1.0
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = ScenarioConfig.from_dict(json.load(fh))
-        if cfg.potential.get("kind") != "embedded_cylinder":
+        # the comparison needs the extrusion of the circular contour, a
+        # streamline of the planar flow
+        pot = _kind(cfg.potential, "potential", _POTENTIAL_KINDS)[1]
+        body = _kind(cfg.body, "body", _BODY_KINDS)[1]
+        if cfg.potential["kind"] != "embedded_cylinder":
             raise ValueError(
                 "reduce2d config needs an embedded_cylinder potential")
-        speed = _number(cfg.potential, "speed", 1.0)
-        radius = _number(cfg.potential, "radius", 1.0)
-        circulation = _number(cfg.potential, "circulation", 0.0)
-        rho = cfg.rho
+        if (cfg.body["kind"] != "cylinder" or body["radius"] != pot["radius"]
+                or body["center2d"] != (0.0, 0.0)):
+            raise ValueError(
+                "reduce2d config needs a cylinder body about the z axis "
+                "with the potential's radius")
+        speed, radius, circulation = (pot["speed"], pot["radius"],
+                                      pot["circulation"])
+        (z_min, z_max), rho = body["z"], cfg.rho
     about = complex(*_parse_components(args.about, 2)) if args.about else 0j
-    potential = cylinder_vortex_2d(speed, radius, circulation)
-    contour = PlanarContour.circle(radius)
-    body = cylinder_body(radius, -0.5, 0.5)
-    report = reduce_and_compare(potential, contour, body, rho=rho,
+    report = reduce_and_compare(cylinder_vortex_2d(speed, radius, circulation),
+                                PlanarContour.circle(radius),
+                                cylinder_body(radius, z_min, z_max), rho=rho,
                                 order_3d=_single_order(args), about=about,
-                                tol=args.tol)
+                                height=z_max - z_min, tol=args.tol)
     payload = {
         "command": "reduce2d",
         "speed": speed, "radius": radius, "circulation": circulation,

@@ -218,8 +218,9 @@ def monogenic_completion(u: ScalarField,
 
     evaluated with Gauss-Legendre quadrature, doubling the order until
     two successive levels agree to ``tol`` componentwise (value and all
-    three partials).  The domain of u must contain the whole segment from
-    the center c to the evaluation point; leaving it raises DomainError.
+    three partials).  The domain of u must contain the center c, which is
+    checked here, and the whole segment from c to the evaluation point,
+    which is checked when evaluating; either failure raises DomainError.
     CompletionError is raised when the quadrature gap is still above
     1e-8 after ``max_doublings`` doublings.
 
@@ -229,6 +230,10 @@ def monogenic_completion(u: ScalarField,
     quadrature points of every evaluation and raises ValueError when it
     is out of tolerance.
     """
+    if not u.in_domain(center):
+        # the Gauss nodes in t skip t = 0, so no evaluation would notice
+        raise DomainError(f"completion center {center!r} is outside the "
+                          f"domain of {u.name or '<anonymous>'}")
     dbar = scalar_dbar_field(u)
     hard_cap = 1e-8
     lap_tol = 1e-8 if u.has_analytic_laplacian else 1e-3

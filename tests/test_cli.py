@@ -1,10 +1,29 @@
 """End-to-end checks of the command line interface."""
 
 import json
+import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+from quatflow import (
+    ReducedPoint,
+    all_force_methods,
+    box_body,
+    cylinder_body,
+    dipole_flow,
+    embedded_cylinder_flow,
+    identity_flow,
+    point_source,
+    saddle_flow,
+    sphere_body,
+    sphere_flow,
+    uniform_flow,
+)
+from quatflow import cli
 
 CLI = [sys.executable, "-m", "quatflow.cli"]
 
@@ -165,6 +184,121 @@ def test_misspelled_config_key_exits_with_usage_error(command, config,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unknown" in captured.err
+
+
+ORIGIN = ReducedPoint(0.0, 0.0, 0.0)
+
+# Each config kind built by a direct constructor call with the defaults
+# the README promises; a kind missing here fails its test with KeyError.
+DIRECT_POTENTIALS = {
+    "uniform": lambda: uniform_flow(1.0, 0.0, 0.0),
+    "identity": identity_flow,
+    "saddle": saddle_flow,
+    "source": lambda: point_source(1.0, ORIGIN),
+    "dipole": lambda: dipole_flow(1.0, ORIGIN),
+    "sphere": lambda: sphere_flow(1.0, 1.0),
+    "embedded_cylinder": lambda: embedded_cylinder_flow(1.0, 1.0, 0.0),
+}
+DIRECT_BODIES = {
+    "sphere": lambda: sphere_body(1.0, ORIGIN),
+    "box": lambda: box_body((-0.5, 0.5), (-0.5, 0.5), (-0.5, 0.5)),
+    "cylinder": lambda: cylinder_body(1.0, -0.5, 0.5, (0.0, 0.0)),
+}
+
+
+def _forces(potential, body):
+    comparison = all_force_methods(potential, body, order=8)
+    return ({name: r.force.as_tuple()
+             for name, r in comparison.results.items()},
+            dict(comparison.gated))
+
+
+@pytest.mark.parametrize("kind", sorted(cli._POTENTIAL_KINDS))
+def test_potential_kind_defaults_match_the_direct_constructor(kind):
+    cfg = cli.ScenarioConfig(name="k", potential={"kind": kind},
+                             body={"kind": "sphere"})
+    built = cfg.build()
+    assert built.rho == 1.0
+    assert (_forces(built.potential, built.body)
+            == _forces(DIRECT_POTENTIALS[kind](), DIRECT_BODIES["sphere"]()))
+
+
+@pytest.mark.parametrize("kind", sorted(cli._BODY_KINDS))
+def test_body_kind_defaults_match_the_direct_constructor(kind):
+    cfg = cli.ScenarioConfig(name="k", potential={"kind": "uniform"},
+                             body={"kind": kind})
+    built = cfg.build()
+    assert (_forces(built.potential, built.body)
+            == _forces(DIRECT_POTENTIALS["uniform"](), DIRECT_BODIES[kind]()))
+
+
+def _readme_kinds(lead: str, end: str) -> dict:
+    """Kind -> keys from one README sentence such as "Body kinds: ..."."""
+    text = " ".join((Path(__file__).parents[1] / "README.md")
+                    .read_text(encoding="utf-8").split())
+    sentence = text[text.index(lead) + len(lead):text.index(end)]
+    return {kind: set(re.findall(r"`(\w+)`", keys))
+            for kind, keys in re.findall(r"`(\w+)`(?: \(([^)]*)\))?",
+                                         sentence)}
+
+
+def test_readme_names_every_config_kind_and_key():
+    potentials = _readme_kinds("Potential kinds and their keys:",
+                               "Body kinds:")
+    bodies = _readme_kinds("Body kinds:", "Every key is optional")
+    assert potentials == {kind: set(defaults) for kind, (_, defaults)
+                          in cli._POTENTIAL_KINDS.items()}
+    assert bodies == {kind: set(defaults) for kind, (_, defaults)
+                      in cli._BODY_KINDS.items()}
+
+
+@pytest.mark.parametrize("what", ["potential", "body"])
+def test_unhashable_config_kind_exits_with_usage_error(what, tmp_path,
+                                                       capsys):
+    config = {"name": "k", "potential": {"kind": "uniform"},
+              "body": {"kind": "sphere"}}
+    config[what] = {"kind": ["sphere"]}
+    path = tmp_path / "kind.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["force", "--config", str(path), "--order", "4"]) == 2
+    assert f"unknown {what} kind" in capsys.readouterr().err
+
+
+def _reduce2d_config(tmp_path, body):
+    path = tmp_path / "reduce.json"
+    path.write_text(json.dumps({
+        "name": "r", "body": body,
+        "potential": {"kind": "embedded_cylinder", "speed": 1.0,
+                      "radius": 1.0, "circulation": 2.0 * math.pi}}))
+    return ["reduce2d", "--about", "0.3,0", "--config", str(path)]
+
+
+@pytest.mark.parametrize("body", [
+    {"kind": "sphere", "radius": 5.0},
+    {"kind": "cylinder", "radius": 2.0},
+    {"kind": "cylinder", "center2d": [0.1, 0.0]},
+    {"kind": "box"},
+])
+def test_reduce2d_config_rejects_a_body_that_is_not_the_extruded_contour(
+        body, tmp_path, capsys):
+    assert cli.main(_reduce2d_config(tmp_path, body)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cylinder body" in captured.err
+
+
+def test_reduce2d_config_body_height_sets_the_per_unit_comparison(
+        tmp_path, capsys):
+    assert cli.main(["reduce2d", "--about", "0.3,0"]) == 0
+    default = json.loads(capsys.readouterr().out)
+    body = {"kind": "cylinder", "radius": 1.0, "z": [-2, 2]}
+    assert cli.main(_reduce2d_config(tmp_path, body)) == 0
+    tall = json.loads(capsys.readouterr().out)
+    assert tall["status"] == "pass"
+    for key in ("force_gap", "moment_gap"):
+        assert tall[key] <= tall["tol"]
+    assert math.dist(tall["force_3d"], default["force_3d"]) <= tall["tol"]
+    assert abs(tall["moment_3d_z"] - default["moment_3d_z"]) <= tall["tol"]
 
 
 def test_bad_config_exits_with_usage_error(tmp_path):

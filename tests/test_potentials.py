@@ -7,6 +7,7 @@ import pytest
 
 from quatflow import (
     CompletionError,
+    DomainError,
     IntegrabilityError,
     Quaternion,
     ReducedPoint,
@@ -161,6 +162,15 @@ def test_completion_about_an_off_center_point():
     report = built.monogenicity(pts, tol=1e-6)
     assert report.ok, report
     assert built(c).q0 == u(c)
+
+
+@pytest.mark.parametrize("name", ["1/r", "x/r^3", "log(x+r)"])
+def test_completion_rejects_a_center_outside_the_domain(name):
+    u = harmonic_catalog()[name]
+    with pytest.raises(DomainError, match="completion center"):
+        monogenic_completion(u, center=ReducedPoint(0.0, 0.0, 0.0))
+    # a center inside the domain still completes
+    monogenic_completion(u, center=ReducedPoint(1.0, 0.5, 0.25))
 
 
 def test_completion_rejects_non_harmonic_input():
