@@ -8,11 +8,10 @@ values from boundary data alone.
 
 from quatflow import (
     MarginError,
-    Quaternion,
-    QuaternionField,
     ReducedPoint,
     box_body,
     cauchy_reconstruct,
+    coordinate_field,
     reconstruction_margin,
     saddle_flow,
     sphere_body,
@@ -20,18 +19,6 @@ from quatflow import (
     verify_cauchy_theorem,
     verify_stokes,
 )
-from quatflow.fields import Jet
-
-
-def coordinate_field():
-    def value(p):
-        return Quaternion(p.x, p.y, p.z, 0.0)
-
-    return QuaternionField(
-        value,
-        jet=lambda p: Jet(value(p), Quaternion(1.0), Quaternion(0.0, 1.0),
-                          Quaternion(0.0, 0.0, 1.0)),
-        name="coordinate")
 
 
 def main():

@@ -31,6 +31,7 @@ from .fields import (
     QuaternionField,
     ScalarField,
     scalar_dbar_field,
+    coordinate_field,
     apply_D,
     apply_Dbar,
     apply_D_right,

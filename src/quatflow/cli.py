@@ -26,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .quaternion import Quaternion, ReducedPoint
-from .fields import QuaternionField, Jet, is_monogenic
+from .quaternion import ReducedPoint
+from .fields import coordinate_field
 from .potentials import (
     catalog,
     dipole_flow,
@@ -343,16 +343,6 @@ def _cmd_moment(args) -> int:
                                        "mx", "my", "mz"], rows)
 
 
-def _coordinate_field() -> QuaternionField:
-    """The reduced coordinate as a field; D of it is the constant -1."""
-    def jet(p: ReducedPoint) -> Jet:
-        return Jet(Quaternion(p.x, p.y, p.z, 0.0), Quaternion(1.0),
-                   Quaternion(0.0, 1.0, 0.0, 0.0),
-                   Quaternion(0.0, 0.0, 1.0, 0.0))
-    return QuaternionField(lambda p: Quaternion(p.x, p.y, p.z, 0.0),
-                           jet=jet, name="coordinate")
-
-
 def _cmd_verify(args) -> int:
     order = _single_order(args)
     tol = args.tol
@@ -372,7 +362,7 @@ def _cmd_verify(args) -> int:
         q = integrate_g_dsigma_f(body.surface, None, pot, order)
         record(f"vanishing-integral:{name}", q.norm(), tol)
 
-    coord = _coordinate_field()
+    coord = coordinate_field()
     box = box_body((-0.5, 0.6), (-0.4, 0.5), (-0.55, 0.45))
     rep = verify_stokes(box, coord, coord, order=order, tol=tol)
     record("stokes-two-sided:box", rep.gap, tol)

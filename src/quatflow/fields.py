@@ -18,7 +18,8 @@ A field may also carry an array form: a jet on an (N, 3) array of points
 returning a (4, N, 4) array (value, d/dx, d/dy, d/dz; quaternion
 components last), with an array domain predicate.  Quadrature routes use
 it to evaluate a whole chart in one call; fields without it are
-evaluated point by point through the scalar jet.
+evaluated point by point through the scalar jet.  ``coordinate_field``
+is the reduced coordinate x + y i + z j with both forms.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "QuaternionField",
     "ScalarField",
     "scalar_dbar_field",
+    "coordinate_field",
     "apply_D",
     "apply_Dbar",
     "apply_D_right",
@@ -190,6 +192,14 @@ class QuaternionField:
         if self._domain is not None:
             _check_array(self, xyz)
         return self._jet_array(xyz)
+
+    def value_array(self, xyz: np.ndarray) -> np.ndarray:
+        """Values at the rows of an (N, 3) array as an (N, 4) array: the
+        value slot of the array jet, or else the field row by row."""
+        if self._jet_array is None:
+            return np.array([q.as_tuple()
+                             for q in evaluate_nodes(self, as_points(xyz))])
+        return self.jet_array(xyz)[0]
 
     def _check(self, p: ReducedPoint) -> None:
         if not self.in_domain(p):
@@ -415,6 +425,23 @@ def scalar_dbar_field(u: ScalarField) -> QuaternionField:
 
     return QuaternionField(value, jet=jet, domain=u._domain,
                            name=f"dbar({u.name})")
+
+
+def coordinate_field() -> QuaternionField:
+    """x + y i + z j as a field with scalar and array jets; D of it is -1."""
+    units = (Quaternion(1.0), Quaternion(0.0, 1.0), Quaternion(0.0, 0.0, 1.0))
+
+    def value(p: ReducedPoint) -> Quaternion:
+        return Quaternion(p.x, p.y, p.z, 0.0)
+
+    def jet_array(xyz: np.ndarray) -> np.ndarray:
+        table = np.zeros((4, len(xyz), 4))
+        table[0, :, :3] = xyz
+        table[1:, :, :3] = np.eye(3)[:, None, :]
+        return table
+
+    return QuaternionField(value, jet=lambda p: Jet(value(p), *units),
+                           name="coordinate", jet_array=jet_array)
 
 
 # ----------------------------------------------------------------------

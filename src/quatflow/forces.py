@@ -22,7 +22,9 @@ Moments use the same quadratic densities against the moment arm
 Every route works on arrays: one (4, N, 4) jet table per chart from the
 potential's array jet (or, for fields without one, from ``jet_at`` node
 by node), (N, 3) node arrays, and the array Hamilton product.  Rows are
-reduced chart by chart with numpy's pairwise summation.
+reduced by ``surfaces.quadrature_sum``, chart by chart.  The pressure
+integrals for a given pressure are the surface integrals
+``integrate_scalar_dsigma`` and ``integrate_moment_kernel``, negated.
 ``all_force_methods`` evaluates the jet tables once and passes them to
 each route (``jets=``), so the four routes and the stream-surface gate
 share them.
@@ -36,14 +38,16 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .quaternion import ReducedPoint, qconj, qmul
-from .fields import QuaternionField, ScalarField
+from .fields import ScalarField
 from .potentials import FlowPotential
 from .surfaces import (
     ChartNodes,
     RegularBody,
     _surface_of,
-    cross_rows,
-    evaluate_nodes,
+    integrate_moment_kernel,
+    integrate_scalar_dsigma,
+    moment_arms,
+    quadrature_sum,
 )
 
 __all__ = [
@@ -105,12 +109,6 @@ class FlowScenario:
     expected: dict = dataclass_field(default_factory=dict)
 
 
-def _field_of(potential) -> QuaternionField:
-    if isinstance(potential, FlowPotential):
-        return potential.field
-    return potential
-
-
 # ----------------------------------------------------------------------
 # per-chart row kernels on (4, N, 4) jet tables and (N, 3) node arrays
 # ----------------------------------------------------------------------
@@ -135,57 +133,26 @@ def _bernoulli(jets: np.ndarray, rho: float, stagnation: float) -> np.ndarray:
     return stagnation - 0.5 * rho * (vx * vx + vy * vy + vz * vz)
 
 
-def _arms(cn: ChartNodes, about: ReducedPoint) -> np.ndarray:
-    """(x - about) x n at every node."""
-    arm = cn.point_array - np.array(about.as_tuple())
-    return cross_rows(arm, cn.normal_array)
+def _jet_tables(potential, body, order,
+                jets: Optional[JetTables] = None) -> JetTables:
+    """One jet table per chart of body's quadrature, unless already given."""
+    if jets is not None:
+        return jets
+    return [potential.jet_array(cn.point_array)
+            for cn in _surface_of(body).quadrature(order)]
 
 
-def _jet_tables(potential, quadrature) -> JetTables:
-    f = _field_of(potential)
-    return [f.jet_array(cn.point_array) for cn in quadrature]
-
-
-def _route_tables(potential, body, order, jets):
-    """The body's quadrature and its jet tables, unless already given."""
+def _reduce(body, order, jets: JetTables, rows_fn,
+            scale: float) -> ReducedPoint:
+    """scale times the quadrature sum of rows_fn(chart nodes, jet table)."""
     quadrature = _surface_of(body).quadrature(order)
-    if jets is None:
-        jets = _jet_tables(potential, quadrature)
-    return quadrature, jets
-
-
-def _reduce(quadrature, per_chart, rows_fn, scale: float) -> ReducedPoint:
-    """scale times the sum of rows_fn(chart nodes, data) dS over charts.
-
-    ``per_chart`` holds one entry (a jet table or pressure values) per
-    chart.  Each chart's (N, 3) rows are summed pairwise by numpy, and the
-    chart sums are added in chart order.
-    """
-    total = np.zeros(3)
-    for cn, data in zip(quadrature, per_chart):
-        total = total + np.sum(rows_fn(cn, data) * cn.weights[:, None],
-                               axis=0)
+    total = quadrature_sum(quadrature, map(rows_fn, quadrature, jets))
     return ReducedPoint(scale * total[0], scale * total[1], scale * total[2])
 
 
-def _node_count(quadrature) -> int:
-    return sum(len(cn.weights) for cn in quadrature)
-
-
-def _force(quadrature, per_chart, rows_fn, scale, method, order):
-    return ForceResult(_reduce(quadrature, per_chart, rows_fn, scale),
-                       method, order, _node_count(quadrature))
-
-
-def _pressure_values(pressure, cn: ChartNodes) -> np.ndarray:
-    if isinstance(pressure, ScalarField):
-        return pressure.value_array(cn.point_array)
-    return np.array(evaluate_nodes(lambda p: float(pressure(p)), cn.points),
-                    dtype=float)
-
-
-def _pressure_rows(cn: ChartNodes, values: np.ndarray) -> np.ndarray:
-    return -values[:, None] * cn.normal_array
+def _force(body, order, jets, rows_fn, scale, method):
+    return ForceResult(_reduce(body, order, jets, rows_fn, scale), method,
+                       order, _surface_of(body).node_count(order))
 
 
 def _blasius_rows(cn: ChartNodes, jets: np.ndarray) -> np.ndarray:
@@ -241,29 +208,30 @@ def pressure_field(potential, rho: float = 1.0,
 def force_from_pressure(pressure, body, order: int = 16, *,
                         method: str = "pressure") -> ForceResult:
     """F = - (integral of) p dsigma for any scalar pressure callable."""
-    quadrature = _surface_of(body).quadrature(order)
-    values = [_pressure_values(pressure, cn) for cn in quadrature]
-    return _force(quadrature, values, _pressure_rows, 1.0, method, order)
+    surface = _surface_of(body)
+    # 0 - F rather than -F, so that a zero integral stays +0.0
+    force = ReducedPoint() - integrate_scalar_dsigma(surface, pressure,
+                                                     order).to_point()
+    return ForceResult(force, method, order, surface.node_count(order))
 
 
 def force_pressure_direct(potential, body, rho: float = 1.0,
                           order: int = 16, *, stagnation: float = 0.0,
                           jets: Optional[JetTables] = None) -> ForceResult:
     """The pressure route, with p from the Bernoulli relation."""
-    quadrature, jets = _route_tables(potential, body, order, jets)
+    jets = _jet_tables(potential, body, order, jets)
 
     def rows(cn, j):
-        return _pressure_rows(cn, _bernoulli(j, rho, stagnation))
+        return -_bernoulli(j, rho, stagnation)[:, None] * cn.normal_array
 
-    return _force(quadrature, jets, rows, 1.0, "pressure", order)
+    return _force(body, order, jets, rows, 1.0, "pressure")
 
 
 def force_blasius(potential, body, rho: float = 1.0, order: int = 16, *,
                   jets: Optional[JetTables] = None) -> ForceResult:
     """F = (rho/8) (integral of) |w Dbar|^2 dsigma."""
-    quadrature, jets = _route_tables(potential, body, order, jets)
-    return _force(quadrature, jets, _blasius_rows, rho / 8.0, "blasius",
-                  order)
+    jets = _jet_tables(potential, body, order, jets)
+    return _force(body, order, jets, _blasius_rows, rho / 8.0, "blasius")
 
 
 def force_components_sc(potential, body, rho: float = 1.0, order: int = 16,
@@ -275,9 +243,9 @@ def force_components_sc(potential, body, rho: float = 1.0, order: int = 16,
     conj(g) g is a scalar, these agree with the norm route exactly, which
     the tests pin down to the last bit.
     """
-    quadrature, jets = _route_tables(potential, body, order, jets)
-    return _force(quadrature, jets, _components_sc_rows, rho / 8.0,
-                  "components-sc", order)
+    jets = _jet_tables(potential, body, order, jets)
+    return _force(body, order, jets, _components_sc_rows, rho / 8.0,
+                  "components-sc")
 
 
 # ----------------------------------------------------------------------
@@ -377,10 +345,11 @@ def force_monogenic_form(potential, body, rho: float = 1.0, order: int = 16,
     the integral deformation invariant; the stream-surface gate rejects
     surfaces where the assembled scalar parts stop being a force density.
     """
-    quadrature, jets = _route_tables(potential, body, order, jets)
-    _gate_stream_surface(quadrature, jets, gate_tol)
-    return _force(quadrature, jets, _monogenic_form_rows, -rho / 8.0,
-                  "monogenic-form", order)
+    jets = _jet_tables(potential, body, order, jets)
+    _gate_stream_surface(_surface_of(body).quadrature(order), jets,
+                         gate_tol)
+    return _force(body, order, jets, _monogenic_form_rows, -rho / 8.0,
+                  "monogenic-form")
 
 
 # ----------------------------------------------------------------------
@@ -391,24 +360,23 @@ def moment_quadratic(potential, body, about: ReducedPoint, rho: float = 1.0,
                      order: int = 16) -> MomentResult:
     """M = (rho/8) (integral of) |w Dbar|^2 (x - about) x n dS."""
     def rows(cn, jets):
-        return _norm_sq(_conj_grad(jets))[:, None] * _arms(cn, about)
+        return _norm_sq(_conj_grad(jets))[:, None] * moment_arms(cn, about)
 
-    quadrature, jets = _route_tables(potential, body, order, None)
-    return MomentResult(_reduce(quadrature, jets, rows, rho / 8.0), about,
-                        "quadratic-form", order, _node_count(quadrature))
+    jets = _jet_tables(potential, body, order)
+    return MomentResult(_reduce(body, order, jets, rows, rho / 8.0), about,
+                        "quadratic-form", order,
+                        _surface_of(body).node_count(order))
 
 
 def moment_from_pressure(pressure, body, about: ReducedPoint,
                          order: int = 16) -> MomentResult:
     """M = -(integral of) p (x - about) x n dS for a scalar pressure."""
-    quadrature = _surface_of(body).quadrature(order)
-    values = [_pressure_values(pressure, cn) for cn in quadrature]
-
-    def rows(cn, v):
-        return -v[:, None] * _arms(cn, about)
-
-    return MomentResult(_reduce(quadrature, values, rows, 1.0), about,
-                        "pressure", order, _node_count(quadrature))
+    surface = _surface_of(body)
+    # 0 - M rather than -M, so that a zero integral stays +0.0
+    moment = ReducedPoint() - integrate_moment_kernel(surface, pressure,
+                                                      about, order)
+    return MomentResult(moment, about, "pressure", order,
+                        surface.node_count(order))
 
 
 def moment_reference_shift(moment: MomentResult, force: ForceResult,
@@ -440,7 +408,7 @@ def all_force_methods(potential, body, rho: float = 1.0, order: int = 16,
     ``gated``.  A non-finite route
     result makes ``max_disagreement`` non-finite.
     """
-    jets = _jet_tables(potential, _surface_of(body).quadrature(order))
+    jets = _jet_tables(potential, body, order)
     shared = {"rho": rho, "order": order, "jets": jets}
     results = {
         "pressure": force_pressure_direct(potential, body,

@@ -190,14 +190,15 @@ def streamline_residual(potential: ComplexPotential, contour: PlanarContour,
     worst, scale = 0.0, 0.0
     for si in s:
         t = potential.derivative(contour.z(si)) * contour.dz(si)
-        worst = max(worst, abs(t.imag))
-        scale = max(scale, abs(t))
-    return worst, scale
+        # np.maximum propagates NaN where the builtin max would drop it
+        worst = np.maximum(worst, abs(t.imag))
+        scale = np.maximum(scale, abs(t))
+    return float(worst), float(scale)
 
 
 def _require_streamline(potential, contour, order, tol):
     worst, scale = streamline_residual(potential, contour, order)
-    if worst > tol * (1.0 + scale):
+    if not worst <= tol * (1.0 + scale):
         raise StreamlineError(
             f"contour {contour.name!r} is not a streamline of "
             f"{potential.name!r}: max |Im(f' dz)| = {worst:.3e} "

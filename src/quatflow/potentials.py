@@ -79,6 +79,12 @@ class FlowPotential:
     def jet_at(self, p: ReducedPoint) -> Jet:
         return self.field.jet_at(p)
 
+    def value_array(self, xyz: np.ndarray) -> np.ndarray:
+        return self.field.value_array(xyz)
+
+    def jet_array(self, xyz: np.ndarray) -> np.ndarray:
+        return self.field.jet_array(xyz)
+
     def in_domain(self, p: ReducedPoint) -> bool:
         return self.field.in_domain(p)
 

@@ -12,10 +12,12 @@ moment evaluation.
 
 Nodes are numpy arrays: a chart maps the whole parameter grid at once
 to (N, 3) points, unit normals and unit tangents, generated chart-major
-in a fixed order.  The force and moment routes (``forces``) evaluate
-fields with an array form on those arrays in one call.  The integrators
-here apply their callables node by node.  Rows are reduced per chart
-with numpy's pairwise summation.
+in a fixed order, and a body's volume nodes form one (N, 3) tensor grid.
+Every integral evaluates its callables on those arrays
+(``node_values``): a field with an array form in one call per chart,
+any other callable node by node through ``evaluate_nodes``.  One
+reduction, ``quadrature_sum``, sums the rows against the weights chart
+by chart and adds the chart sums in chart order.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .quaternion import Quaternion, ReducedPoint
+from .quaternion import Quaternion, ReducedPoint, qmul
 
 __all__ = [
     "gauss_legendre",
@@ -157,7 +159,7 @@ class ChartNodes:
     outward unit normals, ``tangent_array`` the (2, N, 3) unit tangents
     along s and t, ``weights`` the dS weights and ``params`` the (N, 2)
     chart parameters; all are read-only.  ``points`` and ``normals`` give
-    the same nodes as ReducedPoint lists, built on first use.
+    the same nodes as ReducedPoint lists, built on each use.
     """
 
     def __init__(self, chart: Chart, point_array: np.ndarray,
@@ -169,20 +171,14 @@ class ChartNodes:
         self.tangent_array = tangent_array
         self.weights = weights
         self.params = params
-        self._points: Optional[list[ReducedPoint]] = None
-        self._normals: Optional[list[ReducedPoint]] = None
 
     @property
     def points(self) -> list[ReducedPoint]:
-        if self._points is None:
-            self._points = as_points(self.point_array)
-        return self._points
+        return as_points(self.point_array)
 
     @property
     def normals(self) -> list[ReducedPoint]:
-        if self._normals is None:
-            self._normals = as_points(self.normal_array)
-        return self._normals
+        return as_points(self.normal_array)
 
     def normal_quaternions(self) -> np.ndarray:
         """The (N, 4) reduced quaternions n1 + n2 i + n3 j of dsigma / dS."""
@@ -217,8 +213,27 @@ class ParametricSurface:
 
 
 class VolumeNodes(NamedTuple):
-    points: list[ReducedPoint]
+    """Read-only (N, 3) ``point_array`` and ``weights`` of a solid; the
+    ``points`` list is built on each use."""
+
+    point_array: np.ndarray
     weights: np.ndarray
+
+    @property
+    def points(self) -> list[ReducedPoint]:
+        return as_points(self.point_array)
+
+
+def _volume_grid(axes, nodes) -> VolumeNodes:
+    """The Gauss tensor grid over three (count, low, high) axes, the first
+    varying slowest.  ``nodes(a, b, c, w)`` maps the grid coordinates and
+    product weights to (x, y, z, weight)."""
+    (a, wa), (b, wb), (c, wc) = (_scaled_gauss(*axis) for axis in axes)
+    grid = (a[:, None, None], b[None, :, None], c[None, None, :])
+    w = wa[:, None, None] * wb[None, :, None] * wc[None, None, :]
+    x, y, z, weight = nodes(*grid, w)
+    return VolumeNodes(_frozen(_vectors(x, y, z).reshape(w.size, 3)),
+                       _frozen(weight.reshape(w.size)))
 
 
 class RegularBody:
@@ -290,24 +305,14 @@ def sphere_body(radius: float,
                   meta={"role": "sphere"})
     surface = ParametricSurface([chart], name=name or f"sphere(R={r0})")
 
+    def ball(r, u, phi, w):
+        s = np.sqrt(np.maximum(0.0, 1.0 - u * u))
+        return (cx + r * s * np.cos(phi), cy + r * s * np.sin(phi),
+                cz + r * u, w * r * r)
+
     def volume_nodes(order: int) -> VolumeNodes:
-        rr, wr = _scaled_gauss(order, 0.0, r0)
-        uu, wu = gauss_legendre(order)
-        pp, wp = _scaled_gauss(2 * order, 0.0, 2.0 * math.pi)
-        pts: list[ReducedPoint] = []
-        wts = np.empty(order * order * 2 * order)
-        idx = 0
-        for r, w1 in zip(rr, wr):
-            for u, w2 in zip(uu, wu):
-                s = math.sqrt(max(0.0, 1.0 - u * u))
-                for phi, w3 in zip(pp, wp):
-                    pts.append(ReducedPoint(cx + r * s * math.cos(phi),
-                                            cy + r * s * math.sin(phi),
-                                            cz + r * u))
-                    wts[idx] = w1 * w2 * w3 * r * r
-                    idx += 1
-        wts.setflags(write=False)
-        return VolumeNodes(pts, wts)
+        return _volume_grid(((order, 0.0, r0), (order, -1.0, 1.0),
+                             (2 * order, 0.0, 2.0 * math.pi)), ball)
 
     return RegularBody(surface, center, volume_nodes, name=surface.name)
 
@@ -355,20 +360,8 @@ def box_body(x_range: tuple[float, float], y_range: tuple[float, float],
     mid = ReducedPoint(0.5 * (x0 + x1), 0.5 * (y0 + y1), 0.5 * (z0 + z1))
 
     def volume_nodes(order: int) -> VolumeNodes:
-        xs, wx = _scaled_gauss(order, x0, x1)
-        ys, wy = _scaled_gauss(order, y0, y1)
-        zs, wz = _scaled_gauss(order, z0, z1)
-        pts: list[ReducedPoint] = []
-        wts = np.empty(order ** 3)
-        idx = 0
-        for x, w1 in zip(xs, wx):
-            for y, w2 in zip(ys, wy):
-                for z, w3 in zip(zs, wz):
-                    pts.append(ReducedPoint(x, y, z))
-                    wts[idx] = w1 * w2 * w3
-                    idx += 1
-        wts.setflags(write=False)
-        return VolumeNodes(pts, wts)
+        return _volume_grid(((order, x0, x1), (order, y0, y1),
+                             (order, z0, z1)), lambda x, y, z, w: (x, y, z, w))
 
     return RegularBody(surface, mid, volume_nodes, name=surface.name)
 
@@ -427,22 +420,12 @@ def cylinder_body(radius: float, z_min: float, z_max: float,
                                 name=name or f"cylinder(R={r0})")
     axis_mid = ReducedPoint(cx, cy, 0.5 * (z0 + z1))
 
+    def solid(r, s, z, w):
+        return cx + r * np.cos(s), cy + r * np.sin(s), z, w * r
+
     def volume_nodes(order: int) -> VolumeNodes:
-        rr, wr = _scaled_gauss(order, 0.0, r0)
-        ss, w_s = _scaled_gauss(2 * order, 0.0, 2.0 * math.pi)
-        zz, wz = _scaled_gauss(order, z0, z1)
-        pts: list[ReducedPoint] = []
-        wts = np.empty(order * 2 * order * order)
-        idx = 0
-        for r, w1 in zip(rr, wr):
-            for s, w2 in zip(ss, w_s):
-                for z, w3 in zip(zz, wz):
-                    pts.append(ReducedPoint(cx + r * math.cos(s),
-                                            cy + r * math.sin(s), z))
-                    wts[idx] = w1 * w2 * w3 * r
-                    idx += 1
-        wts.setflags(write=False)
-        return VolumeNodes(pts, wts)
+        return _volume_grid(((order, 0.0, r0), (2 * order, 0.0, 2.0 * math.pi),
+                             (order, z0, z1)), solid)
 
     return RegularBody(surface, axis_mid, volume_nodes, name=surface.name)
 
@@ -456,6 +439,42 @@ def evaluate_nodes(fn, points: Sequence[ReducedPoint]) -> list:
     return [fn(p) for p in points]
 
 
+def node_values(fn, xyz: np.ndarray) -> np.ndarray:
+    """fn at the rows of an (N, 3) array: (N, 4) rows for quaternion
+    values, (N,) for real ones.  Anything with ``value_array`` (fields,
+    potentials) takes one call; any other callable goes node by node."""
+    value_array = getattr(fn, "value_array", None)
+    if value_array is not None:
+        return value_array(xyz)
+    values = evaluate_nodes(fn, as_points(xyz))
+    if isinstance(values[0], Quaternion):
+        return np.array([q.as_tuple() for q in values])
+    return np.array(values, dtype=float)
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b for (N, 4) quaternion rows; (N,) real rows scale the other side,
+    as Quaternion's scalar product does."""
+    if a.ndim == 1:
+        return b * a[:, None]
+    if b.ndim == 1:
+        return a * b[:, None]
+    return qmul(a, b)
+
+
+def quadrature_sum(blocks, rows) -> np.ndarray:
+    """Sum of rows times weights over ChartNodes or VolumeNodes blocks.
+
+    ``rows`` yields one array per block, first axis over its nodes.  Each
+    block is summed by numpy; the block sums are added in order from 0.
+    """
+    total = 0.0
+    for block, r in zip(blocks, rows):
+        w = block.weights.reshape((-1,) + (1,) * (r.ndim - 1))
+        total = total + np.sum(r * w, axis=0)
+    return total
+
+
 def _surface_of(obj) -> ParametricSurface:
     """The surface of a RegularBody; any other object is returned as is."""
     if isinstance(obj, RegularBody):
@@ -463,68 +482,56 @@ def _surface_of(obj) -> ParametricSurface:
     return obj
 
 
-def _accumulate_quaternion(surface, per_node, order) -> Quaternion:
-    """Sum per_node(point, normal) * weight chart by chart, pairwise."""
-    total = np.zeros(4)
-    for cn in _surface_of(surface).quadrature(order):
-        pairs = list(zip(cn.points, cn.normals))
-        vals = evaluate_nodes(lambda pn: per_node(*pn), pairs)
-        arr = np.array([v.as_tuple() for v in vals]) * cn.weights[:, None]
-        total = total + np.sum(arr, axis=0)
-    return Quaternion(*total)
+def _chart_sum(surface, order: int, rows_fn) -> np.ndarray:
+    """quadrature_sum of rows_fn(chart nodes) over the surface's charts."""
+    quadrature = _surface_of(surface).quadrature(order)
+    return quadrature_sum(quadrature, map(rows_fn, quadrature))
+
+
+def moment_arms(cn: ChartNodes, about: ReducedPoint) -> np.ndarray:
+    """(x - about) x n at every node of a chart."""
+    arm = cn.point_array - np.array(about.as_tuple())
+    return cross_rows(arm, cn.normal_array)
 
 
 def integrate_g_dsigma_f(surface, g, f, order: int) -> Quaternion:
     """The two-sided surface integral of g dsigma f.
 
-    Either side may be None (treated as the constant 1).  g and f are
-    callables from points to quaternions; QuaternionField instances
-    qualify.
+    Either side may be None (treated as the constant 1).  g and f map
+    points to quaternions or to real numbers; fields qualify.
     """
-    def per_node(p: ReducedPoint, n: ReducedPoint) -> Quaternion:
-        nq = n.to_quaternion()
-        left = g(p) * nq if g is not None else nq
-        return left * f(p) if f is not None else left
+    def rows(cn: ChartNodes) -> np.ndarray:
+        out = cn.normal_quaternions()
+        if g is not None:
+            out = _times(node_values(g, cn.point_array), out)
+        if f is not None:
+            out = _times(out, node_values(f, cn.point_array))
+        return out
 
-    return _accumulate_quaternion(surface, per_node, order)
+    return Quaternion(*_chart_sum(surface, order, rows))
 
 
 def integrate_scalar_dsigma(surface, h, order: int) -> Quaternion:
     """Integral of a scalar weight against the quaternion element dsigma."""
-    def per_node(p: ReducedPoint, n: ReducedPoint) -> Quaternion:
-        return n.to_quaternion() * float(h(p))
-
-    return _accumulate_quaternion(surface, per_node, order)
+    return integrate_g_dsigma_f(surface, None, h, order)
 
 
 def integrate_scalar(surface, h, order: int) -> float:
     """Plain scalar surface integral of h dS."""
-    total = 0.0
-    for cn in _surface_of(surface).quadrature(order):
-        vals = evaluate_nodes(lambda p: float(h(p)), cn.points)
-        total += float(np.sum(np.array(vals) * cn.weights))
-    return total
+    return float(_chart_sum(surface, order,
+                            lambda cn: node_values(h, cn.point_array)))
 
 
 def integrate_vector_area(surface, order: int) -> ReducedPoint:
     """The vector area: integral of the unit normal dS; zero when closed."""
-    q = integrate_scalar_dsigma(surface, lambda p: 1.0, order)
-    return ReducedPoint(q.q0, q.q1, q.q2)
+    return ReducedPoint(*_chart_sum(surface, order,
+                                    lambda cn: cn.normal_array))
 
 
 def integrate_moment_kernel(surface, h, about: ReducedPoint,
                             order: int) -> ReducedPoint:
     """Integral of h(x) (x - about) x n dS, the moment-arm weighted normal."""
-    total = np.zeros(3)
-    for cn in _surface_of(surface).quadrature(order):
-        pairs = list(zip(cn.points, cn.normals))
+    def rows(cn: ChartNodes) -> np.ndarray:
+        return node_values(h, cn.point_array)[:, None] * moment_arms(cn, about)
 
-        def per_node(pn):
-            p, n = pn
-            arm = p - about
-            return (float(h(p)) * arm.cross(n)).as_tuple()
-
-        vals = evaluate_nodes(per_node, pairs)
-        arr = np.array(vals) * cn.weights[:, None]
-        total = total + np.sum(arr, axis=0)
-    return ReducedPoint(*total)
+    return ReducedPoint(*_chart_sum(surface, order, rows))

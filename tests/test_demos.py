@@ -1,0 +1,18 @@
+"""Every demo script runs to the end and prints its report."""
+
+import pathlib
+import runpy
+
+import pytest
+
+DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+def test_every_demo_is_collected():
+    assert len(DEMOS) == 6
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip()

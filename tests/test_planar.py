@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 from quatflow import (
+    ComplexPotential,
     PlanarContour,
     ReducedPoint,
     StreamlineError,
@@ -97,6 +98,17 @@ def test_streamline_gate():
     force = blasius_force_2d(uniform_2d(1.0), circle,
                              check_streamline=False)
     assert abs(force) <= 1e-10
+
+
+def test_nan_streamline_residual_fails_the_gate():
+    # the builtin max skipped NaN, so this read as a perfect streamline
+    nan_slope = ComplexPotential(lambda z: z, lambda z: complex(math.nan, 0),
+                                 name="nan-slope")
+    circle = PlanarContour.circle(1.0)
+    worst, scale = streamline_residual(nan_slope, circle)
+    assert math.isnan(worst) and math.isnan(scale)
+    with pytest.raises(StreamlineError, match="nan-slope"):
+        blasius_force_2d(nan_slope, circle)
 
 
 def test_contour_requires_closure():
