@@ -506,33 +506,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="quaternionic flow potentials, surface integrals, "
                     "and force/moment formulas")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="run the integral-theorem battery")
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("force", help="evaluate every force route")
-    _add_common(p)
-    p.set_defaults(func=_cmd_force)
-
-    p = sub.add_parser("moment", help="evaluate moment routes")
-    _add_common(p)
-    p.add_argument("--about", default="0,0,0",
-                   help="reference point, three comma-separated numbers")
-    p.add_argument("--shift-to", dest="shift_to",
-                   help="also transport the moment to this reference point")
-    p.set_defaults(func=_cmd_moment)
-
-    p = sub.add_parser("convergence", help="force across quadrature orders")
-    _add_common(p)
-    p.set_defaults(func=_cmd_convergence)
-
-    p = sub.add_parser("reduce2d",
-                       help="compare planar formulas with embedded 3D")
-    _add_common(p)
-    p.add_argument("--about",
-                   help="planar moment reference, two comma-separated numbers")
-    p.set_defaults(func=_cmd_reduce2d)
+    commands = {}
+    for name, func, text in (
+            ("verify", _cmd_verify, "run the integral-theorem battery"),
+            ("force", _cmd_force, "evaluate every force route"),
+            ("moment", _cmd_moment, "evaluate moment routes"),
+            ("convergence", _cmd_convergence,
+             "force across quadrature orders"),
+            ("reduce2d", _cmd_reduce2d,
+             "compare planar formulas with embedded 3D")):
+        commands[name] = p = sub.add_parser(name, help=text)
+        _add_common(p)
+        p.set_defaults(func=func)
+    commands["moment"].add_argument(
+        "--about", default="0,0,0",
+        help="reference point, three comma-separated numbers")
+    commands["moment"].add_argument(
+        "--shift-to", dest="shift_to",
+        help="also transport the moment to this reference point")
+    commands["reduce2d"].add_argument(
+        "--about", help="planar moment reference, two comma-separated numbers")
     return parser
 
 

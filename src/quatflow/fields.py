@@ -29,8 +29,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .quaternion import Quaternion, ReducedPoint, I, J, qconj
-from .surfaces import as_points, evaluate_nodes
+from .quaternion import Quaternion, ReducedPoint, ONE, I, J, qconj
+from .surfaces import as_points, evaluate_nodes, node_rows
 
 __all__ = [
     "DomainError",
@@ -197,8 +197,7 @@ class QuaternionField:
         """Values at the rows of an (N, 3) array as an (N, 4) array: the
         value slot of the array jet, or else the field row by row."""
         if self._jet_array is None:
-            return np.array([q.as_tuple()
-                             for q in evaluate_nodes(self, as_points(xyz))])
+            return node_rows(self, xyz)
         return self.jet_array(xyz)[0]
 
     def _check(self, p: ReducedPoint) -> None:
@@ -351,8 +350,7 @@ class ScalarField:
         Without ``evaluate_array`` the field is called row by row.
         """
         if self._evaluate_array is None:
-            return np.array(evaluate_nodes(self, as_points(xyz)),
-                            dtype=float)
+            return node_rows(self, xyz)
         if self._domain is not None:
             _check_array(self, xyz)
         return self._evaluate_array(xyz)
@@ -429,8 +427,6 @@ def scalar_dbar_field(u: ScalarField) -> QuaternionField:
 
 def coordinate_field() -> QuaternionField:
     """x + y i + z j as a field with scalar and array jets; D of it is -1."""
-    units = (Quaternion(1.0), Quaternion(0.0, 1.0), Quaternion(0.0, 0.0, 1.0))
-
     def value(p: ReducedPoint) -> Quaternion:
         return Quaternion(p.x, p.y, p.z, 0.0)
 
@@ -440,7 +436,7 @@ def coordinate_field() -> QuaternionField:
         table[1:, :, :3] = np.eye(3)[:, None, :]
         return table
 
-    return QuaternionField(value, jet=lambda p: Jet(value(p), *units),
+    return QuaternionField(value, jet=lambda p: Jet(value(p), ONE, I, J),
                            name="coordinate", jet_array=jet_array)
 
 

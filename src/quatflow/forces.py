@@ -43,11 +43,11 @@ from .potentials import FlowPotential
 from .surfaces import (
     ChartNodes,
     RegularBody,
+    _chart_sum,
     _surface_of,
     integrate_moment_kernel,
     integrate_scalar_dsigma,
     moment_arms,
-    quadrature_sum,
 )
 
 __all__ = [
@@ -145,9 +145,7 @@ def _jet_tables(potential, body, order,
 def _reduce(body, order, jets: JetTables, rows_fn,
             scale: float) -> ReducedPoint:
     """scale times the quadrature sum of rows_fn(chart nodes, jet table)."""
-    quadrature = _surface_of(body).quadrature(order)
-    total = quadrature_sum(quadrature, map(rows_fn, quadrature, jets))
-    return ReducedPoint(scale * total[0], scale * total[1], scale * total[2])
+    return ReducedPoint(*(scale * _chart_sum(body, order, rows_fn, jets)))
 
 
 def _force(body, order, jets, rows_fn, scale, method):

@@ -30,6 +30,7 @@ from .surfaces import (
     RegularBody,
     _surface_of,
     norm_rows,
+    in_node_order,
     integrate_g_dsigma_f,
     quadrature_sum,
 )
@@ -90,10 +91,14 @@ def _stokes_volume_side(body: RegularBody, g, f, order: int) -> Quaternion:
     """The volume integral of (gD) f + g (Df), from array jet tables.
 
     A side that is None is the constant 1; its derivative term drops out.
+    An error is the first one that g's jet, then f's, node by node meet.
     """
     vn = body.volume_nodes(order)
-    gj = None if g is None else _as_field(g).jet_array(vn.point_array)
-    fj = None if f is None else _as_field(f).jet_array(vn.point_array)
+    gj, fj = in_node_order(
+        lambda xyz: [None if h is None else _as_field(h).jet_array(xyz)
+                     for h in (g, f)],
+        lambda p: [_as_field(h).jet_at(p) for h in (g, f) if h is not None],
+        vn.point_array)
     rows = 0.0
     if gj is not None:
         gd = gj[1] + qmul(gj[2], I.as_tuple()) + qmul(gj[3], J.as_tuple())
@@ -115,10 +120,8 @@ def verify_stokes(body: RegularBody, g, f, order: int = 12,
     orientation, elements and derivatives at once.
     """
     surface_side = integrate_g_dsigma_f(body.surface, g, f, order)
-    if g is None and f is None:
-        volume_side = Quaternion()
-    else:
-        volume_side = _stokes_volume_side(body, g, f, order)
+    volume_side = (Quaternion() if g is None and f is None
+                   else _stokes_volume_side(body, g, f, order))
     gap = (surface_side - volume_side).norm()
     return TheoremReport(surface_side, volume_side, gap, gap <= tol, tol,
                          order, body.surface.node_count(order),

@@ -13,17 +13,16 @@ moment evaluation.
 Nodes are numpy arrays: a chart maps the whole parameter grid at once
 to (N, 3) points, unit normals and unit tangents, generated chart-major
 in a fixed order, and a body's volume nodes form one (N, 3) tensor grid.
-Every integral evaluates its callables on those arrays
-(``node_values``): a field with an array form in one call per chart,
-any other callable node by node through ``evaluate_nodes``.  One
-reduction, ``quadrature_sum``, sums the rows against the weights chart
-by chart and adds the chart sums in chart order.
+Every integral evaluates its callables on those arrays (``node_values``):
+a field with an array form in one call per chart, any other callable
+node by node.  One reduction, ``quadrature_sum``, sums the rows against
+the weights block by block (chart or volume grid), adding in order.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -159,7 +158,7 @@ class ChartNodes:
     outward unit normals, ``tangent_array`` the (2, N, 3) unit tangents
     along s and t, ``weights`` the dS weights and ``params`` the (N, 2)
     chart parameters; all are read-only.  ``points`` and ``normals`` give
-    the same nodes as ReducedPoint lists, built on each use.
+    the same nodes as ReducedPoint lists, built on first use.
     """
 
     def __init__(self, chart: Chart, point_array: np.ndarray,
@@ -172,11 +171,11 @@ class ChartNodes:
         self.weights = weights
         self.params = params
 
-    @property
+    @cached_property
     def points(self) -> list[ReducedPoint]:
         return as_points(self.point_array)
 
-    @property
+    @cached_property
     def normals(self) -> list[ReducedPoint]:
         return as_points(self.normal_array)
 
@@ -213,8 +212,7 @@ class ParametricSurface:
 
 
 class VolumeNodes(NamedTuple):
-    """Read-only (N, 3) ``point_array`` and ``weights`` of a solid; the
-    ``points`` list is built on each use."""
+    """A solid's read-only (N, 3) ``point_array`` and ``weights``."""
 
     point_array: np.ndarray
     weights: np.ndarray
@@ -225,9 +223,8 @@ class VolumeNodes(NamedTuple):
 
 
 def _volume_grid(axes, nodes) -> VolumeNodes:
-    """The Gauss tensor grid over three (count, low, high) axes, the first
-    varying slowest.  ``nodes(a, b, c, w)`` maps the grid coordinates and
-    product weights to (x, y, z, weight)."""
+    """Gauss tensor grid over three (count, low, high) axes, the first slowest;
+    ``nodes(a, b, c, w)`` maps coordinates and weights to (x, y, z, weight)."""
     (a, wa), (b, wb), (c, wc) = (_scaled_gauss(*axis) for axis in axes)
     grid = (a[:, None, None], b[None, :, None], c[None, None, :])
     w = wa[:, None, None] * wb[None, :, None] * wc[None, None, :]
@@ -262,8 +259,7 @@ class RegularBody:
         return self._volume_cache[order]
 
     def volume(self, order: int) -> float:
-        vn = self.volume_nodes(order)
-        return float(np.sum(vn.weights))
+        return float(np.sum(self.volume_nodes(order).weights))
 
 
 # ----------------------------------------------------------------------
@@ -439,17 +435,31 @@ def evaluate_nodes(fn, points: Sequence[ReducedPoint]) -> list:
     return [fn(p) for p in points]
 
 
-def node_values(fn, xyz: np.ndarray) -> np.ndarray:
-    """fn at the rows of an (N, 3) array: (N, 4) rows for quaternion
-    values, (N,) for real ones.  Anything with ``value_array`` (fields,
-    potentials) takes one call; any other callable goes node by node."""
-    value_array = getattr(fn, "value_array", None)
-    if value_array is not None:
-        return value_array(xyz)
+def node_rows(fn, xyz: np.ndarray) -> np.ndarray:
+    """fn at each row of an (N, 3) array, in order: (N, 4) rows for
+    quaternion values, (N,) for real ones."""
     values = evaluate_nodes(fn, as_points(xyz))
     if isinstance(values[0], Quaternion):
         return np.array([q.as_tuple() for q in values])
     return np.array(values, dtype=float)
+
+
+def node_values(fn, xyz: np.ndarray) -> np.ndarray:
+    """``node_rows``, in one call for fields and potentials (value_array)."""
+    value_array = getattr(fn, "value_array", None)
+    return node_rows(fn, xyz) if value_array is None else value_array(xyz)
+
+
+def in_node_order(evaluate, node_calls, xyz: np.ndarray):
+    """evaluate(xyz); if that raises, node_calls first runs at the rows one
+    by one, so the error raised is the first one the node-by-node order
+    meets (the one from evaluate if node_calls passes every row)."""
+    try:
+        return evaluate(xyz)
+    except Exception as error:
+        failed = error
+    evaluate_nodes(node_calls, as_points(xyz))
+    raise failed
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -463,11 +473,9 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def quadrature_sum(blocks, rows) -> np.ndarray:
-    """Sum of rows times weights over ChartNodes or VolumeNodes blocks.
-
-    ``rows`` yields one array per block, first axis over its nodes.  Each
-    block is summed by numpy; the block sums are added in order from 0.
-    """
+    """Sum of rows times weights over ChartNodes or VolumeNodes blocks:
+    ``rows`` yields one array per block, first axis over its nodes, each
+    block is summed by numpy and the block sums are added in order from 0."""
     total = 0.0
     for block, r in zip(blocks, rows):
         w = block.weights.reshape((-1,) + (1,) * (r.ndim - 1))
@@ -477,15 +485,13 @@ def quadrature_sum(blocks, rows) -> np.ndarray:
 
 def _surface_of(obj) -> ParametricSurface:
     """The surface of a RegularBody; any other object is returned as is."""
-    if isinstance(obj, RegularBody):
-        return obj.surface
-    return obj
+    return obj.surface if isinstance(obj, RegularBody) else obj
 
 
-def _chart_sum(surface, order: int, rows_fn) -> np.ndarray:
-    """quadrature_sum of rows_fn(chart nodes) over the surface's charts."""
+def _chart_sum(surface, order: int, rows_fn, *per_chart) -> np.ndarray:
+    """quadrature_sum of rows_fn(chart nodes, *one entry of each per_chart)."""
     quadrature = _surface_of(surface).quadrature(order)
-    return quadrature_sum(quadrature, map(rows_fn, quadrature))
+    return quadrature_sum(quadrature, map(rows_fn, quadrature, *per_chart))
 
 
 def moment_arms(cn: ChartNodes, about: ReducedPoint) -> np.ndarray:
@@ -498,15 +504,19 @@ def integrate_g_dsigma_f(surface, g, f, order: int) -> Quaternion:
     """The two-sided surface integral of g dsigma f.
 
     Either side may be None (treated as the constant 1).  g and f map
-    points to quaternions or to real numbers; fields qualify.
+    points to quaternions or to real numbers; fields qualify.  An error
+    is the first one that g(p), f(p) node by node would meet.
     """
+    sides = [h for h in (g, f) if h is not None]
+
     def rows(cn: ChartNodes) -> np.ndarray:
+        values = in_node_order(
+            lambda xyz: [node_values(h, xyz) for h in sides],
+            lambda p: [h(p) for h in sides], cn.point_array)
         out = cn.normal_quaternions()
         if g is not None:
-            out = _times(node_values(g, cn.point_array), out)
-        if f is not None:
-            out = _times(out, node_values(f, cn.point_array))
-        return out
+            out = _times(values[0], out)
+        return out if f is None else _times(out, values[-1])
 
     return Quaternion(*_chart_sum(surface, order, rows))
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from quatflow import (
+    DomainError,
     Quaternion,
     QuaternionField,
     ReducedPoint,
@@ -27,6 +28,8 @@ from quatflow import (
     integrate_scalar,
     integrate_scalar_dsigma,
     moment_from_pressure,
+    apply_D,
+    apply_D_right,
     pressure_field,
     sphere_body,
     uniform_flow,
@@ -261,3 +264,69 @@ def test_g_dsigma_f_accepts_float_valued_callables():
     assert close(q.as_tuple(), (-8.377580409572804, -1.126072705134179e-15,
                                 2.858824288409778e-15,
                                 6.635396476896363e-17))
+
+
+# ----------------------------------------------------------------------
+# errors: the first one the node-by-node order meets
+# ----------------------------------------------------------------------
+
+def fenced(field, name, hole):
+    """field with its array forms, undefined within 1e-9 of the point hole."""
+    c = np.array(hole.as_tuple())
+    return QuaternionField(
+        field._evaluate, jet=field._jet, name=name,
+        domain=lambda p: (p - hole).norm() > 1e-9,
+        jet_array=field._jet_array,
+        domain_array=lambda xyz: np.linalg.norm(xyz - c, axis=1) > 1e-9)
+
+
+def first_node_error(points, per_node):
+    """The text of the first DomainError per_node raises over points."""
+    for p in points:
+        try:
+            per_node(p)
+        except DomainError as err:
+            return str(err)
+    return None
+
+
+def domain_error(fn, *args, **kwargs):
+    with pytest.raises(DomainError) as info:
+        fn(*args, **kwargs)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("holes", [(40, 7), (7, 40), (23, 23)],
+                         ids=["f-first", "g-first", "same-node"])
+def test_surface_error_is_the_first_node_by_node_one(holes):
+    ball = sphere_body(1.0)
+    points = ball.surface.quadrature(ORDER)[0].points
+    saddle = catalog()["saddle"].field
+    g = fenced(saddle, "g", points[holes[0]])
+    f = fenced(coordinate_field(), "f", points[holes[1]])
+    want = first_node_error(points, lambda p: (g(p), f(p)))
+    assert want.startswith("field " + ("f" if holes[1] < holes[0] else "g"))
+    assert domain_error(integrate_g_dsigma_f, ball, g, f, ORDER) == want
+    assert domain_error(integrate_g_dsigma_f, ball, plain(g), plain(f),
+                        ORDER) == want
+
+
+@pytest.mark.parametrize("holes", [(150, 20), (20, 150), (90, 90)],
+                         ids=["f-first", "g-first", "same-node"])
+def test_stokes_error_is_the_first_node_by_node_one(holes):
+    box = bodies()["box"]
+    points = box.volume_nodes(ORDER).points
+    g = fenced(catalog()["saddle"].field, "g", points[holes[0]])
+    f = fenced(coordinate_field(), "f", points[holes[1]])
+
+    def integrand(p):
+        # the calls of the node-by-node volume integrand, in its order
+        apply_D_right(g, p)
+        f(p)
+        apply_D(f, p)
+
+    want = first_node_error(points, integrand)
+    assert want.startswith("field " + ("f" if holes[1] < holes[0] else "g"))
+    assert domain_error(verify_stokes, box, g, f, order=ORDER) == want
+    assert domain_error(verify_stokes, box, scalar_only(g), scalar_only(f),
+                        order=ORDER) == want
