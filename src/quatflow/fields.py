@@ -14,12 +14,15 @@ Derivatives come either from caller-supplied analytic formulas or from
 central finite differences; every operator consumes the jet, so analytic
 and FD-backed fields share one code path.
 
-A field may also carry an array form: a jet on an (N, 3) array of points
+A field may also carry array forms: a jet on an (N, 3) array of points
 returning a (4, N, 4) array (value, d/dx, d/dy, d/dz; quaternion
-components last), with an array domain predicate.  Quadrature routes use
-it to evaluate a whole chart in one call; fields without it are
-evaluated point by point through the scalar jet.  ``coordinate_field``
-is the reduced coordinate x + y i + z j with both forms.
+components last), the values alone as an (N, 4) array, and an array
+domain predicate.  Quadrature routes use them to evaluate a whole chart
+in one call; fields without them are evaluated point by point through
+the scalar jet.  A closed form written once over coordinate columns
+(``_closed_form``) gives a field all of its scalar and array forms;
+``coordinate_field``, the reduced coordinate x + y i + z j, is built
+that way.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .quaternion import Quaternion, ReducedPoint, ONE, I, J, qconj
+from .quaternion import Quaternion, ReducedPoint, I, J, qconj
 from .surfaces import as_points, evaluate_nodes, node_rows
 
 __all__ = [
@@ -97,6 +100,13 @@ def _check_array(field, xyz: np.ndarray) -> None:
             f"field {field.name or '<anonymous>'} is not defined at {p!r}")
 
 
+def _lift(op, *forms):
+    """The array form xyz -> op(form(xyz), ...), or None if a form is None."""
+    if any(form is None for form in forms):
+        return None
+    return lambda xyz: op(*(form(xyz) for form in forms))
+
+
 def _fd_steps(p: ReducedPoint, scale: float) -> tuple[float, float, float]:
     return (scale * max(1.0, abs(p.x)),
             scale * max(1.0, abs(p.y)),
@@ -146,6 +156,13 @@ class QuaternionField:
         array that matches ``jet`` row by row.  Requires ``jet``.
     domain_array : callable, optional
         ``domain`` on an (N, 3) point array, returning (N,) booleans.
+    value_array : callable, optional
+        The values alone on an (N, 3) point array, returning the (N, 4)
+        value slot of ``jet_array`` without computing the partials.  It
+        defaults to that slot of ``jet_array``.
+
+    Array forms assume the points lie in the domain; the methods check it
+    first.  ``_closed_form`` derives every form from one closed form.
     """
 
     def __init__(self, evaluate: Callable[[ReducedPoint], Quaternion],
@@ -153,14 +170,19 @@ class QuaternionField:
                  domain: Optional[Callable[[ReducedPoint], bool]] = None,
                  name: str = "",
                  jet_array: Optional[ArrayMap] = None,
-                 domain_array: Optional[ArrayMap] = None):
+                 domain_array: Optional[ArrayMap] = None,
+                 value_array: Optional[ArrayMap] = None):
         if jet_array is not None and jet is None:
             raise ValueError("an array jet needs the scalar jet beside it")
+        if value_array is None and jet_array is not None:
+            def value_array(xyz):
+                return jet_array(xyz)[0]
         self._evaluate = evaluate
         self._jet = jet
         self._domain = domain
         self._jet_array = jet_array
         self._domain_array = domain_array
+        self._value_array = value_array
         self.name = name
 
     @property
@@ -195,10 +217,12 @@ class QuaternionField:
 
     def value_array(self, xyz: np.ndarray) -> np.ndarray:
         """Values at the rows of an (N, 3) array as an (N, 4) array: the
-        value slot of the array jet, or else the field row by row."""
-        if self._jet_array is None:
+        value-only array form, or else the field row by row."""
+        if self._value_array is None:
             return node_rows(self, xyz)
-        return self.jet_array(xyz)[0]
+        if self._domain is not None:
+            _check_array(self, xyz)
+        return self._value_array(xyz)
 
     def _check(self, p: ReducedPoint) -> None:
         if not self.in_domain(p):
@@ -235,61 +259,110 @@ class QuaternionField:
     def __add__(self, other: "QuaternionField") -> "QuaternionField":
         if not isinstance(other, QuaternionField):
             return NotImplemented
-        jet = jet_array = None
+        jet = None
         if self.has_analytic_jet and other.has_analytic_jet:
             def jet(p, a=self._jet, b=other._jet):
                 ja, jb = a(p), b(p)
                 return Jet(ja.value + jb.value, ja.dx + jb.dx,
                            ja.dy + jb.dy, ja.dz + jb.dz)
-        if self.has_array_jet and other.has_array_jet:
-            def jet_array(xyz, a=self._jet_array, b=other._jet_array):
-                return a(xyz) + b(xyz)
         domain, domain_array = self._combined_domain(other)
         return QuaternionField(
             lambda p: self._evaluate(p) + other._evaluate(p),
             jet=jet, domain=domain, name=f"({self.name}+{other.name})",
-            jet_array=jet_array, domain_array=domain_array)
+            jet_array=_lift(np.add, self._jet_array, other._jet_array),
+            domain_array=domain_array,
+            value_array=_lift(np.add, self._value_array, other._value_array))
 
     def __mul__(self, s):
         if not isinstance(s, (int, float)):
             return NotImplemented
-        jet = jet_array = None
+        jet = None
         if self.has_analytic_jet:
             def jet(p, a=self._jet, s=float(s)):
                 ja = a(p)
                 return Jet(ja.value * s, ja.dx * s, ja.dy * s, ja.dz * s)
-        if self.has_array_jet:
-            def jet_array(xyz, a=self._jet_array, s=float(s)):
-                return a(xyz) * s
+
+        def scaled(table, s=float(s)):
+            return table * s
         return QuaternionField(lambda p: self._evaluate(p) * s, jet=jet,
                                domain=self._domain, name=f"{s}*{self.name}",
-                               jet_array=jet_array,
-                               domain_array=self._domain_array)
+                               jet_array=_lift(scaled, self._jet_array),
+                               domain_array=self._domain_array,
+                               value_array=_lift(scaled, self._value_array))
 
     __rmul__ = __mul__
 
     def conjugated(self) -> "QuaternionField":
         """The field p -> conj(f(p)), jets conjugated componentwise."""
-        jet = jet_array = None
+        jet = None
         if self.has_analytic_jet:
             def jet(p, a=self._jet):
                 ja = a(p)
                 return Jet(ja.value.conjugate(), ja.dx.conjugate(),
                            ja.dy.conjugate(), ja.dz.conjugate())
-        if self.has_array_jet:
-            def jet_array(xyz, a=self._jet_array):
-                return qconj(a(xyz))
         return QuaternionField(lambda p: self._evaluate(p).conjugate(),
                                jet=jet, domain=self._domain,
                                name=f"conj({self.name})",
-                               jet_array=jet_array,
-                               domain_array=self._domain_array)
+                               jet_array=_lift(qconj, self._jet_array),
+                               domain_array=self._domain_array,
+                               value_array=_lift(qconj, self._value_array))
 
     def without_analytic_jet(self) -> "QuaternionField":
         """A copy that always differentiates by finite differences."""
         return QuaternionField(self._evaluate, jet=None, domain=self._domain,
                                name=self.name,
                                domain_array=self._domain_array)
+
+
+def _closed_form(value, partials, domain=None, name: str = "",
+                 arrays: bool = True) -> QuaternionField:
+    """A field from one closed form written over coordinate columns.
+
+    ``value(x, y, z, xp)`` returns the four components of the field,
+    ``partials(x, y, z, xp)`` the twelve of its x, y and z partials (four
+    each) and ``domain(x, y, z, xp)`` where it is defined.  ``xp`` is
+    ``math`` when x, y, z are the floats of one point and ``numpy`` when
+    they are the (N,) columns of a point array.  The scalar value and jet
+    run on floats; with ``arrays`` the field also gets the array jet, the
+    value-only array form and the array domain.
+    """
+    def evaluate(p: ReducedPoint) -> Quaternion:
+        return Quaternion(*value(p.x, p.y, p.z, math))
+
+    def jet(p: ReducedPoint) -> Jet:
+        d = partials(p.x, p.y, p.z, math)
+        return Jet(evaluate(p), Quaternion(*d[:4]), Quaternion(*d[4:8]),
+                   Quaternion(*d[8:]))
+
+    point_domain = None
+    if domain is not None:
+        def point_domain(p: ReducedPoint) -> bool:
+            return domain(p.x, p.y, p.z, math)
+    if not arrays:
+        return QuaternionField(evaluate, jet=jet, domain=point_domain,
+                               name=name)
+
+    def fill(out: np.ndarray, entries) -> np.ndarray:
+        for idx, entry in enumerate(entries):
+            out[idx // 4, :, idx % 4] = entry
+        return out
+
+    def jet_array(xyz: np.ndarray) -> np.ndarray:
+        # the value's columns are stored before the partials run, so they
+        # are not held beside the partials' temporaries
+        x, y, z = xyz.T
+        out = fill(np.empty((4, len(xyz), 4)), value(x, y, z, np))
+        fill(out[1:], partials(x, y, z, np))
+        return out
+
+    def value_array(xyz: np.ndarray) -> np.ndarray:
+        return fill(np.empty((1, len(xyz), 4)), value(*xyz.T, np))[0]
+
+    domain_array = None if domain is None else \
+        (lambda xyz: domain(*xyz.T, np))
+    return QuaternionField(evaluate, jet=jet, domain=point_domain, name=name,
+                           jet_array=jet_array, domain_array=domain_array,
+                           value_array=value_array)
 
 
 class ScalarField:
@@ -427,17 +500,11 @@ def scalar_dbar_field(u: ScalarField) -> QuaternionField:
 
 def coordinate_field() -> QuaternionField:
     """x + y i + z j as a field with scalar and array jets; D of it is -1."""
-    def value(p: ReducedPoint) -> Quaternion:
-        return Quaternion(p.x, p.y, p.z, 0.0)
-
-    def jet_array(xyz: np.ndarray) -> np.ndarray:
-        table = np.zeros((4, len(xyz), 4))
-        table[0, :, :3] = xyz
-        table[1:, :, :3] = np.eye(3)[:, None, :]
-        return table
-
-    return QuaternionField(value, jet=lambda p: Jet(value(p), ONE, I, J),
-                           name="coordinate", jet_array=jet_array)
+    return _closed_form(lambda x, y, z, xp: (x, y, z, 0.0),
+                        lambda x, y, z, xp: (1.0, 0.0, 0.0, 0.0,
+                                             0.0, 1.0, 0.0, 0.0,
+                                             0.0, 0.0, 1.0, 0.0),
+                        name="coordinate")
 
 
 # ----------------------------------------------------------------------
@@ -557,6 +624,48 @@ def _poly(name, evaluate, gradient, hessian):
                        hessian=hessian, name=name)
 
 
+def _log_x_plus_r(scale: float = 1.0, center: ReducedPoint = ReducedPoint()):
+    """scale * log(u + r) with u = x - c_x and r = |x - c|, over columns.
+
+    Returns its value, gradient (three entries), Hessian (three rows) and
+    domain, each a function of (x, y, z, xp) as in ``_closed_form``.  The
+    domain excludes a ball of radius ``DEFAULT_EXCLUSION`` about c and a
+    tube of that radius about the ray from c along -x, where u + r = 0.
+    """
+    cx, cy, cz = center.x, center.y, center.z
+
+    def relative(x, y, z, xp):
+        u, v, w = x - cx, y - cy, z - cz
+        return u, v, w, xp.sqrt(u * u + v * v + w * w)
+
+    def value(x, y, z, xp):
+        u, v, w, r = relative(x, y, z, xp)
+        return scale * xp.log(u + r)
+
+    def gradient(x, y, z, xp):
+        u, v, w, r = relative(x, y, z, xp)
+        s = u + r
+        return scale / r, scale * v / (r * s), scale * w / (r * s)
+
+    def hessian(x, y, z, xp):
+        u, v, w, r = relative(x, y, z, xp)
+        s = u + r
+        r3 = r ** 3
+        c = (s + r) / (r3 * s * s)
+        return ((scale * -u / r3, scale * -v / r3, scale * -w / r3),
+                (scale * -v / r3, scale * (1.0 / (r * s) - v * v * c),
+                 scale * -v * w * c),
+                (scale * -w / r3, scale * -v * w * c,
+                 scale * (1.0 / (r * s) - w * w * c)))
+
+    def domain(x, y, z, xp):
+        u, v, w, r = relative(x, y, z, xp)
+        off_ray = (u > 0.0) | (xp.hypot(v, w) > DEFAULT_EXCLUSION)
+        return (r > DEFAULT_EXCLUSION) & off_ray
+
+    return value, gradient, hessian, domain
+
+
 def harmonic_catalog() -> dict[str, ScalarField]:
     """Named harmonic scalar fields with analytic gradients and Hessians.
 
@@ -649,35 +758,12 @@ def harmonic_catalog() -> dict[str, ScalarField]:
                                   hessian=x_over_r3_hess,
                                   domain=away_from_origin, name="x/r^3")
 
-    def off_negative_axis(p: ReducedPoint) -> bool:
-        if p.norm() <= DEFAULT_EXCLUSION:
-            return False
-        if p.x > 0.0:
-            return True
-        return math.hypot(p.y, p.z) > DEFAULT_EXCLUSION
-
-    def log_xr(p):
-        return math.log(p.x + p.norm())
-
-    def log_xr_grad(p):
-        r = p.norm()
-        s = p.x + r
-        return ReducedPoint(1.0 / r, p.y / (r * s), p.z / (r * s))
-
-    def log_xr_hess(p):
-        r = p.norm()
-        s = p.x + r
-        y, z = p.y, p.z
-        r3 = r ** 3
-        c = (s + r) / (r3 * s * s)
-        return ((-p.x / r3, -y / r3, -z / r3),
-                (-y / r3, 1.0 / (r * s) - y * y * c, -y * z * c),
-                (-z / r3, -y * z * c, 1.0 / (r * s) - z * z * c))
-
-    fields["log(x+r)"] = ScalarField(log_xr, gradient=log_xr_grad,
-                                     laplacian=lambda p: 0.0,
-                                     hessian=log_xr_hess,
-                                     domain=off_negative_axis,
-                                     name="log(x+r)")
+    value, gradient, hessian, domain = _log_x_plus_r()
+    fields["log(x+r)"] = ScalarField(
+        lambda p: value(p.x, p.y, p.z, math),
+        gradient=lambda p: gradient(p.x, p.y, p.z, math),
+        laplacian=lambda p: 0.0,
+        hessian=lambda p: hessian(p.x, p.y, p.z, math),
+        domain=lambda p: domain(p.x, p.y, p.z, math), name="log(x+r)")
 
     return fields

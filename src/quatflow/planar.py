@@ -22,10 +22,9 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .quaternion import ReducedPoint
-from .fields import DEFAULT_EXCLUSION
 from .forces import force_blasius, moment_quadratic
-from .potentials import FlowPotential, embedded_potential
-from .surfaces import RegularBody
+from .potentials import FlowPotential, _cylinder_forms, embedded_potential
+from .surfaces import RegularBody, gauss_legendre
 
 __all__ = [
     "ComplexPotential",
@@ -80,27 +79,14 @@ def uniform_2d(speed: float) -> ComplexPotential:
 
 def cylinder_2d(speed: float, radius: float) -> ComplexPotential:
     u, a = float(speed), float(radius)
-    return ComplexPotential(
-        lambda z: u * (z + a * a / z),
-        lambda z: u * (1.0 - a * a / (z * z)),
-        domain2d=lambda z: abs(z) > DEFAULT_EXCLUSION,
-        name=f"cylinder2d(U={u},a={a})")
+    return ComplexPotential(*_cylinder_forms(u, a),
+                            name=f"cylinder2d(U={u},a={a})")
 
 
 def cylinder_vortex_2d(speed: float, radius: float,
                        circulation: float) -> ComplexPotential:
     u, a, gamma = float(speed), float(radius), float(circulation)
-    k = gamma / (2.0 * math.pi)
-
-    def f(z: complex) -> complex:
-        log_z = complex(math.log(abs(z)), math.atan2(z.imag, z.real))
-        return u * (z + a * a / z) - 1j * k * log_z
-
-    def df(z: complex) -> complex:
-        return u * (1.0 - a * a / (z * z)) - 1j * k / z
-
-    return ComplexPotential(f, df,
-                            domain2d=lambda z: abs(z) > DEFAULT_EXCLUSION,
+    return ComplexPotential(*_cylinder_forms(u, a, gamma),
                             name=f"cylinder2d(U={u},a={a},G={gamma})")
 
 
@@ -151,7 +137,7 @@ class PlanarContour:
         if order < 2:
             raise ValueError("contour quadrature order must be at least 2")
         if order not in self._cache:
-            x, w = np.polynomial.legendre.leggauss(order)
+            x, w = gauss_legendre(order)
             s0, s1 = self.s_range
             edges = np.linspace(s0, s1, self.panels + 1)
             all_s, all_w = [], []

@@ -13,9 +13,11 @@ stream-function surrogates.  Two construction routes are provided:
 
 ``catalog`` collects closed-form potentials used across the test suite:
 uniform streams, a point source, a dipole, flow past a sphere, and the
-planar cylinder flows embedded in the i-plane.  Each carries its jet and
-domain in array form as well, so surface quadrature evaluates a whole
-chart in one call.
+planar cylinder flows embedded in the i-plane.  Each kind is one closed
+form written once over coordinate columns, for floats and numpy arrays
+alike; ``fields._closed_form`` derives its scalar value and jet, its
+array jet and values, and its domain from that form, so surface
+quadrature evaluates a whole chart in one call.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .quaternion import Quaternion, ReducedPoint
+from .surfaces import gauss_legendre
 from .fields import (
     DEFAULT_EXCLUSION,
     FD_STEP,
@@ -34,7 +37,9 @@ from .fields import (
     MonogenicityReport,
     QuaternionField,
     ScalarField,
+    _closed_form,
     _fd_stencil,
+    _log_x_plus_r,
     apply_Dbar_right,
     is_monogenic,
     scalar_dbar_field,
@@ -194,7 +199,7 @@ def monogenic_from_gradient(u: ScalarField,
             harmonic_tol = 1e-8 if u.has_analytic_laplacian else 1e-3
         for p in probe_points:
             lap = u.laplacian_at(p)
-            if abs(lap) > harmonic_tol:
+            if not abs(lap) <= harmonic_tol:
                 raise ValueError(
                     f"scalar field {u.name or '<anonymous>'} is not harmonic: "
                     f"laplacian {lap:.3e} at {p!r} exceeds {harmonic_tol:.1e}")
@@ -207,7 +212,7 @@ class CompletionError(ArithmeticError):
 
 
 def _gauss01(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = gauss_legendre(n)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
@@ -254,7 +259,7 @@ def monogenic_completion(u: ScalarField,
                              center.z + t * dxq.z)
             if check_harmonic:
                 lap = u.laplacian_at(q)
-                if abs(lap) > lap_tol:
+                if not abs(lap) <= lap_tol:
                     raise ValueError(
                         f"completion input {u.name or '<anonymous>'} is not "
                         f"harmonic near {q!r} (laplacian {lap:.3e})")
@@ -278,10 +283,8 @@ def monogenic_completion(u: ScalarField,
         return Jet(*out)
 
     def _gap(a: Jet, b: Jet) -> float:
-        g = 0.0
-        for qa, qb in zip(a, b):
-            g = max(g, (qa - qb).norm())
-        return g
+        # np.max propagates NaN where the builtin max would drop it
+        return float(np.max([(qa - qb).norm() for qa, qb in zip(a, b)]))
 
     def adaptive_jet(p: ReducedPoint) -> Jet:
         n = order
@@ -294,7 +297,7 @@ def monogenic_completion(u: ScalarField,
             prev = cur
         n *= 2
         cur = raw_jet(p, n)
-        if _gap(prev, cur) > hard_cap:
+        if not _gap(prev, cur) <= hard_cap:
             raise CompletionError(
                 f"completion quadrature for {u.name or '<anonymous>'} stuck "
                 f"above {hard_cap:.0e} at {p!r} (order {n})")
@@ -367,7 +370,7 @@ def geometric_stream_functions(velocity: VelocityField,
             ("d(v3)/dx", jac[2][0]),
         )
         for label, val in checks:
-            if abs(val) > tol:
+            if not abs(val) <= tol:
                 failures.append(f"{label} = {val:.3e} at {p.as_tuple()}")
     if failures:
         shown = "; ".join(failures[:4])
@@ -378,7 +381,7 @@ def geometric_stream_functions(velocity: VelocityField,
 
     v0 = velocity(probes[0])
     for p in probes[1:]:
-        if (velocity(p) - v0).norm() > tol * (1.0 + v0.norm()):
+        if not (velocity(p) - v0).norm() <= tol * (1.0 + v0.norm()):
             raise IntegrabilityError(
                 "velocity field passes derivative probes but is not "
                 "constant across the probe set")
@@ -425,7 +428,7 @@ def gauge_transform(potential: FlowPotential, extra: QuaternionField,
         pts = list(probe_points)
         for p in pts:
             s = extra(p).q0
-            if abs(s) > tol:
+            if not abs(s) <= tol:
                 raise ValueError(
                     f"gauge field has scalar part {s:.3e} at {p!r}")
         report = is_monogenic(extra, pts, tol=None)
@@ -441,96 +444,47 @@ def gauge_transform(potential: FlowPotential, extra: QuaternionField,
 # closed-form catalog
 # ----------------------------------------------------------------------
 
-def _jets(n: int, *entries) -> np.ndarray:
-    """A (4, n, 4) jet array from 16 entries, arrays or scalars.
-
-    The entries run over the value, d/dx, d/dy and d/dz, four quaternion
-    components each.
-    """
-    out = np.empty((4, n, 4))
-    for idx, entry in enumerate(entries):
-        out[idx // 4, :, idx % 4] = entry
-    return out
-
-
-def _columns(xyz: np.ndarray, center: ReducedPoint = ReducedPoint()):
-    return xyz[:, 0] - center.x, xyz[:, 1] - center.y, xyz[:, 2] - center.z
-
-
 def uniform_flow(u1: float, u2: float = 0.0, u3: float = 0.0) -> FlowPotential:
     """Uniform stream with velocity (u1, u2, u3)."""
     u1, u2, u3 = float(u1), float(u2), float(u3)
 
-    def value(p: ReducedPoint) -> Quaternion:
-        return Quaternion(u1 * p.x + u2 * p.y + u3 * p.z,
-                          0.5 * (u1 * p.y - u2 * p.x),
-                          0.5 * (u1 * p.z - u3 * p.x),
-                          0.5 * (u3 * p.y - u2 * p.z))
+    def value(x, y, z, xp):
+        return (u1 * x + u2 * y + u3 * z, 0.5 * (u1 * y - u2 * x),
+                0.5 * (u1 * z - u3 * x), 0.5 * (u3 * y - u2 * z))
 
-    dx = Quaternion(u1, -0.5 * u2, -0.5 * u3, 0.0)
-    dy = Quaternion(u2, 0.5 * u1, 0.0, 0.5 * u3)
-    dz = Quaternion(u3, 0.0, 0.5 * u1, -0.5 * u2)
+    def partials(x, y, z, xp):
+        return (u1, -0.5 * u2, -0.5 * u3, 0.0,
+                u2, 0.5 * u1, 0.0, 0.5 * u3,
+                u3, 0.0, 0.5 * u1, -0.5 * u2)
 
-    def jet_array(xyz: np.ndarray) -> np.ndarray:
-        x, y, z = _columns(xyz)
-        return _jets(len(xyz), u1 * x + u2 * y + u3 * z,
-                     0.5 * (u1 * y - u2 * x), 0.5 * (u1 * z - u3 * x),
-                     0.5 * (u3 * y - u2 * z),
-                     *dx.as_tuple(), *dy.as_tuple(), *dz.as_tuple())
-
-    field = QuaternionField(value, jet=lambda p: Jet(value(p), dx, dy, dz),
-                            name=f"uniform({u1},{u2},{u3})",
-                            jet_array=jet_array)
+    field = _closed_form(value, partials, name=f"uniform({u1},{u2},{u3})")
     return FlowPotential(field, name=field.name,
                          description="uniform stream")
 
 
 def identity_flow() -> FlowPotential:
     """Monogenic extension of the coordinate x: x + (y/2) i + (z/2) j."""
-    def value(p: ReducedPoint) -> Quaternion:
-        return Quaternion(p.x, 0.5 * p.y, 0.5 * p.z, 0.0)
-
-    dx = Quaternion(1.0)
-    dy = Quaternion(0.0, 0.5, 0.0, 0.0)
-    dz = Quaternion(0.0, 0.0, 0.5, 0.0)
-    def jet_array(xyz: np.ndarray) -> np.ndarray:
-        x, y, z = _columns(xyz)
-        return _jets(len(xyz), x, 0.5 * y, 0.5 * z, 0.0,
-                     *dx.as_tuple(), *dy.as_tuple(), *dz.as_tuple())
-
-    field = QuaternionField(value, jet=lambda p: Jet(value(p), dx, dy, dz),
-                            name="identity", jet_array=jet_array)
+    field = _closed_form(lambda x, y, z, xp: (x, 0.5 * y, 0.5 * z, 0.0),
+                         lambda x, y, z, xp: (1.0, 0.0, 0.0, 0.0,
+                                              0.0, 0.5, 0.0, 0.0,
+                                              0.0, 0.0, 0.5, 0.0),
+                         name="identity")
     return FlowPotential(field, name="identity",
                          description="monogenic extension of x")
 
 
 def saddle_flow() -> FlowPotential:
     """Monogenic extension of the planar saddle x^2 - y^2."""
-    def value(p: ReducedPoint) -> Quaternion:
-        return Quaternion(p.x * p.x - p.y * p.y,
-                          4.0 * p.x * p.y / 3.0,
-                          2.0 * p.x * p.z / 3.0,
-                          2.0 * p.y * p.z / 3.0)
+    def value(x, y, z, xp):
+        return (x * x - y * y, 4.0 * x * y / 3.0, 2.0 * x * z / 3.0,
+                2.0 * y * z / 3.0)
 
-    def jet(p: ReducedPoint) -> Jet:
-        return Jet(
-            value(p),
-            Quaternion(2.0 * p.x, 4.0 * p.y / 3.0, 2.0 * p.z / 3.0, 0.0),
-            Quaternion(-2.0 * p.y, 4.0 * p.x / 3.0, 0.0, 2.0 * p.z / 3.0),
-            Quaternion(0.0, 0.0, 2.0 * p.x / 3.0, 2.0 * p.y / 3.0),
-        )
+    def partials(x, y, z, xp):
+        return (2.0 * x, 4.0 * y / 3.0, 2.0 * z / 3.0, 0.0,
+                -2.0 * y, 4.0 * x / 3.0, 0.0, 2.0 * z / 3.0,
+                0.0, 0.0, 2.0 * x / 3.0, 2.0 * y / 3.0)
 
-    def jet_array(xyz: np.ndarray) -> np.ndarray:
-        x, y, z = _columns(xyz)
-        return _jets(len(xyz),
-                     x * x - y * y, 4.0 * x * y / 3.0, 2.0 * x * z / 3.0,
-                     2.0 * y * z / 3.0,
-                     2.0 * x, 4.0 * y / 3.0, 2.0 * z / 3.0, 0.0,
-                     -2.0 * y, 4.0 * x / 3.0, 0.0, 2.0 * z / 3.0,
-                     0.0, 0.0, 2.0 * x / 3.0, 2.0 * y / 3.0)
-
-    field = QuaternionField(value, jet=jet, name="saddle",
-                            jet_array=jet_array)
+    field = _closed_form(value, partials, name="saddle")
     return FlowPotential(field, name="saddle",
                          description="monogenic extension of x^2 - y^2")
 
@@ -546,74 +500,20 @@ def point_source(strength: float,
     and is monogenic everywhere off the ray.
     """
     m = float(strength)
-    scale = -m / (4.0 * math.pi)
-    cx, cy, cz = center.x, center.y, center.z
+    _, gradient, hessian, domain = _log_x_plus_r(-m / (4.0 * math.pi), center)
 
-    def _rel(p: ReducedPoint):
-        return p.x - cx, p.y - cy, p.z - cz
+    def value(x, y, z, xp):
+        gx, gy, gz = gradient(x, y, z, xp)
+        return gx, -gy, -gz, 0.0
 
-    def domain(p: ReducedPoint) -> bool:
-        u, v, w = _rel(p)
-        r = math.sqrt(u * u + v * v + w * w)
-        if r <= DEFAULT_EXCLUSION:
-            return False
-        if u > 0.0:
-            return True
-        return math.hypot(v, w) > DEFAULT_EXCLUSION
+    def partials(x, y, z, xp):
+        (h00, h01, h02), (_, h11, h12), (_, _, h22) = hessian(x, y, z, xp)
+        return (h00, -h01, -h02, 0.0,
+                h01, -h11, -h12, 0.0,
+                h02, -h12, -h22, 0.0)
 
-    def ev(p: ReducedPoint) -> float:
-        u, v, w = _rel(p)
-        r = math.sqrt(u * u + v * v + w * w)
-        return scale * math.log(u + r)
-
-    def grad(p: ReducedPoint) -> ReducedPoint:
-        u, v, w = _rel(p)
-        r = math.sqrt(u * u + v * v + w * w)
-        s = u + r
-        return ReducedPoint(scale / r, scale * v / (r * s),
-                            scale * w / (r * s))
-
-    def hess(p: ReducedPoint):
-        u, v, w = _rel(p)
-        r = math.sqrt(u * u + v * v + w * w)
-        s = u + r
-        r3 = r ** 3
-        c = (s + r) / (r3 * s * s)
-        return ((scale * -u / r3, scale * -v / r3, scale * -w / r3),
-                (scale * -v / r3, scale * (1.0 / (r * s) - v * v * c),
-                 scale * -v * w * c),
-                (scale * -w / r3, scale * -v * w * c,
-                 scale * (1.0 / (r * s) - w * w * c)))
-
-    def domain_array(xyz: np.ndarray) -> np.ndarray:
-        u, v, w = _columns(xyz, center)
-        r = np.sqrt(u * u + v * v + w * w)
-        off_ray = (u > 0.0) | (np.hypot(v, w) > DEFAULT_EXCLUSION)
-        return (r > DEFAULT_EXCLUSION) & off_ray
-
-    def jet_array(xyz: np.ndarray) -> np.ndarray:
-        # Dbar of the primitive: value (g_x, -g_y, -g_z), partials from
-        # the Hessian, with the expressions of grad and hess above
-        u, v, w = _columns(xyz, center)
-        r = np.sqrt(u * u + v * v + w * w)
-        s = u + r
-        r3 = r ** 3
-        c = (s + r) / (r3 * s * s)
-        h01, h02 = scale * -v / r3, scale * -w / r3
-        h12 = scale * -v * w * c
-        return _jets(len(xyz),
-                     scale / r, -(scale * v / (r * s)), -(scale * w / (r * s)),
-                     0.0,
-                     scale * -u / r3, -h01, -h02, 0.0,
-                     h01, -(scale * (1.0 / (r * s) - v * v * c)), -h12, 0.0,
-                     h02, -h12, -(scale * (1.0 / (r * s) - w * w * c)), 0.0)
-
-    g = ScalarField(ev, gradient=grad, laplacian=lambda p: 0.0, hessian=hess,
-                    domain=domain, name=f"source_log({m})")
-    dbar = scalar_dbar_field(g)
-    field = QuaternionField(dbar._evaluate, jet=dbar._jet, domain=domain,
-                            name=dbar.name, jet_array=jet_array,
-                            domain_array=domain_array)
+    field = _closed_form(value, partials, domain,
+                         name=f"dbar(source_log({m}))")
     return FlowPotential(field, name=f"source({m})",
                          description="point source (ray-cut logarithmic "
                                      "primitive)")
@@ -625,48 +525,28 @@ def dipole_flow(coefficient: float,
     c0 = float(coefficient)
     cx, cy, cz = center.x, center.y, center.z
 
-    def domain(p: ReducedPoint) -> bool:
-        return p.distance_to(center) > DEFAULT_EXCLUSION
+    def value(x, y, z, xp):
+        x, y, z = x - cx, y - cy, z - cz
+        r3 = xp.sqrt(x * x + y * y + z * z) ** 3
+        return c0 * x / r3, -c0 * y / r3, -c0 * z / r3, 0.0
 
-    def value(p: ReducedPoint) -> Quaternion:
-        x, y, z = p.x - cx, p.y - cy, p.z - cz
-        r3 = math.sqrt(x * x + y * y + z * z) ** 3
-        return Quaternion(c0 * x / r3, -c0 * y / r3, -c0 * z / r3, 0.0)
-
-    def jet(p: ReducedPoint) -> Jet:
-        x, y, z = p.x - cx, p.y - cy, p.z - cz
-        r = math.sqrt(x * x + y * y + z * z)
+    def partials(x, y, z, xp):
+        x, y, z = x - cx, y - cy, z - cz
+        r = xp.sqrt(x * x + y * y + z * z)
         r3, r5 = r ** 3, r ** 5
-        dx = Quaternion(c0 * (1.0 / r3 - 3.0 * x * x / r5),
-                        c0 * 3.0 * x * y / r5, c0 * 3.0 * x * z / r5, 0.0)
-        dy = Quaternion(-c0 * 3.0 * x * y / r5,
-                        c0 * (-1.0 / r3 + 3.0 * y * y / r5),
-                        c0 * 3.0 * y * z / r5, 0.0)
-        dz = Quaternion(-c0 * 3.0 * x * z / r5, c0 * 3.0 * y * z / r5,
-                        c0 * (-1.0 / r3 + 3.0 * z * z / r5), 0.0)
-        return Jet(value(p), dx, dy, dz)
+        return (c0 * (1.0 / r3 - 3.0 * x * x / r5),
+                c0 * 3.0 * x * y / r5, c0 * 3.0 * x * z / r5, 0.0,
+                -c0 * 3.0 * x * y / r5,
+                c0 * (-1.0 / r3 + 3.0 * y * y / r5),
+                c0 * 3.0 * y * z / r5, 0.0,
+                -c0 * 3.0 * x * z / r5, c0 * 3.0 * y * z / r5,
+                c0 * (-1.0 / r3 + 3.0 * z * z / r5), 0.0)
 
-    def domain_array(xyz: np.ndarray) -> np.ndarray:
-        x, y, z = _columns(xyz, center)
-        return np.sqrt(x * x + y * y + z * z) > DEFAULT_EXCLUSION
+    def domain(x, y, z, xp):
+        x, y, z = x - cx, y - cy, z - cz
+        return xp.sqrt(x * x + y * y + z * z) > DEFAULT_EXCLUSION
 
-    def jet_array(xyz: np.ndarray) -> np.ndarray:
-        x, y, z = _columns(xyz, center)
-        r = np.sqrt(x * x + y * y + z * z)
-        r3, r5 = r ** 3, r ** 5
-        return _jets(len(xyz),
-                     c0 * x / r3, -c0 * y / r3, -c0 * z / r3, 0.0,
-                     c0 * (1.0 / r3 - 3.0 * x * x / r5),
-                     c0 * 3.0 * x * y / r5, c0 * 3.0 * x * z / r5, 0.0,
-                     -c0 * 3.0 * x * y / r5,
-                     c0 * (-1.0 / r3 + 3.0 * y * y / r5),
-                     c0 * 3.0 * y * z / r5, 0.0,
-                     -c0 * 3.0 * x * z / r5, c0 * 3.0 * y * z / r5,
-                     c0 * (-1.0 / r3 + 3.0 * z * z / r5), 0.0)
-
-    field = QuaternionField(value, jet=jet, domain=domain,
-                            name=f"dipole({c0})", jet_array=jet_array,
-                            domain_array=domain_array)
+    field = _closed_form(value, partials, domain, name=f"dipole({c0})")
     return FlowPotential(field, name=field.name,
                          description="x-directed dipole")
 
@@ -690,46 +570,63 @@ def embedded_potential(f: Callable[[complex], complex],
     The plane carries zeta = x + iy; the field w = Re f + (Im f) i is
     independent of z and monogenic wherever f is holomorphic.  With
     ``vectorized`` the three callables also map numpy complex arrays
-    elementwise, which gives the field its array jet.
+    elementwise, which gives the field its array forms; without it they
+    only ever see complex numbers.
     """
-    def domain(p: ReducedPoint) -> bool:
-        return domain2d is None or domain2d(complex(p.x, p.y))
+    def zeta(x, y, xp):
+        if xp is math:
+            return complex(x, y)
+        out = x.astype(complex)
+        out.imag = y
+        return out
 
-    def value(p: ReducedPoint) -> Quaternion:
-        fz = f(complex(p.x, p.y))
-        return Quaternion(fz.real, fz.imag, 0.0, 0.0)
+    def value(x, y, z, xp):
+        fz = f(zeta(x, y, xp))
+        return fz.real, fz.imag, 0.0, 0.0
 
-    def jet(p: ReducedPoint) -> Jet:
-        fp = fprime(complex(p.x, p.y))
-        return Jet(value(p),
-                   Quaternion(fp.real, fp.imag, 0.0, 0.0),
-                   Quaternion(-fp.imag, fp.real, 0.0, 0.0),
-                   Quaternion())
+    def partials(x, y, z, xp):
+        fp = fprime(zeta(x, y, xp))
+        return (fp.real, fp.imag, 0.0, 0.0,
+                -fp.imag, fp.real, 0.0, 0.0,
+                0.0, 0.0, 0.0, 0.0)
 
-    jet_array = domain_array = None
-    if vectorized:
-        def zeta(xyz: np.ndarray) -> np.ndarray:
-            z = xyz[:, 0].astype(complex)
-            z.imag = xyz[:, 1]
-            return z
+    domain = None
+    if domain2d is not None:
+        def domain(x, y, z, xp):
+            return domain2d(zeta(x, y, xp))
 
-        def jet_array(xyz: np.ndarray) -> np.ndarray:
-            z = zeta(xyz)
-            fz, fp = f(z), fprime(z)
-            return _jets(len(xyz), fz.real, fz.imag, 0.0, 0.0,
-                         fp.real, fp.imag, 0.0, 0.0,
-                         -fp.imag, fp.real, 0.0, 0.0,
-                         0.0, 0.0, 0.0, 0.0)
-
-        if domain2d is not None:
-            def domain_array(xyz: np.ndarray) -> np.ndarray:
-                return domain2d(zeta(xyz))
-
-    field = QuaternionField(value, jet=jet, domain=domain,
-                            name=name or "embedded", jet_array=jet_array,
-                            domain_array=domain_array)
+    field = _closed_form(value, partials, domain, name=name or "embedded",
+                         arrays=vectorized)
     return FlowPotential(field, name=field.name,
                          description="embedded planar potential")
+
+
+def _cylinder_forms(speed: float, radius: float, circulation: float = 0.0):
+    """f, f' and the planar domain of the flow past a circular cylinder.
+
+    f = U (zeta + a^2 / zeta), plus -(i Gamma / 2 pi) log(zeta) for
+    nonzero circulation; all three map complex numbers and numpy complex
+    arrays alike.
+    """
+    u, a, gamma = float(speed), float(radius), float(circulation)
+    k = gamma / (2.0 * math.pi)
+
+    def f(z):
+        out = u * (z + a * a / z)
+        if gamma != 0.0:
+            out += -1j * k * _principal_log(z)
+        return out
+
+    def fp(z):
+        out = u * (1.0 - a * a / (z * z))
+        if gamma != 0.0:
+            out += -1j * k / z
+        return out
+
+    def domain2d(z):
+        return abs(z) > DEFAULT_EXCLUSION
+
+    return f, fp, domain2d
 
 
 def embedded_cylinder_flow(speed: float, radius: float,
@@ -744,23 +641,7 @@ def embedded_cylinder_flow(speed: float, radius: float,
     integrals of the jet never see the cut.
     """
     u, a, gamma = float(speed), float(radius), float(circulation)
-    k = gamma / (2.0 * math.pi)
-
-    def f(z: complex) -> complex:
-        out = u * (z + a * a / z)
-        if gamma != 0.0:
-            out += -1j * k * _principal_log(z)
-        return out
-
-    def fp(z: complex) -> complex:
-        out = u * (1.0 - a * a / (z * z))
-        if gamma != 0.0:
-            out += -1j * k / z
-        return out
-
-    def domain2d(z: complex) -> bool:
-        return abs(z) > DEFAULT_EXCLUSION
-
+    f, fp, domain2d = _cylinder_forms(u, a, gamma)
     name = f"embedded_cylinder(U={u},a={a},G={gamma})"
     return embedded_potential(f, fp, domain2d=domain2d, name=name,
                               vectorized=True)

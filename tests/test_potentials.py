@@ -9,7 +9,9 @@ from quatflow import (
     CompletionError,
     DomainError,
     IntegrabilityError,
+    Jet,
     Quaternion,
+    QuaternionField,
     ReducedPoint,
     ScalarField,
     VelocityField,
@@ -28,6 +30,7 @@ from quatflow import (
     uniform_flow,
     vector_gauge_field,
 )
+from quatflow.planar import cylinder_vortex_2d
 
 PROBES = [
     ReducedPoint(1.1, 0.2, 0.3),
@@ -286,3 +289,134 @@ def test_velocity_field_jacobian_from_potential():
     for row, erow in zip(jac, expect):
         for a, b in zip(row, erow):
             assert abs(a - b) <= 1e-6
+
+
+# NaN must fail every tolerance check: `abs(x) > tol` is False for NaN, so
+# each check is written `not abs(x) <= tol`.
+NAN = float("nan")
+ZERO_HESSIAN = ((0.0, 0.0, 0.0),) * 3
+
+
+def test_completion_raises_on_a_nan_jet():
+    u = ScalarField(lambda p: p.x, gradient=lambda p: (NAN, 0.0, 0.0),
+                    laplacian=lambda p: 0.0, hessian=lambda p: ZERO_HESSIAN,
+                    name="nan-gradient")
+    pot = monogenic_completion(u, order=4)
+    with pytest.raises(CompletionError, match="nan-gradient"):
+        pot.jet_at(ReducedPoint(0.3, 0.1, 0.2))
+
+
+def test_completion_rejects_a_nan_laplacian():
+    u = ScalarField(lambda p: p.x, gradient=lambda p: (1.0, 0.0, 0.0),
+                    laplacian=lambda p: NAN, hessian=lambda p: ZERO_HESSIAN,
+                    name="nan-laplacian")
+    with pytest.raises(ValueError, match="not harmonic"):
+        monogenic_completion(u)(ReducedPoint(0.3, 0.1, 0.2))
+
+
+def test_monogenic_from_gradient_rejects_a_nan_laplacian():
+    u = ScalarField(lambda p: p.x, gradient=lambda p: (1.0, 0.0, 0.0),
+                    laplacian=lambda p: NAN, name="nan-laplacian")
+    with pytest.raises(ValueError, match="laplacian nan"):
+        monogenic_from_gradient(u, probe_points=PROBES)
+
+
+def test_stream_functions_reject_a_nan_jacobian():
+    v = VelocityField(lambda p: ReducedPoint(1.0, 0.0, 0.0),
+                      jacobian=lambda p: ((NAN, 0.0, 0.0),) * 3)
+    with pytest.raises(IntegrabilityError, match="= nan"):
+        geometric_stream_functions(v)
+
+
+def test_stream_functions_reject_a_nan_velocity():
+    v = VelocityField(lambda p: ReducedPoint(NAN, 0.0, 0.0),
+                      jacobian=lambda p: ZERO_HESSIAN)
+    with pytest.raises(IntegrabilityError, match="not constant"):
+        geometric_stream_functions(v)
+
+
+def test_gauge_transform_rejects_a_nan_scalar_part():
+    # a constant NaN scalar part: D of it vanishes, so only the scalar-part
+    # check can refuse it
+    value = Quaternion(NAN, 0.0, 0.0, 0.0)
+    zero = Quaternion()
+    extra = QuaternionField(lambda p: value,
+                            jet=lambda p: Jet(value, zero, zero, zero),
+                            name="nan-scalar")
+    with pytest.raises(ValueError, match="scalar part nan"):
+        gauge_transform(uniform_flow(1.0), extra, probe_points=PROBES)
+
+
+# Values of the closed forms that are now written once, recorded from the
+# separate copies they replace: the harmonic catalog's log(x+r), the point
+# source built on the same primitive, and the planar cylinder with
+# circulation, whose f and f' the embedded cylinder flow shares.  The two
+# points are the first draws of random.Random(20251018) in [-2, 2]^3 with
+# |p| > 0.5 and |y|, |z| > 0.1, off the source's cut ray.
+MERGED_POINTS = [
+    ReducedPoint(1.7236786659941852, 0.7323679333497175, -1.9711508084361058),
+    ReducedPoint(0.7436027342763878, 0.12087026899372466, 1.0649912141577653),
+]
+MERGED_VALUES = {
+    "log(x+r) gradient": [
+        (0.3677846249102155, 0.06062889984717495, -0.16318123651555788),
+        (0.7665680691888226, 0.045239226392680125, 0.3986040491562057),
+    ],
+    "log(x+r) hessian": [
+        ((-0.08575057002938315, -0.03643426642967537, 0.09806195828256872),
+         (-0.03643426642967537, 0.07310274175300455, 0.026058907198376557),
+         (0.09806195828256872, 0.026058907198376557, 0.012647828276378628)),
+        ((-0.3349601584298926, -0.05444671272087246, -0.47973146060021993),
+         (-0.05444671272087246, 0.3690194147555895, -0.04634402350964545),
+         (-0.47973146060021993, -0.04634402350964545, -0.03405925632569695)),
+    ],
+    "source jet": [
+        (-0.029267370523829713, 0.0048246945524506755,
+         -0.012985550205649366, 0.0,
+         0.006823813546562031, -0.002899346800104968, 0.007803522694971021,
+         0.0,
+         0.002899346800104968, 0.00581733135178048, 0.0020737019460973015,
+         0.0,
+         -0.007803522694971021, 0.0020737019460973015,
+         0.0010064821947815526, 0.0),
+        (-0.06100154871390557, 0.0036000232510241875, 0.03171990237982748,
+         0.0,
+         0.026655282476480902, -0.0043327317323156155,
+         -0.038175816655609915, 0.0,
+         0.0043327317323156155, 0.02936563197761519,
+         -0.0036879402121635413, 0.0,
+         0.038175816655609915, -0.0036879402121635413,
+         -0.0027103495011342876, 0.0),
+    ],
+    "cylinder vortex f": [(2.6168894805866927-0.10387865029322252j),
+                          (2.2149272875167174+0.1911126376454698j)],
+    "cylinder vortex df": [(0.5932851475350329-0.2862078825760991j),
+                           (-0.8842019448650094-0.7521344773916117j)],
+}
+
+
+def _flat(value):
+    if isinstance(value, tuple):
+        return [c for part in value for c in _flat(part)]
+    return [value]
+
+
+def test_merged_closed_forms_reproduce_the_recorded_values():
+    log_xr = harmonic_catalog()["log(x+r)"]
+    source = point_source(1.0)
+    vortex = cylinder_vortex_2d(1, 1, 2.0 * math.pi)
+    got = {
+        "log(x+r) gradient": [log_xr.gradient_at(p).as_tuple()
+                              for p in MERGED_POINTS],
+        "log(x+r) hessian": [log_xr.hessian_at(p) for p in MERGED_POINTS],
+        "source jet": [tuple(c for q in source.jet_at(p) for c in q.as_tuple())
+                       for p in MERGED_POINTS],
+        "cylinder vortex f": [vortex.f(complex(p.x, p.y))
+                              for p in MERGED_POINTS],
+        "cylinder vortex df": [vortex.df(complex(p.x, p.y))
+                               for p in MERGED_POINTS],
+    }
+    assert got == MERGED_VALUES
+    for values in got.values():
+        assert all(type(c) in (float, complex)
+                   for value in values for c in _flat(value))
