@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .quaternion import Quaternion, ReducedPoint, I, J, qconj
-from .surfaces import as_points, evaluate_nodes, node_rows
+from .surfaces import as_points, evaluate_nodes, in_node_order, node_rows
 
 __all__ = [
     "DomainError",
@@ -91,13 +91,15 @@ def _domain_mask(domain, domain_array, xyz: np.ndarray) -> np.ndarray:
     return np.array([bool(domain(p)) for p in as_points(xyz)], dtype=bool)
 
 
-def _check_array(field, xyz: np.ndarray) -> None:
-    """Raise DomainError at the first row of xyz outside the field's domain."""
-    inside = field.in_domain_array(xyz)
-    if not inside.all():
-        p = ReducedPoint(*xyz[int(np.argmin(inside))].tolist())
-        raise DomainError(
-            f"field {field.name or '<anonymous>'} is not defined at {p!r}")
+def _checked(field, xyz: np.ndarray) -> np.ndarray:
+    """xyz, after DomainError at its first row outside the field's domain."""
+    if field._domain is not None:
+        inside = field.in_domain_array(xyz)
+        if not inside.all():
+            p = ReducedPoint(*xyz[int(np.argmin(inside))].tolist())
+            raise DomainError(
+                f"field {field.name or '<anonymous>'} is not defined at {p!r}")
+    return xyz
 
 
 def _lift(op, *forms):
@@ -205,24 +207,24 @@ class QuaternionField:
 
         Index 0 of the first axis is the value, 1 to 3 the partials along
         x, y, z.  Fields without an array jet call ``jet_at`` row by row.
+        An error is the one ``jet_at`` meets first row by row, so
         DomainError names the first row outside the domain.
         """
         if self._jet_array is None:
             jets = evaluate_nodes(self.jet_at, as_points(xyz))
             table = np.array([[q.as_tuple() for q in jet] for jet in jets])
             return table.reshape(-1, 4, 4).transpose(1, 0, 2)
-        if self._domain is not None:
-            _check_array(self, xyz)
-        return self._jet_array(xyz)
+        return in_node_order(
+            lambda xyz: self._jet_array(_checked(self, xyz)), self.jet_at, xyz)
 
     def value_array(self, xyz: np.ndarray) -> np.ndarray:
         """Values at the rows of an (N, 3) array as an (N, 4) array: the
-        value-only array form, or else the field row by row."""
+        value-only array form, or else the field row by row.  An error is
+        the one the field meets first row by row."""
         if self._value_array is None:
             return node_rows(self, xyz)
-        if self._domain is not None:
-            _check_array(self, xyz)
-        return self._value_array(xyz)
+        return in_node_order(
+            lambda xyz: self._value_array(_checked(self, xyz)), self, xyz)
 
     def _check(self, p: ReducedPoint) -> None:
         if not self.in_domain(p):
@@ -424,9 +426,7 @@ class ScalarField:
         """
         if self._evaluate_array is None:
             return node_rows(self, xyz)
-        if self._domain is not None:
-            _check_array(self, xyz)
-        return self._evaluate_array(xyz)
+        return self._evaluate_array(_checked(self, xyz))
 
     def gradient_at(self, p: ReducedPoint) -> ReducedPoint:
         self._check(p)
@@ -471,19 +471,46 @@ class ScalarField:
                                jet=jet, domain=self._domain, name=self.name)
 
 
+def _dbar_table(u: ScalarField, xyz: np.ndarray, partials: bool) -> np.ndarray:
+    """Dbar u at the rows of xyz as a (1, N, 4) array, or its jet as (4, N, 4).
+
+    u's Hessian (for the partials) and gradient are called row by row, in
+    the order of the scalar jet, and the components the scalar jet forms
+    go straight into one float table.
+    """
+    slots = 4 if partials else 1
+    rows = np.empty((len(xyz), 3 * slots))
+    for k, p in enumerate(as_points(xyz)):
+        if partials:
+            h = u.hessian_at(p)
+            g = u.gradient_at(p)
+            rows[k] = (g.x, -g.y, -g.z, h[0][0], -h[0][1], -h[0][2],
+                       h[0][1], -h[1][1], -h[1][2], h[0][2], -h[1][2],
+                       -h[2][2])
+        else:
+            g = u.gradient_at(p)
+            rows[k] = g.x, -g.y, -g.z
+    out = np.zeros((slots, len(xyz), 4))
+    out[..., :3] = rows.reshape(len(xyz), slots, 3).transpose(1, 0, 2)
+    return out
+
+
 def scalar_dbar_field(u: ScalarField) -> QuaternionField:
     """The field Dbar u = u_x - u_y i - u_z j built from u's gradient.
 
     When u carries an analytic Hessian the jet is analytic as well;
     applying D to the result then reproduces the Laplacian of u exactly,
-    since D(Dbar u) = (Laplacian u) holds componentwise.
+    since D(Dbar u) = (Laplacian u) holds componentwise.  The array jet
+    (with a Hessian) and the array values fill one float table from u's
+    scalar gradient and Hessian, row by row, and equal the scalar jet and
+    value bit for bit.
     """
 
     def value(p: ReducedPoint) -> Quaternion:
         g = u.gradient_at(p)
         return Quaternion(g.x, -g.y, -g.z, 0.0)
 
-    jet = None
+    jet = jet_array = None
     if u.has_analytic_hessian:
         def jet(p: ReducedPoint) -> Jet:
             h = u.hessian_at(p)
@@ -494,8 +521,16 @@ def scalar_dbar_field(u: ScalarField) -> QuaternionField:
                 Quaternion(h[0][2], -h[1][2], -h[2][2], 0.0),
             )
 
+        def jet_array(xyz: np.ndarray) -> np.ndarray:
+            return _dbar_table(u, xyz, True)
+
+    def value_array(xyz: np.ndarray) -> np.ndarray:
+        return _dbar_table(u, xyz, False)[0]
+
     return QuaternionField(value, jet=jet, domain=u._domain,
-                           name=f"dbar({u.name})")
+                           name=f"dbar({u.name})", jet_array=jet_array,
+                           domain_array=u._domain_array,
+                           value_array=value_array)
 
 
 def coordinate_field() -> QuaternionField:

@@ -23,12 +23,14 @@ quadrature evaluates a whole chart in one call.
 from __future__ import annotations
 
 import math
+import numbers
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .quaternion import Quaternion, ReducedPoint
-from .surfaces import gauss_legendre
+from .quaternion import I, J, Quaternion, ReducedPoint, qmul
+from .surfaces import _frozen, as_points, gauss_legendre, in_node_order
 from .fields import (
     DEFAULT_EXCLUSION,
     FD_STEP,
@@ -211,9 +213,36 @@ class CompletionError(ArithmeticError):
     """The completion quadrature did not reach the requested accuracy."""
 
 
+@lru_cache(maxsize=64)
 def _gauss01(n: int):
+    """Gauss-Legendre nodes and weights on [0, 1], cached and read-only."""
     x, w = gauss_legendre(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    return _frozen(0.5 * (x + 1.0)), _frozen(0.5 * w)
+
+
+def _completion_parameters(order, tol, max_doublings) -> None:
+    """Raise ValueError naming the first unusable completion parameter."""
+    def is_int(v):
+        return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    if not (is_int(order) and order >= 1):
+        raise ValueError(f"completion order must be an integer >= 1, "
+                         f"not {order!r}")
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol)
+            and tol > 0.0):
+        raise ValueError(f"completion tol must be finite and > 0, "
+                         f"not {tol!r}")
+    if not (is_int(max_doublings) and max_doublings >= 0):
+        raise ValueError(f"completion max_doublings must be an integer "
+                         f">= 0, not {max_doublings!r}")
+
+
+def _gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row of two (4, N, 4) jet tables, the largest quaternion norm of
+    their difference over the four slots; NaN where any slot is NaN."""
+    d = a - b
+    norms = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+                    + d[..., 2] * d[..., 2] + d[..., 3] * d[..., 3])
+    return np.max(norms, axis=0)
 
 
 def monogenic_completion(u: ScalarField,
@@ -233,7 +262,18 @@ def monogenic_completion(u: ScalarField,
     checked here, and the whole segment from c to the evaluation point,
     which is checked when evaluating; either failure raises DomainError.
     CompletionError is raised when the quadrature gap is still above
-    1e-8 after ``max_doublings`` doublings.
+    1e-8 after ``max_doublings`` doublings.  ``order`` must be an integer
+    of at least 1, ``max_doublings`` one of at least 0 and ``tol`` finite
+    and positive; otherwise ValueError is raised here.
+
+    The field has one array path.  Its jet on N points takes the Dbar u
+    jets of the whole (N n, 3) grid of segment points in one call and sums
+    over t with numpy; doubling runs per point through a mask, so each
+    point takes the levels it would take alone.  ``jet_at`` and calls are
+    the one-row case and ``value_array`` is the value slot.  Results equal
+    the point-by-point sum bit for bit, and an error is the one the first
+    failing point meets alone (levels in order, and at each t the
+    harmonic check before the Dbar u jet).
 
     The scalar part of the result reproduces u exactly by construction;
     monogenicity holds when u is harmonic on a region star-shaped about
@@ -241,6 +281,7 @@ def monogenic_completion(u: ScalarField,
     quadrature points of every evaluation and raises ValueError when it
     is out of tolerance.
     """
+    _completion_parameters(order, tol, max_doublings)
     if not u.in_domain(center):
         # the Gauss nodes in t skip t = 0, so no evaluation would notice
         raise DomainError(f"completion center {center!r} is outside the "
@@ -248,64 +289,87 @@ def monogenic_completion(u: ScalarField,
     dbar = scalar_dbar_field(u)
     hard_cap = 1e-8
     lap_tol = 1e-8 if u.has_analytic_laplacian else 1e-3
+    c = np.array(center.as_tuple())
 
-    def raw_jet(p: ReducedPoint, n: int) -> Jet:
+    def harmonic(q: ReducedPoint) -> None:
+        lap = u.laplacian_at(q)
+        if not abs(lap) <= lap_tol:
+            raise ValueError(
+                f"completion input {u.name or '<anonymous>'} is not "
+                f"harmonic near {q!r} (laplacian {lap:.3e})")
+
+    def segment_jets(grid: np.ndarray) -> np.ndarray:
+        if check_harmonic:
+            for q in as_points(grid):
+                harmonic(q)
+        return dbar.jet_array(grid)
+
+    def segment_jet(q: ReducedPoint) -> Jet:
+        if check_harmonic:
+            harmonic(q)
+        return dbar.jet_at(q)
+
+    def level(xyz: np.ndarray, n: int) -> np.ndarray:
+        """The jets at the rows of xyz from n Gauss nodes in t."""
         ts, ws = _gauss01(n)
-        dxq = ReducedPoint(p.x - center.x, p.y - center.y, p.z - center.z)
-        xq = dxq.to_quaternion()
-        acc = [Quaternion(), Quaternion(), Quaternion(), Quaternion()]
-        for t, wt in zip(ts, ws):
-            q = ReducedPoint(center.x + t * dxq.x, center.y + t * dxq.y,
-                             center.z + t * dxq.z)
-            if check_harmonic:
-                lap = u.laplacian_at(q)
-                if not abs(lap) <= lap_tol:
-                    raise ValueError(
-                        f"completion input {u.name or '<anonymous>'} is not "
-                        f"harmonic near {q!r} (laplacian {lap:.3e})")
-            jd = dbar.jet_at(q)
-            acc[0] = acc[0] + (jd.value * xq) * (wt * t)
-            # chain rule: the x-derivative sees t * (d Dbar u) plus the
-            # derivative of the segment endpoint factor (x - c).
-            acc[1] = acc[1] + (jd.dx * xq * (wt * t * t)
-                               + jd.value * (wt * t))
-            acc[2] = acc[2] + (jd.dy * xq * (wt * t * t)
-                               + (jd.value * Quaternion(0, 1, 0, 0)) * (wt * t))
-            acc[3] = acc[3] + (jd.dz * xq * (wt * t * t)
-                               + (jd.value * Quaternion(0, 0, 1, 0)) * (wt * t))
-        grad = u.gradient_at(p)
-        base = (Quaternion(u(p)), Quaternion(grad.x),
-                Quaternion(grad.y), Quaternion(grad.z))
-        out = []
-        for b, a in zip(base, acc):
-            v = a.vector_part()
-            out.append(Quaternion(b.q0, v.q1, v.q2, v.q3))
-        return Jet(*out)
+        arm = xyz - c
+        grid = (c + ts[:, None] * arm[:, None, :]).reshape(-1, 3)
+        jd = in_node_order(segment_jets, segment_jet, grid)
+        jd = jd.reshape(4, len(xyz), n, 4)
+        xq = np.zeros((len(xyz), 1, 4))
+        xq[:, 0, :3] = arm
+        w1 = (ws * ts)[:, None]
+        w2 = w1 * ts[:, None]
+        out = np.empty((4, len(xyz), 4))
 
-    def _gap(a: Jet, b: Jet) -> float:
-        # np.max propagates NaN where the builtin max would drop it
-        return float(np.max([(qa - qb).norm() for qa, qb in zip(a, b)]))
+        def integrate(slot: int, terms: np.ndarray) -> None:
+            # numpy adds along t in order; + 0.0 gives an all -0.0 sum the
+            # +0.0 of a sum started at 0.0, whichever start numpy takes
+            out[slot, :, 1:] = np.add.reduce(terms, axis=1)[:, 1:] + 0.0
 
-    def adaptive_jet(p: ReducedPoint) -> Jet:
+        # chain rule: the x-derivative sees t * (d Dbar u) plus the
+        # derivative of the segment endpoint factor (x - c).
+        integrate(0, qmul(jd[0], xq) * w1)
+        integrate(1, qmul(jd[1], xq) * w2 + jd[0] * w1)
+        integrate(2, qmul(jd[2], xq) * w2 + qmul(jd[0], I.as_tuple()) * w1)
+        integrate(3, qmul(jd[3], xq) * w2 + qmul(jd[0], J.as_tuple()) * w1)
+        for k, p in enumerate(as_points(xyz)):
+            g = u.gradient_at(p)
+            out[:, k, 0] = u(p), g.x, g.y, g.z
+        return out
+
+    def jet_array(xyz: np.ndarray) -> np.ndarray:
         n = order
-        prev = raw_jet(p, n)
+        prev = level(xyz, n)
+        out = np.empty_like(prev)
+        rows = np.arange(len(xyz))
         for _ in range(max_doublings):
             n *= 2
-            cur = raw_jet(p, n)
-            if _gap(prev, cur) <= tol:
-                return cur
-            prev = cur
+            cur = level(xyz[rows], n)
+            done = _gap(prev, cur) <= tol
+            out[:, rows[done]] = cur[:, done]
+            rows, prev = rows[~done], cur[:, ~done]
+            if not len(rows):
+                return out
         n *= 2
-        cur = raw_jet(p, n)
-        if not _gap(prev, cur) <= hard_cap:
+        cur = level(xyz[rows], n)
+        stuck = ~(_gap(prev, cur) <= hard_cap)
+        if stuck.any():
+            p = ReducedPoint(*xyz[rows[np.argmax(stuck)]].tolist())
             raise CompletionError(
                 f"completion quadrature for {u.name or '<anonymous>'} stuck "
                 f"above {hard_cap:.0e} at {p!r} (order {n})")
-        return cur
+        out[:, rows] = cur
+        return out
 
-    field = QuaternionField(lambda p: adaptive_jet(p).value,
-                            jet=adaptive_jet, domain=u._domain,
-                            name=f"completion({u.name})")
+    def jet(p: ReducedPoint) -> Jet:
+        table = jet_array(np.array([p.as_tuple()]))[:, 0]
+        return Jet(*(Quaternion(*q) for q in table.tolist()))
+
+    field = QuaternionField(lambda p: jet(p).value, jet=jet,
+                            domain=u._domain, name=f"completion({u.name})",
+                            jet_array=jet_array,
+                            domain_array=u._domain_array)
     return FlowPotential(field, name=f"completion({u.name})",
                          description="radial monogenic completion")
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -86,9 +86,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def as_points(xyz: np.ndarray) -> list[ReducedPoint]:
-    """The rows of an (N, 3) array as ReducedPoint values."""
-    return [ReducedPoint(x, y, z) for x, y, z in xyz.tolist()]
+def as_points(xyz: np.ndarray) -> Iterator[ReducedPoint]:
+    """The rows of an (N, 3) array as ReducedPoint values, made one at a
+    time as the iterator is consumed."""
+    return map(ReducedPoint, *xyz.T.tolist())
 
 
 class Chart:
@@ -173,11 +174,11 @@ class ChartNodes:
 
     @cached_property
     def points(self) -> list[ReducedPoint]:
-        return as_points(self.point_array)
+        return list(as_points(self.point_array))
 
     @cached_property
     def normals(self) -> list[ReducedPoint]:
-        return as_points(self.normal_array)
+        return list(as_points(self.normal_array))
 
     def normal_quaternions(self) -> np.ndarray:
         """The (N, 4) reduced quaternions n1 + n2 i + n3 j of dsigma / dS."""
@@ -219,7 +220,7 @@ class VolumeNodes(NamedTuple):
 
     @property
     def points(self) -> list[ReducedPoint]:
-        return as_points(self.point_array)
+        return list(as_points(self.point_array))
 
 
 def _volume_grid(axes, nodes) -> VolumeNodes:
@@ -430,7 +431,7 @@ def cylinder_body(radius: float, z_min: float, z_max: float,
 # integration
 # ----------------------------------------------------------------------
 
-def evaluate_nodes(fn, points: Sequence[ReducedPoint]) -> list:
+def evaluate_nodes(fn, points: Iterable[ReducedPoint]) -> list:
     """Apply fn to every point, in order."""
     return [fn(p) for p in points]
 

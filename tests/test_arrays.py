@@ -19,19 +19,23 @@ from quatflow import (
     FlowPotential,
     QuaternionField,
     ReducedPoint,
+    ScalarField,
     StreamSurfaceError,
     all_force_methods,
     box_body,
     catalog,
     cylinder_body,
     force_monogenic_form,
+    harmonic_catalog,
     integrate_g_dsigma_f,
     is_monogenic,
     moment_from_pressure,
     moment_quadratic,
+    monogenic_from_gradient,
     point_source,
     pressure_field,
     scenario_catalog,
+    scalar_dbar_field,
     sphere_body,
     sphere_flow,
     uniform_flow,
@@ -130,12 +134,16 @@ PARENT_VALUES = {
 
 
 def array_fields():
-    """Every catalog potential plus a sum, a multiple and a conjugate."""
+    """Every catalog potential plus a sum, a multiple and a conjugate, and
+    Dbar u of two harmonic scalars."""
     fields = {name: pot.field for name, pot in catalog().items()}
     fields["sum"] = (uniform_flow(0.2, 0.1, -0.3)
                      + point_source(0.7, ReducedPoint(0.1, 0.2, 0.0))).field
     fields["multiple"] = 2.5 * catalog()["dipole"].field
     fields["conjugate"] = catalog()["embedded_cylinder_vortex"].field.conjugated()
+    fields["dbar"] = scalar_dbar_field(harmonic_catalog()["x/r^3"])
+    fields["from-gradient"] = monogenic_from_gradient(
+        harmonic_catalog()["log(x+r)"]).field
     return fields
 
 
@@ -162,8 +170,11 @@ def close(a, b, rel):
 
 # Fields whose closed forms use only + - * / and sqrt, so that the float
 # and the numpy evaluation round alike: their array values, and for the
-# first four their array jets, equal the scalar ones exactly.
-EXACT_JETS = {"uniform_x", "uniform_skew", "identity", "saddle"}
+# first four their array jets, equal the scalar ones exactly.  The Dbar u
+# fields fill their arrays from u's scalar gradient and Hessian, so both
+# of their array forms are exact.
+EXACT_JETS = {"uniform_x", "uniform_skew", "identity", "saddle", "dbar",
+              "from-gradient"}
 EXACT_VALUES = EXACT_JETS | {"source", "sum"}
 
 
@@ -179,6 +190,14 @@ def test_array_jet_matches_scalar_jet(name, monkeypatch):
         return closed_form(value, counted, *args, **kwargs)
 
     monkeypatch.setattr(potentials, "_closed_form", counting_closed_form)
+    hessian_at = ScalarField.hessian_at
+
+    def counting_hessian_at(u, p):
+        # the partials of Dbar u are u's Hessian
+        partials_calls.append(p)
+        return hessian_at(u, p)
+
+    monkeypatch.setattr(ScalarField, "hessian_at", counting_hessian_at)
     field = array_fields()[name]
     assert field.has_array_jet
     points = sample_points()

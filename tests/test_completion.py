@@ -1,0 +1,283 @@
+"""Monogenic completion on its array path against the node-by-node definition.
+
+``reference_jet`` is the radial line integral written point by point:
+one segment point at a time with Quaternion arithmetic, the harmonic
+check before the Dbar u jet at each t, and the adaptive doubling of
+``monogenic_completion``.  The array path must reproduce its jets,
+values, Cauchy integrals, errors and calls into u bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from quatflow import (
+    CompletionError,
+    DomainError,
+    Jet,
+    Quaternion,
+    ReducedPoint,
+    ScalarField,
+    harmonic_catalog,
+    monogenic_completion,
+    scalar_dbar_field,
+    sphere_body,
+)
+from quatflow.integrals import verify_cauchy_theorem
+
+NAN = float("nan")
+SINGULAR = ("1/r", "x/r^3", "log(x+r)")
+
+
+def reference_jet(u, center, p, order=32, tol=1e-10, max_doublings=3):
+    """The completion jet of u about center at p, point by point."""
+    if not u.in_domain(p):
+        raise DomainError(f"field completion({u.name}) is not defined "
+                          f"at {p!r}")
+    dbar = scalar_dbar_field(u)
+    lap_tol = 1e-8 if u.has_analytic_laplacian else 1e-3
+    label = u.name or "<anonymous>"
+
+    def raw_jet(n):
+        x, w = np.polynomial.legendre.leggauss(n)
+        dxq = ReducedPoint(p.x - center.x, p.y - center.y, p.z - center.z)
+        xq = dxq.to_quaternion()
+        acc = [Quaternion(), Quaternion(), Quaternion(), Quaternion()]
+        for t, wt in zip(0.5 * (x + 1.0), 0.5 * w):
+            q = ReducedPoint(center.x + t * dxq.x, center.y + t * dxq.y,
+                             center.z + t * dxq.z)
+            lap = u.laplacian_at(q)
+            if not abs(lap) <= lap_tol:
+                raise ValueError(f"completion input {label} is not harmonic "
+                                 f"near {q!r} (laplacian {lap:.3e})")
+            jd = dbar.jet_at(q)
+            acc[0] = acc[0] + (jd.value * xq) * (wt * t)
+            acc[1] = acc[1] + (jd.dx * xq * (wt * t * t)
+                               + jd.value * (wt * t))
+            acc[2] = acc[2] + (jd.dy * xq * (wt * t * t)
+                               + (jd.value * Quaternion(0, 1, 0, 0)) * (wt * t))
+            acc[3] = acc[3] + (jd.dz * xq * (wt * t * t)
+                               + (jd.value * Quaternion(0, 0, 1, 0)) * (wt * t))
+        grad = u.gradient_at(p)
+        base = (u(p), grad.x, grad.y, grad.z)
+        return Jet(*(Quaternion(b, a.q1, a.q2, a.q3)
+                     for b, a in zip(base, acc)))
+
+    def gap(a, b):
+        return float(np.max([(qa - qb).norm() for qa, qb in zip(a, b)]))
+
+    n = order
+    prev = raw_jet(n)
+    for _ in range(max_doublings):
+        n *= 2
+        cur = raw_jet(n)
+        if gap(prev, cur) <= tol:
+            return cur
+        prev = cur
+    n *= 2
+    cur = raw_jet(n)
+    if not gap(prev, cur) <= 1e-8:
+        raise CompletionError(f"completion quadrature for {label} stuck "
+                              f"above 1e-08 at {p!r} (order {n})")
+    return cur
+
+
+class Counted:
+    """u with every call into its scalar forms counted; no array forms."""
+
+    def __init__(self, u, hessian=True):
+        self.calls = 0
+
+        def counted(method):
+            def wrapper(p):
+                self.calls += 1
+                return method(p)
+            return wrapper
+
+        self.field = ScalarField(
+            counted(u), gradient=counted(u.gradient_at),
+            laplacian=counted(u.laplacian_at),
+            hessian=counted(u.hessian_at) if hessian else None,
+            domain=u.in_domain, name=u.name)
+
+
+def exact(jet):
+    """A jet's components in a form that compares bits, signed zeros too."""
+    return repr([q.as_tuple() for q in jet])
+
+
+def table_jets(table):
+    return [Jet(*(Quaternion(*q) for q in table[:, k].tolist()))
+            for k in range(table.shape[1])]
+
+
+def case(name):
+    """(u, center, three points) for a harmonic catalog name or a wrapper."""
+    cat = harmonic_catalog()
+    if name == "scalar-only":
+        u = Counted(cat["x/r^3"]).field
+    elif name == "fd-hessian":
+        u = Counted(cat["1/r"], hessian=False).field
+    else:
+        u = cat[name]
+    if u.name in SINGULAR:
+        center = ReducedPoint(1.6, 0.1, -0.2)
+    elif name in ("x", "x^2-y^2"):
+        center = ReducedPoint(0.0, 0.0, 0.0)
+    else:
+        center = ReducedPoint(0.2, -0.1, 0.3)
+    offsets = ((0.3, 0.1, -0.2), (-0.35, 0.2, 0.1), (0.05, -0.4, 0.25))
+    points = [ReducedPoint(center.x + a, center.y + b, center.z + c)
+              for a, b, c in offsets]
+    return u, center, points
+
+
+CASES = sorted(harmonic_catalog()) + ["scalar-only", "fd-hessian"]
+
+
+@pytest.mark.parametrize("order", [4, 32])
+@pytest.mark.parametrize("name", CASES)
+def test_completion_matches_the_node_by_node_definition(name, order):
+    u, center, points = case(name)
+    pot = monogenic_completion(u, center=center, order=order)
+    want = [reference_jet(u, center, p, order=order) for p in points]
+    xyz = np.array([p.as_tuple() for p in points])
+    table = pot.jet_array(xyz)
+    assert table.shape == (4, 3, 4)
+    values = pot.value_array(xyz)
+    for k, (p, ref) in enumerate(zip(points, want)):
+        assert exact(pot.jet_at(p)) == exact(ref), (name, p)
+        assert repr(pot(p).as_tuple()) == repr(ref.value.as_tuple())
+        assert exact(table_jets(table)[k]) == exact(ref), (name, p)
+        assert repr(tuple(values[k].tolist())) == repr(ref.value.as_tuple())
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_completed_cauchy_integral_matches_the_node_by_node_sum(name):
+    u, center, _ = case(name)
+    pot = monogenic_completion(u, center=center, order=4)
+    sphere = sphere_body(0.1, ReducedPoint(center.x + 0.1, center.y,
+                                           center.z))
+    got = verify_cauchy_theorem(sphere, pot.field, order=6, tol=1e-6)
+    want = verify_cauchy_theorem(
+        sphere, lambda p: reference_jet(u, center, p, order=4).value,
+        order=6, tol=1e-6)
+    assert got.ok
+    assert repr(got.lhs.as_tuple()) == repr(want.lhs.as_tuple())
+
+
+def test_signed_zeros_match_the_definition():
+    # At y = -0.0 every term of the value's i part is -0.0, and a sum
+    # started at 0.0, as the definition's, gives +0.0.
+    u = harmonic_catalog()["x"]
+    center = ReducedPoint(0.0, 0.0, 0.0)
+    p = ReducedPoint(0.3, -0.0, 0.2)
+    jet = monogenic_completion(u).jet_at(p)
+    assert repr(jet.value.q1) == "0.0"
+    assert exact(jet) == exact(reference_jet(u, center, p))
+
+
+def test_doubling_decisions_stay_per_point():
+    counted = Counted(harmonic_catalog()["1/r"])
+    u = counted.field
+    center = ReducedPoint(1.6, 0.1, -0.2)
+    points = [ReducedPoint(0.6, 0.0, 0.1), ReducedPoint(1.7, 0.2, -0.1),
+              ReducedPoint(1.2, 0.0, 0.0), ReducedPoint(0.4, 0.1, -0.1)]
+    pot = monogenic_completion(u, center=center, order=4)
+    single = []
+    jets = []
+    for p in points:
+        before = counted.calls
+        jets.append(pot.jet_at(p))
+        single.append(counted.calls - before)
+    # order 4 converging at 8, 16 and 32 calls u 40, 90 and 188 times
+    assert sorted(set(single)) == [40, 90, 188]
+    before = counted.calls
+    table = pot.jet_array(np.array([p.as_tuple() for p in points]))
+    assert counted.calls - before == sum(single)
+    assert [exact(j) for j in table_jets(table)] == [exact(j) for j in jets]
+    for p, jet in zip(points, jets):
+        assert exact(jet) == exact(reference_jet(u, center, p, order=4))
+
+
+def first_error(u, center, points, **kwargs):
+    """The error reference_jet raises at the first row that fails alone."""
+    for p in points:
+        try:
+            reference_jet(u, center, p, **kwargs)
+        except (ArithmeticError, ValueError) as error:
+            return error
+    raise AssertionError("no row fails")
+
+
+def assert_raises_in_node_order(pot, u, center, points, **kwargs):
+    want = first_error(u, center, points, **kwargs)
+    xyz = np.array([p.as_tuple() for p in points])
+    for call in (pot.jet_array, pot.value_array):
+        with pytest.raises(type(want)) as info:
+            call(xyz)
+        assert str(info.value) == str(want)
+    with pytest.raises(type(want)) as info:
+        pot.jet_at(points[0])
+    return str(info.value)
+
+
+# NaN gradients where y > 0: their segments never converge.
+def nan_above(p):
+    return ReducedPoint(NAN if p.y > 0.0 else 1.0, 0.0, 0.0)
+
+
+ZERO_HESSIAN = ((0.0, 0.0, 0.0),) * 3
+ORIGIN = ReducedPoint(0.0, 0.0, 0.0)
+STUCK = ReducedPoint(0.3, 0.1, 0.2)
+
+
+def test_a_completion_error_row_before_a_domain_error_row():
+    u = ScalarField(lambda p: p.x, gradient=nan_above,
+                    laplacian=lambda p: 0.0,
+                    hessian=lambda p: ZERO_HESSIAN,
+                    domain=lambda p: p.z < 1.0, name="nan-above")
+    pot = monogenic_completion(u, order=4)
+    outside = ReducedPoint(0.1, -0.2, 2.0)
+    message = assert_raises_in_node_order(pot, u, ORIGIN, [STUCK, outside],
+                                          order=4)
+    assert message.startswith("completion quadrature for nan-above stuck")
+    message = assert_raises_in_node_order(pot, u, ORIGIN, [outside, STUCK],
+                                          order=4)
+    assert "is not defined at ReducedPoint(0.1, -0.2, 2.0)" in message
+
+
+def test_a_non_harmonic_row_before_a_nan_jet_row():
+    u = ScalarField(lambda p: p.x, gradient=nan_above,
+                    laplacian=lambda p: 1.0 if p.z < 0.0 else 0.0,
+                    hessian=lambda p: ZERO_HESSIAN, name="half-harmonic")
+    pot = monogenic_completion(u, order=4)
+    bent = ReducedPoint(0.3, -0.1, -0.2)
+    message = assert_raises_in_node_order(pot, u, ORIGIN, [bent, STUCK],
+                                          order=4)
+    assert "is not harmonic near" in message
+    message = assert_raises_in_node_order(pot, u, ORIGIN, [STUCK, bent],
+                                          order=4)
+    assert message.startswith("completion quadrature")
+
+
+def test_within_a_row_the_lower_t_fails_first():
+    # Far along the segment the Laplacian check fails; near the centre the
+    # Hessian raises.  The Hessian's error comes first, at the lowest t.
+    def hessian(p):
+        if p.norm() < 0.1:
+            raise ZeroDivisionError(f"no hessian at {p!r}")
+        return ZERO_HESSIAN
+
+    u = ScalarField(lambda p: p.x, gradient=lambda p: (1.0, 0.0, 0.0),
+                    laplacian=lambda p: 1.0 if p.norm() > 0.3 else 0.0,
+                    hessian=hessian, name="two-faults")
+    pot = monogenic_completion(u, order=4)
+    rows = [ReducedPoint(0.4, 0.2, 0.1), ReducedPoint(0.1, 0.0, 0.0)]
+    message = assert_raises_in_node_order(pot, u, ORIGIN, rows, order=4)
+    assert message.startswith("no hessian at")
+
+
+def test_an_empty_batch_has_no_rows():
+    pot = monogenic_completion(harmonic_catalog()["xy"])
+    assert pot.jet_array(np.empty((0, 3))).shape == (4, 0, 4)
+    assert pot.value_array(np.empty((0, 3))).shape == (0, 4)

@@ -186,6 +186,28 @@ def test_completion_rejects_non_harmonic_input():
         monogenic_completion(bad)(ReducedPoint(0.3, 0.1, 0.2))
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"order": 0}, "order"),
+    ({"order": -3}, "order"),
+    ({"order": 2.5}, "order"),
+    ({"order": True}, "order"),
+    ({"tol": float("nan")}, "tol"),
+    ({"tol": 0.0}, "tol"),
+    ({"max_doublings": -1}, "max_doublings"),
+    ({"max_doublings": 1.0}, "max_doublings"),
+])
+def test_completion_rejects_bad_parameters_when_built(kwargs, name):
+    with pytest.raises(ValueError, match=f"completion {name} must be"):
+        monogenic_completion(harmonic_catalog()["x"], **kwargs)
+
+
+def test_completion_takes_the_smallest_parameters():
+    pot = monogenic_completion(harmonic_catalog()["x"], order=1, tol=5e-324,
+                               max_doublings=0)
+    p = ReducedPoint(0.3, 0.1, 0.2)
+    assert (pot(p) - identity_flow()(p)).norm() <= 1e-15
+
+
 def test_monogenic_from_gradient_screens_harmonicity():
     bad = ScalarField(lambda p: p.x * p.x,
                       gradient=lambda p: ReducedPoint(2 * p.x, 0.0, 0.0),
