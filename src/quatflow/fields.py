@@ -316,8 +316,7 @@ class QuaternionField:
                                domain_array=self._domain_array)
 
 
-def _closed_form(value, partials, domain=None, name: str = "",
-                 arrays: bool = True) -> QuaternionField:
+def _closed_form(value, partials, domain=None, name="") -> QuaternionField:
     """A field from one closed form written over coordinate columns.
 
     ``value(x, y, z, xp)`` returns the four components of the field,
@@ -325,8 +324,8 @@ def _closed_form(value, partials, domain=None, name: str = "",
     each) and ``domain(x, y, z, xp)`` where it is defined.  ``xp`` is
     ``math`` when x, y, z are the floats of one point and ``numpy`` when
     they are the (N,) columns of a point array.  The scalar value and jet
-    run on floats; with ``arrays`` the field also gets the array jet, the
-    value-only array form and the array domain.
+    run on floats; the array jet, the value-only array form and the array
+    domain run on columns.
     """
     def evaluate(p: ReducedPoint) -> Quaternion:
         return Quaternion(*value(p.x, p.y, p.z, math))
@@ -340,9 +339,6 @@ def _closed_form(value, partials, domain=None, name: str = "",
     if domain is not None:
         def point_domain(p: ReducedPoint) -> bool:
             return domain(p.x, p.y, p.z, math)
-    if not arrays:
-        return QuaternionField(evaluate, jet=jet, domain=point_domain,
-                               name=name)
 
     def fill(out: np.ndarray, entries) -> np.ndarray:
         for idx, entry in enumerate(entries):

@@ -12,6 +12,10 @@ as the complex number F_x + i F_y; the moment about z0 is
 -(rho/2) Re contour-integral of (zeta - z0) (f')^2 dzeta.  Both formulas
 presuppose the contour is a streamline (the physical body), which is
 checked numerically and enforced.
+
+Every callable here maps numpy arrays elementwise: a contour integral or
+a streamline check calls each one once on all the nodes, and the 3D
+routes get array jets from ``embed_2d``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 from .quaternion import ReducedPoint
 from .forces import force_blasius, moment_quadratic
 from .potentials import FlowPotential, _cylinder_forms, embedded_potential
-from .surfaces import RegularBody, gauss_legendre
+from .surfaces import RegularBody, _scaled_gauss
 
 __all__ = [
     "ComplexPotential",
@@ -45,7 +49,11 @@ __all__ = [
 
 
 class ComplexPotential:
-    """A holomorphic potential f with its derivative, both explicit."""
+    """A holomorphic potential f with its derivative, both explicit.
+
+    ``f``, ``df`` and ``domain2d`` map one complex number or, elementwise,
+    a numpy complex array; one that takes only numbers raises TypeError.
+    """
 
     def __init__(self, f: Callable[[complex], complex],
                  df: Callable[[complex], complex],
@@ -56,15 +64,20 @@ class ComplexPotential:
         self.domain2d = domain2d
         self.name = name
 
+    def _checked(self, fn, z):
+        """fn(z), after ValueError names the first z outside the domain."""
+        if self.domain2d is not None:
+            inside = np.asarray(self.domain2d(z))
+            if not inside.all():
+                raise ValueError(f"{self.name or 'potential'} undefined at "
+                                 f"{np.ravel(z)[np.argmin(inside)]}")
+        return fn(z)
+
     def __call__(self, z: complex) -> complex:
-        if self.domain2d is not None and not self.domain2d(z):
-            raise ValueError(f"{self.name or 'potential'} undefined at {z}")
-        return self.f(z)
+        return self._checked(self.f, z)
 
     def derivative(self, z: complex) -> complex:
-        if self.domain2d is not None and not self.domain2d(z):
-            raise ValueError(f"{self.name or 'potential'} undefined at {z}")
-        return self.df(z)
+        return self._checked(self.df, z)
 
     def velocity(self, z: complex) -> complex:
         """u + iv with u - iv = f'."""
@@ -73,7 +86,7 @@ class ComplexPotential:
 
 def uniform_2d(speed: float) -> ComplexPotential:
     u = float(speed)
-    return ComplexPotential(lambda z: u * z, lambda z: u + 0j,
+    return ComplexPotential(lambda z: u * z, lambda z: u + 0j * z,
                             name=f"uniform2d({u})")
 
 
@@ -99,6 +112,7 @@ def kutta_joukowski_lift(rho: float, speed: float,
 class PlanarContour:
     """A closed parametric curve with analytic tangent.
 
+    ``z`` and ``dz`` map a float, or a numpy array elementwise.
     Quadrature is composite Gauss-Legendre: the parameter interval is cut
     into equal panels, each carrying a Gauss rule of the requested order.
     """
@@ -115,50 +129,36 @@ class PlanarContour:
         self.panels = int(panels)
         self.name = name
         z0, z1 = z(self.s_range[0]), z(self.s_range[1])
-        if abs(z1 - z0) > 1e-12 * (1.0 + abs(z0)):
+        # written so that NaN endpoints fail
+        if not abs(z1 - z0) <= 1e-12 * (1.0 + abs(z0)):
             raise ValueError(
                 f"contour {name or '<anonymous>'} is not closed: endpoints "
                 f"{z0} and {z1}")
-        self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def circle(cls, radius: float, center: complex = 0j,
                panels: int = 8) -> "PlanarContour":
-        r = float(radius)
-        if r <= 0.0:
-            raise ValueError("circle radius must be positive")
-        c = complex(center)
-        return cls(lambda s: c + r * complex(math.cos(s), math.sin(s)),
-                   lambda s: r * complex(-math.sin(s), math.cos(s)),
+        r, c = float(radius), complex(center)
+        if not (r > 0.0 and all(map(math.isfinite, (r, c.real, c.imag)))):
+            raise ValueError("circle needs a finite radius > 0 and center")
+        return cls(lambda s: c + r * (np.cos(s) + 1j * np.sin(s)),
+                   lambda s: r * (-np.sin(s) + 1j * np.cos(s)),
                    panels=panels, name=f"circle(R={r},c={c})")
 
     def nodes(self, order: int) -> tuple[np.ndarray, np.ndarray]:
         order = int(order)
         if order < 2:
             raise ValueError("contour quadrature order must be at least 2")
-        if order not in self._cache:
-            x, w = gauss_legendre(order)
-            s0, s1 = self.s_range
-            edges = np.linspace(s0, s1, self.panels + 1)
-            all_s, all_w = [], []
-            for a, b in zip(edges[:-1], edges[1:]):
-                mid, half = 0.5 * (a + b), 0.5 * (b - a)
-                all_s.append(mid + half * x)
-                all_w.append(half * w)
-            s = np.concatenate(all_s)
-            w_full = np.concatenate(all_w)
-            s.setflags(write=False)
-            w_full.setflags(write=False)
-            self._cache[order] = (s, w_full)
-        return self._cache[order]
+        edges = np.linspace(*self.s_range, self.panels + 1)[:, None]
+        s, w = _scaled_gauss(order, edges[:-1], edges[1:])
+        return s.ravel(), w.ravel()
 
 
 def contour_integral(contour: PlanarContour, fn: Callable[[complex], complex],
                      order: int = 32) -> complex:
-    """Integral of fn(zeta) dzeta along the contour."""
+    """Integral of fn(zeta) dzeta along the contour, fn on all nodes."""
     s, w = contour.nodes(order)
-    vals = np.array([fn(contour.z(si)) * contour.dz(si) for si in s])
-    return complex(np.sum(vals * w))
+    return complex(np.sum(fn(contour.z(s)) * contour.dz(s) * w))
 
 
 class StreamlineError(ValueError):
@@ -173,13 +173,9 @@ def streamline_residual(potential: ComplexPotential, contour: PlanarContour,
     vanishes up to rounding.
     """
     s, _ = contour.nodes(order)
-    worst, scale = 0.0, 0.0
-    for si in s:
-        t = potential.derivative(contour.z(si)) * contour.dz(si)
-        # np.maximum propagates NaN where the builtin max would drop it
-        worst = np.maximum(worst, abs(t.imag))
-        scale = np.maximum(scale, abs(t))
-    return float(worst), float(scale)
+    t = potential.derivative(contour.z(s)) * contour.dz(s)
+    # np.max propagates NaN where the builtin max would drop it
+    return float(np.max(np.abs(t.imag))), float(np.max(np.abs(t)))
 
 
 def _require_streamline(potential, contour, order, tol):
@@ -222,10 +218,9 @@ def blasius_moment_2d(potential: ComplexPotential, contour: PlanarContour,
 
 def embed_2d(potential: ComplexPotential) -> FlowPotential:
     """Embed the planar potential into the i-plane of the algebra."""
-    pot = embedded_potential(potential.f, potential.df,
-                             domain2d=potential.domain2d,
-                             name=f"embedded({potential.name})")
-    return pot
+    return embedded_potential(potential.f, potential.df,
+                              domain2d=potential.domain2d,
+                              name=f"embedded({potential.name})")
 
 
 class ReductionReport(NamedTuple):

@@ -236,6 +236,11 @@ def _completion_parameters(order, tol, max_doublings) -> None:
                          f">= 0, not {max_doublings!r}")
 
 
+# Most segment points in one Dbar u batch of a completion level: memory
+# stays bounded (peak near 7 MB), and 72 rows stay one batch to n = 128.
+_COMPLETION_BLOCK = 2 ** 14
+
+
 def _gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per row of two (4, N, 4) jet tables, the largest quaternion norm of
     their difference over the four slots; NaN where any slot is NaN."""
@@ -267,13 +272,14 @@ def monogenic_completion(u: ScalarField,
     and positive; otherwise ValueError is raised here.
 
     The field has one array path.  Its jet on N points takes the Dbar u
-    jets of the whole (N n, 3) grid of segment points in one call and sums
-    over t with numpy; doubling runs per point through a mask, so each
-    point takes the levels it would take alone.  ``jet_at`` and calls are
-    the one-row case and ``value_array`` is the value slot.  Results equal
-    the point-by-point sum bit for bit, and an error is the one the first
-    failing point meets alone (levels in order, and at each t the
-    harmonic check before the Dbar u jet).
+    jets of the (N n, 3) grid of segment points in one call per block of
+    rows (at most ``_COMPLETION_BLOCK`` points) and sums over t with numpy;
+    doubling runs per point through a mask, so each point takes the levels
+    it would take alone.  ``jet_at`` and calls are the one-row case and
+    ``value_array`` is the value slot.  Results equal the point-by-point
+    sum bit for bit, and an error is the one the first failing point meets
+    alone (levels in order, and at each t the harmonic check before the
+    Dbar u jet).
 
     The scalar part of the result reproduces u exactly by construction;
     monogenicity holds when u is harmonic on a region star-shaped about
@@ -312,27 +318,30 @@ def monogenic_completion(u: ScalarField,
     def level(xyz: np.ndarray, n: int) -> np.ndarray:
         """The jets at the rows of xyz from n Gauss nodes in t."""
         ts, ws = _gauss01(n)
-        arm = xyz - c
-        grid = (c + ts[:, None] * arm[:, None, :]).reshape(-1, 3)
-        jd = in_node_order(segment_jets, segment_jet, grid)
-        jd = jd.reshape(4, len(xyz), n, 4)
-        xq = np.zeros((len(xyz), 1, 4))
-        xq[:, 0, :3] = arm
         w1 = (ws * ts)[:, None]
         w2 = w1 * ts[:, None]
         out = np.empty((4, len(xyz), 4))
+        step = max(1, _COMPLETION_BLOCK // n)
+        for start in range(0, len(xyz), step):
+            rows = slice(start, start + step)
+            arm = xyz[rows] - c
+            grid = (c + ts[:, None] * arm[:, None, :]).reshape(-1, 3)
+            jd = in_node_order(segment_jets, segment_jet, grid)
+            jd = jd.reshape(4, len(arm), n, 4)
+            xq = np.zeros((len(arm), 1, 4))
+            xq[:, 0, :3] = arm
 
-        def integrate(slot: int, terms: np.ndarray) -> None:
-            # numpy adds along t in order; + 0.0 gives an all -0.0 sum the
-            # +0.0 of a sum started at 0.0, whichever start numpy takes
-            out[slot, :, 1:] = np.add.reduce(terms, axis=1)[:, 1:] + 0.0
+            def sum_t(slot: int, terms: np.ndarray) -> None:
+                # numpy adds along t in order; + 0.0 gives an all -0.0 sum
+                # the +0.0 of a sum started at 0.0, whichever start it takes
+                out[slot, rows, 1:] = np.add.reduce(terms, axis=1)[:, 1:] + 0.0
 
-        # chain rule: the x-derivative sees t * (d Dbar u) plus the
-        # derivative of the segment endpoint factor (x - c).
-        integrate(0, qmul(jd[0], xq) * w1)
-        integrate(1, qmul(jd[1], xq) * w2 + jd[0] * w1)
-        integrate(2, qmul(jd[2], xq) * w2 + qmul(jd[0], I.as_tuple()) * w1)
-        integrate(3, qmul(jd[3], xq) * w2 + qmul(jd[0], J.as_tuple()) * w1)
+            # chain rule: the x-derivative sees t * (d Dbar u) plus the
+            # derivative of the segment endpoint factor (x - c).
+            sum_t(0, qmul(jd[0], xq) * w1)
+            sum_t(1, qmul(jd[1], xq) * w2 + jd[0] * w1)
+            sum_t(2, qmul(jd[2], xq) * w2 + qmul(jd[0], I.as_tuple()) * w1)
+            sum_t(3, qmul(jd[3], xq) * w2 + qmul(jd[0], J.as_tuple()) * w1)
         for k, p in enumerate(as_points(xyz)):
             g = u.gradient_at(p)
             out[:, k, 0] = u(p), g.x, g.y, g.z
@@ -627,15 +636,14 @@ def sphere_flow(speed: float, radius: float) -> FlowPotential:
 def embedded_potential(f: Callable[[complex], complex],
                        fprime: Callable[[complex], complex],
                        domain2d: Optional[Callable[[complex], bool]] = None,
-                       name: str = "",
-                       vectorized: bool = False) -> FlowPotential:
+                       name: str = "") -> FlowPotential:
     """Embed a planar complex potential into the i-plane of the algebra.
 
     The plane carries zeta = x + iy; the field w = Re f + (Im f) i is
-    independent of z and monogenic wherever f is holomorphic.  With
-    ``vectorized`` the three callables also map numpy complex arrays
-    elementwise, which gives the field its array forms; without it they
-    only ever see complex numbers.
+    independent of z and monogenic wherever f is holomorphic.  ``f``,
+    ``fprime`` and ``domain2d`` map one complex number or, elementwise, a
+    numpy complex array (the array forms); one that takes only numbers
+    raises TypeError on the first array call.
     """
     def zeta(x, y, xp):
         if xp is math:
@@ -659,8 +667,7 @@ def embedded_potential(f: Callable[[complex], complex],
         def domain(x, y, z, xp):
             return domain2d(zeta(x, y, xp))
 
-    field = _closed_form(value, partials, domain, name=name or "embedded",
-                         arrays=vectorized)
+    field = _closed_form(value, partials, domain, name=name or "embedded")
     return FlowPotential(field, name=field.name,
                          description="embedded planar potential")
 
@@ -707,8 +714,7 @@ def embedded_cylinder_flow(speed: float, radius: float,
     u, a, gamma = float(speed), float(radius), float(circulation)
     f, fp, domain2d = _cylinder_forms(u, a, gamma)
     name = f"embedded_cylinder(U={u},a={a},G={gamma})"
-    return embedded_potential(f, fp, domain2d=domain2d, name=name,
-                              vectorized=True)
+    return embedded_potential(f, fp, domain2d=domain2d, name=name)
 
 
 def _principal_log(z):

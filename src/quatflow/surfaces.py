@@ -278,9 +278,9 @@ def sphere_body(radius: float,
     flips it outward.
     """
     r0 = float(radius)
-    if r0 <= 0.0:
-        raise ValueError("sphere radius must be positive")
     cx, cy, cz = center.x, center.y, center.z
+    if not (r0 > 0.0 and all(map(math.isfinite, (r0, cx, cy, cz)))):
+        raise ValueError("sphere needs a finite positive radius and center")
 
     def pos(u, phi):
         s = np.sqrt(np.maximum(0.0, 1.0 - u * u))
@@ -320,8 +320,9 @@ def box_body(x_range: tuple[float, float], y_range: tuple[float, float],
     x0, x1 = map(float, x_range)
     y0, y1 = map(float, y_range)
     z0, z1 = map(float, z_range)
-    if not (x0 < x1 and y0 < y1 and z0 < z1):
-        raise ValueError("box ranges must be increasing")
+    if not (x0 < x1 and y0 < y1 and z0 < z1
+            and all(map(math.isfinite, (x0, x1, y0, y1, z0, z1)))):
+        raise ValueError("box ranges must be finite and increasing")
 
     ex = np.array([1.0, 0.0, 0.0])
     ey = np.array([0.0, 1.0, 0.0])
@@ -376,9 +377,10 @@ def cylinder_body(radius: float, z_min: float, z_max: float,
     """
     r0 = float(radius)
     z0, z1 = float(z_min), float(z_max)
-    if r0 <= 0.0 or not z0 < z1:
-        raise ValueError("cylinder needs positive radius and z_min < z_max")
     cx, cy = map(float, center2d)
+    if not (r0 > 0.0 and z0 < z1
+            and all(map(math.isfinite, (r0, z0, z1, cx, cy)))):
+        raise ValueError("cylinder needs finite r > 0, z_min < z_max, center")
 
     def side_pos(s, t):
         return _vectors(cx + r0 * np.cos(s), cy + r0 * np.sin(s), t)

@@ -133,6 +133,10 @@ PARENT_VALUES = {
 }
 
 
+# embed_2d's array jet reproduces the values of its per-node fallback
+PARENT_VALUES["embedded-vortex"] = PARENT_VALUES["user-embedded-vortex"]
+
+
 def array_fields():
     """Every catalog potential plus a sum, a multiple and a conjugate, and
     Dbar u of two harmonic scalars."""
@@ -247,10 +251,11 @@ def test_array_domain_error_names_the_first_node_on_the_cut_ray():
 def route_cases():
     cases = {name: (sc.potential, sc.body, sc.rho)
              for name, sc in scenario_catalog().items()}
-    # planar callables without numpy forms: the per-node fallback
-    cases["user-embedded-vortex"] = (
-        embed_2d(cylinder_vortex_2d(1.0, 1.0, 2.0 * math.pi)),
-        cylinder_body(1.0, -0.5, 0.5), 1.3)
+    vortex = embed_2d(cylinder_vortex_2d(1.0, 1.0, 2.0 * math.pi))
+    cases["embedded-vortex"] = (vortex, cylinder_body(1.0, -0.5, 0.5), 1.3)
+    # the same field without its array forms: the per-node fallback
+    cases["user-embedded-vortex"] = (FlowPotential(scalar_only(vortex.field)),
+                                     cylinder_body(1.0, -0.5, 0.5), 1.3)
     cases["user-fd-uniform"] = (
         FlowPotential(uniform_flow(0.8, -0.3, 0.5).field
                       .without_analytic_jet()),

@@ -22,6 +22,7 @@ from quatflow import (
     scalar_dbar_field,
     sphere_body,
 )
+from quatflow import potentials
 from quatflow.integrals import verify_cauchy_theorem
 
 NAN = float("nan")
@@ -197,6 +198,44 @@ def test_doubling_decisions_stay_per_point():
     assert [exact(j) for j in table_jets(table)] == [exact(j) for j in jets]
     for p, jet in zip(points, jets):
         assert exact(jet) == exact(reference_jet(u, center, p, order=4))
+
+
+def test_levels_take_rows_in_bounded_blocks(monkeypatch):
+    monkeypatch.setattr(potentials, "_COMPLETION_BLOCK", 40)
+    batches = []
+    dbar_field = potentials.scalar_dbar_field
+
+    def recording_dbar_field(u):
+        field = dbar_field(u)
+        jet_array = field.jet_array
+
+        def recorded(xyz):
+            batches.append(len(xyz))
+            return jet_array(xyz)
+
+        field.jet_array = recorded
+        return field
+
+    monkeypatch.setattr(potentials, "scalar_dbar_field", recording_dbar_field)
+    counted = Counted(harmonic_catalog()["1/r"])
+    points = [ReducedPoint(0.6, 0.0, 0.1), ReducedPoint(1.7, 0.2, -0.1),
+              ReducedPoint(1.2, 0.0, 0.0), ReducedPoint(0.4, 0.1, -0.1)] * 3
+    pot = monogenic_completion(counted.field,
+                               center=ReducedPoint(1.6, 0.1, -0.2), order=4)
+    single = []
+    jets = []
+    for p in points:
+        before = counted.calls
+        jets.append(pot.jet_at(p))
+        single.append(counted.calls - before)
+    batches.clear()
+    before = counted.calls
+    table = pot.jet_array(np.array([p.as_tuple() for p in points]))
+    assert counted.calls - before == sum(single)
+    assert [exact(j) for j in table_jets(table)] == [exact(j) for j in jets]
+    # 12 rows at n = 4 are two blocks; n = 32 takes one row per block
+    assert batches[:2] == [40, 8]
+    assert max(batches) == 40
 
 
 def first_error(u, center, points, **kwargs):

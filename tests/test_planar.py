@@ -1,13 +1,16 @@
 """Planar contour formulas and their symbolic residue oracle."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 import sympy
 
 from quatflow import (
     ComplexPotential,
     PlanarContour,
+    QuaternionField,
     ReducedPoint,
     StreamlineError,
     blasius_force_2d,
@@ -22,6 +25,8 @@ from quatflow import (
     streamline_residual,
     uniform_2d,
 )
+from quatflow.fields import DEFAULT_EXCLUSION
+from quatflow.surfaces import gauss_legendre
 
 U, A, GAMMA, RHO = 1.0, 1.0, 2.0 * math.pi, 1.0
 
@@ -155,3 +160,62 @@ def test_reduction_scales_with_extrusion_height():
     report = reduce_and_compare(vortex_cylinder(), PlanarContour.circle(A),
                                 body, rho=RHO, height=2.0)
     assert report.ok, report
+
+
+def test_reduce_and_compare_makes_no_per_node_jet(monkeypatch):
+    def no_scalar_jets(self, p):
+        raise AssertionError("scalar jet on the array path")
+
+    monkeypatch.setattr(QuaternionField, "jet_at", no_scalar_jets)
+    report = reduce_and_compare(vortex_cylinder(), PlanarContour.circle(A),
+                                cylinder_body(A, -0.5, 0.5), about=0.3 + 0j)
+    assert report.ok, report
+
+
+def counted(fn, calls, key):
+    def wrapper(arg):
+        calls[key] = calls.get(key, 0) + 1
+        return fn(arg)
+    return wrapper
+
+
+def test_contour_evaluations_call_each_callable_once():
+    calls = {}
+    circle = PlanarContour.circle(A)
+    contour = PlanarContour(counted(circle.z, calls, "z"),
+                            counted(circle.dz, calls, "dz"))
+    pot = vortex_cylinder()
+    pot = ComplexPotential(pot.f, counted(pot.df, calls, "df"),
+                           counted(pot.domain2d, calls, "domain2d"))
+    calls.clear()
+    contour_integral(contour, counted(lambda z: z * z, calls, "fn"), 32)
+    assert calls == {"z": 1, "dz": 1, "fn": 1}
+    calls.clear()
+    worst, scale = streamline_residual(pot, contour, 32)
+    assert calls == {"z": 1, "dz": 1, "df": 1, "domain2d": 1}
+    assert worst <= 1e-12 * (1.0 + scale)
+
+
+def test_array_domain_error_names_the_first_node_outside():
+    pot = cylinder_2d(U, A)
+    z = np.array([2.0 + 0j, 0.5j * DEFAULT_EXCLUSION, 0j, 3.0 + 1j])
+    for call in (pot, pot.derivative):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"undefined at {complex(z[1])}")):
+            call(z)
+    with pytest.raises(ValueError, match=re.escape("undefined at 0j")):
+        pot.derivative(0j)
+    assert np.array_equal(pot.derivative(z[[0, 3]]),
+                          [pot.derivative(z[0]), pot.derivative(z[3])])
+
+
+def test_contour_nodes_are_the_panel_gauss_rules():
+    circle = PlanarContour.circle(A, panels=3)
+    x, w = gauss_legendre(5)
+    edges = np.linspace(0.0, 2.0 * math.pi, 4)
+    s, weights = circle.nodes(5)
+    for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        assert s[5 * k:5 * k + 5].tolist() == (mid + half * x).tolist()
+        assert weights[5 * k:5 * k + 5].tolist() == (half * w).tolist()
+    assert s.shape == weights.shape == (15,)

@@ -1,4 +1,5 @@
-"""The public API evaluates serially and takes no thread-count argument."""
+"""The public API evaluates serially and takes no thread-count argument
+and no switch between scalar and array evaluation."""
 
 import importlib
 import inspect
@@ -42,17 +43,27 @@ def _callables(obj):
         yield obj.__qualname__, obj
 
 
-def test_no_public_callable_takes_workers():
-    checked = set()
-    offenders = []
+def _public_callables():
+    """(qualified name, function) of every public callable, once each."""
+    checked = {}
     for obj in _public_objects():
         for name, fn in _callables(obj):
-            if fn in checked:
-                continue
-            checked.add(fn)
-            if "workers" in inspect.signature(fn).parameters:
-                offenders.append(name)
-    assert len(checked) > 100
+            checked.setdefault(fn, name)
+    return [(name, fn) for fn, name in checked.items()]
+
+
+def test_no_public_callable_takes_workers():
+    callables = _public_callables()
+    offenders = [name for name, fn in callables
+                 if "workers" in inspect.signature(fn).parameters]
+    assert len(callables) > 100
+    assert offenders == []
+
+
+def test_no_public_callable_takes_vectorized():
+    # planar callables always map arrays; there is no scalar-only switch
+    offenders = [name for name, fn in _public_callables()
+                 if "vectorized" in inspect.signature(fn).parameters]
     assert offenders == []
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from quatflow import (
+    PlanarContour,
     Quaternion,
     ReducedPoint,
     box_body,
@@ -166,3 +167,30 @@ def test_builder_rejects_degenerate_input():
         cylinder_body(1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         box_body((0.0, 0.0), (0.0, 1.0), (0.0, 1.0))
+
+
+NAN, INF = float("nan"), float("inf")
+
+NON_FINITE_GEOMETRY = {
+    "sphere-nan-radius": lambda: sphere_body(NAN),
+    "sphere-inf-radius": lambda: sphere_body(INF),
+    "sphere-nan-center": lambda: sphere_body(1.0, ReducedPoint(0.0, NAN, 0.0)),
+    "box-inf-x": lambda: box_body((-INF, 1.0), (0.0, 1.0), (0.0, 1.0)),
+    "box-inf-z": lambda: box_body((0.0, 1.0), (0.0, 1.0), (0.0, INF)),
+    "cylinder-nan-radius": lambda: cylinder_body(NAN, -1.0, 1.0),
+    "cylinder-inf-z": lambda: cylinder_body(1.0, -1.0, INF),
+    "cylinder-nan-center": lambda: cylinder_body(1.0, -1.0, 1.0,
+                                                 center2d=(NAN, 0.0)),
+    "circle-nan-radius": lambda: PlanarContour.circle(NAN),
+    "circle-inf-radius": lambda: PlanarContour.circle(INF),
+    "circle-nan-center": lambda: PlanarContour.circle(1.0, complex(0.0, NAN)),
+    "contour-nan-endpoints": lambda: PlanarContour(
+        lambda s: complex(NAN, 0.0), lambda s: complex(NAN, 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_GEOMETRY))
+def test_non_finite_geometry_fails_when_built(name):
+    # NaN compares False both ways, so sign and closure tests let it pass
+    with pytest.raises(ValueError):
+        NON_FINITE_GEOMETRY[name]()
