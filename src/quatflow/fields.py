@@ -28,6 +28,7 @@ that way.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -372,6 +373,13 @@ class ScalarField:
     ``FD_STEP`` (first order) and ``FD_STEP2`` (second order).
     ``evaluate_array`` and ``domain_array`` are optional array forms of
     ``evaluate`` and ``domain`` on (N, 3) point arrays.
+
+    Every public method checks the domain at its point first.  Code that
+    works on a batch of points checks the domain once for the whole
+    batch (``_checked``) and then calls the private unchecked bodies
+    (``_gradient_unchecked``, ``_hessian_unchecked``,
+    ``_laplacian_unchecked``) row by row, so the predicate runs once per
+    point rather than once per derivative.
     """
 
     def __init__(self, evaluate: Callable[[ReducedPoint], float],
@@ -407,7 +415,7 @@ class ScalarField:
         return _domain_mask(self._domain, self._domain_array, xyz)
 
     def _check(self, p: ReducedPoint) -> None:
-        if not self.in_domain(p):
+        if self._domain is not None and not self._domain(p):
             raise DomainError(
                 f"field {self.name or '<anonymous>'} is not defined at {p!r}")
 
@@ -426,6 +434,19 @@ class ScalarField:
 
     def gradient_at(self, p: ReducedPoint) -> ReducedPoint:
         self._check(p)
+        return self._gradient_unchecked(p)
+
+    def hessian_at(self, p: ReducedPoint):
+        self._check(p)
+        return self._hessian_unchecked(p)
+
+    def laplacian_at(self, p: ReducedPoint) -> float:
+        self._check(p)
+        return self._laplacian_unchecked(p)
+
+    # The bodies below assume p lies in the domain; callers that checked a
+    # whole grid at once (``_checked``) call them row by row.
+    def _gradient_unchecked(self, p: ReducedPoint) -> ReducedPoint:
         if self._gradient is not None:
             g = self._gradient(p)
             if isinstance(g, ReducedPoint):
@@ -436,14 +457,12 @@ class ScalarField:
                     in _fd_stencil(self._evaluate, p, FD_STEP, self)]
         return ReducedPoint(*partials)
 
-    def hessian_at(self, p: ReducedPoint):
-        self._check(p)
+    def _hessian_unchecked(self, p: ReducedPoint):
         if self._hessian is not None:
             return self._hessian(p)
         return None
 
-    def laplacian_at(self, p: ReducedPoint) -> float:
-        self._check(p)
+    def _laplacian_unchecked(self, p: ReducedPoint) -> float:
         if self._laplacian is not None:
             return float(self._laplacian(p))
         if self._hessian is not None:
@@ -470,22 +489,27 @@ class ScalarField:
 def _dbar_table(u: ScalarField, xyz: np.ndarray, partials: bool) -> np.ndarray:
     """Dbar u at the rows of xyz as a (1, N, 4) array, or its jet as (4, N, 4).
 
-    u's Hessian (for the partials) and gradient are called row by row, in
-    the order of the scalar jet, and the components the scalar jet forms
-    go straight into one float table.
+    The rows of xyz must lie in u's domain (the field's array forms run
+    after ``_checked``).  u's unchecked Hessian (for the partials) and
+    gradient are called row by row, in the order of the scalar jet, and
+    the components the scalar jet forms stream into one float table.
     """
     slots = 4 if partials else 1
-    rows = np.empty((len(xyz), 3 * slots))
-    for k, p in enumerate(as_points(xyz)):
-        if partials:
-            h = u.hessian_at(p)
-            g = u.gradient_at(p)
-            rows[k] = (g.x, -g.y, -g.z, h[0][0], -h[0][1], -h[0][2],
-                       h[0][1], -h[1][1], -h[1][2], h[0][2], -h[1][2],
-                       -h[2][2])
-        else:
-            g = u.gradient_at(p)
-            rows[k] = g.x, -g.y, -g.z
+    gradient, hessian = u._gradient_unchecked, u._hessian_unchecked
+
+    def row(p: ReducedPoint) -> tuple:
+        if not partials:
+            g = gradient(p)
+            return g.x, -g.y, -g.z
+        h = hessian(p)
+        g = gradient(p)
+        return (g.x, -g.y, -g.z, h[0][0], -h[0][1], -h[0][2],
+                h[0][1], -h[1][1], -h[1][2], h[0][2], -h[1][2], -h[2][2])
+
+    # one flat float stream: numpy fills it faster than rows of a
+    # subarray dtype, and no list of row tuples is held
+    rows = np.fromiter(chain.from_iterable(map(row, as_points(xyz))), float,
+                       count=3 * slots * len(xyz))
     out = np.zeros((slots, len(xyz), 4))
     out[..., :3] = rows.reshape(len(xyz), slots, 3).transpose(1, 0, 2)
     return out
@@ -499,17 +523,19 @@ def scalar_dbar_field(u: ScalarField) -> QuaternionField:
     since D(Dbar u) = (Laplacian u) holds componentwise.  The array jet
     (with a Hessian) and the array values fill one float table from u's
     scalar gradient and Hessian, row by row, and equal the scalar jet and
-    value bit for bit.
+    value bit for bit.  The field checks u's domain (once per point, or
+    once per array) before any of its forms runs, so the forms call u's
+    unchecked bodies.
     """
 
     def value(p: ReducedPoint) -> Quaternion:
-        g = u.gradient_at(p)
+        g = u._gradient_unchecked(p)
         return Quaternion(g.x, -g.y, -g.z, 0.0)
 
     jet = jet_array = None
     if u.has_analytic_hessian:
         def jet(p: ReducedPoint) -> Jet:
-            h = u.hessian_at(p)
+            h = u._hessian_unchecked(p)
             return Jet(
                 value(p),
                 Quaternion(h[0][0], -h[0][1], -h[0][2], 0.0),
@@ -548,10 +574,14 @@ def _as_field(f) -> QuaternionField:
     return f
 
 
+def _d_of(jet: Jet) -> Quaternion:
+    """D f from the jet of f."""
+    return jet.dx + I * jet.dy + J * jet.dz
+
+
 def apply_D(f, p: ReducedPoint) -> Quaternion:
     """Left action of D = d/dx + i d/dy + j d/dz."""
-    jet = _as_field(f).jet_at(p)
-    return jet.dx + I * jet.dy + J * jet.dz
+    return _d_of(_as_field(f).jet_at(p))
 
 
 def apply_Dbar(f, p: ReducedPoint) -> Quaternion:
@@ -625,20 +655,41 @@ def default_monogenicity_tol(f) -> float:
     return 1e-6 if field.has_analytic_jet else 1e-4
 
 
+def _batch_residuals(field, pts: list):
+    """|D f| at every point from one ``jet_array`` call, formed from the
+    table rows as ``apply_D`` forms it from a jet; None if the field has
+    no array jet or the call raises."""
+    if not getattr(field, "has_array_jet", False):
+        return None
+    try:
+        table = field.jet_array(np.array([p.as_tuple() for p in pts]))
+    except Exception:
+        return None
+    return [_d_of(Jet(*(Quaternion(*q) for q in rows))).norm()
+            for rows in table.transpose(1, 0, 2).tolist()]
+
+
 def is_monogenic(f, points: Sequence[ReducedPoint],
                  tol: float | None = None) -> MonogenicityReport:
     """Check max |D f| over sample points against a tolerance.
 
     A NaN residual fails the check at once and is reported with its point.
+    A field with an array jet is evaluated at every point in one
+    ``jet_array`` call.  If that call raises, the points are taken one by
+    one, so a NaN residual still returns its report before a later point
+    raises, and the error raised is the one the first failing point
+    meets.
     """
     pts = list(points)
     if not pts:
         raise ValueError("is_monogenic needs at least one sample point")
     if tol is None:
         tol = default_monogenicity_tol(f)
+    residuals = _batch_residuals(_as_field(f), pts)
+    if residuals is None:
+        residuals = (apply_D(f, p).norm() for p in pts)
     worst, worst_p = -1.0, pts[0]
-    for p in pts:
-        r = apply_D(f, p).norm()
+    for p, r in zip(pts, residuals):
         if math.isnan(r):
             return MonogenicityReport(False, r, p, tol)
         if r > worst:

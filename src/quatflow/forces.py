@@ -355,12 +355,13 @@ def force_monogenic_form(potential, body, rho: float = 1.0, order: int = 16,
 # ----------------------------------------------------------------------
 
 def moment_quadratic(potential, body, about: ReducedPoint, rho: float = 1.0,
-                     order: int = 16) -> MomentResult:
+                     order: int = 16, *,
+                     jets: Optional[JetTables] = None) -> MomentResult:
     """M = (rho/8) (integral of) |w Dbar|^2 (x - about) x n dS."""
     def rows(cn, jets):
         return _norm_sq(_conj_grad(jets))[:, None] * moment_arms(cn, about)
 
-    jets = _jet_tables(potential, body, order)
+    jets = _jet_tables(potential, body, order, jets)
     return MomentResult(_reduce(body, order, jets, rows, rho / 8.0), about,
                         "quadratic-form", order,
                         _surface_of(body).node_count(order))

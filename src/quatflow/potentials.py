@@ -279,7 +279,12 @@ def monogenic_completion(u: ScalarField,
     ``value_array`` is the value slot.  Results equal the point-by-point
     sum bit for bit, and an error is the one the first failing point meets
     alone (levels in order, and at each t the harmonic check before the
-    Dbar u jet).
+    Dbar u jet).  Each block checks u's domain once, on the whole grid
+    (in the Dbar u array jet); the harmonic check, the Dbar u table and
+    u and grad u at the evaluation points (which the field has checked)
+    then call u's unchecked bodies, so each grid point costs one domain
+    check per level.  A failed block is replayed point by point through
+    the checked methods, which names the first failing point.
 
     The scalar part of the result reproduces u exactly by construction;
     monogenicity holds when u is harmonic on a region star-shaped about
@@ -297,22 +302,30 @@ def monogenic_completion(u: ScalarField,
     lap_tol = 1e-8 if u.has_analytic_laplacian else 1e-3
     c = np.array(center.as_tuple())
 
-    def harmonic(q: ReducedPoint) -> None:
-        lap = u.laplacian_at(q)
-        if not abs(lap) <= lap_tol:
-            raise ValueError(
-                f"completion input {u.name or '<anonymous>'} is not "
-                f"harmonic near {q!r} (laplacian {lap:.3e})")
+    def not_harmonic(q: ReducedPoint, lap: float) -> ValueError:
+        return ValueError(
+            f"completion input {u.name or '<anonymous>'} is not "
+            f"harmonic near {q!r} (laplacian {lap:.3e})")
 
     def segment_jets(grid: np.ndarray) -> np.ndarray:
+        # dbar.jet_array checks the grid's domain once; the Laplacian
+        # column then runs on the unchecked body
+        table = dbar.jet_array(grid)
         if check_harmonic:
-            for q in as_points(grid):
-                harmonic(q)
-        return dbar.jet_array(grid)
+            lap = np.fromiter(map(u._laplacian_unchecked, as_points(grid)),
+                              float, count=len(grid))
+            bad = ~(np.abs(lap) <= lap_tol)
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise not_harmonic(ReducedPoint(*grid[k].tolist()),
+                                   float(lap[k]))
+        return table
 
     def segment_jet(q: ReducedPoint) -> Jet:
         if check_harmonic:
-            harmonic(q)
+            lap = u.laplacian_at(q)
+            if not abs(lap) <= lap_tol:
+                raise not_harmonic(q, lap)
         return dbar.jet_at(q)
 
     def level(xyz: np.ndarray, n: int) -> np.ndarray:
@@ -342,9 +355,10 @@ def monogenic_completion(u: ScalarField,
             sum_t(1, qmul(jd[1], xq) * w2 + jd[0] * w1)
             sum_t(2, qmul(jd[2], xq) * w2 + qmul(jd[0], I.as_tuple()) * w1)
             sum_t(3, qmul(jd[3], xq) * w2 + qmul(jd[0], J.as_tuple()) * w1)
+        # the rows of xyz passed the field's own domain check
         for k, p in enumerate(as_points(xyz)):
-            g = u.gradient_at(p)
-            out[:, k, 0] = u(p), g.x, g.y, g.z
+            g = u._gradient_unchecked(p)
+            out[:, k, 0] = float(u._evaluate(p)), g.x, g.y, g.z
         return out
 
     def jet_array(xyz: np.ndarray) -> np.ndarray:

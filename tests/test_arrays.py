@@ -194,14 +194,19 @@ def test_array_jet_matches_scalar_jet(name, monkeypatch):
         return closed_form(value, counted, *args, **kwargs)
 
     monkeypatch.setattr(potentials, "_closed_form", counting_closed_form)
-    hessian_at = ScalarField.hessian_at
+    init = ScalarField.__init__
 
-    def counting_hessian_at(u, p):
-        # the partials of Dbar u are u's Hessian
-        partials_calls.append(p)
-        return hessian_at(u, p)
+    def counting_init(u, *args, hessian=None, **kwargs):
+        # the partials of Dbar u are u's Hessian: count the callable itself,
+        # whichever ScalarField method or unchecked body calls it
+        if hessian is not None:
+            def counted(p, hessian=hessian):
+                partials_calls.append(p)
+                return hessian(p)
+            hessian = counted
+        init(u, *args, hessian=hessian, **kwargs)
 
-    monkeypatch.setattr(ScalarField, "hessian_at", counting_hessian_at)
+    monkeypatch.setattr(ScalarField, "__init__", counting_init)
     field = array_fields()[name]
     assert field.has_array_jet
     points = sample_points()

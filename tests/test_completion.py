@@ -238,6 +238,41 @@ def test_levels_take_rows_in_bounded_blocks(monkeypatch):
     assert max(batches) == 40
 
 
+def test_a_completion_checks_the_domain_once_per_grid_point():
+    # The counted predicate is the completion field's own; u's callables
+    # (the catalog's public methods) check the catalog field's domain.
+    one_over_r = harmonic_catalog()["1/r"]
+    checks, laplacians = [], []
+
+    def domain(p):
+        checks.append(p)
+        return one_over_r.in_domain(p)
+
+    def laplacian(p):
+        laplacians.append(p)
+        return one_over_r.laplacian_at(p)
+
+    u = ScalarField(one_over_r, gradient=one_over_r.gradient_at,
+                    laplacian=laplacian, hessian=one_over_r.hessian_at,
+                    domain=domain, name="1/r")
+    points = [ReducedPoint(0.6, 0.0, 0.1), ReducedPoint(1.7, 0.2, -0.1),
+              ReducedPoint(1.2, 0.0, 0.0), ReducedPoint(0.4, 0.1, -0.1)]
+    pot = monogenic_completion(u, center=ReducedPoint(1.6, 0.1, -0.2),
+                               order=4)
+    assert len(checks) == 1   # the centre
+    for p in points:
+        checks.clear()
+        laplacians.clear()
+        pot.jet_at(p)
+        # the harmonic check runs once at every grid point of every level
+        assert len(checks) <= len(laplacians) + 1, p
+    checks.clear()
+    laplacians.clear()
+    pot.jet_array(np.array([p.as_tuple() for p in points]))
+    assert len(laplacians) > 0
+    assert len(checks) <= len(laplacians) + len(points)
+
+
 def first_error(u, center, points, **kwargs):
     """The error reference_jet raises at the first row that fails alone."""
     for p in points:

@@ -3,10 +3,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from quatflow import (
     DomainError,
+    Jet,
+    MonogenicityReport,
     Quaternion,
     QuaternionField,
     ReducedPoint,
@@ -21,9 +24,11 @@ from quatflow import (
     is_monogenic,
     laplacian,
     moisil_theodorescu_residual,
+    monogenic_completion,
     scalar_dbar_field,
     velocity_from_potential,
 )
+from quatflow.fields import default_monogenicity_tol
 
 
 def random_ball_points(seed, count, radius=0.9):
@@ -162,6 +167,112 @@ def test_is_monogenic_flags_a_bad_field():
                           [ReducedPoint(1.0, 0.0, 0.0)])
     assert not report.ok
     assert report.max_residual > 1.0
+
+
+def point_loop_report(f, points):
+    """is_monogenic as the per-point loop: apply_D at each point in turn."""
+    tol = default_monogenicity_tol(f)
+    worst, worst_p = -1.0, points[0]
+    for p in points:
+        r = apply_D(f, p).norm()
+        if math.isnan(r):
+            return MonogenicityReport(False, r, p, tol)
+        if r > worst:
+            worst, worst_p = r, p
+    return MonogenicityReport(worst <= tol, worst, worst_p, tol)
+
+
+def counting_jets(field):
+    """Count the field's jet_array and jet_at calls on this instance."""
+    calls = {"jet_array": 0, "jet_at": 0}
+    for name in calls:
+        method = getattr(field, name)
+
+        def counted(arg, name=name, method=method):
+            calls[name] += 1
+            return method(arg)
+        setattr(field, name, counted)
+    return calls
+
+
+# The probes of `quatflow verify`, which prints each catalog report.
+VERIFY_PROBES = [ReducedPoint(1.1, 0.2, 0.3), ReducedPoint(0.7, -0.5, 0.4),
+                 ReducedPoint(-0.3, 0.8, 1.2), ReducedPoint(0.5, 0.6, -0.7)]
+
+
+def completion_case(name):
+    u = harmonic_catalog()[name]
+    if name in ("1/r", "x/r^3", "log(x+r)"):
+        center = ReducedPoint(1.6, 0.1, -0.2)
+    else:
+        center = ReducedPoint(0.2, -0.1, 0.3)
+    offsets = ((0.3, 0.1, -0.2), (-0.35, 0.2, 0.1), (0.05, -0.4, 0.25),
+               (0.2, 0.2, 0.2), (-0.1, -0.3, -0.2))
+    points = [ReducedPoint(center.x + a, center.y + b, center.z + c)
+              for a, b, c in offsets]
+    return monogenic_completion(u, center=center).field, points
+
+
+BATCH_CASES = ([("completion", name) for name in sorted(harmonic_catalog())]
+               + [("catalog", name) for name in sorted(catalog())])
+
+
+@pytest.mark.parametrize("kind,name", BATCH_CASES)
+def test_is_monogenic_takes_one_batch_with_the_point_loop_report(kind, name):
+    # The closed forms of source, dipole and sphere round differently on
+    # numpy columns than on floats at some points, so their reports are
+    # compared at the verify probes, where the two jets agree.
+    if kind == "completion":
+        field, points = completion_case(name)
+    else:
+        field, points = catalog()[name].field, VERIFY_PROBES
+    want = point_loop_report(field, points)
+    calls = counting_jets(field)
+    got = is_monogenic(field, points)
+    assert calls == {"jet_array": 1, "jet_at": 0}
+    assert repr(got) == repr(want)
+    assert got.ok
+
+
+def nan_left_field():
+    """D f is NaN where x < 0 and 0 elsewhere; defined where z < 1."""
+    def jet(p):
+        return Jet(Quaternion(), Quaternion(math.nan if p.x < 0.0 else 0.0),
+                   Quaternion(), Quaternion())
+
+    def jet_array(xyz):
+        table = np.zeros((4, len(xyz), 4))
+        table[1, :, 0] = np.where(xyz[:, 0] < 0.0, math.nan, 0.0)
+        return table
+
+    return QuaternionField(lambda p: Quaternion(), jet=jet,
+                           domain=lambda p: p.z < 1.0, name="nan-left",
+                           jet_array=jet_array,
+                           domain_array=lambda xyz: xyz[:, 2] < 1.0)
+
+
+def test_is_monogenic_reports_a_nan_before_a_later_domain_error():
+    field = nan_left_field()
+    points = [ReducedPoint(-0.5, 0.0, 0.0), ReducedPoint(0.5, 0.0, 2.0)]
+    calls = counting_jets(field)
+    report = is_monogenic(field, points)
+    assert calls["jet_array"] == 1
+    assert repr(report) == repr(point_loop_report(nan_left_field(), points))
+    assert math.isnan(report.max_residual)
+    assert report.worst_point is points[0]
+
+
+def test_is_monogenic_raises_the_first_points_domain_error():
+    points = [ReducedPoint(0.5, 0.0, 2.0), ReducedPoint(-0.5, 0.0, 0.0)]
+    with pytest.raises(DomainError) as want:
+        point_loop_report(nan_left_field(), points)
+    field = nan_left_field()
+    calls = counting_jets(field)
+    with pytest.raises(DomainError) as got:
+        is_monogenic(field, points)
+    assert calls["jet_array"] == 1
+    assert str(got.value) == str(want.value)
+    assert "is not defined at ReducedPoint(0.5, 0.0, 2.0)" in str(got.value)
 
 
 def test_fd_jets_track_analytic_jets():

@@ -25,6 +25,7 @@ from quatflow import (
     streamline_residual,
     uniform_2d,
 )
+from quatflow import planar
 from quatflow.fields import DEFAULT_EXCLUSION
 from quatflow.surfaces import gauss_legendre
 
@@ -170,6 +171,32 @@ def test_reduce_and_compare_makes_no_per_node_jet(monkeypatch):
     report = reduce_and_compare(vortex_cylinder(), PlanarContour.circle(A),
                                 cylinder_body(A, -0.5, 0.5), about=0.3 + 0j)
     assert report.ok, report
+
+
+def test_reduce_and_compare_shares_jets_and_the_streamline_check(monkeypatch):
+    batches = []
+    jet_array = QuaternionField.jet_array
+
+    def recorded(self, xyz):
+        batches.append(len(xyz))
+        return jet_array(self, xyz)
+
+    residual_calls = []
+    residual = planar.streamline_residual
+
+    def counted_residual(*args, **kwargs):
+        residual_calls.append(args)
+        return residual(*args, **kwargs)
+
+    monkeypatch.setattr(QuaternionField, "jet_array", recorded)
+    monkeypatch.setattr(planar, "streamline_residual", counted_residual)
+    report = reduce_and_compare(vortex_cylinder(), PlanarContour.circle(A),
+                                cylinder_body(A, -0.5, 0.5), order_3d=16,
+                                about=0.3 + 0j)
+    assert report.ok, report
+    # one table per chart (the side and two caps) serves force and moment
+    assert batches == [512, 512, 512]
+    assert len(residual_calls) == 1
 
 
 def counted(fn, calls, key):
