@@ -168,6 +168,12 @@ class QuaternionField:
     first.  ``_closed_form`` derives every form from one closed form.
     """
 
+    # True when jet_array forms each row with the scalar jet's own
+    # arithmetic, so that it equals jet_at bit for bit (set by
+    # ``scalar_dbar_field`` and ``monogenic_completion``).  A closed form
+    # rounds differently on numpy columns than on floats at some points.
+    _array_jet_is_rowwise = False
+
     def __init__(self, evaluate: Callable[[ReducedPoint], Quaternion],
                  jet: Optional[Callable[[ReducedPoint], Jet]] = None,
                  domain: Optional[Callable[[ReducedPoint], bool]] = None,
@@ -415,7 +421,7 @@ class ScalarField:
         return _domain_mask(self._domain, self._domain_array, xyz)
 
     def _check(self, p: ReducedPoint) -> None:
-        if self._domain is not None and not self._domain(p):
+        if not self.in_domain(p):
             raise DomainError(
                 f"field {self.name or '<anonymous>'} is not defined at {p!r}")
 
@@ -549,10 +555,12 @@ def scalar_dbar_field(u: ScalarField) -> QuaternionField:
     def value_array(xyz: np.ndarray) -> np.ndarray:
         return _dbar_table(u, xyz, False)[0]
 
-    return QuaternionField(value, jet=jet, domain=u._domain,
-                           name=f"dbar({u.name})", jet_array=jet_array,
-                           domain_array=u._domain_array,
-                           value_array=value_array)
+    field = QuaternionField(value, jet=jet, domain=u._domain,
+                            name=f"dbar({u.name})", jet_array=jet_array,
+                            domain_array=u._domain_array,
+                            value_array=value_array)
+    field._array_jet_is_rowwise = jet_array is not None
+    return field
 
 
 def coordinate_field() -> QuaternionField:
@@ -657,9 +665,9 @@ def default_monogenicity_tol(f) -> float:
 
 def _batch_residuals(field, pts: list):
     """|D f| at every point from one ``jet_array`` call, formed from the
-    table rows as ``apply_D`` forms it from a jet; None if the field has
-    no array jet or the call raises."""
-    if not getattr(field, "has_array_jet", False):
+    table rows as ``apply_D`` forms it from a jet; None unless the field's
+    array jet equals its scalar jet bit for bit, or if the call raises."""
+    if not getattr(field, "_array_jet_is_rowwise", False):
         return None
     try:
         table = field.jet_array(np.array([p.as_tuple() for p in pts]))
@@ -674,11 +682,12 @@ def is_monogenic(f, points: Sequence[ReducedPoint],
     """Check max |D f| over sample points against a tolerance.
 
     A NaN residual fails the check at once and is reported with its point.
-    A field with an array jet is evaluated at every point in one
-    ``jet_array`` call.  If that call raises, the points are taken one by
-    one, so a NaN residual still returns its report before a later point
-    raises, and the error raised is the one the first failing point
-    meets.
+    A Dbar u field with an array jet and a monogenic completion, whose
+    array jets equal their scalar jets bit for bit, are evaluated at every
+    point in one ``jet_array`` call; other fields point by point.  If that
+    call raises, the points are taken one by one, so a NaN residual still
+    returns its report before a later point raises, and the error raised
+    is the one the first failing point meets.
     """
     pts = list(points)
     if not pts:

@@ -307,6 +307,11 @@ def monogenic_completion(u: ScalarField,
             f"completion input {u.name or '<anonymous>'} is not "
             f"harmonic near {q!r} (laplacian {lap:.3e})")
 
+    def harmonic(q: ReducedPoint) -> None:
+        lap = u.laplacian_at(q)
+        if not abs(lap) <= lap_tol:
+            raise not_harmonic(q, lap)
+
     def segment_jets(grid: np.ndarray) -> np.ndarray:
         # dbar.jet_array checks the grid's domain once; the Laplacian
         # column then runs on the unchecked body
@@ -323,9 +328,7 @@ def monogenic_completion(u: ScalarField,
 
     def segment_jet(q: ReducedPoint) -> Jet:
         if check_harmonic:
-            lap = u.laplacian_at(q)
-            if not abs(lap) <= lap_tol:
-                raise not_harmonic(q, lap)
+            harmonic(q)
         return dbar.jet_at(q)
 
     def level(xyz: np.ndarray, n: int) -> np.ndarray:
@@ -393,6 +396,7 @@ def monogenic_completion(u: ScalarField,
                             domain=u._domain, name=f"completion({u.name})",
                             jet_array=jet_array,
                             domain_array=u._domain_array)
+    field._array_jet_is_rowwise = True
     return FlowPotential(field, name=f"completion({u.name})",
                          description="radial monogenic completion")
 

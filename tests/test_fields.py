@@ -30,6 +30,8 @@ from quatflow import (
 )
 from quatflow.fields import default_monogenicity_tol
 
+from test_arrays import sample_points
+
 
 def random_ball_points(seed, count, radius=0.9):
     """Points in a ball, rejection-sampled for reproducibility."""
@@ -195,11 +197,6 @@ def counting_jets(field):
     return calls
 
 
-# The probes of `quatflow verify`, which prints each catalog report.
-VERIFY_PROBES = [ReducedPoint(1.1, 0.2, 0.3), ReducedPoint(0.7, -0.5, 0.4),
-                 ReducedPoint(-0.3, 0.8, 1.2), ReducedPoint(0.5, 0.6, -0.7)]
-
-
 def completion_case(name):
     u = harmonic_catalog()[name]
     if name in ("1/r", "x/r^3", "log(x+r)"):
@@ -213,42 +210,54 @@ def completion_case(name):
     return monogenic_completion(u, center=center).field, points
 
 
-BATCH_CASES = ([("completion", name) for name in sorted(harmonic_catalog())]
-               + [("catalog", name) for name in sorted(catalog())])
+def dbar_case(name):
+    field = scalar_dbar_field(harmonic_catalog()[name])
+    return field, [p for p in sample_points() if field.in_domain(p)]
+
+
+BATCH_CASES = [(kind, name) for kind in ("completion", "dbar")
+               for name in sorted(harmonic_catalog())]
 
 
 @pytest.mark.parametrize("kind,name", BATCH_CASES)
 def test_is_monogenic_takes_one_batch_with_the_point_loop_report(kind, name):
-    # The closed forms of source, dipole and sphere round differently on
-    # numpy columns than on floats at some points, so their reports are
-    # compared at the verify probes, where the two jets agree.
-    if kind == "completion":
-        field, points = completion_case(name)
-    else:
-        field, points = catalog()[name].field, VERIFY_PROBES
+    # completions and Dbar u fields form their array jets row by row with
+    # the scalar jet's arithmetic, so one batch reproduces the point loop
+    field, points = (completion_case if kind == "completion"
+                     else dbar_case)(name)
     want = point_loop_report(field, points)
     calls = counting_jets(field)
     got = is_monogenic(field, points)
     assert calls == {"jet_array": 1, "jet_at": 0}
     assert repr(got) == repr(want)
-    assert got.ok
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_is_monogenic_takes_catalog_potentials_point_by_point(name):
+    # a closed form's array jet may round differently from its scalar jet
+    # in the last bits, so is_monogenic keeps to the scalar jet there
+    field = catalog()[name].field
+    points = [p for p in sample_points() if field.in_domain(p)]
+    want = point_loop_report(field, points)
+    calls = counting_jets(field)
+    got = is_monogenic(field, points)
+    assert calls == {"jet_array": 0, "jet_at": len(points)}
+    assert repr(got) == repr(want)
 
 
 def nan_left_field():
-    """D f is NaN where x < 0 and 0 elsewhere; defined where z < 1."""
-    def jet(p):
-        return Jet(Quaternion(), Quaternion(math.nan if p.x < 0.0 else 0.0),
-                   Quaternion(), Quaternion())
+    """Dbar u for a u whose Hessian is NaN where x < 0 and 0 elsewhere,
+    defined where z < 1: D of it is NaN where x < 0 and 0 elsewhere."""
+    def hessian(p):
+        h = math.nan if p.x < 0.0 else 0.0
+        return ((h, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
-    def jet_array(xyz):
-        table = np.zeros((4, len(xyz), 4))
-        table[1, :, 0] = np.where(xyz[:, 0] < 0.0, math.nan, 0.0)
-        return table
-
-    return QuaternionField(lambda p: Quaternion(), jet=jet,
-                           domain=lambda p: p.z < 1.0, name="nan-left",
-                           jet_array=jet_array,
-                           domain_array=lambda xyz: xyz[:, 2] < 1.0)
+    u = ScalarField(lambda p: 0.0,
+                    gradient=lambda p: ReducedPoint(0.0, 0.0, 0.0),
+                    hessian=hessian, domain=lambda p: p.z < 1.0,
+                    name="nan-left",
+                    domain_array=lambda xyz: xyz[:, 2] < 1.0)
+    return scalar_dbar_field(u)
 
 
 def test_is_monogenic_reports_a_nan_before_a_later_domain_error():

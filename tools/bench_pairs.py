@@ -2,14 +2,14 @@
 
 Usage, from the repository root:
 
-    python3 tools/bench_pairs.py --out BENCH_N.json --pairs 10 \
-        --workload completion --workload cli-mix --workload forces-warm
+    python3 tools/bench_pairs.py --out BENCH_N.json [--base COMMIT]
 
 The parent side is the committed tree of ``--base`` (default ``HEAD``),
 exported with ``git archive`` into a temporary directory; the change side
-is the working tree.  Pair k runs ``perfbench/run.py --seed <first-seed + k>
---seconds <s> --trace 0`` once on each side, the parent first for even k
-and the change first for odd k.  Each side runs its own copy of
+is the working tree.  For every workload of ``BENCHMARK.json``, pair k
+(k = 0 to 9) runs ``perfbench/run.py --seed <101 + k> --seconds <s>
+--trace 0``, with s the ``run_seconds`` of ``BENCHMARK.json``, once on
+each side, the parent first for even k and the change first for odd k.  Each side runs its own copy of
 ``perfbench/run.py`` against its own ``src/``.  The output records every
 run's metrics, each side's median and quartiles per metric, how many
 pairs the change won, the machine, the Python and numpy versions and the
@@ -32,21 +32,16 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+# ten pairs: the fewest in which a change can win nine tenths and lose one
+PAIRS = 10
+FIRST_SEED = 101
 
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--workload", action="append", required=True,
-                        choices=("cli-mix", "forces-warm", "completion"))
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--first-seed", type=int, default=101)
     parser.add_argument("--base", default="HEAD")
-    args = parser.parse_args(argv)
-    if args.pairs < 1 or not args.seconds > 0:
-        parser.error("--pairs must be >= 1 and --seconds positive")
-    return args
+    return parser.parse_args(argv)
 
 
 def export_commit(commit: str, into: Path) -> None:
@@ -54,7 +49,11 @@ def export_commit(commit: str, into: Path) -> None:
     archive = subprocess.run(["git", "archive", "--format=tar", commit],
                              cwd=ROOT, check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(into, filter="data")
+        # extraction filters exist from Python 3.10.12, 3.11.4 and 3.12 on
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(into, filter="data")
+        else:
+            tar.extractall(into)
 
 
 def src_lines(tree: Path) -> int:
@@ -103,13 +102,14 @@ def main(argv=None) -> int:
     declared = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
     lower_is_better = {m["name"] for m in declared["end_to_end"]
                        if m["better"] == "lower"}
+    seconds = declared["run_seconds"]
     base = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT,
                           check=True, capture_output=True,
                           text=True).stdout.strip()
     record = {
-        "command": "perfbench/run.py --seconds %g --trace 0" % args.seconds,
+        "command": "perfbench/run.py --seconds %g --trace 0" % seconds,
         "base": base,
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "order": "parent first on even pairs, change first on odd pairs",
         "machine": {"platform": platform.platform(),
                     "machine": platform.machine(),
@@ -125,15 +125,15 @@ def main(argv=None) -> int:
         trees = {"parent": parent, "change": ROOT}
         record["src_lines"] = {side: src_lines(tree)
                                for side, tree in trees.items()}
-        for workload in args.workload:
+        for workload in (w["name"] for w in declared["workloads"]):
             runs = {"parent": [], "change": []}
-            for k in range(args.pairs):
-                seed = args.first_seed + k
+            for k in range(PAIRS):
+                seed = FIRST_SEED + k
                 sides = ("parent", "change") if k % 2 == 0 else \
                     ("change", "parent")
                 for side in sides:
                     runs[side].append(run_once(trees[side], workload, seed,
-                                               args.seconds))
+                                               seconds))
                     print(workload, seed, side,
                           json.dumps(runs[side][-1]["metrics"]),
                           file=sys.stderr, flush=True)
