@@ -34,7 +34,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .quaternion import Quaternion, ReducedPoint, I, J, qconj
-from .surfaces import as_points, evaluate_nodes, in_node_order, node_rows
+from .surfaces import (_frozen, as_points, evaluate_nodes, in_node_order,
+                       node_rows)
 
 __all__ = [
     "DomainError",
@@ -68,6 +69,9 @@ DEFAULT_EXCLUSION = 1e-8
 
 # A function of an (N, 3) point array returning an array over its N rows.
 ArrayMap = Callable[[np.ndarray], np.ndarray]
+
+# Jet tables a field keeps: the box's six charts, the most of any body.
+_TABLES_KEPT = 6
 
 
 class DomainError(ValueError):
@@ -193,6 +197,7 @@ class QuaternionField:
         self._domain_array = domain_array
         self._value_array = value_array
         self.name = name
+        self._tables: dict[int, tuple] = {}   # see jet_table
 
     @property
     def has_analytic_jet(self) -> bool:
@@ -223,6 +228,25 @@ class QuaternionField:
             return table.reshape(-1, 4, 4).transpose(1, 0, 2)
         return in_node_order(
             lambda xyz: self._jet_array(_checked(self, xyz)), self.jet_at, xyz)
+
+    def jet_table(self, xyz: np.ndarray) -> np.ndarray:
+        """``jet_array(xyz)``, remembered by the identity of xyz when it and
+        the data it views are read-only (as ``ChartNodes.point_array`` is).
+        Remembered tables are read-only and kept, each beside its xyz so
+        that no other array takes that id, for the ``_TABLES_KEPT`` most
+        recently used arrays.  An error stores nothing."""
+        base = xyz
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is not None:   # a writable array, or data numpy cannot see
+            return self.jet_array(xyz)
+        entry = self._tables.pop(id(xyz), None)
+        if entry is None:
+            entry = (xyz, _frozen(self.jet_array(xyz)))
+            if len(self._tables) == _TABLES_KEPT:
+                self._tables.pop(next(iter(self._tables)), None)
+        self._tables[id(xyz)] = entry
+        return entry[1]
 
     def value_array(self, xyz: np.ndarray) -> np.ndarray:
         """Values at the rows of an (N, 3) array as an (N, 4) array: the

@@ -25,9 +25,9 @@ by node), (N, 3) node arrays, and the array Hamilton product.  Rows are
 reduced by ``surfaces.quadrature_sum``, chart by chart.  The pressure
 integrals for a given pressure are the surface integrals
 ``integrate_scalar_dsigma`` and ``integrate_moment_kernel``, negated.
-``all_force_methods`` evaluates the jet tables once and passes them to
-each route (``jets=``), so the four routes and the stream-surface gate
-share them.
+The potential's field remembers one read-only table per chart node array
+(``QuaternionField.jet_table``), so all force and moment routes, the gate
+and ``pressure_field`` evaluate each chart once per potential.
 """
 
 from __future__ import annotations
@@ -67,9 +67,6 @@ __all__ = [
     "ForceComparison",
     "all_force_methods",
 ]
-
-# One (4, N, 4) jet table per chart of a quadrature, in chart order.
-JetTables = list[np.ndarray]
 
 _I = np.array([0.0, 1.0, 0.0, 0.0])
 _J = np.array([0.0, 0.0, 1.0, 0.0])
@@ -133,24 +130,21 @@ def _bernoulli(jets: np.ndarray, rho: float, stagnation: float) -> np.ndarray:
     return stagnation - 0.5 * rho * (vx * vx + vy * vy + vz * vz)
 
 
-def _jet_tables(potential, body, order,
-                jets: Optional[JetTables] = None) -> JetTables:
-    """One jet table per chart of body's quadrature, unless already given."""
-    if jets is not None:
-        return jets
-    return [potential.jet_array(cn.point_array)
+def _jet_tables(potential, body, order) -> list[np.ndarray]:
+    """The potential's remembered jet table of each chart of body."""
+    return [potential.jet_table(cn.point_array)
             for cn in _surface_of(body).quadrature(order)]
 
 
-def _reduce(body, order, jets: JetTables, rows_fn,
-            scale: float) -> ReducedPoint:
+def _reduce(potential, body, order, rows_fn, scale: float) -> ReducedPoint:
     """scale times the quadrature sum of rows_fn(chart nodes, jet table)."""
+    jets = _jet_tables(potential, body, order)
     return ReducedPoint(*(scale * _chart_sum(body, order, rows_fn, jets)))
 
 
-def _force(body, order, jets, rows_fn, scale, method):
-    return ForceResult(_reduce(body, order, jets, rows_fn, scale), method,
-                       order, _surface_of(body).node_count(order))
+def _force(potential, body, order, rows_fn, scale, method):
+    return ForceResult(_reduce(potential, body, order, rows_fn, scale),
+                       method, order, _surface_of(body).node_count(order))
 
 
 def _blasius_rows(cn: ChartNodes, jets: np.ndarray) -> np.ndarray:
@@ -173,17 +167,12 @@ def _monogenic_form_rows(cn: ChartNodes, jets: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # force routes
 # ----------------------------------------------------------------------
-#
-# The routes built on the potential's jet accept ``jets``: one (4, N, 4)
-# table per chart of ``body``'s quadrature at ``order``, evaluated by the
-# caller (``all_force_methods`` shares one set across routes).  Without
-# it each route evaluates its own.
 
 def pressure_field(potential, rho: float = 1.0,
                    stagnation: float = 0.0) -> ScalarField:
     """Bernoulli pressure p0 - (rho/2) |grad Sc w|^2.
 
-    When the potential has an array jet, so does the pressure.
+    Its array form reads the jet tables the potential's field remembers.
     """
     pot = potential if isinstance(potential, FlowPotential) \
         else FlowPotential(potential)
@@ -192,11 +181,8 @@ def pressure_field(potential, rho: float = 1.0,
     def ev(p: ReducedPoint) -> float:
         return stagnation - 0.5 * rho * pot.speed_squared_at(p)
 
-    ev_array = None
-    if field.has_array_jet:
-        def ev_array(xyz: np.ndarray) -> np.ndarray:
-            # the ScalarField has checked the domain already
-            return _bernoulli(field._jet_array(xyz), rho, stagnation)
+    def ev_array(xyz: np.ndarray) -> np.ndarray:
+        return _bernoulli(field.jet_table(xyz), rho, stagnation)
 
     return ScalarField(ev, domain=field.in_domain,
                        name=f"pressure({pot.name})", evaluate_array=ev_array,
@@ -214,26 +200,24 @@ def force_from_pressure(pressure, body, order: int = 16, *,
 
 
 def force_pressure_direct(potential, body, rho: float = 1.0,
-                          order: int = 16, *, stagnation: float = 0.0,
-                          jets: Optional[JetTables] = None) -> ForceResult:
+                          order: int = 16, *,
+                          stagnation: float = 0.0) -> ForceResult:
     """The pressure route, with p from the Bernoulli relation."""
-    jets = _jet_tables(potential, body, order, jets)
-
     def rows(cn, j):
         return -_bernoulli(j, rho, stagnation)[:, None] * cn.normal_array
 
-    return _force(body, order, jets, rows, 1.0, "pressure")
+    return _force(potential, body, order, rows, 1.0, "pressure")
 
 
-def force_blasius(potential, body, rho: float = 1.0, order: int = 16, *,
-                  jets: Optional[JetTables] = None) -> ForceResult:
+def force_blasius(potential, body, rho: float = 1.0,
+                  order: int = 16) -> ForceResult:
     """F = (rho/8) (integral of) |w Dbar|^2 dsigma."""
-    jets = _jet_tables(potential, body, order, jets)
-    return _force(body, order, jets, _blasius_rows, rho / 8.0, "blasius")
+    return _force(potential, body, order, _blasius_rows, rho / 8.0,
+                  "blasius")
 
 
-def force_components_sc(potential, body, rho: float = 1.0, order: int = 16,
-                        *, jets: Optional[JetTables] = None) -> ForceResult:
+def force_components_sc(potential, body, rho: float = 1.0,
+                        order: int = 16) -> ForceResult:
     """Componentwise scalar-part force formulas.
 
     Each component is the scalar part of (conj(g) g) dsigma followed by a
@@ -241,8 +225,7 @@ def force_components_sc(potential, body, rho: float = 1.0, order: int = 16,
     conj(g) g is a scalar, these agree with the norm route exactly, which
     the tests pin down to the last bit.
     """
-    jets = _jet_tables(potential, body, order, jets)
-    return _force(body, order, jets, _components_sc_rows, rho / 8.0,
+    return _force(potential, body, order, _components_sc_rows, rho / 8.0,
                   "components-sc")
 
 
@@ -252,10 +235,6 @@ def force_components_sc(potential, body, rho: float = 1.0, order: int = 16,
 
 _PROBE_LABELS = ("psi1 varies with z", "psi2 varies with y",
                  "psi3 varies with x")
-
-
-def _quaternion_norms(q: np.ndarray) -> np.ndarray:
-    return np.sqrt(_norm_sq(q))
 
 
 def _gate_stream_surface(quadrature, jets_per_chart,
@@ -277,7 +256,7 @@ def _gate_stream_surface(quadrature, jets_per_chart,
         for jets in jets_per_chart:
             for partial in jets[1:]:
                 # fmax skips NaN, as the running max over nodes did
-                scale = float(np.fmax.reduce(_quaternion_norms(partial),
+                scale = float(np.fmax.reduce(np.sqrt(_norm_sq(partial)),
                                              initial=scale))
         tol = 1e-8 * (1.0 + scale)
     if not np.isfinite(tol):
@@ -309,7 +288,7 @@ def _gate_stream_surface(quadrature, jets_per_chart,
         a, b = idxs
         if quadrature[a].chart.orientation == quadrature[b].chart.orientation:
             continue
-        flat = all(np.all(_quaternion_norms(jets_per_chart[idx][3]) <= tol)
+        flat = all(np.all(np.sqrt(_norm_sq(jets_per_chart[idx][3])) <= tol)
                    for idx in (a, b))
         if flat:
             exempt.update((a, b))
@@ -334,8 +313,7 @@ def _gate_stream_surface(quadrature, jets_per_chart,
 
 
 def force_monogenic_form(potential, body, rho: float = 1.0, order: int = 16,
-                         *, gate_tol: Optional[float] = None,
-                         jets: Optional[JetTables] = None) -> ForceResult:
+                         *, gate_tol: Optional[float] = None) -> ForceResult:
     """F = -(rho/8) (integral of) [Sc(g dsigma g) + Sc(g dsigma g i) i
     + Sc(g dsigma g j) j] with g = w Dbar.
 
@@ -343,10 +321,9 @@ def force_monogenic_form(potential, body, rho: float = 1.0, order: int = 16,
     the integral deformation invariant; the stream-surface gate rejects
     surfaces where the assembled scalar parts stop being a force density.
     """
-    jets = _jet_tables(potential, body, order, jets)
-    _gate_stream_surface(_surface_of(body).quadrature(order), jets,
-                         gate_tol)
-    return _force(body, order, jets, _monogenic_form_rows, -rho / 8.0,
+    _gate_stream_surface(_surface_of(body).quadrature(order),
+                         _jet_tables(potential, body, order), gate_tol)
+    return _force(potential, body, order, _monogenic_form_rows, -rho / 8.0,
                   "monogenic-form")
 
 
@@ -355,15 +332,13 @@ def force_monogenic_form(potential, body, rho: float = 1.0, order: int = 16,
 # ----------------------------------------------------------------------
 
 def moment_quadratic(potential, body, about: ReducedPoint, rho: float = 1.0,
-                     order: int = 16, *,
-                     jets: Optional[JetTables] = None) -> MomentResult:
+                     order: int = 16) -> MomentResult:
     """M = (rho/8) (integral of) |w Dbar|^2 (x - about) x n dS."""
     def rows(cn, jets):
         return _norm_sq(_conj_grad(jets))[:, None] * moment_arms(cn, about)
 
-    jets = _jet_tables(potential, body, order, jets)
-    return MomentResult(_reduce(body, order, jets, rows, rho / 8.0), about,
-                        "quadratic-form", order,
+    return MomentResult(_reduce(potential, body, order, rows, rho / 8.0),
+                        about, "quadratic-form", order,
                         _surface_of(body).node_count(order))
 
 
@@ -401,14 +376,12 @@ def all_force_methods(potential, body, rho: float = 1.0, order: int = 16,
                       *, stagnation: float = 0.0) -> ForceComparison:
     """Run every force route and report their largest pairwise gap.
 
-    One jet table per chart, evaluated here, is passed to all four routes
-    and so to the gate.  The monogenic form participates only when its
-    gate admits the surface; a refusal is recorded verbatim under
-    ``gated``.  A non-finite route
-    result makes ``max_disagreement`` non-finite.
+    The routes and the gate share the jet table the field remembers for
+    each chart.  The monogenic form participates only when its gate
+    admits the surface; a refusal is recorded verbatim under ``gated``.
+    A non-finite route result makes ``max_disagreement`` non-finite.
     """
-    jets = _jet_tables(potential, body, order)
-    shared = {"rho": rho, "order": order, "jets": jets}
+    shared = {"rho": rho, "order": order}
     results = {
         "pressure": force_pressure_direct(potential, body,
                                           stagnation=stagnation, **shared),

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .quaternion import ReducedPoint
-from .forces import _jet_tables, force_blasius, moment_quadratic
+from .forces import force_blasius, moment_quadratic
 from .potentials import FlowPotential, _cylinder_forms, embedded_potential
 from .surfaces import RegularBody, _scaled_gauss
 
@@ -256,19 +256,17 @@ def reduce_and_compare(potential: ComplexPotential, contour: PlanarContour,
     comparison.  Force components are compared in the plane; the moment
     comparison uses the z component of the 3D moment about the point
     (Re about, Im about, 0).  The force formula's streamline check serves
-    the moment formula too, and one jet table per chart serves both 3D
-    routes.
+    the moment formula too, and both 3D routes read the one jet table per
+    chart that the embedded potential's field remembers.
     """
     f2 = blasius_force_2d(potential, contour, rho=rho, order=order_2d)
     m2 = blasius_moment_2d(potential, contour, about=about, rho=rho,
                            order=order_2d, check_streamline=False)
     embedded = embed_2d(potential)
-    jets = _jet_tables(embedded, body, order_3d)
-    f3 = force_blasius(embedded, body, rho=rho, order=order_3d,
-                       jets=jets).force
+    f3 = force_blasius(embedded, body, rho=rho, order=order_3d).force
     about3 = ReducedPoint(about.real, about.imag, 0.0)
-    m3 = moment_quadratic(embedded, body, about3, rho=rho, order=order_3d,
-                          jets=jets).moment
+    m3 = moment_quadratic(embedded, body, about3, rho=rho,
+                          order=order_3d).moment
     f3_per_h = f3 / height
     m3_per_h = m3 / height
     force_gap = math.hypot(f3_per_h.x - f2.real, f3_per_h.y - f2.imag,

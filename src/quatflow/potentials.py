@@ -92,6 +92,9 @@ class FlowPotential:
     def jet_array(self, xyz: np.ndarray) -> np.ndarray:
         return self.field.jet_array(xyz)
 
+    def jet_table(self, xyz: np.ndarray) -> np.ndarray:
+        return self.field.jet_table(xyz)
+
     def in_domain(self, p: ReducedPoint) -> bool:
         return self.field.in_domain(p)
 

@@ -6,10 +6,12 @@ array routes must reproduce them to 1e-12 relative, with the same gate
 decisions and messages.
 """
 
+import gc
 import json
 import math
 import random
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -421,3 +423,91 @@ def test_cli_rejects_non_finite_config_numbers(change, tmp_path, capsys):
 def test_cli_rejects_bad_numeric_arguments(argv, capsys):
     assert cli.main(argv + ["--order", "4"]) == 2
     capsys.readouterr()
+
+
+# ----------------------------------------------------------------------
+# the jet tables a field remembers (QuaternionField.jet_table)
+# ----------------------------------------------------------------------
+
+def read_only(xyz):
+    xyz = np.array(xyz, dtype=float)
+    xyz.setflags(write=False)
+    return xyz
+
+
+def test_jet_table_of_a_writable_array_follows_its_values():
+    field = sphere_flow(1.0, 1.0).field
+    xyz = np.array([[1.5, 0.2, -0.3], [0.4, 1.1, 0.6]])
+    first = field.jet_table(xyz)
+    xyz[0] = (-0.7, 1.3, 0.2)
+    second = field.jet_table(xyz)
+    assert np.array_equal(second, field.jet_array(xyz.copy()))
+    assert not np.array_equal(first, second)
+    assert field._tables == {}
+
+
+def test_jet_table_of_a_read_only_view_of_writable_data_is_not_kept():
+    field = sphere_flow(1.0, 1.0).field
+    data = np.array([[1.5, 0.2, -0.3], [0.4, 1.1, 0.6]])
+    view = data.view()
+    view.setflags(write=False)
+    field.jet_table(view)
+    data[0] = (-0.7, 1.3, 0.2)
+    assert np.array_equal(field.jet_table(view), field.jet_array(data.copy()))
+    assert field._tables == {}
+
+
+def test_remembered_jet_table_is_read_only_and_shared():
+    field = sphere_flow(1.0, 1.0).field
+    xyz = sphere_body(1.0).surface.quadrature(8)[0].point_array
+    table = field.jet_table(xyz)
+    assert field.jet_table(xyz) is table
+    assert np.array_equal(table, field.jet_array(xyz))
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 1.0
+
+
+def test_jet_table_domain_error_repeats_and_stores_nothing():
+    field = point_source(1.0).field
+    xyz = read_only([[0.5, 0.1, 0.0], [-0.5, 0.0, 0.0], [0.3, 0.0, 0.2]])
+    texts = []
+    for _ in range(2):
+        with pytest.raises(DomainError) as err:
+            field.jet_table(xyz)
+        texts.append(str(err.value))
+    assert texts[0] == texts[1]
+    assert "(-0.5, 0.0, 0.0)" in texts[0]
+    assert field._tables == {}
+
+
+def test_jet_tables_die_with_their_potential():
+    pot = sphere_flow(1.0, 1.0)
+    body = cylinder_body(1.0, -0.5, 0.5)
+    all_force_methods(pot, body, order=8)
+    ref = weakref.ref(pot.field.jet_table(
+        body.surface.quadrature(8)[0].point_array))
+    assert ref() is not None
+    del pot
+    gc.collect()
+    assert ref() is None
+
+
+def test_an_order_sweep_keeps_at_most_six_tables():
+    field = sphere_flow(1.0, 1.0).field
+    body = box_body((-1.0, 1.0), (-1.1, 1.0), (-1.0, 1.2))
+    refs = []
+    for order in range(8, 41):
+        tables = [field.jet_table(cn.point_array)
+                  for cn in body.surface.quadrature(order)]
+        refs.append(weakref.ref(tables[0]))
+        assert len(field._tables) <= 6
+    del tables
+    gc.collect()
+    assert all(ref() is None for ref in refs[:-1])
+    assert refs[-1]() is not None
+    # the last order's six tables are the ones kept
+    last = body.surface.quadrature(40)
+    kept = [field.jet_table(cn.point_array) for cn in last]
+    assert all(field.jet_table(cn.point_array) is table
+               for cn, table in zip(last, kept))
+    assert len(field._tables) == 6

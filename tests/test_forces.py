@@ -5,9 +5,12 @@ import math
 import pytest
 
 from quatflow import (
+    FlowPotential,
+    QuaternionField,
     ReducedPoint,
     StreamSurfaceError,
     all_force_methods,
+    box_body,
     cylinder_body,
     cylinder_uniform_scenario,
     cylinder_vortex_scenario,
@@ -20,9 +23,11 @@ from quatflow import (
     moment_from_pressure,
     moment_quadratic,
     moment_reference_shift,
+    point_source,
     pressure_field,
     scenario_catalog,
     sphere_body,
+    sphere_flow,
     sphere_stream_scenario,
     uniform_flow,
     vanishing_force_cases,
@@ -195,3 +200,55 @@ def test_scenario_catalog_shape():
             got = force_blasius(sc.potential, sc.body, rho=sc.rho,
                                 order=ORDER).force
             assert (got - sc.expected_force).norm() <= 1e-6, name
+
+
+def counting_potential(calls):
+    """sphere flow plus an off-centre source, built afresh, whose inner
+    array jet appends the row count of every evaluation to ``calls``."""
+    field = (sphere_flow(1.0, 1.0)
+             + point_source(0.4, ReducedPoint(0.1, 0.0, 0.2))).field
+
+    def jet_array(xyz, inner=field._jet_array):
+        calls.append(len(xyz))
+        return inner(xyz)
+
+    return FlowPotential(QuaternionField(
+        field._evaluate, jet=field._jet, domain=field._domain,
+        name=field.name, jet_array=jet_array,
+        domain_array=field._domain_array, value_array=field._value_array))
+
+
+@pytest.mark.parametrize("body", [
+    sphere_body(1.0),
+    box_body((-1.0, 1.0), (-1.1, 1.0), (-1.0, 1.2)),
+    cylinder_body(1.0, -1.0, 1.0),
+], ids=["sphere", "box", "cylinder"])
+def test_forces_and_moments_evaluate_each_chart_once(body):
+    about = ReducedPoint(0.3, -0.2, 0.1)
+    calls = []
+    pot = counting_potential(calls)
+    comparison = all_force_methods(pot, body, rho=1.3, order=ORDER)
+    mq = moment_quadratic(pot, body, about, rho=1.3, order=ORDER)
+    mp = moment_from_pressure(pressure_field(pot, rho=1.3), body, about,
+                              order=ORDER)
+    assert calls == [len(cn.weights) for cn in body.surface.quadrature(ORDER)]
+
+    # each route alone, on a freshly built potential, gives the same bits
+    routes = {"pressure": force_pressure_direct, "blasius": force_blasius,
+              "components-sc": force_components_sc,
+              "monogenic-form": force_monogenic_form}
+    for name, route in routes.items():
+        try:
+            fresh = route(counting_potential([]), body, rho=1.3, order=ORDER)
+        except StreamSurfaceError as err:
+            assert comparison.gated[name] == str(err)
+            continue
+        assert comparison.results[name].force == fresh.force, name
+    assert set(comparison.results) | set(comparison.gated) == set(routes)
+    fresh_mq = moment_quadratic(counting_potential([]), body, about, rho=1.3,
+                                order=ORDER)
+    fresh_mp = moment_from_pressure(
+        pressure_field(counting_potential([]), rho=1.3), body, about,
+        order=ORDER)
+    assert mq.moment == fresh_mq.moment
+    assert mp.moment == fresh_mp.moment

@@ -199,6 +199,31 @@ def test_reduce_and_compare_shares_jets_and_the_streamline_check(monkeypatch):
     assert len(residual_calls) == 1
 
 
+def test_reduce_and_compare_evaluates_each_chart_once(monkeypatch):
+    # the 3D force and moment read the tables the embedded field remembers
+    calls, fields = [], []
+
+    def counted_embed(potential):
+        pot = embed_2d(potential)
+        inner = pot.field._jet_array
+
+        def jet_array(xyz):
+            calls.append(len(xyz))
+            return inner(xyz)
+
+        pot.field._jet_array = jet_array
+        fields.append(pot.field)
+        return pot
+
+    monkeypatch.setattr(planar, "embed_2d", counted_embed)
+    body = cylinder_body(A, -0.5, 0.5)
+    report = reduce_and_compare(vortex_cylinder(), PlanarContour.circle(A),
+                                body, order_3d=16, about=0.3 + 0j)
+    assert report.ok, report
+    assert calls == [512, 512, 512]
+    assert len(fields) == 1 and len(fields[0]._tables) == 3
+
+
 def counted(fn, calls, key):
     def wrapper(arg):
         calls[key] = calls.get(key, 0) + 1

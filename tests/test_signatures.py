@@ -67,6 +67,13 @@ def test_no_public_callable_takes_vectorized():
     assert offenders == []
 
 
+def test_no_public_callable_takes_jets():
+    # jet tables are shared through QuaternionField.jet_table, not passed
+    offenders = [name for name, fn in _public_callables()
+                 if "jets" in inspect.signature(fn).parameters]
+    assert offenders == []
+
+
 def test_parameters_after_order_are_keyword_only():
     # a stale positional thread count must not land in another parameter
     pot, body = sphere_flow(1.0, 1.0), sphere_body(1.0)
