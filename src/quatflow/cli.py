@@ -72,9 +72,18 @@ def _finite(value, what: str) -> float:
         number = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{what} must be a number, got {value!r}") from None
+    except OverflowError:   # an int beyond the float range
+        number = math.inf
     if not math.isfinite(number):
         raise ValueError(f"{what} must be finite, got {value!r}")
     return number
+
+
+def _number(value, key: str) -> float:
+    """A finite JSON number of config key; not a string or a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key!r} must be a number, got {value!r}")
+    return _finite(value, repr(key))
 
 
 def _read(cfg: dict, key: str, default):
@@ -82,10 +91,10 @@ def _read(cfg: dict, key: str, default):
     number, a tuple default reads that many."""
     value = cfg.get(key, default)
     if not isinstance(default, tuple):
-        return _finite(value, repr(key))
+        return _number(value, key)
     if not isinstance(value, (list, tuple)) or len(value) != len(default):
         raise ValueError(f"{key!r} needs {len(default)} numbers, got {value!r}")
-    return tuple(_finite(v, repr(key)) for v in value)
+    return tuple(_number(v, key) for v in value)
 
 
 # Each potential and body kind: its constructor and the keys it reads

@@ -488,9 +488,7 @@ class ScalarField:
         return ReducedPoint(*partials)
 
     def _hessian_unchecked(self, p: ReducedPoint):
-        if self._hessian is not None:
-            return self._hessian(p)
-        return None
+        return None if self._hessian is None else self._hessian(p)
 
     def _laplacian_unchecked(self, p: ReducedPoint) -> float:
         if self._laplacian is not None:
@@ -516,33 +514,32 @@ class ScalarField:
                                jet=jet, domain=self._domain, name=self.name)
 
 
-def _dbar_table(u: ScalarField, xyz: np.ndarray, partials: bool) -> np.ndarray:
-    """Dbar u at the rows of xyz as a (1, N, 4) array, or its jet as (4, N, 4).
-
-    The rows of xyz must lie in u's domain (the field's array forms run
-    after ``_checked``).  u's unchecked Hessian (for the partials) and
-    gradient are called row by row, in the order of the scalar jet, and
-    the components the scalar jet forms stream into one float table.
+def _dbar_entries(g=None, h=None) -> tuple:
+    """The sign map of Dbar u = u_x - u_y i - u_z j, on floats or columns:
+    the four components of Dbar u from u's gradient g (three entries), then
+    the twelve of its x, y and z partials from u's Hessian h (three rows,
+    of which only the upper triangle is read); sixteen jet entries in all.
     """
-    slots = 4 if partials else 1
-    gradient, hessian = u._gradient_unchecked, u._hessian_unchecked
-
-    def row(p: ReducedPoint) -> tuple:
-        if not partials:
-            g = gradient(p)
-            return g.x, -g.y, -g.z
-        h = hessian(p)
-        g = gradient(p)
-        return (g.x, -g.y, -g.z, h[0][0], -h[0][1], -h[0][2],
-                h[0][1], -h[1][1], -h[1][2], h[0][2], -h[1][2], -h[2][2])
-
-    # one flat float stream: numpy fills it faster than rows of a
-    # subarray dtype, and no list of row tuples is held
-    rows = np.fromiter(chain.from_iterable(map(row, as_points(xyz))), float,
-                       count=3 * slots * len(xyz))
-    out = np.zeros((slots, len(xyz), 4))
-    out[..., :3] = rows.reshape(len(xyz), slots, 3).transpose(1, 0, 2)
+    out = ()
+    if g is not None:
+        gx, gy, gz = g
+        out = (gx, -gy, -gz, 0.0)
+    if h is not None:
+        (h00, h01, h02), (_, h11, h12), (_, _, h22) = h
+        out += (h00, -h01, -h02, 0.0, h01, -h11, -h12, 0.0,
+                h02, -h12, -h22, 0.0)
     return out
+
+
+def _jet_rows(row, xyz: np.ndarray, slots: int = 4) -> np.ndarray:
+    """A (slots, N, 4) table from row(p), the 4 * slots components of p's
+    quaternions, at each row p of xyz in order.  The rows stream into one
+    flat float array (faster than rows of a subarray dtype, and no list of
+    row tuples is held), so the first row that raises stops the table."""
+    rows = np.fromiter(chain.from_iterable(map(row, as_points(xyz))), float,
+                       count=4 * slots * len(xyz))
+    return np.ascontiguousarray(
+        rows.reshape(len(xyz), slots, 4).transpose(1, 0, 2))
 
 
 def scalar_dbar_field(u: ScalarField) -> QuaternionField:
@@ -557,27 +554,27 @@ def scalar_dbar_field(u: ScalarField) -> QuaternionField:
     once per array) before any of its forms runs, so the forms call u's
     unchecked bodies.
     """
+    def gradient(p: ReducedPoint) -> tuple:
+        return u._gradient_unchecked(p).as_tuple()
+
+    def entries(p: ReducedPoint) -> tuple:
+        h = u._hessian_unchecked(p)   # the Hessian first, in every form
+        return _dbar_entries(gradient(p), h)
 
     def value(p: ReducedPoint) -> Quaternion:
-        g = u._gradient_unchecked(p)
-        return Quaternion(g.x, -g.y, -g.z, 0.0)
+        return Quaternion(*_dbar_entries(gradient(p)))
+
+    def value_array(xyz: np.ndarray) -> np.ndarray:
+        return _jet_rows(lambda p: _dbar_entries(gradient(p)), xyz, 1)[0]
 
     jet = jet_array = None
     if u.has_analytic_hessian:
         def jet(p: ReducedPoint) -> Jet:
-            h = u._hessian_unchecked(p)
-            return Jet(
-                value(p),
-                Quaternion(h[0][0], -h[0][1], -h[0][2], 0.0),
-                Quaternion(h[0][1], -h[1][1], -h[1][2], 0.0),
-                Quaternion(h[0][2], -h[1][2], -h[2][2], 0.0),
-            )
+            e = entries(p)
+            return Jet(*(Quaternion(*e[k:k + 4]) for k in (0, 4, 8, 12)))
 
         def jet_array(xyz: np.ndarray) -> np.ndarray:
-            return _dbar_table(u, xyz, True)
-
-    def value_array(xyz: np.ndarray) -> np.ndarray:
-        return _dbar_table(u, xyz, False)[0]
+            return _jet_rows(entries, xyz)
 
     field = QuaternionField(value, jet=jet, domain=u._domain,
                             name=f"dbar({u.name})", jet_array=jet_array,
@@ -739,6 +736,65 @@ def _poly(name, evaluate, gradient, hessian):
                        hessian=hessian, name=name)
 
 
+def _column_scalar(name: str, value, gradient, hessian,
+                   domain) -> ScalarField:
+    """A harmonic ScalarField from its value, gradient (three entries),
+    Hessian (three rows) and domain over columns, as ``_closed_form``
+    takes them: each gives its point form on floats, and the value and
+    domain give ``evaluate_array`` and ``domain_array`` on columns."""
+    def at_point(form):
+        return lambda p: form(p.x, p.y, p.z, math)
+
+    def on_columns(form):
+        return lambda xyz: form(*xyz.T, np)
+
+    return ScalarField(at_point(value), gradient=at_point(gradient),
+                       laplacian=lambda p: 0.0, hessian=at_point(hessian),
+                       domain=at_point(domain), name=name,
+                       evaluate_array=on_columns(value),
+                       domain_array=on_columns(domain))
+
+
+def _relative(center: ReducedPoint):
+    """(x, y, z, xp) -> (u, v, w, r): the offset from center and its norm."""
+    cx, cy, cz = center.x, center.y, center.z
+
+    def relative(x, y, z, xp):
+        u, v, w = x - cx, y - cy, z - cz
+        return u, v, w, xp.sqrt(u * u + v * v + w * w)
+    return relative
+
+
+def _inv_r(scale: float = 1.0, center: ReducedPoint = ReducedPoint()):
+    """scale / r with r = |x - c|, over columns: its value, gradient,
+    Hessian and domain as ``_log_x_plus_r`` gives them.  The domain
+    excludes a ball of radius ``DEFAULT_EXCLUSION`` about c."""
+    relative = _relative(center)
+
+    def value(x, y, z, xp):
+        return scale / relative(x, y, z, xp)[3]
+
+    def gradient(x, y, z, xp):
+        u, v, w, r = relative(x, y, z, xp)
+        r3 = r ** 3
+        return -scale * u / r3, -scale * v / r3, -scale * w / r3
+
+    def hessian(x, y, z, xp):
+        u, v, w, r = relative(x, y, z, xp)
+        r3, r5 = r ** 3, r ** 5
+        uv = scale * 3.0 * u * v / r5
+        uw = scale * 3.0 * u * w / r5
+        vw = scale * 3.0 * v * w / r5
+        return ((scale * (3.0 * u * u / r5 - 1.0 / r3), uv, uw),
+                (uv, scale * (3.0 * v * v / r5 - 1.0 / r3), vw),
+                (uw, vw, scale * (3.0 * w * w / r5 - 1.0 / r3)))
+
+    def domain(x, y, z, xp):
+        return relative(x, y, z, xp)[3] > DEFAULT_EXCLUSION
+
+    return value, gradient, hessian, domain
+
+
 def _log_x_plus_r(scale: float = 1.0, center: ReducedPoint = ReducedPoint()):
     """scale * log(u + r) with u = x - c_x and r = |x - c|, over columns.
 
@@ -747,11 +803,7 @@ def _log_x_plus_r(scale: float = 1.0, center: ReducedPoint = ReducedPoint()):
     domain excludes a ball of radius ``DEFAULT_EXCLUSION`` about c and a
     tube of that radius about the ray from c along -x, where u + r = 0.
     """
-    cx, cy, cz = center.x, center.y, center.z
-
-    def relative(x, y, z, xp):
-        u, v, w = x - cx, y - cy, z - cz
-        return u, v, w, xp.sqrt(u * u + v * v + w * w)
+    relative = _relative(center)
 
     def value(x, y, z, xp):
         u, v, w, r = relative(x, y, z, xp)
@@ -786,7 +838,8 @@ def harmonic_catalog() -> dict[str, ScalarField]:
 
     The singular entries exclude a ball of radius ``DEFAULT_EXCLUSION``
     around the singular point, and ``log(x+r)`` additionally excludes a
-    thin tube around the negative x-axis where its argument vanishes.
+    thin tube around the negative x-axis where its argument vanishes;
+    their values and domains have array forms too (``_column_scalar``).
     """
     fields: dict[str, ScalarField] = {}
 
@@ -823,62 +876,30 @@ def harmonic_catalog() -> dict[str, ScalarField]:
         lambda p: ReducedPoint(p.y * p.z, p.x * p.z, p.x * p.y),
         lambda p: ((0.0, p.z, p.y), (p.z, 0.0, p.x), (p.y, p.x, 0.0)))
 
-    def away_from_origin(p: ReducedPoint) -> bool:
-        return p.norm() > DEFAULT_EXCLUSION
+    fields["1/r"] = _column_scalar("1/r", *_inv_r())
 
-    def inv_r(p):
-        return 1.0 / p.norm()
+    norm = _relative(ReducedPoint())   # (x, y, z, xp) -> (x, y, z, r)
 
-    def inv_r_grad(p):
-        r3 = p.norm() ** 3
-        return ReducedPoint(-p.x / r3, -p.y / r3, -p.z / r3)
+    def x_over_r3(x, y, z, xp):
+        return x / norm(x, y, z, xp)[3] ** 3
 
-    def inv_r_hess(p):
-        r = p.norm()
+    def x_over_r3_grad(x, y, z, xp):
+        r = norm(x, y, z, xp)[3]
         r3, r5 = r ** 3, r ** 5
-        c = p.as_tuple()
-        return tuple(tuple(3.0 * c[a] * c[b] / r5 - (1.0 / r3 if a == b else 0.0)
-                           for b in range(3)) for a in range(3))
+        return (1.0 / r3 - 3.0 * x * x / r5, -3.0 * x * y / r5,
+                -3.0 * x * z / r5)
 
-    fields["1/r"] = ScalarField(inv_r, gradient=inv_r_grad,
-                                laplacian=lambda p: 0.0, hessian=inv_r_hess,
-                                domain=away_from_origin, name="1/r")
-
-    def x_over_r3(p):
-        return p.x / p.norm() ** 3
-
-    def x_over_r3_grad(p):
-        r = p.norm()
-        r3, r5 = r ** 3, r ** 5
-        return ReducedPoint(1.0 / r3 - 3.0 * p.x * p.x / r5,
-                            -3.0 * p.x * p.y / r5,
-                            -3.0 * p.x * p.z / r5)
-
-    def x_over_r3_hess(p):
-        r = p.norm()
+    def x_over_r3_hess(x, y, z, xp):
+        r = norm(x, y, z, xp)[3]
         r5, r7 = r ** 5, r ** 7
-        x, y, z = p.x, p.y, p.z
-        return ((-9.0 * x / r5 + 15.0 * x ** 3 / r7,
-                 -3.0 * y / r5 + 15.0 * x * x * y / r7,
-                 -3.0 * z / r5 + 15.0 * x * x * z / r7),
-                (-3.0 * y / r5 + 15.0 * x * x * y / r7,
-                 -3.0 * x / r5 + 15.0 * x * y * y / r7,
-                 15.0 * x * y * z / r7),
-                (-3.0 * z / r5 + 15.0 * x * x * z / r7,
-                 15.0 * x * y * z / r7,
-                 -3.0 * x / r5 + 15.0 * x * z * z / r7))
+        xy = -3.0 * y / r5 + 15.0 * x * x * y / r7
+        xz = -3.0 * z / r5 + 15.0 * x * x * z / r7
+        yz = 15.0 * x * y * z / r7
+        return ((-9.0 * x / r5 + 15.0 * x ** 3 / r7, xy, xz),
+                (xy, -3.0 * x / r5 + 15.0 * x * y * y / r7, yz),
+                (xz, yz, -3.0 * x / r5 + 15.0 * x * z * z / r7))
 
-    fields["x/r^3"] = ScalarField(x_over_r3, gradient=x_over_r3_grad,
-                                  laplacian=lambda p: 0.0,
-                                  hessian=x_over_r3_hess,
-                                  domain=away_from_origin, name="x/r^3")
-
-    value, gradient, hessian, domain = _log_x_plus_r()
-    fields["log(x+r)"] = ScalarField(
-        lambda p: value(p.x, p.y, p.z, math),
-        gradient=lambda p: gradient(p.x, p.y, p.z, math),
-        laplacian=lambda p: 0.0,
-        hessian=lambda p: hessian(p.x, p.y, p.z, math),
-        domain=lambda p: domain(p.x, p.y, p.z, math), name="log(x+r)")
-
+    fields["x/r^3"] = _column_scalar("x/r^3", x_over_r3, x_over_r3_grad,
+                                     x_over_r3_hess, _inv_r()[3])
+    fields["log(x+r)"] = _column_scalar("log(x+r)", *_log_x_plus_r())
     return fields

@@ -17,7 +17,8 @@ planar cylinder flows embedded in the i-plane.  Each kind is one closed
 form written once over coordinate columns, for floats and numpy arrays
 alike; ``fields._closed_form`` derives its scalar value and jet, its
 array jet and values, and its domain from that form, so surface
-quadrature evaluates a whole chart in one call.
+quadrature evaluates a whole chart in one call.  The source and the
+dipole are Dbar of a scalar written over columns (``_dbar_closed_form``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .quaternion import I, J, Quaternion, ReducedPoint, qmul
-from .surfaces import _frozen, as_points, gauss_legendre, in_node_order
+from .surfaces import _frozen, as_points, gauss_legendre
 from .fields import (
     DEFAULT_EXCLUSION,
     FD_STEP,
@@ -40,7 +41,10 @@ from .fields import (
     QuaternionField,
     ScalarField,
     _closed_form,
+    _dbar_entries,
     _fd_stencil,
+    _inv_r,
+    _jet_rows,
     _log_x_plus_r,
     apply_Dbar_right,
     is_monogenic,
@@ -274,20 +278,19 @@ def monogenic_completion(u: ScalarField,
     of at least 1, ``max_doublings`` one of at least 0 and ``tol`` finite
     and positive; otherwise ValueError is raised here.
 
-    The field has one array path.  Its jet on N points takes the Dbar u
-    jets of the (N n, 3) grid of segment points in one call per block of
-    rows (at most ``_COMPLETION_BLOCK`` points) and sums over t with numpy;
-    doubling runs per point through a mask, so each point takes the levels
-    it would take alone.  ``jet_at`` and calls are the one-row case and
-    ``value_array`` is the value slot.  Results equal the point-by-point
-    sum bit for bit, and an error is the one the first failing point meets
-    alone (levels in order, and at each t the harmonic check before the
-    Dbar u jet).  Each block checks u's domain once, on the whole grid
-    (in the Dbar u array jet); the harmonic check, the Dbar u table and
-    u and grad u at the evaluation points (which the field has checked)
-    then call u's unchecked bodies, so each grid point costs one domain
-    check per level.  A failed block is replayed point by point through
-    the checked methods, which names the first failing point.
+    The field has one array path.  Its jet on N points fills the Dbar u
+    jets of the (N n, 3) grid of segment points block by block (at most
+    ``_COMPLETION_BLOCK`` points a block) and sums over t with numpy;
+    doubling runs per point through a mask, so each point takes the
+    levels it would take alone.  ``jet_at`` and calls are the one-row case
+    and ``value_array`` is the value slot.  A block's table is one pass
+    over its grid points in node order: at each point u's domain check,
+    the harmonic check, then u's Hessian and gradient (or, for a u without
+    a Hessian, the finite-difference jet of Dbar u), streamed into one
+    float table.  So each grid point costs one domain check per level, and
+    the first failing point raises first, with the error it meets alone
+    (levels in order, then t).  Results equal the point-by-point sum bit
+    for bit.
 
     The scalar part of the result reproduces u exactly by construction;
     monogenicity holds when u is harmonic on a region star-shaped about
@@ -305,34 +308,24 @@ def monogenic_completion(u: ScalarField,
     lap_tol = 1e-8 if u.has_analytic_laplacian else 1e-3
     c = np.array(center.as_tuple())
 
-    def not_harmonic(q: ReducedPoint, lap: float) -> ValueError:
-        return ValueError(
-            f"completion input {u.name or '<anonymous>'} is not "
-            f"harmonic near {q!r} (laplacian {lap:.3e})")
+    # a point outside u's domain fails the check the definition meets
+    # there first: u's in the harmonic check, else the Dbar u jet's
+    check = u._check if check_harmonic else dbar._check
+    fd_jet = not u.has_analytic_hessian
 
-    def harmonic(q: ReducedPoint) -> None:
-        lap = u.laplacian_at(q)
-        if not abs(lap) <= lap_tol:
-            raise not_harmonic(q, lap)
-
-    def segment_jets(grid: np.ndarray) -> np.ndarray:
-        # dbar.jet_array checks the grid's domain once; the Laplacian
-        # column then runs on the unchecked body
-        table = dbar.jet_array(grid)
+    def segment_row(q: ReducedPoint):
+        """The Dbar u jet at one segment point, after its checks."""
+        check(q)
         if check_harmonic:
-            lap = np.fromiter(map(u._laplacian_unchecked, as_points(grid)),
-                              float, count=len(grid))
-            bad = ~(np.abs(lap) <= lap_tol)
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise not_harmonic(ReducedPoint(*grid[k].tolist()),
-                                   float(lap[k]))
-        return table
-
-    def segment_jet(q: ReducedPoint) -> Jet:
-        if check_harmonic:
-            harmonic(q)
-        return dbar.jet_at(q)
+            lap = u._laplacian_unchecked(q)
+            if not abs(lap) <= lap_tol:
+                raise ValueError(
+                    f"completion input {u.name or '<anonymous>'} is not "
+                    f"harmonic near {q!r} (laplacian {lap:.3e})")
+        if fd_jet:
+            return [v for part in dbar._fd_jet(q) for v in part.as_tuple()]
+        h = u._hessian_unchecked(q)
+        return _dbar_entries(u._gradient_unchecked(q).as_tuple(), h)
 
     def level(xyz: np.ndarray, n: int) -> np.ndarray:
         """The jets at the rows of xyz from n Gauss nodes in t."""
@@ -345,8 +338,7 @@ def monogenic_completion(u: ScalarField,
             rows = slice(start, start + step)
             arm = xyz[rows] - c
             grid = (c + ts[:, None] * arm[:, None, :]).reshape(-1, 3)
-            jd = in_node_order(segment_jets, segment_jet, grid)
-            jd = jd.reshape(4, len(arm), n, 4)
+            jd = _jet_rows(segment_row, grid).reshape(4, len(arm), n, 4)
             xq = np.zeros((len(arm), 1, 4))
             xq[:, 0, :3] = arm
 
@@ -583,6 +575,16 @@ def saddle_flow() -> FlowPotential:
                          description="monogenic extension of x^2 - y^2")
 
 
+def _dbar_closed_form(scalar, name: str) -> QuaternionField:
+    """Dbar u as a closed form, for u's value, gradient, Hessian and domain
+    over columns (as ``fields._inv_r`` and ``fields._log_x_plus_r``)."""
+    _, gradient, hessian, domain = scalar
+    return _closed_form(
+        lambda x, y, z, xp: _dbar_entries(gradient(x, y, z, xp)),
+        lambda x, y, z, xp: _dbar_entries(h=hessian(x, y, z, xp)),
+        domain, name=name)
+
+
 def point_source(strength: float,
                  center: ReducedPoint = ReducedPoint(0.0, 0.0, 0.0)) -> FlowPotential:
     """Point source of given volume flux at ``center``.
@@ -594,20 +596,8 @@ def point_source(strength: float,
     and is monogenic everywhere off the ray.
     """
     m = float(strength)
-    _, gradient, hessian, domain = _log_x_plus_r(-m / (4.0 * math.pi), center)
-
-    def value(x, y, z, xp):
-        gx, gy, gz = gradient(x, y, z, xp)
-        return gx, -gy, -gz, 0.0
-
-    def partials(x, y, z, xp):
-        (h00, h01, h02), (_, h11, h12), (_, _, h22) = hessian(x, y, z, xp)
-        return (h00, -h01, -h02, 0.0,
-                h01, -h11, -h12, 0.0,
-                h02, -h12, -h22, 0.0)
-
-    field = _closed_form(value, partials, domain,
-                         name=f"dbar(source_log({m}))")
+    field = _dbar_closed_form(_log_x_plus_r(-m / (4.0 * math.pi), center),
+                              name=f"dbar(source_log({m}))")
     return FlowPotential(field, name=f"source({m})",
                          description="point source (ray-cut logarithmic "
                                      "primitive)")
@@ -615,32 +605,10 @@ def point_source(strength: float,
 
 def dipole_flow(coefficient: float,
                 center: ReducedPoint = ReducedPoint(0.0, 0.0, 0.0)) -> FlowPotential:
-    """Dipole potential c * conj(x - center) / |x - center|^3, axis along x."""
+    """Dipole potential c * conj(x - center) / |x - center|^3, axis along x,
+    built as Dbar applied to -c / |x - center|."""
     c0 = float(coefficient)
-    cx, cy, cz = center.x, center.y, center.z
-
-    def value(x, y, z, xp):
-        x, y, z = x - cx, y - cy, z - cz
-        r3 = xp.sqrt(x * x + y * y + z * z) ** 3
-        return c0 * x / r3, -c0 * y / r3, -c0 * z / r3, 0.0
-
-    def partials(x, y, z, xp):
-        x, y, z = x - cx, y - cy, z - cz
-        r = xp.sqrt(x * x + y * y + z * z)
-        r3, r5 = r ** 3, r ** 5
-        return (c0 * (1.0 / r3 - 3.0 * x * x / r5),
-                c0 * 3.0 * x * y / r5, c0 * 3.0 * x * z / r5, 0.0,
-                -c0 * 3.0 * x * y / r5,
-                c0 * (-1.0 / r3 + 3.0 * y * y / r5),
-                c0 * 3.0 * y * z / r5, 0.0,
-                -c0 * 3.0 * x * z / r5, c0 * 3.0 * y * z / r5,
-                c0 * (-1.0 / r3 + 3.0 * z * z / r5), 0.0)
-
-    def domain(x, y, z, xp):
-        x, y, z = x - cx, y - cy, z - cz
-        return xp.sqrt(x * x + y * y + z * z) > DEFAULT_EXCLUSION
-
-    field = _closed_form(value, partials, domain, name=f"dipole({c0})")
+    field = _dbar_closed_form(_inv_r(-c0, center), name=f"dipole({c0})")
     return FlowPotential(field, name=field.name,
                          description="x-directed dipole")
 

@@ -234,6 +234,20 @@ def test_array_jet_matches_scalar_jet(name, monkeypatch):
             assert close(values[k], field(p).as_tuple(), 1e-13), (name, p)
 
 
+@pytest.mark.parametrize("name", sorted(harmonic_catalog()))
+def test_catalog_scalar_array_forms_match_the_point_forms(name):
+    u = harmonic_catalog()[name]
+    points = sample_points()
+    xyz = np.array([p.as_tuple() for p in points])
+    inside = u.in_domain_array(xyz)
+    assert inside.tolist() == [u.in_domain(p) for p in points]
+    want = [u(p) for p, ok in zip(points, inside) if ok]
+    got = u.value_array(xyz[inside]).tolist()
+    assert len(got) == len(want)
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert abs(a - b) <= 1e-13 * max(1.0, abs(b)), (name, k, a, b)
+
+
 def test_array_domain_error_names_the_first_node_on_the_cut_ray():
     # The odd-order face -x has its centre node on the source's cut ray.
     pot = point_source(1.0)

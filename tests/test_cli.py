@@ -311,6 +311,35 @@ def test_bad_config_exits_with_usage_error(tmp_path):
     assert "quatflow:" in proc.stderr
 
 
+SPHERE = {"kind": "sphere"}
+UNIFORM = {"kind": "uniform"}
+
+
+@pytest.mark.parametrize("config", [
+    {"rho": "2",
+     "potential": {"kind": "uniform", "components": [1, "0", True]},
+     "body": {"kind": "sphere", "radius": True}},
+    {"rho": "2", "potential": UNIFORM, "body": SPHERE},
+    {"rho": False, "potential": UNIFORM, "body": SPHERE},
+    {"rho": None, "potential": UNIFORM, "body": SPHERE},
+    {"rho": 10 ** 400, "potential": UNIFORM, "body": SPHERE},
+    {"potential": {"kind": "uniform", "components": [1, "0", 0]},
+     "body": SPHERE},
+    {"potential": {"kind": "uniform", "components": [1, 0, True]},
+     "body": SPHERE},
+    {"potential": {"kind": "dipole", "coefficient": "1.5"}, "body": SPHERE},
+    {"potential": UNIFORM, "body": {"kind": "sphere", "radius": True}},
+])
+def test_config_value_that_is_not_a_finite_number_exits_with_usage_error(
+        config, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(config, name="bad")))
+    assert cli.main(["force", "--config", str(path), "--order", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be" in captured.err
+
+
 def test_unknown_scenario_exits_with_usage_error():
     proc = run_cli("force", "--scenario", "not-a-scenario")
     assert proc.returncode == 2

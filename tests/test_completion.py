@@ -203,20 +203,14 @@ def test_doubling_decisions_stay_per_point():
 def test_levels_take_rows_in_bounded_blocks(monkeypatch):
     monkeypatch.setattr(potentials, "_COMPLETION_BLOCK", 40)
     batches = []
-    dbar_field = potentials.scalar_dbar_field
+    jet_rows = potentials._jet_rows
 
-    def recording_dbar_field(u):
-        field = dbar_field(u)
-        jet_array = field.jet_array
+    def recording_jet_rows(row, xyz, *slots):
+        batches.append(len(xyz))
+        return jet_rows(row, xyz, *slots)
 
-        def recorded(xyz):
-            batches.append(len(xyz))
-            return jet_array(xyz)
-
-        field.jet_array = recorded
-        return field
-
-    monkeypatch.setattr(potentials, "scalar_dbar_field", recording_dbar_field)
+    # every block's segment table is one _jet_rows pass over its grid
+    monkeypatch.setattr(potentials, "_jet_rows", recording_jet_rows)
     counted = Counted(harmonic_catalog()["1/r"])
     points = [ReducedPoint(0.6, 0.0, 0.1), ReducedPoint(1.7, 0.2, -0.1),
               ReducedPoint(1.2, 0.0, 0.0), ReducedPoint(0.4, 0.1, -0.1)] * 3
@@ -355,3 +349,35 @@ def test_an_empty_batch_has_no_rows():
     pot = monogenic_completion(harmonic_catalog()["xy"])
     assert pot.jet_array(np.empty((0, 3))).shape == (4, 0, 4)
     assert pot.value_array(np.empty((0, 3))).shape == (0, 4)
+
+
+@pytest.mark.parametrize("check_harmonic", [True, False])
+def test_a_segment_through_a_hole_names_the_field_checked_first(
+        check_harmonic):
+    # The segment from the centre to p crosses a hole in u's domain.  The
+    # harmonic check meets it first and names u; without that check the
+    # Dbar u jet meets it and names dbar(u).
+    one_over_r = harmonic_catalog()["1/r"]
+
+    def domain(p):
+        return one_over_r.in_domain(p) and not (
+            1.0 < p.x < 1.2 and abs(p.y) < 0.2 and abs(p.z) < 0.3)
+
+    u = ScalarField(one_over_r, gradient=one_over_r.gradient_at,
+                    laplacian=one_over_r.laplacian_at,
+                    hessian=one_over_r.hessian_at, domain=domain,
+                    name="holed")
+    center = ReducedPoint(1.6, 0.1, -0.2)
+    p = ReducedPoint(0.6, 0.0, 0.0)
+    pot = monogenic_completion(u, center=center,
+                               check_harmonic=check_harmonic)
+    with pytest.raises(DomainError) as at_point:
+        pot.jet_at(p)
+    with pytest.raises(DomainError) as on_array:
+        pot.jet_array(np.array([p.as_tuple()]))
+    owner = "holed" if check_harmonic else "dbar(holed)"
+    assert str(at_point.value).startswith(
+        f"field {owner} is not defined at ReducedPoint(")
+    assert str(on_array.value) == str(at_point.value)
+    if check_harmonic:
+        assert str(at_point.value) == str(first_error(u, center, [p]))

@@ -372,9 +372,12 @@ def test_gauge_transform_rejects_a_nan_scalar_part():
 # Values of the closed forms that are now written once, recorded from the
 # separate copies they replace: the harmonic catalog's log(x+r), the point
 # source built on the same primitive, and the planar cylinder with
-# circulation, whose f and f' the embedded cylinder flow shares.  The two
-# points are the first draws of random.Random(20251018) in [-2, 2]^3 with
-# |p| > 0.5 and |y|, |z| > 0.1, off the source's cut ray.
+# circulation, whose f and f' the embedded cylinder flow shares; and the
+# dipoles, built as Dbar of the 1/r primitive, with the catalog's 1/r and
+# x/r^3 (gradient and the upper triangle of the Hessian), recorded from
+# the hand-written forms before that.  The two points are the first draws
+# of random.Random(20251018) in [-2, 2]^3 with |p| > 0.5 and |y|, |z| >
+# 0.1, off the source's cut ray.
 MERGED_POINTS = [
     ReducedPoint(1.7236786659941852, 0.7323679333497175, -1.9711508084361058),
     ReducedPoint(0.7436027342763878, 0.12087026899372466, 1.0649912141577653),
@@ -414,6 +417,57 @@ MERGED_VALUES = {
                           (2.2149272875167174+0.1911126376454698j)],
     "cylinder vortex df": [(0.5932851475350329-0.2862078825760991j),
                            (-0.8842019448650094-0.7521344773916117j)],
+    "dipole(1.0) jet": [
+        (0.08575057002938315, -0.03643426642967537, 0.09806195828256872, 0.0,
+         -0.010230762335880765, 0.02548441862443094, -0.0685907043257775,
+         0.0,
+         -0.02548441862443094, -0.03892059486046683, -0.02914326977824338,
+         0.0,
+         0.0685907043257775, -0.02914326977824338, 0.02868983252458606, 0.0),
+        (0.3349601584298926, -0.05444671272087246, -0.47973146060021993, 0.0,
+         0.011362465637512253, 0.07137322927474297, 0.6288714564506799, 0.0,
+         -0.07137322927474297, -0.43885429943458176, 0.10222106321009898,
+         0.0,
+         -0.6288714564506799, 0.10222106321009898, 0.45021676507209385,
+         0.0),
+    ],
+    "dipole(-0.37, (0.2, 0.1, -0.3)) jet": [
+        (-0.04353792118995733, 0.018069417036348567, -0.04775182183623375,
+         0.0,
+         0.007516657988896035, -0.014978690076750404, 0.039583996453583764,
+         0.0,
+         0.014978690076750404, 0.0223576523463424, 0.016428431131666733,
+         0.0,
+         -0.039583996453583764, 0.016428431131666733, -0.014840994357446385,
+         0.0),
+        (-0.0633960203702168, 0.0024339318307868615, 0.1591879609161698, 0.0,
+         -0.06873867808099549, -0.001838359275903385, -0.12023535781105983,
+         0.0,
+         0.001838359275903385, 0.11655138821543932, -0.004616136199928876,
+         0.0,
+         0.12023535781105983, -0.004616136199928876, -0.18529006629643488,
+         0.0),
+    ],
+    "1/r gradient": [
+        (-0.08575057002938315, -0.03643426642967537, 0.09806195828256872),
+        (-0.3349601584298926, -0.05444671272087246, -0.47973146060021993),
+    ],
+    "1/r hessian upper": [
+        (0.010230762335880765, 0.02548441862443094, -0.0685907043257775,
+         -0.03892059486046683, -0.02914326977824338, 0.02868983252458606),
+        (-0.011362465637512253, 0.07137322927474297, 0.6288714564506799,
+         -0.43885429943458176, 0.10222106321009898, 0.45021676507209385),
+    ],
+    "x/r^3 gradient": [
+        (-0.010230762335880765, -0.02548441862443094, 0.0685907043257775),
+        (0.011362465637512253, -0.07137322927474297, -0.6288714564506799),
+    ],
+    "x/r^3 hessian upper": [
+        (-0.03446965371364473, 0.01492410894375266, -0.04016788293162361,
+         -0.022174329314495533, -0.033974394614980696, 0.056643983028140235),
+        (-0.812150759964989, 0.05995348816521351, 0.5282518082042069,
+         -0.5651475178670177, 0.22333296222447246, 1.377298277832006),
+    ],
 }
 
 
@@ -427,6 +481,14 @@ def test_merged_closed_forms_reproduce_the_recorded_values():
     log_xr = harmonic_catalog()["log(x+r)"]
     source = point_source(1.0)
     vortex = cylinder_vortex_2d(1, 1, 2.0 * math.pi)
+    catalog = harmonic_catalog()
+    dipoles = {"dipole(1.0) jet": dipole_flow(1.0),
+               "dipole(-0.37, (0.2, 0.1, -0.3)) jet":
+               dipole_flow(-0.37, ReducedPoint(0.2, 0.1, -0.3))}
+
+    def upper(h):
+        return h[0][0], h[0][1], h[0][2], h[1][1], h[1][2], h[2][2]
+
     got = {
         "log(x+r) gradient": [log_xr.gradient_at(p).as_tuple()
                               for p in MERGED_POINTS],
@@ -438,6 +500,15 @@ def test_merged_closed_forms_reproduce_the_recorded_values():
         "cylinder vortex df": [vortex.df(complex(p.x, p.y))
                                for p in MERGED_POINTS],
     }
+    for key, pot in dipoles.items():
+        got[key] = [tuple(c for q in pot.jet_at(p) for c in q.as_tuple())
+                    for p in MERGED_POINTS]
+    for name in ("1/r", "x/r^3"):
+        u = catalog[name]
+        got[f"{name} gradient"] = [u.gradient_at(p).as_tuple()
+                                   for p in MERGED_POINTS]
+        got[f"{name} hessian upper"] = [upper(u.hessian_at(p))
+                                        for p in MERGED_POINTS]
     assert got == MERGED_VALUES
     for values in got.values():
         assert all(type(c) in (float, complex)
