@@ -190,13 +190,13 @@ class ScenarioConfig:
 
 
 def _resolve_scenario(args) -> FlowScenario:
-    if getattr(args, "config", None) and getattr(args, "scenario", None):
+    if args.config and args.scenario:
         raise ValueError("give either --scenario or --config, not both")
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         return ScenarioConfig.from_dict(data).build()
-    name = getattr(args, "scenario", None) or DEFAULT_SCENARIO
+    name = args.scenario or DEFAULT_SCENARIO
     cat = scenario_catalog()
     if name not in cat:
         raise ValueError(
@@ -270,10 +270,7 @@ def _parse_components(text: str, count: int) -> tuple[float, ...]:
 
 
 def _single_order(args, default: int = 16) -> int:
-    orders = getattr(args, "order", None)
-    if not orders:
-        return default
-    return int(orders[-1])
+    return int(args.order[-1]) if args.order else default
 
 
 # ----------------------------------------------------------------------
@@ -495,18 +492,44 @@ def _thread_count(text: str) -> int:
     return count
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--scenario", help="named scenario from the catalog")
-    sub.add_argument("--config", help="path to a JSON scenario config")
-    sub.add_argument("--order", action="append", type=int,
-                     help="quadrature order (repeatable for convergence)")
-    sub.add_argument("--tol", type=_finite_arg, default=1e-8,
-                     help="pass/fail tolerance (default 1e-8)")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--output", help="write output to this file")
-    sub.add_argument("--threads", type=_thread_count, default=None,
-                     help="accepted for compatibility; has no effect, "
-                          "evaluation is serial")
+# Every option a subcommand may take: its flag and argparse keywords.
+_OPTIONS = {
+    "scenario": ("--scenario", {"help": "named scenario from the catalog"}),
+    "config": ("--config", {"help": "path to a JSON scenario config"}),
+    "order": ("--order", {"action": "append", "type": int,
+                          "help": "quadrature order (repeatable for "
+                                  "convergence)"}),
+    "tol": ("--tol", {"type": _finite_arg, "default": 1e-8,
+                      "help": "pass/fail tolerance (default 1e-8)"}),
+    "about": ("--about", {"default": "0,0,0",
+                          "help": "reference point, three comma-separated "
+                                  "numbers"}),
+    "shift-to": ("--shift-to", {"dest": "shift_to",
+                                "help": "also transport the moment to this "
+                                        "reference point"}),
+    "about-2d": ("--about", {"help": "planar moment reference, two "
+                                     "comma-separated numbers"}),
+    "format": ("--format", {"choices": ("json", "csv"), "default": "json"}),
+    "output": ("--output", {"help": "write output to this file"}),
+    "threads": ("--threads", {"type": _thread_count, "default": None,
+                              "help": "accepted for compatibility; has no "
+                                      "effect, evaluation is serial"}),
+}
+
+# Each subcommand with the options it reads; every one also takes
+# --format, --output and --threads.
+_COMMANDS = (
+    ("verify", _cmd_verify, "run the integral-theorem battery",
+     ("order", "tol")),
+    ("force", _cmd_force, "evaluate every force route",
+     ("scenario", "config", "order", "tol")),
+    ("moment", _cmd_moment, "evaluate moment routes",
+     ("scenario", "config", "order", "tol", "about", "shift-to")),
+    ("convergence", _cmd_convergence, "force across quadrature orders",
+     ("scenario", "config", "order")),
+    ("reduce2d", _cmd_reduce2d, "compare planar formulas with embedded 3D",
+     ("config", "order", "tol", "about-2d")),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -515,26 +538,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="quaternionic flow potentials, surface integrals, "
                     "and force/moment formulas")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
-    for name, func, text in (
-            ("verify", _cmd_verify, "run the integral-theorem battery"),
-            ("force", _cmd_force, "evaluate every force route"),
-            ("moment", _cmd_moment, "evaluate moment routes"),
-            ("convergence", _cmd_convergence,
-             "force across quadrature orders"),
-            ("reduce2d", _cmd_reduce2d,
-             "compare planar formulas with embedded 3D")):
-        commands[name] = p = sub.add_parser(name, help=text)
-        _add_common(p)
+    for name, func, text, options in _COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for option in options + ("format", "output", "threads"):
+            flag, keywords = _OPTIONS[option]
+            p.add_argument(flag, **keywords)
         p.set_defaults(func=func)
-    commands["moment"].add_argument(
-        "--about", default="0,0,0",
-        help="reference point, three comma-separated numbers")
-    commands["moment"].add_argument(
-        "--shift-to", dest="shift_to",
-        help="also transport the moment to this reference point")
-    commands["reduce2d"].add_argument(
-        "--about", help="planar moment reference, two comma-separated numbers")
     return parser
 
 

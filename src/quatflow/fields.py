@@ -28,14 +28,14 @@ that way.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import chain
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .quaternion import Quaternion, ReducedPoint, I, J, qconj
-from .surfaces import (_frozen, as_points, evaluate_nodes, in_node_order,
-                       node_rows)
+from .surfaces import _frozen, as_points, in_node_order, node_rows
 
 __all__ = [
     "DomainError",
@@ -87,15 +87,6 @@ class Jet(NamedTuple):
     dz: Quaternion
 
 
-def _domain_mask(domain, domain_array, xyz: np.ndarray) -> np.ndarray:
-    """Where the rows of xyz lie in the domain, as an (N,) bool array."""
-    if domain is None:
-        return np.ones(len(xyz), dtype=bool)
-    if domain_array is not None:
-        return np.asarray(domain_array(xyz), dtype=bool)
-    return np.array([bool(domain(p)) for p in as_points(xyz)], dtype=bool)
-
-
 def _checked(field, xyz: np.ndarray) -> np.ndarray:
     """xyz, after DomainError at its first row outside the field's domain."""
     if field._domain is not None:
@@ -112,6 +103,39 @@ def _lift(op, *forms):
     if any(form is None for form in forms):
         return None
     return lambda xyz: op(*(form(xyz) for form in forms))
+
+
+def _lifted_field(name: str, op, array_op, *fields) -> "QuaternionField":
+    """The field p -> op(f(p), ...) of the operand fields, named ``name``.
+
+    ``op`` combines the operands' quaternions and ``array_op`` their
+    arrays.  The scalar jet applies ``op`` slot by slot to the operands'
+    jets, and the array jet and value-only array form apply ``array_op``
+    to their tables; each exists where every operand has it.  The domain,
+    point and array, is the intersection of the operands' domains.
+    """
+    jets = [f._jet for f in fields]
+    jet = None
+    if all(j is not None for j in jets):
+        def jet(p: ReducedPoint) -> Jet:
+            return Jet(*map(op, *(j(p) for j in jets)))
+    bounded = [f for f in fields if f._domain is not None]
+    domain = domain_array = None
+    if len(bounded) == 1:
+        domain, domain_array = bounded[0]._domain, bounded[0]._domain_array
+    elif bounded:
+        def domain(p: ReducedPoint) -> bool:
+            return all(f._domain(p) for f in bounded)
+
+        def domain_array(xyz: np.ndarray) -> np.ndarray:
+            return np.logical_and.reduce([f.in_domain_array(xyz)
+                                          for f in bounded])
+    return QuaternionField(
+        lambda p: op(*(f._evaluate(p) for f in fields)), jet=jet,
+        domain=domain, name=name,
+        jet_array=_lift(array_op, *(f._jet_array for f in fields)),
+        domain_array=domain_array,
+        value_array=_lift(array_op, *(f._value_array for f in fields)))
 
 
 def _fd_steps(p: ReducedPoint, scale: float) -> tuple[float, float, float]:
@@ -144,7 +168,40 @@ def _fd_stencil(fn, p: ReducedPoint, scale: float, field=None) -> list:
     return [(h, fn(plus), fn(minus)) for h, plus, minus in axes]
 
 
-class QuaternionField:
+class _Field:
+    """What both field classes share: a ``name``, a domain predicate
+    ``_domain`` (None for everywhere) with its optional (N, 3) array form
+    ``_domain_array``, and an optional value-only array form
+    ``_value_array``, which assumes the points lie in the domain."""
+
+    def in_domain(self, p: ReducedPoint) -> bool:
+        return self._domain is None or self._domain(p)
+
+    def in_domain_array(self, xyz: np.ndarray) -> np.ndarray:
+        """``in_domain`` for every row of an (N, 3) array, as (N,) bools."""
+        if self._domain is None:
+            return np.ones(len(xyz), dtype=bool)
+        if self._domain_array is not None:
+            return np.asarray(self._domain_array(xyz), dtype=bool)
+        return np.array([bool(self._domain(p)) for p in as_points(xyz)],
+                        dtype=bool)
+
+    def _check(self, p: ReducedPoint) -> None:
+        if not self.in_domain(p):
+            raise DomainError(
+                f"field {self.name or '<anonymous>'} is not defined at {p!r}")
+
+    def value_array(self, xyz: np.ndarray) -> np.ndarray:
+        """Values at the rows of an (N, 3) array: (N, 4) quaternion rows or
+        (N,) reals, from the value-only array form, or else the field row by
+        row.  An error is the one the field meets first row by row."""
+        if self._value_array is None:
+            return node_rows(self, xyz)
+        return in_node_order(
+            lambda xyz: self._value_array(_checked(self, xyz)), self, xyz)
+
+
+class QuaternionField(_Field):
     """A quaternion-valued function of a point, with an optional analytic jet.
 
     Parameters
@@ -168,8 +225,10 @@ class QuaternionField:
         value slot of ``jet_array`` without computing the partials.  It
         defaults to that slot of ``jet_array``.
 
-    Array forms assume the points lie in the domain; the methods check it
-    first.  ``_closed_form`` derives every form from one closed form.
+    The domain checks and ``value_array`` come from the base shared with
+    :class:`ScalarField`.  ``_closed_form`` derives every form from one
+    closed form; sums, multiples and conjugates lift the operands' forms
+    (``_lifted_field``).
     """
 
     # True when jet_array forms each row with the scalar jet's own
@@ -207,13 +266,6 @@ class QuaternionField:
     def has_array_jet(self) -> bool:
         return self._jet_array is not None
 
-    def in_domain(self, p: ReducedPoint) -> bool:
-        return self._domain is None or self._domain(p)
-
-    def in_domain_array(self, xyz: np.ndarray) -> np.ndarray:
-        """``in_domain`` for every row of an (N, 3) array."""
-        return _domain_mask(self._domain, self._domain_array, xyz)
-
     def jet_array(self, xyz: np.ndarray) -> np.ndarray:
         """Jets at the rows of an (N, 3) array as a (4, N, 4) array.
 
@@ -223,9 +275,7 @@ class QuaternionField:
         DomainError names the first row outside the domain.
         """
         if self._jet_array is None:
-            jets = evaluate_nodes(self.jet_at, as_points(xyz))
-            table = np.array([[q.as_tuple() for q in jet] for jet in jets])
-            return table.reshape(-1, 4, 4).transpose(1, 0, 2)
+            return _jet_rows(lambda p: _jet_entries(self.jet_at(p)), xyz)
         return in_node_order(
             lambda xyz: self._jet_array(_checked(self, xyz)), self.jet_at, xyz)
 
@@ -248,20 +298,6 @@ class QuaternionField:
         self._tables[id(xyz)] = entry
         return entry[1]
 
-    def value_array(self, xyz: np.ndarray) -> np.ndarray:
-        """Values at the rows of an (N, 3) array as an (N, 4) array: the
-        value-only array form, or else the field row by row.  An error is
-        the one the field meets first row by row."""
-        if self._value_array is None:
-            return node_rows(self, xyz)
-        return in_node_order(
-            lambda xyz: self._value_array(_checked(self, xyz)), self, xyz)
-
-    def _check(self, p: ReducedPoint) -> None:
-        if not self.in_domain(p):
-            raise DomainError(
-                f"field {self.name or '<anonymous>'} is not defined at {p!r}")
-
     def __call__(self, p: ReducedPoint) -> Quaternion:
         self._check(p)
         return self._evaluate(p)
@@ -280,65 +316,26 @@ class QuaternionField:
     # ------------------------------------------------------------------
     # combinators
     # ------------------------------------------------------------------
-    def _combined_domain(self, other: "QuaternionField"):
-        if self._domain is None:
-            return other._domain, other._domain_array
-        if other._domain is None:
-            return self._domain, self._domain_array
-        return (lambda p: self._domain(p) and other._domain(p),
-                lambda xyz: self.in_domain_array(xyz)
-                & other.in_domain_array(xyz))
-
     def __add__(self, other: "QuaternionField") -> "QuaternionField":
         if not isinstance(other, QuaternionField):
             return NotImplemented
-        jet = None
-        if self.has_analytic_jet and other.has_analytic_jet:
-            def jet(p, a=self._jet, b=other._jet):
-                ja, jb = a(p), b(p)
-                return Jet(ja.value + jb.value, ja.dx + jb.dx,
-                           ja.dy + jb.dy, ja.dz + jb.dz)
-        domain, domain_array = self._combined_domain(other)
-        return QuaternionField(
-            lambda p: self._evaluate(p) + other._evaluate(p),
-            jet=jet, domain=domain, name=f"({self.name}+{other.name})",
-            jet_array=_lift(np.add, self._jet_array, other._jet_array),
-            domain_array=domain_array,
-            value_array=_lift(np.add, self._value_array, other._value_array))
+        return _lifted_field(f"({self.name}+{other.name})", operator.add,
+                             np.add, self, other)
 
     def __mul__(self, s):
         if not isinstance(s, (int, float)):
             return NotImplemented
-        jet = None
-        if self.has_analytic_jet:
-            def jet(p, a=self._jet, s=float(s)):
-                ja = a(p)
-                return Jet(ja.value * s, ja.dx * s, ja.dy * s, ja.dz * s)
 
-        def scaled(table, s=float(s)):
-            return table * s
-        return QuaternionField(lambda p: self._evaluate(p) * s, jet=jet,
-                               domain=self._domain, name=f"{s}*{self.name}",
-                               jet_array=_lift(scaled, self._jet_array),
-                               domain_array=self._domain_array,
-                               value_array=_lift(scaled, self._value_array))
+        def times(q, factor=float(s)):   # a quaternion or an array
+            return q * factor
+        return _lifted_field(f"{s}*{self.name}", times, times, self)
 
     __rmul__ = __mul__
 
     def conjugated(self) -> "QuaternionField":
         """The field p -> conj(f(p)), jets conjugated componentwise."""
-        jet = None
-        if self.has_analytic_jet:
-            def jet(p, a=self._jet):
-                ja = a(p)
-                return Jet(ja.value.conjugate(), ja.dx.conjugate(),
-                           ja.dy.conjugate(), ja.dz.conjugate())
-        return QuaternionField(lambda p: self._evaluate(p).conjugate(),
-                               jet=jet, domain=self._domain,
-                               name=f"conj({self.name})",
-                               jet_array=_lift(qconj, self._jet_array),
-                               domain_array=self._domain_array,
-                               value_array=_lift(qconj, self._value_array))
+        return _lifted_field(f"conj({self.name})", Quaternion.conjugate,
+                             qconj, self)
 
     def without_analytic_jet(self) -> "QuaternionField":
         """A copy that always differentiates by finite differences."""
@@ -394,15 +391,19 @@ def _closed_form(value, partials, domain=None, name="") -> QuaternionField:
                            value_array=value_array)
 
 
-class ScalarField:
+class ScalarField(_Field):
     """A real-valued function of a point with optional analytic derivatives.
 
-    ``gradient`` maps a point to a ReducedPoint; ``hessian`` to a 3x3
-    nested sequence (row-major, symmetric); ``laplacian`` to a float.
+    ``gradient`` maps a point to a ReducedPoint or three numbers;
+    ``hessian`` to a 3x3 nested sequence (row-major, symmetric);
+    ``laplacian`` to a float.
     Missing derivatives fall back to central differences with steps
     ``FD_STEP`` (first order) and ``FD_STEP2`` (second order).
     ``evaluate_array`` and ``domain_array`` are optional array forms of
-    ``evaluate`` and ``domain`` on (N, 3) point arrays.
+    ``evaluate`` and ``domain`` on (N, 3) point arrays; the domain checks
+    and ``value_array`` come from the base shared with
+    :class:`QuaternionField`, so ``value_array`` raises the error the
+    field meets first row by row.
 
     Every public method checks the domain at its point first.  Code that
     works on a batch of points checks the domain once for the whole
@@ -421,13 +422,9 @@ class ScalarField:
         self._laplacian = laplacian
         self._hessian = hessian
         self._domain = domain
-        self._evaluate_array = evaluate_array
+        self._value_array = evaluate_array
         self._domain_array = domain_array
         self.name = name
-
-    @property
-    def has_analytic_gradient(self) -> bool:
-        return self._gradient is not None
 
     @property
     def has_analytic_hessian(self) -> bool:
@@ -437,34 +434,13 @@ class ScalarField:
     def has_analytic_laplacian(self) -> bool:
         return self._laplacian is not None or self._hessian is not None
 
-    def in_domain(self, p: ReducedPoint) -> bool:
-        return self._domain is None or self._domain(p)
-
-    def in_domain_array(self, xyz: np.ndarray) -> np.ndarray:
-        """``in_domain`` for every row of an (N, 3) array."""
-        return _domain_mask(self._domain, self._domain_array, xyz)
-
-    def _check(self, p: ReducedPoint) -> None:
-        if not self.in_domain(p):
-            raise DomainError(
-                f"field {self.name or '<anonymous>'} is not defined at {p!r}")
-
     def __call__(self, p: ReducedPoint) -> float:
         self._check(p)
         return float(self._evaluate(p))
 
-    def value_array(self, xyz: np.ndarray) -> np.ndarray:
-        """Values at the rows of an (N, 3) array as an (N,) array.
-
-        Without ``evaluate_array`` the field is called row by row.
-        """
-        if self._evaluate_array is None:
-            return node_rows(self, xyz)
-        return self._evaluate_array(_checked(self, xyz))
-
     def gradient_at(self, p: ReducedPoint) -> ReducedPoint:
         self._check(p)
-        return self._gradient_unchecked(p)
+        return ReducedPoint(*self._gradient_unchecked(p))
 
     def hessian_at(self, p: ReducedPoint):
         self._check(p)
@@ -475,17 +451,18 @@ class ScalarField:
         return self._laplacian_unchecked(p)
 
     # The bodies below assume p lies in the domain; callers that checked a
-    # whole grid at once (``_checked``) call them row by row.
-    def _gradient_unchecked(self, p: ReducedPoint) -> ReducedPoint:
-        if self._gradient is not None:
+    # whole grid at once (``_checked``) call them row by row.  The gradient
+    # is a tuple of three floats.
+    def _gradient_unchecked(self, p: ReducedPoint) -> tuple:
+        if self._gradient is None:
+            g = [(plus - minus) / (2.0 * h) for h, plus, minus
+                 in _fd_stencil(self._evaluate, p, FD_STEP, self)]
+        else:
             g = self._gradient(p)
             if isinstance(g, ReducedPoint):
-                return g
-            gx, gy, gz = g
-            return ReducedPoint(gx, gy, gz)
-        partials = [(plus - minus) / (2.0 * h) for h, plus, minus
-                    in _fd_stencil(self._evaluate, p, FD_STEP, self)]
-        return ReducedPoint(*partials)
+                return g.as_tuple()
+        gx, gy, gz = g
+        return float(gx), float(gy), float(gz)
 
     def _hessian_unchecked(self, p: ReducedPoint):
         return None if self._hessian is None else self._hessian(p)
@@ -531,6 +508,11 @@ def _dbar_entries(g=None, h=None) -> tuple:
     return out
 
 
+def _jet_entries(jet: Jet) -> list:
+    """The sixteen components of a jet, slot by slot."""
+    return [v for q in jet for v in q.as_tuple()]
+
+
 def _jet_rows(row, xyz: np.ndarray, slots: int = 4) -> np.ndarray:
     """A (slots, N, 4) table from row(p), the 4 * slots components of p's
     quaternions, at each row p of xyz in order.  The rows stream into one
@@ -554,8 +536,7 @@ def scalar_dbar_field(u: ScalarField) -> QuaternionField:
     once per array) before any of its forms runs, so the forms call u's
     unchecked bodies.
     """
-    def gradient(p: ReducedPoint) -> tuple:
-        return u._gradient_unchecked(p).as_tuple()
+    gradient = u._gradient_unchecked
 
     def entries(p: ReducedPoint) -> tuple:
         h = u._hessian_unchecked(p)   # the Hessian first, in every form
@@ -845,35 +826,35 @@ def harmonic_catalog() -> dict[str, ScalarField]:
 
     fields["x"] = _poly(
         "x", lambda p: p.x,
-        lambda p: ReducedPoint(1.0, 0.0, 0.0),
+        lambda p: (1.0, 0.0, 0.0),
         lambda p: ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
 
     fields["xy"] = _poly(
         "xy", lambda p: p.x * p.y,
-        lambda p: ReducedPoint(p.y, p.x, 0.0),
+        lambda p: (p.y, p.x, 0.0),
         lambda p: ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
 
     fields["x^2-y^2"] = _poly(
         "x^2-y^2", lambda p: p.x * p.x - p.y * p.y,
-        lambda p: ReducedPoint(2.0 * p.x, -2.0 * p.y, 0.0),
+        lambda p: (2.0 * p.x, -2.0 * p.y, 0.0),
         lambda p: ((2.0, 0.0, 0.0), (0.0, -2.0, 0.0), (0.0, 0.0, 0.0)))
 
     fields["1+x+yz"] = _poly(
         "1+x+yz", lambda p: 1.0 + p.x + p.y * p.z,
-        lambda p: ReducedPoint(1.0, p.z, p.y),
+        lambda p: (1.0, p.z, p.y),
         lambda p: ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0)))
 
     fields["x^3-3xy^2"] = _poly(
         "x^3-3xy^2", lambda p: p.x ** 3 - 3.0 * p.x * p.y * p.y,
-        lambda p: ReducedPoint(3.0 * p.x * p.x - 3.0 * p.y * p.y,
-                               -6.0 * p.x * p.y, 0.0),
+        lambda p: (3.0 * p.x * p.x - 3.0 * p.y * p.y, -6.0 * p.x * p.y,
+                   0.0),
         lambda p: ((6.0 * p.x, -6.0 * p.y, 0.0),
                    (-6.0 * p.y, -6.0 * p.x, 0.0),
                    (0.0, 0.0, 0.0)))
 
     fields["xyz"] = _poly(
         "xyz", lambda p: p.x * p.y * p.z,
-        lambda p: ReducedPoint(p.y * p.z, p.x * p.z, p.x * p.y),
+        lambda p: (p.y * p.z, p.x * p.z, p.x * p.y),
         lambda p: ((0.0, p.z, p.y), (p.z, 0.0, p.x), (p.y, p.x, 0.0)))
 
     fields["1/r"] = _column_scalar("1/r", *_inv_r())

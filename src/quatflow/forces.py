@@ -237,8 +237,7 @@ _PROBE_LABELS = ("psi1 varies with z", "psi2 varies with y",
                  "psi3 varies with x")
 
 
-def _gate_stream_surface(quadrature, jets_per_chart,
-                         tol: Optional[float]) -> None:
+def _gate_stream_surface(quadrature, jets_per_chart) -> None:
     """Raise StreamSurfaceError unless the surface fits the derivation.
 
     Checked structure: the vector components keep their planar pattern
@@ -248,17 +247,17 @@ def _gate_stream_surface(quadrature, jets_per_chart,
     z-invariant on them, because a mirrored pair's contributions cancel
     identically for z-invariant integrands.  The first offending node is
     reported, in chart-major node order, pattern probes before tangency.
-    A tolerance that is not finite (the default one is, when the jets
-    overflow) admits nothing, since no probe could exceed it.
+    The tolerance is 1e-8 (1 + the largest |partial| over the nodes).
+    When the jets overflow it is not finite and admits nothing, since no
+    probe could exceed it.
     """
-    if tol is None:
-        scale = 0.0
-        for jets in jets_per_chart:
-            for partial in jets[1:]:
-                # fmax skips NaN, as the running max over nodes did
-                scale = float(np.fmax.reduce(np.sqrt(_norm_sq(partial)),
-                                             initial=scale))
-        tol = 1e-8 * (1.0 + scale)
+    scale = 0.0
+    for jets in jets_per_chart:
+        for partial in jets[1:]:
+            # fmax skips NaN, as the running max over nodes did
+            scale = float(np.fmax.reduce(np.sqrt(_norm_sq(partial)),
+                                         initial=scale))
+    tol = 1e-8 * (1.0 + scale)
     if not np.isfinite(tol):
         raise StreamSurfaceError(
             f"monogenic force form refused: gate tolerance {tol} is not "
@@ -312,8 +311,8 @@ def _gate_stream_surface(quadrature, jets_per_chart,
                 f"{tuple(cn.point_array[k].tolist())}")
 
 
-def force_monogenic_form(potential, body, rho: float = 1.0, order: int = 16,
-                         *, gate_tol: Optional[float] = None) -> ForceResult:
+def force_monogenic_form(potential, body, rho: float = 1.0,
+                         order: int = 16) -> ForceResult:
     """F = -(rho/8) (integral of) [Sc(g dsigma g) + Sc(g dsigma g i) i
     + Sc(g dsigma g j) j] with g = w Dbar.
 
@@ -322,7 +321,7 @@ def force_monogenic_form(potential, body, rho: float = 1.0, order: int = 16,
     surfaces where the assembled scalar parts stop being a force density.
     """
     _gate_stream_surface(_surface_of(body).quadrature(order),
-                         _jet_tables(potential, body, order), gate_tol)
+                         _jet_tables(potential, body, order))
     return _force(potential, body, order, _monogenic_form_rows, -rho / 8.0,
                   "monogenic-form")
 

@@ -143,28 +143,32 @@ class MarginError(ValueError):
     """Reconstruction point too close to the surface for the node density."""
 
 
-def reconstruction_margin(surface, order: int,
-                          margin_factor: float = 10.0) -> float:
-    """Margin distance: factor times the mean node spacing sqrt(area/N)."""
+# Mean node spacings a reconstruction point must keep from every node.
+_MARGIN_FACTOR = 10.0
+
+
+def reconstruction_margin(surface, order: int) -> float:
+    """Margin distance: ``_MARGIN_FACTOR`` times the mean node spacing
+    sqrt(area/N)."""
     surf = _surface_of(surface)
     area = surf.area(order)
     n = surf.node_count(order)
-    return margin_factor * math.sqrt(area / n)
+    return _MARGIN_FACTOR * math.sqrt(area / n)
 
 
-def cauchy_reconstruct(surface, f, point: ReducedPoint, order: int = 48,
-                       margin_factor: float = 10.0) -> Quaternion:
+def cauchy_reconstruct(surface, f, point: ReducedPoint,
+                       order: int = 48) -> Quaternion:
     """Reconstruct a left-monogenic f at an interior point from the boundary.
 
     Computes the boundary integral of E(x - point) dsigma(x) f(x).  The
-    point must keep a distance of at least ``margin_factor`` mean node
-    spacings from every quadrature node; closer points raise MarginError
-    because the kernel peak outruns the grid resolution there.  Points
-    outside the body are not detected; for them the integral simply
-    returns (approximately) zero.
+    point must keep a distance of at least ``_MARGIN_FACTOR`` (10) mean
+    node spacings from every quadrature node; closer points raise
+    MarginError because the kernel peak outruns the grid resolution there.
+    Points outside the body are not detected; for them the integral
+    simply returns (approximately) zero.
     """
     surf = _surface_of(surface)
-    margin = reconstruction_margin(surf, order, margin_factor)
+    margin = reconstruction_margin(surf, order)
     dist = min(float(np.min(norm_rows(cn.point_array
                                   - np.array(point.as_tuple()))))
                for cn in surf.quadrature(order))

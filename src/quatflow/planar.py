@@ -178,9 +178,13 @@ def streamline_residual(potential: ComplexPotential, contour: PlanarContour,
     return float(np.max(np.abs(t.imag))), float(np.max(np.abs(t)))
 
 
-def _require_streamline(potential, contour, order, tol):
+# The largest max |Im(f' dz)| / (1 + scale) accepted as a streamline.
+_STREAMLINE_TOL = 1e-8
+
+
+def _require_streamline(potential, contour, order):
     worst, scale = streamline_residual(potential, contour, order)
-    if not worst <= tol * (1.0 + scale):
+    if not worst <= _STREAMLINE_TOL * (1.0 + scale):
         raise StreamlineError(
             f"contour {contour.name!r} is not a streamline of "
             f"{potential.name!r}: max |Im(f' dz)| = {worst:.3e} "
@@ -189,11 +193,10 @@ def _require_streamline(potential, contour, order, tol):
 
 def blasius_force_2d(potential: ComplexPotential, contour: PlanarContour,
                      rho: float = 1.0, order: int = 32,
-                     check_streamline: bool = True,
-                     streamline_tol: float = 1e-8) -> complex:
+                     check_streamline: bool = True) -> complex:
     """Force on the body bounded by a streamline contour, as F_x + i F_y."""
     if check_streamline:
-        _require_streamline(potential, contour, order, streamline_tol)
+        _require_streamline(potential, contour, order)
     a = contour_integral(contour, lambda z: potential.df(z) ** 2, order)
     f_minus = 0.5j * rho * a
     return f_minus.conjugate()
@@ -201,15 +204,14 @@ def blasius_force_2d(potential: ComplexPotential, contour: PlanarContour,
 
 def blasius_moment_2d(potential: ComplexPotential, contour: PlanarContour,
                       about: complex = 0j, rho: float = 1.0, order: int = 32,
-                      check_streamline: bool = True,
-                      streamline_tol: float = 1e-8) -> float:
+                      check_streamline: bool = True) -> float:
     """Moment about a reference point, positive counterclockwise.
 
     The contour must still be a streamline (the body); ``about`` moves
     the reference point of the moment, not the contour.
     """
     if check_streamline:
-        _require_streamline(potential, contour, order, streamline_tol)
+        _require_streamline(potential, contour, order)
     z0 = complex(about)
     a = contour_integral(contour,
                          lambda z: (z - z0) * potential.df(z) ** 2, order)

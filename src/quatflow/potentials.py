@@ -44,6 +44,7 @@ from .fields import (
     _dbar_entries,
     _fd_stencil,
     _inv_r,
+    _jet_entries,
     _jet_rows,
     _log_x_plus_r,
     apply_Dbar_right,
@@ -171,9 +172,6 @@ class VelocityField:
                 f"velocity {self.name or '<anonymous>'} undefined at {p!r}")
         return self._evaluate(p)
 
-    def speed_squared(self, p: ReducedPoint) -> float:
-        return self(p).norm_sq()
-
     def jacobian_at(self, p: ReducedPoint):
         if self._jacobian is not None:
             return self._jacobian(p)
@@ -194,24 +192,28 @@ def velocity_from_potential(w) -> VelocityField:
 # construction routes
 # ----------------------------------------------------------------------
 
-def monogenic_from_gradient(u: ScalarField,
-                            probe_points: Optional[Sequence[ReducedPoint]] = None,
-                            harmonic_tol: float | None = None) -> FlowPotential:
+def _harmonic_tol(u: ScalarField) -> float:
+    """The largest |Laplacian u| accepted as harmonic: 1e-8 for analytic
+    second derivatives, 1e-3 for finite differences."""
+    return 1e-8 if u.has_analytic_laplacian else 1e-3
+
+
+def monogenic_from_gradient(
+        u: ScalarField,
+        probe_points: Optional[Sequence[ReducedPoint]] = None) -> FlowPotential:
     """The potential w = Dbar u; monogenic exactly when u is harmonic.
 
     With ``probe_points`` the Laplacian of u is sampled there first and a
-    ValueError is raised if it exceeds ``harmonic_tol`` (default 1e-8 for
-    analytic second derivatives, 1e-3 for finite differences).
+    ValueError is raised if it exceeds ``_harmonic_tol(u)``.
     """
     if probe_points is not None:
-        if harmonic_tol is None:
-            harmonic_tol = 1e-8 if u.has_analytic_laplacian else 1e-3
+        tol = _harmonic_tol(u)
         for p in probe_points:
             lap = u.laplacian_at(p)
-            if not abs(lap) <= harmonic_tol:
+            if not abs(lap) <= tol:
                 raise ValueError(
                     f"scalar field {u.name or '<anonymous>'} is not harmonic: "
-                    f"laplacian {lap:.3e} at {p!r} exceeds {harmonic_tol:.1e}")
+                    f"laplacian {lap:.3e} at {p!r} exceeds {tol:.1e}")
     return FlowPotential(scalar_dbar_field(u), name=f"dbar({u.name})",
                          description="conjugate gradient of a harmonic scalar")
 
@@ -305,7 +307,7 @@ def monogenic_completion(u: ScalarField,
                           f"domain of {u.name or '<anonymous>'}")
     dbar = scalar_dbar_field(u)
     hard_cap = 1e-8
-    lap_tol = 1e-8 if u.has_analytic_laplacian else 1e-3
+    lap_tol = _harmonic_tol(u)
     c = np.array(center.as_tuple())
 
     # a point outside u's domain fails the check the definition meets
@@ -323,9 +325,9 @@ def monogenic_completion(u: ScalarField,
                     f"completion input {u.name or '<anonymous>'} is not "
                     f"harmonic near {q!r} (laplacian {lap:.3e})")
         if fd_jet:
-            return [v for part in dbar._fd_jet(q) for v in part.as_tuple()]
+            return _jet_entries(dbar._fd_jet(q))
         h = u._hessian_unchecked(q)
-        return _dbar_entries(u._gradient_unchecked(q).as_tuple(), h)
+        return _dbar_entries(u._gradient_unchecked(q), h)
 
     def level(xyz: np.ndarray, n: int) -> np.ndarray:
         """The jets at the rows of xyz from n Gauss nodes in t."""
@@ -355,8 +357,8 @@ def monogenic_completion(u: ScalarField,
             sum_t(3, qmul(jd[3], xq) * w2 + qmul(jd[0], J.as_tuple()) * w1)
         # the rows of xyz passed the field's own domain check
         for k, p in enumerate(as_points(xyz)):
-            g = u._gradient_unchecked(p)
-            out[:, k, 0] = float(u._evaluate(p)), g.x, g.y, g.z
+            gx, gy, gz = u._gradient_unchecked(p)
+            out[:, k, 0] = float(u._evaluate(p)), gx, gy, gz
         return out
 
     def jet_array(xyz: np.ndarray) -> np.ndarray:

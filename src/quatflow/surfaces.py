@@ -148,8 +148,7 @@ class Chart:
                              rt / norm_rows(rt)[:, None]))
         weights = np.repeat(s_w, nt) * np.tile(t_w, ns) * area
         return ChartNodes(self, _frozen(points), _frozen(normals),
-                          _frozen(tangents), _frozen(weights),
-                          _frozen(np.stack((s, t), axis=1)))
+                          _frozen(tangents), _frozen(weights))
 
 
 class ChartNodes:
@@ -157,20 +156,19 @@ class ChartNodes:
 
     ``point_array`` holds the (N, 3) node positions, ``normal_array`` the
     outward unit normals, ``tangent_array`` the (2, N, 3) unit tangents
-    along s and t, ``weights`` the dS weights and ``params`` the (N, 2)
-    chart parameters; all are read-only.  ``points`` and ``normals`` give
-    the same nodes as ReducedPoint lists, built on first use.
+    along s and t and ``weights`` the dS weights; all are read-only.
+    ``points`` and ``normals`` give the same nodes as ReducedPoint lists,
+    built on first use.
     """
 
     def __init__(self, chart: Chart, point_array: np.ndarray,
                  normal_array: np.ndarray, tangent_array: np.ndarray,
-                 weights: np.ndarray, params: np.ndarray):
+                 weights: np.ndarray):
         self.chart = chart
         self.point_array = point_array
         self.normal_array = normal_array
         self.tangent_array = tangent_array
         self.weights = weights
-        self.params = params
 
     @cached_property
     def points(self) -> list[ReducedPoint]:
@@ -246,10 +244,6 @@ class RegularBody:
         self._volume_nodes = volume_nodes
         self.name = name or surface.name
         self._volume_cache: dict[int, VolumeNodes] = {}
-
-    @property
-    def has_volume_quadrature(self) -> bool:
-        return self._volume_nodes is not None
 
     def volume_nodes(self, order: int) -> VolumeNodes:
         if self._volume_nodes is None:

@@ -355,6 +355,19 @@ def test_scenario_and_config_are_mutually_exclusive(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--scenario", "no-such-scenario"],
+    ["verify", "--config", "/nonexistent.json"],
+    ["reduce2d", "--scenario", "x"],
+    ["convergence", "--scenario", "sphere-stream", "--tol", "1e-3"],
+])
+def test_subcommands_reject_options_they_do_not_read(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
 def test_help_exits_cleanly():
     proc = run_cli("--help")
     assert proc.returncode == 0

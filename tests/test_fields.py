@@ -1,7 +1,9 @@
 """Differential operators on quaternion-valued and scalar fields."""
 
 import math
+import operator
 import random
+import re
 
 import numpy as np
 import pytest
@@ -19,16 +21,23 @@ from quatflow import (
     apply_Dbar,
     apply_Dbar_right,
     catalog,
+    dipole_flow,
+    embedded_cylinder_flow,
     euler_operator,
     harmonic_catalog,
+    integrate_scalar,
     is_monogenic,
     laplacian,
     moisil_theodorescu_residual,
     monogenic_completion,
+    point_source,
+    saddle_flow,
     scalar_dbar_field,
+    sphere_body,
     velocity_from_potential,
 )
 from quatflow.fields import default_monogenicity_tol
+from quatflow.quaternion import qconj
 
 from test_arrays import sample_points
 
@@ -511,3 +520,120 @@ def test_fd_paths_keep_their_domain_errors():
         with pytest.raises(DomainError) as err:
             call()
         assert str(err.value) == message
+
+
+# ----------------------------------------------------------------------
+# sums, multiples and conjugates lift their operands' forms
+# ----------------------------------------------------------------------
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def jet_bits(jet) -> bytes:
+    return bits([q.as_tuple() for q in jet])
+
+
+def lifted_cases():
+    """(label, lifted field, operands, quaternion op, array op)."""
+    source = point_source(1.0, ReducedPoint(0.0, 0.0, 3.0)).field
+    dipole = dipole_flow(0.7, ReducedPoint(0.2, 0.1, 0.0)).field
+    cylinder = embedded_cylinder_flow(1.0, 1.0, 2.0 * math.pi).field
+    saddle = saddle_flow().field
+    a = source + dipole
+
+    def times(q):
+        return q * 2.5
+    return [
+        ("source+dipole", a, (source, dipole), operator.add, np.add),
+        ("cylinder+saddle", cylinder + saddle, (cylinder, saddle),
+         operator.add, np.add),
+        ("2.5*a", 2.5 * a, (a,), times, times),
+        ("conj(a)", a.conjugated(), (a,), Quaternion.conjugate, qconj),
+    ]
+
+
+LIFTED = {case[0]: case for case in lifted_cases()}
+# points outside exactly one operand's domain
+OUTSIDE = {"source+dipole": [ReducedPoint(0.0, 0.0, 3.0),
+                             ReducedPoint(0.2, 0.1, 0.0)],
+           "cylinder+saddle": [ReducedPoint(0.0, 0.0, 0.4)],
+           "2.5*a": [ReducedPoint(0.0, 0.0, 3.0)],
+           "conj(a)": [ReducedPoint(0.2, 0.1, 0.0)]}
+
+
+@pytest.mark.parametrize("label", sorted(LIFTED))
+def test_lifted_scalar_jets_combine_the_operands_jets(label):
+    _, field, operands, op, _ = LIFTED[label]
+    inside = [p for p in sample_points() if field.in_domain(p)]
+    assert len(inside) > 100
+    for p in inside:
+        jets = [f.jet_at(p) for f in operands]
+        expected = [op(*slots) for slots in zip(*jets)]
+        assert jet_bits(field.jet_at(p)) == jet_bits(expected), p
+        assert bits(field(p).as_tuple()) == \
+            bits(op(*(f(p) for f in operands)).as_tuple()), p
+
+
+@pytest.mark.parametrize("label", sorted(LIFTED))
+def test_lifted_array_forms_combine_the_operands_tables(label):
+    _, field, operands, _, array_op = LIFTED[label]
+    xyz = np.array([p.as_tuple() for p in sample_points()
+                    if field.in_domain(p)])
+    table = field.jet_array(xyz)
+    expected = array_op(*(f.jet_array(xyz) for f in operands))
+    assert table.shape == expected.shape == (4, len(xyz), 4)
+    assert bits(table) == bits(expected)
+    values = field.value_array(xyz)
+    expected = array_op(*(f.value_array(xyz) for f in operands))
+    assert values.shape == expected.shape == (len(xyz), 4)
+    assert bits(values) == bits(expected)
+
+
+@pytest.mark.parametrize("label", sorted(LIFTED))
+def test_lifted_domain_mask_matches_the_point_domain(label):
+    _, field, operands, _, _ = LIFTED[label]
+    points = sample_points() + OUTSIDE[label]
+    xyz = np.array([p.as_tuple() for p in points])
+    mask = field.in_domain_array(xyz)
+    assert mask.tolist() == [bool(field.in_domain(p)) for p in points]
+    assert mask.tolist() == [all(f.in_domain(p) for f in operands)
+                             for p in points]
+
+
+@pytest.mark.parametrize("label", sorted(LIFTED))
+def test_lifted_field_names_itself_outside_an_operand(label):
+    _, field, operands, _, _ = LIFTED[label]
+    for p in OUTSIDE[label]:
+        assert sum(not f.in_domain(p) for f in operands) == 1
+        message = re.escape(f"field {field.name} is not defined at {p!r}")
+        xyz = np.array([(0.3, 0.4, -0.2), p.as_tuple()])
+        for call in (lambda: field(p), lambda: field.jet_at(p),
+                     lambda: field.jet_array(xyz),
+                     lambda: field.value_array(xyz)):
+            with pytest.raises(DomainError, match=message):
+                call()
+
+
+def test_scalar_value_array_raises_the_first_point_error():
+    # the point form fails at some nodes, the array form with another error
+    def point_form(p):
+        if p.z > 0.5:
+            raise ZeroDivisionError(f"no value at {p!r}")
+        return p.x
+
+    def array_form(xyz):
+        raise RuntimeError("array form failed")
+
+    u = ScalarField(point_form, evaluate_array=array_form, name="flaky")
+    body = sphere_body(1.0)
+    charts = body.surface.quadrature(8)
+    xyz = charts[0].point_array
+    first = next(p for p in charts[0].points if p.z > 0.5)
+    message = re.escape(f"no value at {first!r}")
+    with pytest.raises(ZeroDivisionError, match=message):
+        u.value_array(xyz)
+    first = next(p for cn in charts for p in cn.points if p.z > 0.5)
+    with pytest.raises(ZeroDivisionError,
+                       match=re.escape(f"no value at {first!r}")):
+        integrate_scalar(body, u, 8)

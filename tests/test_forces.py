@@ -25,6 +25,7 @@ from quatflow import (
     moment_reference_shift,
     point_source,
     pressure_field,
+    saddle_flow,
     scenario_catalog,
     sphere_body,
     sphere_flow,
@@ -252,3 +253,29 @@ def test_forces_and_moments_evaluate_each_chart_once(body):
         order=ORDER)
     assert mq.moment == fresh_mq.moment
     assert mp.moment == fresh_mp.moment
+
+
+@pytest.mark.parametrize("box", [
+    ((-0.6, 0.7), (-0.5, 0.5), (-0.4, 0.55)),
+    ((0.2, 1.1), (-0.3, 0.9), (-0.5, 0.1)),
+], ids=["skew", "off-axis"])
+def test_saddle_pressure_routes_on_off_centre_boxes(box):
+    # p = -(rho/2)|v|^2 with v = (2x, -2y, 0), so -(integral of) p n dS
+    # is (rho/2) (integral of) grad |v|^2 dV = 4 rho vol (x_c, y_c, 0)
+    rho = 1.3
+    (x0, x1), (y0, y1), (z0, z1) = box
+    vol = (x1 - x0) * (y1 - y0) * (z1 - z0)
+    oracle = ReducedPoint(4.0 * rho * vol * 0.5 * (x0 + x1),
+                          4.0 * rho * vol * 0.5 * (y0 + y1), 0.0)
+    assert oracle.norm() > 0.3
+    comparison = all_force_methods(saddle_flow(), box_body(*box), rho=rho,
+                                   order=24)
+    assert set(comparison.results) == {"pressure", "blasius",
+                                       "components-sc"}
+    for name, result in comparison.results.items():
+        gap = (result.force - oracle).norm()
+        assert gap <= 1e-12 * (1.0 + oracle.norm()), (name, gap)
+    assert "monogenic-form" in comparison.gated
+    with pytest.raises(StreamSurfaceError):
+        force_monogenic_form(saddle_flow(), box_body(*box), rho=rho,
+                             order=24)
