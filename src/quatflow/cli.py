@@ -21,7 +21,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -270,7 +270,13 @@ def _parse_components(text: str, count: int) -> tuple[float, ...]:
 
 
 def _single_order(args, default: int = 16) -> int:
-    return int(args.order[-1]) if args.order else default
+    """The one --order value, or default; only convergence takes several."""
+    if not args.order:
+        return default
+    if len(args.order) > 1:
+        raise ValueError(f"{args.command} takes one --order, got "
+                         f"{', '.join(map(str, args.order))}")
+    return int(args.order[0])
 
 
 # ----------------------------------------------------------------------

@@ -92,9 +92,7 @@ def _checked(field, xyz: np.ndarray) -> np.ndarray:
     if field._domain is not None:
         inside = field.in_domain_array(xyz)
         if not inside.all():
-            p = ReducedPoint(*xyz[int(np.argmin(inside))].tolist())
-            raise DomainError(
-                f"field {field.name or '<anonymous>'} is not defined at {p!r}")
+            field._check(ReducedPoint(*xyz[int(np.argmin(inside))].tolist()))
     return xyz
 
 

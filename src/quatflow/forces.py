@@ -10,11 +10,11 @@ how the quadratic velocity term is expressed:
 * ``force_components_sc``: the same quantity component by component as
   scalar parts of quaternion products, F_k = (rho/8) Sc(gbar g dsigma u_k).
 * ``force_monogenic_form``: -(rho/8) times the integral of the assembled
-  scalar parts of g dsigma g with g = w Dbar.  This form is built from a
-  two-sided monogenic integrand, so its value is unchanged under
-  deformations of the surface; in return it is only a force when the
-  surface has the stream-surface structure the derivation assumes, which
-  is gated explicitly (StreamSurfaceError otherwise).
+  scalar parts of g dsigma g with g = w Dbar.  Its density is
+  rho (|v|^2 n / 2 - v (v.n)), the pressure density plus the momentum
+  flux, so it is the pressure-route force exactly where v.n = 0.  A gate
+  admits it only on surfaces where the normal flux vanishes at every
+  node (StreamSurfaceError otherwise).
 
 Moments use the same quadratic densities against the moment arm
 (x - about) x n.
@@ -32,7 +32,7 @@ and ``pressure_field`` evaluate each chart once per potential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -48,6 +48,7 @@ from .surfaces import (
     integrate_moment_kernel,
     integrate_scalar_dsigma,
     moment_arms,
+    norm_rows,
 )
 
 __all__ = [
@@ -90,7 +91,7 @@ class MomentResult(NamedTuple):
 
 
 class StreamSurfaceError(ValueError):
-    """The surface lacks the structure the monogenic force form requires."""
+    """The monogenic force form was refused: v.n is not zero on the surface."""
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,6 @@ class FlowScenario:
     rho: float = 1.0
     description: str = ""
     expected_force: Optional[ReducedPoint] = None
-    expected: dict = dataclass_field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------
@@ -233,82 +233,39 @@ def force_components_sc(potential, body, rho: float = 1.0,
 # monogenic form with its stream-surface gate
 # ----------------------------------------------------------------------
 
-_PROBE_LABELS = ("psi1 varies with z", "psi2 varies with y",
-                 "psi3 varies with x")
-
-
 def _gate_stream_surface(quadrature, jets_per_chart) -> None:
-    """Raise StreamSurfaceError unless the surface fits the derivation.
+    """Raise StreamSurfaceError unless v.n vanishes at every node.
 
-    Checked structure: the vector components keep their planar pattern
-    (psi1 free of z, psi2 free of y, psi3 free of x) and each of them is
-    constant along both chart tangent directions.  Cap charts that come
-    in mirrored pairs are exempt from the tangency probe when the jet is
-    z-invariant on them, because a mirrored pair's contributions cancel
-    identically for z-invariant integrands.  The first offending node is
-    reported, in chart-major node order, pattern probes before tangency.
-    The tolerance is 1e-8 (1 + the largest |partial| over the nodes).
-    When the jets overflow it is not finite and admits nothing, since no
-    probe could exceed it.
+    With v = grad Sc w, the density of the monogenic form is
+    rho (|v|^2 n / 2 - v (v.n)), which equals the Bernoulli pressure
+    density -p n exactly where the normal flux v.n is zero, i.e. on a
+    stream surface.  The tolerance is 1e-8 (1 + the largest |v| over the
+    nodes); the first node where |v.n| is not within it (NaN included)
+    is reported, in chart-major node order.  When the velocities overflow
+    the tolerance is not finite and admits nothing.
     """
+    # v = (dx, dy, dz) of Sc w at every node, as (N, 3) views
+    velocities = [jets[1:, :, 0].T for jets in jets_per_chart]
     scale = 0.0
-    for jets in jets_per_chart:
-        for partial in jets[1:]:
-            # fmax skips NaN, as the running max over nodes did
-            scale = float(np.fmax.reduce(np.sqrt(_norm_sq(partial)),
-                                         initial=scale))
+    for v in velocities:
+        # fmax skips NaN, as a running max over the nodes would
+        scale = float(np.fmax.reduce(norm_rows(v), initial=scale))
     tol = 1e-8 * (1.0 + scale)
     if not np.isfinite(tol):
         raise StreamSurfaceError(
             f"monogenic force form refused: gate tolerance {tol} is not "
             f"finite")
 
-    for cn, jets in zip(quadrature, jets_per_chart):
-        probes = np.stack((jets[3][:, 1], jets[2][:, 2], jets[1][:, 3]),
-                          axis=1)
-        bad = np.abs(probes) > tol
+    for cn, v in zip(quadrature, velocities):
+        flux = np.sum(v * cn.normal_array, axis=1)
+        bad = ~(np.abs(flux) <= tol)
         if bad.any():
-            k, which = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            k = int(np.argmax(bad))
             raise StreamSurfaceError(
-                f"monogenic force form refused: {_PROBE_LABELS[which]} "
-                f"({probes[k, which]:.3e} > {tol:.1e}) at "
+                f"monogenic force form refused: v.n = {flux[k]:.3e} "
+                f"(tolerance {tol:.1e}) at "
                 f"{tuple(cn.point_array[k].tolist())} "
                 f"on chart {cn.chart.name!r}")
-
-    exempt: set[int] = set()
-    pairs: dict[str, list[int]] = {}
-    for idx, cn in enumerate(quadrature):
-        meta = cn.chart.meta
-        if meta.get("role") == "cap" and "pair_id" in meta:
-            pairs.setdefault(meta["pair_id"], []).append(idx)
-    for idxs in pairs.values():
-        if len(idxs) != 2:
-            continue
-        a, b = idxs
-        if quadrature[a].chart.orientation == quadrature[b].chart.orientation:
-            continue
-        flat = all(np.all(np.sqrt(_norm_sq(jets_per_chart[idx][3])) <= tol)
-                   for idx in (a, b))
-        if flat:
-            exempt.update((a, b))
-
-    for idx, (cn, jets) in enumerate(zip(quadrature, jets_per_chart)):
-        if idx in exempt:
-            continue
-        # drift[k, d, slot]: gradient of component slot + 1 at node k
-        # along the unit tangent d (s, then t)
-        tangents = cn.tangent_array.transpose(1, 0, 2)[:, :, :, None]
-        dx, dy, dz = (jets[axis][:, None, 1:] for axis in (1, 2, 3))
-        drift = (dx * tangents[:, :, 0] + dy * tangents[:, :, 1]
-                 + dz * tangents[:, :, 2])
-        bad = np.abs(drift) > tol
-        if bad.any():
-            k, d, slot = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            raise StreamSurfaceError(
-                f"monogenic force form refused: component "
-                f"{slot + 1} drifts along chart {cn.chart.name!r} "
-                f"({drift[k, d, slot]:.3e} > {tol:.1e}) at "
-                f"{tuple(cn.point_array[k].tolist())}")
 
 
 def force_monogenic_form(potential, body, rho: float = 1.0,
@@ -316,9 +273,10 @@ def force_monogenic_form(potential, body, rho: float = 1.0,
     """F = -(rho/8) (integral of) [Sc(g dsigma g) + Sc(g dsigma g i) i
     + Sc(g dsigma g j) j] with g = w Dbar.
 
-    The integrand is quadratic in the two-sided monogenic g, which makes
-    the integral deformation invariant; the stream-surface gate rejects
-    surfaces where the assembled scalar parts stop being a force density.
+    The assembled scalar parts equal rho (|v|^2 n / 2 - v (v.n)) dS, the
+    pressure density plus the momentum flux.  The gate admits the surface
+    only where v.n = 0 at every node, so that an admitted form is the
+    pressure-route force; StreamSurfaceError otherwise.
     """
     _gate_stream_surface(_surface_of(body).quadrature(order),
                          _jet_tables(potential, body, order))

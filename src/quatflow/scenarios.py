@@ -66,9 +66,6 @@ def cylinder_vortex_scenario(circulation: float = 2.0 * math.pi) -> FlowScenario
         potential=embedded_cylinder_flow(1.0, 1.0, gamma),
         body=_unit_cylinder(),
         expected_force=ReducedPoint(0.0, -gamma, 0.0),
-        expected={"moment_about_origin_z": 0.0,
-                  "offset_reference": (0.3, 0.0, 0.0),
-                  "moment_about_offset_z": gamma * 0.3},
         description="cylinder with circulation; lift -rho U Gamma per "
                     "unit height")
 

@@ -11,7 +11,7 @@ g dsigma f are the workhorse for Cauchy-type theorems and for force and
 moment evaluation.
 
 Nodes are numpy arrays: a chart maps the whole parameter grid at once
-to (N, 3) points, unit normals and unit tangents, generated chart-major
+to (N, 3) points and unit normals, generated chart-major
 in a fixed order, and a body's volume nodes form one (N, 3) tensor grid.
 Every integral evaluates its callables on those arrays (``node_values``):
 a field with an array form in one call per chart, any other callable
@@ -101,15 +101,12 @@ class Chart:
     the same at every node.  The oriented normal is
     ``orientation * (r_s x r_t)`` normalized; orientation is +1 or -1.
     ``node_counts`` maps a quadrature order to per-axis node counts.
-    ``meta`` carries structural tags (chart role, cap pairing) consumed
-    by integration gates downstream.
     """
 
     def __init__(self, position, partial_s, partial_t,
                  s_range: tuple[float, float], t_range: tuple[float, float],
                  orientation: int = 1, name: str = "",
-                 node_counts: Optional[Callable[[int], tuple[int, int]]] = None,
-                 meta: Optional[dict] = None):
+                 node_counts: Optional[Callable[[int], tuple[int, int]]] = None):
         if orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
         self.position = position
@@ -120,7 +117,6 @@ class Chart:
         self.orientation = orientation
         self.name = name
         self.node_counts = node_counts or (lambda order: (order, order))
-        self.meta = dict(meta or {})
 
     def nodes(self, order: int) -> "ChartNodes":
         ns, nt = self.node_counts(order)
@@ -144,30 +140,25 @@ class Chart:
         normals = cr / area[:, None]
         if self.orientation < 0:
             normals = -normals
-        tangents = np.stack((rs / norm_rows(rs)[:, None],
-                             rt / norm_rows(rt)[:, None]))
         weights = np.repeat(s_w, nt) * np.tile(t_w, ns) * area
         return ChartNodes(self, _frozen(points), _frozen(normals),
-                          _frozen(tangents), _frozen(weights))
+                          _frozen(weights))
 
 
 class ChartNodes:
     """Quadrature data for one chart, in chart-major node order.
 
     ``point_array`` holds the (N, 3) node positions, ``normal_array`` the
-    outward unit normals, ``tangent_array`` the (2, N, 3) unit tangents
-    along s and t and ``weights`` the dS weights; all are read-only.
+    outward unit normals and ``weights`` the dS weights; all are read-only.
     ``points`` and ``normals`` give the same nodes as ReducedPoint lists,
     built on first use.
     """
 
     def __init__(self, chart: Chart, point_array: np.ndarray,
-                 normal_array: np.ndarray, tangent_array: np.ndarray,
-                 weights: np.ndarray):
+                 normal_array: np.ndarray, weights: np.ndarray):
         self.chart = chart
         self.point_array = point_array
         self.normal_array = normal_array
-        self.tangent_array = tangent_array
         self.weights = weights
 
     @cached_property
@@ -292,8 +283,7 @@ def sphere_body(radius: float,
 
     chart = Chart(pos, dpos_du, dpos_dphi, (-1.0, 1.0), (0.0, 2.0 * math.pi),
                   orientation=-1, name="sphere",
-                  node_counts=lambda order: (order, 2 * order),
-                  meta={"role": "sphere"})
+                  node_counts=lambda order: (order, 2 * order))
     surface = ParametricSurface([chart], name=name or f"sphere(R={r0})")
 
     def ball(r, u, phi, w):
@@ -328,25 +318,19 @@ def box_body(x_range: tuple[float, float], y_range: tuple[float, float],
     charts = [
         # r_s x r_t for (y, z) parameters is +x; flip on the low face.
         Chart(lambda s, t: _vectors(x1, s, t), const(ey), const(ez),
-              (y0, y1), (z0, z1), orientation=1, name="face+x",
-              meta={"role": "box_face"}),
+              (y0, y1), (z0, z1), orientation=1, name="face+x"),
         Chart(lambda s, t: _vectors(x0, s, t), const(ey), const(ez),
-              (y0, y1), (z0, z1), orientation=-1, name="face-x",
-              meta={"role": "box_face"}),
+              (y0, y1), (z0, z1), orientation=-1, name="face-x"),
         # (x, z) parameters give r_s x r_t = -y; flip on the high face.
         Chart(lambda s, t: _vectors(s, y1, t), const(ex), const(ez),
-              (x0, x1), (z0, z1), orientation=-1, name="face+y",
-              meta={"role": "box_face"}),
+              (x0, x1), (z0, z1), orientation=-1, name="face+y"),
         Chart(lambda s, t: _vectors(s, y0, t), const(ex), const(ez),
-              (x0, x1), (z0, z1), orientation=1, name="face-y",
-              meta={"role": "box_face"}),
+              (x0, x1), (z0, z1), orientation=1, name="face-y"),
         # (x, y) parameters give r_s x r_t = +z; flip on the low face.
         Chart(lambda s, t: _vectors(s, t, z1), const(ex), const(ey),
-              (x0, x1), (y0, y1), orientation=1, name="face+z",
-              meta={"role": "box_face"}),
+              (x0, x1), (y0, y1), orientation=1, name="face+z"),
         Chart(lambda s, t: _vectors(s, t, z0), const(ex), const(ey),
-              (x0, x1), (y0, y1), orientation=-1, name="face-z",
-              meta={"role": "box_face"}),
+              (x0, x1), (y0, y1), orientation=-1, name="face-z"),
     ]
     surface = ParametricSurface(charts, name=name or "box")
     mid = ReducedPoint(0.5 * (x0 + x1), 0.5 * (y0 + y1), 0.5 * (z0 + z1))
@@ -386,8 +370,7 @@ def cylinder_body(radius: float, z_min: float, z_max: float,
                  lambda s, t: np.array([0.0, 0.0, 1.0]),
                  (0.0, 2.0 * math.pi), (z0, z1), orientation=1,
                  name="cylinder_side",
-                 node_counts=lambda order: (2 * order, order),
-                 meta={"role": "cylinder_side"})
+                 node_counts=lambda order: (2 * order, order))
 
     def cap_pos(z_cap):
         return lambda u, s: _vectors(cx + u * r0 * np.cos(s),
@@ -399,15 +382,12 @@ def cylinder_body(radius: float, z_min: float, z_max: float,
     def cap_ds(u, s):
         return _vectors(-u * r0 * np.sin(s), u * r0 * np.cos(s), 0.0)
 
-    caps_meta = {"role": "cap", "pair_id": "cylinder_caps"}
     top = Chart(cap_pos(z1), cap_du, cap_ds, (0.0, 1.0), (0.0, 2.0 * math.pi),
                 orientation=1, name="cap_top",
-                node_counts=lambda order: (order, 2 * order),
-                meta={**caps_meta, "cap_side": "top"})
+                node_counts=lambda order: (order, 2 * order))
     bottom = Chart(cap_pos(z0), cap_du, cap_ds, (0.0, 1.0),
                    (0.0, 2.0 * math.pi), orientation=-1, name="cap_bottom",
-                   node_counts=lambda order: (order, 2 * order),
-                   meta={**caps_meta, "cap_side": "bottom"})
+                   node_counts=lambda order: (order, 2 * order))
 
     surface = ParametricSurface([side, top, bottom],
                                 name=name or f"cylinder(R={r0})")

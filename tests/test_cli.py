@@ -91,9 +91,15 @@ def test_force_reports_the_lift_oracle():
 
 
 def test_force_gates_the_sphere_scenario():
+    # the stream past the sphere has v.n = 0 on it; the uniform stream
+    # through the spherical control surface does not
     payload = run_json("force", "--scenario", "sphere-stream")
-    assert "monogenic-form" in payload["gated"]
+    assert "monogenic-form" in payload["results"]
+    assert payload["gated"] == {}
+    payload = run_json("force", "--scenario", "control-sphere-uniform")
     assert "monogenic-form" not in payload["results"]
+    assert payload["gated"]["monogenic-form"].startswith(
+        "monogenic force form refused: v.n")
 
 
 def test_force_csv_output(tmp_path):
@@ -366,6 +372,20 @@ def test_subcommands_reject_options_they_do_not_read(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["force", "--scenario", "sphere-stream"],
+    ["moment", "--scenario", "cylinder-vortex"],
+    ["verify"],
+    ["reduce2d"],
+])
+def test_single_order_subcommands_reject_a_repeated_order(argv, capsys):
+    # only convergence runs several orders
+    assert cli.main(argv + ["--order", "8", "--order", "12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{argv[0]} takes one --order, got 8, 12" in captured.err
 
 
 def test_help_exits_cleanly():

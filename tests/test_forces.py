@@ -1,7 +1,10 @@
 """Force and moment routes on closed surfaces, with the classical oracles."""
 
 import math
+import random
+import re
 
+import numpy as np
 import pytest
 
 from quatflow import (
@@ -14,6 +17,7 @@ from quatflow import (
     cylinder_body,
     cylinder_uniform_scenario,
     cylinder_vortex_scenario,
+    dipole_flow,
     embedded_cylinder_flow,
     force_blasius,
     force_components_sc,
@@ -118,14 +122,23 @@ def test_dalembert_sphere_at_higher_order():
 
 
 def test_gate_refuses_non_stream_surfaces():
-    sphere = sphere_stream_scenario()
-    with pytest.raises(StreamSurfaceError, match="varies"):
-        force_monogenic_form(sphere.potential, sphere.body, order=8)
-    with pytest.raises(StreamSurfaceError, match="drifts"):
+    refused = "monogenic force form refused: v.n = "
+    with pytest.raises(StreamSurfaceError, match=re.escape(refused)):
         force_monogenic_form(uniform_flow(1.0), sphere_body(1.0), order=8)
-    with pytest.raises(StreamSurfaceError):
+    with pytest.raises(StreamSurfaceError, match=re.escape(refused)):
         force_monogenic_form(uniform_flow(0.0, 1.0, 0.0),
                              cylinder_body(1.0, -0.5, 0.5), order=8)
+
+
+@pytest.mark.parametrize("order", [8, 16, 32, 64])
+def test_gate_admits_the_stream_past_a_sphere(order):
+    # v.n = 0 on the sphere, so the form is the pressure-route force:
+    # zero by d'Alembert
+    sc = sphere_stream_scenario()
+    f = force_monogenic_form(sc.potential, sc.body, order=order).force
+    p = force_pressure_direct(sc.potential, sc.body, order=order).force
+    assert f.norm() <= 1e-12
+    assert (f - p).norm() <= 1e-12 * (1.0 + f.norm())
 
 
 def test_gate_admits_cylinder_scenarios():
@@ -279,3 +292,145 @@ def test_saddle_pressure_routes_on_off_centre_boxes(box):
     with pytest.raises(StreamSurfaceError):
         force_monogenic_form(saddle_flow(), box_body(*box), rho=rho,
                              order=24)
+
+
+# ----------------------------------------------------------------------
+# the stream-surface gate: admitted exactly where v.n vanishes
+# ----------------------------------------------------------------------
+
+GATE_ORDER = 12
+GATE_BOX = ((-0.6, 0.7), (-0.5, 0.5), (-0.4, 0.55))
+# sources and dipoles sit inside the body at least 0.2 from every node,
+# and a source's cut ray (along -x from it) passes 0.02 from every node
+POINT_CLEARANCE = 0.2
+RAY_CLEARANCE = 0.02
+SEEDED_KINDS = ("stream+source", "stream+dipole", "sphere")
+
+
+def gate_body(name):
+    if name == "sphere":
+        return sphere_body(1.0)
+    if name == "box":
+        return box_body(*GATE_BOX)
+    return cylinder_body(1.0, -0.5, 0.5)
+
+
+def inner_point(rng, body):
+    while True:
+        if body == "box":
+            return [rng.uniform(lo + 0.25, hi - 0.25) for lo, hi in GATE_BOX]
+        p = [rng.uniform(-0.6, 0.6) for _ in range(3)]
+        if body == "cylinder":
+            p[2] = rng.uniform(-0.25, 0.25)
+        if p[0] ** 2 + p[1] ** 2 + (p[2] ** 2 if body == "sphere" else 0.0) \
+                <= 0.36:
+            return p
+
+
+def clear_of_nodes(nodes, center, ray):
+    rel = nodes - np.asarray(center)
+    dist = np.linalg.norm(rel, axis=1)
+    if np.min(dist) < POINT_CLEARANCE:
+        return False
+    behind = np.where(rel[:, 0] <= 0.0, np.hypot(rel[:, 1], rel[:, 2]), dist)
+    return not ray or np.min(behind) >= RAY_CLEARANCE
+
+
+def gate_case(case):
+    """(potential, body, rho) of a catalog scenario or a seeded case
+    named body/kind/k."""
+    catalog = scenario_catalog()
+    if case in catalog:
+        sc = catalog[case]
+        return sc.potential, sc.body, sc.rho
+    body_name, kind, k = case.split("/")
+    rng = random.Random(case)
+    rho = rng.uniform(0.8, 1.25)
+    speed = rng.uniform(0.5, 1.5)
+    if kind == "sphere-matched":
+        # the sphere of the flow's own radius is a stream surface
+        radius = rng.uniform(0.5, 1.5)
+        return sphere_flow(speed, radius), sphere_body(radius), rho
+    body = gate_body(body_name)
+    if kind == "sphere":
+        radius = 1.0 if (body_name, k) == ("sphere", "0") \
+            else rng.uniform(0.3, 0.6)
+        return sphere_flow(speed, radius), body, rho
+    stream = uniform_flow(*(speed * rng.uniform(-1.0, 1.0) for _ in range(3)))
+    nodes = np.concatenate([cn.point_array
+                            for cn in body.surface.quadrature(GATE_ORDER)])
+    while True:
+        center = inner_point(rng, body_name)
+        if clear_of_nodes(nodes, center, kind == "stream+source"):
+            break
+    strength = rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 1.5)
+    singular = point_source if kind == "stream+source" else dipole_flow
+    return stream + singular(strength, ReducedPoint(*center)), body, rho
+
+
+GATE_CASES = sorted(scenario_catalog()) + [
+    f"{body}/{kind}/{k}" for body in ("sphere", "box", "cylinder")
+    for kind in SEEDED_KINDS for k in range(2)] + [
+    f"sphere/sphere-matched/{k}" for k in range(2)]
+# the cases whose surface is a stream surface of the flow
+STREAM_SURFACE_CASES = {"cylinder-uniform", "cylinder-vortex", "sphere-stream",
+                        "sphere/sphere/0", "sphere/sphere-matched/0",
+                        "sphere/sphere-matched/1"}
+
+
+def flux_scan(potential, body, order):
+    """The gate's tolerance 1e-8 (1 + max |v|) and (|v.n|, point, chart name)
+    at every node in chart-major order, from velocity_at node by node."""
+    rows = [(potential.velocity_at(p), n, p, cn.chart.name)
+            for cn in body.surface.quadrature(order)
+            for p, n in zip(cn.points, cn.normals)]
+    tol = 1e-8 * (1.0 + max(v.norm() for v, _, _, _ in rows))
+    return tol, [(abs(v.dot(n)), p, name) for v, n, p, name in rows]
+
+
+@pytest.mark.parametrize("case", GATE_CASES)
+def test_gate_admits_the_form_exactly_where_v_dot_n_vanishes(case):
+    pot, body, rho = gate_case(case)
+    comparison = all_force_methods(pot, body, rho=rho, order=GATE_ORDER)
+    tol, flux = flux_scan(pot, body, GATE_ORDER)
+    admitted = "monogenic-form" in comparison.results
+    assert admitted == (max(f for f, _, _ in flux) <= tol)
+    assert admitted == (case in STREAM_SURFACE_CASES)
+    assert admitted != ("monogenic-form" in comparison.gated)
+    if admitted:
+        form = comparison.results["monogenic-form"].force
+        gap = (form - comparison.results["blasius"].force).norm()
+        assert gap <= 1e-10 * (1.0 + form.norm())
+        return
+    # the refusal names the first node of the same chart-major scan
+    point, chart = next((p, name) for f, p, name in flux if not f <= tol)
+    message = comparison.gated["monogenic-form"]
+    assert message.startswith("monogenic force form refused: v.n = ")
+    assert message.endswith(f" at {point.as_tuple()} on chart {chart!r}")
+
+
+def test_gate_refuses_a_nan_jet_and_the_comparison_reads_nan():
+    # the cylinder is a stream surface of the vortex flow, so the one node
+    # whose jet is NaN is the only place the flux test can fail
+    sc = cylinder_vortex_scenario()
+    field = sc.potential.field
+    cap = sc.body.surface.quadrature(ORDER)[1]
+    bad = cap.point_array[5]
+
+    def jet_array(xyz, inner=field._jet_array):
+        table = np.array(inner(xyz))
+        table[:, np.all(xyz == bad, axis=1), :] = np.nan
+        return table
+
+    pot = FlowPotential(QuaternionField(
+        field._evaluate, jet=field._jet, domain=field._domain,
+        name=field.name, jet_array=jet_array,
+        domain_array=field._domain_array, value_array=field._value_array))
+    comparison = all_force_methods(pot, sc.body, order=ORDER)
+    assert "monogenic-form" in comparison.gated
+    assert "monogenic-form" not in comparison.results
+    assert math.isnan(comparison.max_disagreement)
+    message = comparison.gated["monogenic-form"]
+    assert message.startswith("monogenic force form refused: v.n = nan ")
+    assert message.endswith(
+        f" at {tuple(bad.tolist())} on chart {cap.chart.name!r}")

@@ -97,11 +97,9 @@ def test_node_layout_is_reproducible_across_builders():
 
 def test_cylinder_caps_mirror_each_other():
     body = cylinder_body(1.0, -0.5, 0.5)
-    caps = [cn for cn in body.surface.quadrature(8)
-            if cn.chart.meta.get("role") == "cap"]
-    assert len(caps) == 2
-    top, bottom = caps
-    assert top.chart.meta["pair_id"] == bottom.chart.meta["pair_id"]
+    charts = {cn.chart.name: cn for cn in body.surface.quadrature(8)}
+    assert set(charts) == {"cylinder_side", "cap_top", "cap_bottom"}
+    top, bottom = charts["cap_top"], charts["cap_bottom"]
     assert top.chart.orientation == -bottom.chart.orientation
     assert np.array_equal(top.weights, bottom.weights)
     for pt, pb, nt, nb in zip(top.points, bottom.points,
