@@ -16,13 +16,13 @@ and FD-backed fields share one code path.
 
 A field may also carry array forms: a jet on an (N, 3) array of points
 returning a (4, N, 4) array (value, d/dx, d/dy, d/dz; quaternion
-components last), the values alone as an (N, 4) array, and an array
-domain predicate.  Quadrature routes use them to evaluate a whole chart
-in one call; fields without them are evaluated point by point through
-the scalar jet.  A closed form written once over coordinate columns
-(``_closed_form``) gives a field all of its scalar and array forms;
-``coordinate_field``, the reduced coordinate x + y i + z j, is built
-that way.
+components last, component-major in memory: a view of (4, 4, N)), the
+values alone as an (N, 4) array, and an array domain predicate.
+Quadrature routes use them to evaluate a whole chart in one call; fields
+without them are evaluated point by point through the scalar jet.  A
+closed form written once over coordinate columns (``_closed_form``)
+gives a field all of its scalar and array forms; ``coordinate_field``,
+the reduced coordinate x + y i + z j, is built that way.
 """
 
 from __future__ import annotations
@@ -282,7 +282,7 @@ class QuaternionField(_Field):
         the data it views are read-only (as ``ChartNodes.point_array`` is).
         Remembered tables are read-only and kept, each beside its xyz so
         that no other array takes that id, for the ``_TABLES_KEPT`` most
-        recently used arrays.  An error stores nothing."""
+        recently used arrays, component-major.  An error stores nothing."""
         base = xyz
         while isinstance(base, np.ndarray) and not base.flags.writeable:
             base = base.base
@@ -290,7 +290,8 @@ class QuaternionField(_Field):
             return self.jet_array(xyz)
         entry = self._tables.pop(id(xyz), None)
         if entry is None:
-            entry = (xyz, _frozen(self.jet_array(xyz)))
+            rows = np.ascontiguousarray(self.jet_array(xyz).swapaxes(1, 2))
+            entry = (xyz, _frozen(rows.swapaxes(1, 2)))
             if len(self._tables) == _TABLES_KEPT:
                 self._tables.pop(next(iter(self._tables)), None)
         self._tables[id(xyz)] = entry
@@ -333,7 +334,7 @@ class QuaternionField(_Field):
     def conjugated(self) -> "QuaternionField":
         """The field p -> conj(f(p)), jets conjugated componentwise."""
         return _lifted_field(f"conj({self.name})", Quaternion.conjugate,
-                             qconj, self)
+                             lambda q: qconj(q.T).T, self)
 
     def without_analytic_jet(self) -> "QuaternionField":
         """A copy that always differentiates by finite differences."""
@@ -351,7 +352,7 @@ def _closed_form(value, partials, domain=None, name="") -> QuaternionField:
     ``math`` when x, y, z are the floats of one point and ``numpy`` when
     they are the (N,) columns of a point array.  The scalar value and jet
     run on floats; the array jet, the value-only array form and the array
-    domain run on columns.
+    domain run on columns, each component filling one contiguous row.
     """
     def evaluate(p: ReducedPoint) -> Quaternion:
         return Quaternion(*value(p.x, p.y, p.z, math))
@@ -366,21 +367,21 @@ def _closed_form(value, partials, domain=None, name="") -> QuaternionField:
         def point_domain(p: ReducedPoint) -> bool:
             return domain(p.x, p.y, p.z, math)
 
-    def fill(out: np.ndarray, entries) -> np.ndarray:
+    def fill(rows: np.ndarray, entries) -> np.ndarray:
         for idx, entry in enumerate(entries):
-            out[idx // 4, :, idx % 4] = entry
-        return out
+            rows[idx] = entry
+        return rows
 
     def jet_array(xyz: np.ndarray) -> np.ndarray:
-        # the value's columns are stored before the partials run, so they
-        # are not held beside the partials' temporaries
+        # the value's rows are stored before the partials run, so they are
+        # not held beside the partials' temporaries
         x, y, z = xyz.T
-        out = fill(np.empty((4, len(xyz), 4)), value(x, y, z, np))
-        fill(out[1:], partials(x, y, z, np))
-        return out
+        rows = fill(np.empty((16, len(xyz))), value(x, y, z, np))
+        fill(rows[4:], partials(x, y, z, np))
+        return rows.reshape(4, 4, len(xyz)).transpose(0, 2, 1)
 
     def value_array(xyz: np.ndarray) -> np.ndarray:
-        return fill(np.empty((1, len(xyz), 4)), value(*xyz.T, np))[0]
+        return fill(np.empty((4, len(xyz))), value(*xyz.T, np)).T
 
     domain_array = None if domain is None else \
         (lambda xyz: domain(*xyz.T, np))

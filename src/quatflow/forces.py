@@ -21,8 +21,10 @@ Moments use the same quadratic densities against the moment arm
 
 Every route works on arrays: one (4, N, 4) jet table per chart from the
 potential's array jet (or, for fields without one, from ``jet_at`` node
-by node), (N, 3) node arrays, and the array Hamilton product.  Rows are
-reduced by ``surfaces.quadrature_sum``, chart by chart.  The pressure
+by node), component-major in memory, so each component is a contiguous
+row; (N, 3) node arrays; and ``qmul`` of component rows, or only its
+scalar entry where a route keeps no more.  Rows are reduced by
+``surfaces.quadrature_sum``, chart by chart.  The pressure
 integrals for a given pressure are the surface integrals
 ``integrate_scalar_dsigma`` and ``integrate_moment_kernel``, negated.
 The potential's field remembers one read-only table per chart node array
@@ -69,12 +71,6 @@ __all__ = [
     "all_force_methods",
 ]
 
-_I = np.array([0.0, 1.0, 0.0, 0.0])
-_J = np.array([0.0, 0.0, 1.0, 0.0])
-_MINUS_I = np.array([0.0, -1.0, 0.0, 0.0])
-_MINUS_J = np.array([0.0, 0.0, -1.0, 0.0])
-
-
 class ForceResult(NamedTuple):
     force: ReducedPoint
     method: str
@@ -110,18 +106,24 @@ class FlowScenario:
 # per-chart row kernels on (4, N, 4) jet tables and (N, 3) node arrays
 # ----------------------------------------------------------------------
 
-def _conj_grad(jets: np.ndarray) -> np.ndarray:
-    """w Dbar = dx - dy i - dz j as (N, 4); 2(v1 - v2 i - v3 j) if D w = 0."""
-    dx, dy, dz = jets[1], jets[2], jets[3]
-    return np.stack((dx[:, 0] + dy[:, 1] + dz[:, 2],
-                     dx[:, 1] - dy[:, 0] + dz[:, 3],
-                     dx[:, 2] - dy[:, 3] - dz[:, 0],
-                     dx[:, 3] + dy[:, 2] - dz[:, 1]), axis=1)
+def _conj_grad(jets: np.ndarray) -> tuple:
+    """w Dbar = dx - dy i - dz j, 2(v1 - v2 i - v3 j) if D w = 0, as rows."""
+    dx, dy, dz = jets[1].T, jets[2].T, jets[3].T
+    return (dx[0] + dy[1] + dz[2], dx[1] - dy[0] + dz[3],
+            dx[2] - dy[3] - dz[0], dx[3] + dy[2] - dz[1])
 
 
-def _norm_sq(q: np.ndarray) -> np.ndarray:
-    return q[:, 0] * q[:, 0] + q[:, 1] * q[:, 1] + q[:, 2] * q[:, 2] \
-        + q[:, 3] * q[:, 3]
+def _norm_sq(q) -> np.ndarray:
+    q0, q1, q2, q3 = q
+    return q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
+
+
+def _sc_rows(t, s: float) -> np.ndarray:
+    """Sc t, Sc(t (s i)) and Sc(t (s j)) as (N, 3) rows; the last two are
+    the first entries of ``qmul`` by s i and s j, formed alone."""
+    t0, t1, t2, t3 = t
+    return np.stack((t0, t0 * 0.0 - t1 * s - t2 * 0.0 - t3 * 0.0,
+                     t0 * 0.0 - t1 * 0.0 - t2 * s - t3 * 0.0), axis=1)
 
 
 def _bernoulli(jets: np.ndarray, rho: float, stagnation: float) -> np.ndarray:
@@ -153,15 +155,12 @@ def _blasius_rows(cn: ChartNodes, jets: np.ndarray) -> np.ndarray:
 
 def _components_sc_rows(cn: ChartNodes, jets: np.ndarray) -> np.ndarray:
     g = _conj_grad(jets)
-    t = qmul(qmul(qconj(g), g), cn.normal_quaternions())
-    return np.stack((t[:, 0], qmul(t, _MINUS_I)[:, 0],
-                     qmul(t, _MINUS_J)[:, 0]), axis=1)
+    return _sc_rows(qmul(qmul(qconj(g), g), cn.normal_quaternions()), -1.0)
 
 
 def _monogenic_form_rows(cn: ChartNodes, jets: np.ndarray) -> np.ndarray:
     g = _conj_grad(jets)
-    t = qmul(qmul(g, cn.normal_quaternions()), g)
-    return np.stack((t[:, 0], qmul(t, _I)[:, 0], qmul(t, _J)[:, 0]), axis=1)
+    return _sc_rows(qmul(qmul(g, cn.normal_quaternions()), g), 1.0)
 
 
 # ----------------------------------------------------------------------

@@ -95,7 +95,8 @@ def _stokes_volume_side(body: RegularBody, g, f, order: int) -> Quaternion:
     """
     vn = body.volume_nodes(order)
     gj, fj = in_node_order(
-        lambda xyz: [None if h is None else _as_field(h).jet_array(xyz)
+        lambda xyz: [None if h is None   # slots of (4, N) component rows
+                     else _as_field(h).jet_array(xyz).transpose(0, 2, 1)
                      for h in (g, f)],
         lambda p: [_as_field(h).jet_at(p) for h in (g, f) if h is not None],
         vn.point_array)
@@ -106,7 +107,7 @@ def _stokes_volume_side(body: RegularBody, g, f, order: int) -> Quaternion:
     if fj is not None:
         df = fj[1] + qmul(I.as_tuple(), fj[2]) + qmul(J.as_tuple(), fj[3])
         rows = rows + (df if gj is None else qmul(gj[0], df))
-    return Quaternion(*quadrature_sum([vn], [rows]))
+    return Quaternion(*quadrature_sum([vn], [rows.T]))
 
 
 def verify_stokes(body: RegularBody, g, f, order: int = 12,

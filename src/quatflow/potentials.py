@@ -332,8 +332,8 @@ def monogenic_completion(u: ScalarField,
     def level(xyz: np.ndarray, n: int) -> np.ndarray:
         """The jets at the rows of xyz from n Gauss nodes in t."""
         ts, ws = _gauss01(n)
-        w1 = (ws * ts)[:, None]
-        w2 = w1 * ts[:, None]
+        w1 = ws * ts
+        w2 = w1 * ts
         out = np.empty((4, len(xyz), 4))
         step = max(1, _COMPLETION_BLOCK // n)
         for start in range(0, len(xyz), step):
@@ -341,12 +341,14 @@ def monogenic_completion(u: ScalarField,
             arm = xyz[rows] - c
             grid = (c + ts[:, None] * arm[:, None, :]).reshape(-1, 3)
             jd = _jet_rows(segment_row, grid).reshape(4, len(arm), n, 4)
-            xq = np.zeros((len(arm), 1, 4))
-            xq[:, 0, :3] = arm
+            jd = np.moveaxis(jd, -1, 1)   # slot, component, m, n
+            xq = np.zeros((4, len(arm), 1))
+            xq[:3, :, 0] = arm.T
 
             def sum_t(slot: int, terms: np.ndarray) -> None:
                 # numpy adds along t in order; + 0.0 gives an all -0.0 sum
                 # the +0.0 of a sum started at 0.0, whichever start it takes
+                terms = np.stack(terms, axis=-1)   # the (m, n, 4) rows
                 out[slot, rows, 1:] = np.add.reduce(terms, axis=1)[:, 1:] + 0.0
 
             # chain rule: the x-derivative sees t * (d Dbar u) plus the

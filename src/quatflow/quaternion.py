@@ -6,7 +6,7 @@ vanishes, x + y*i + z*j, is called reduced and is identified with the
 point (x, y, z) of 3-space.  Vector geometry (dot, cross, distances)
 lives on :class:`ReducedPoint`; the noncommutative algebra lives on
 :class:`Quaternion`.  :func:`qmul` and :func:`qconj` apply the same
-algebra to numpy arrays whose last axis holds the four components.
+algebra to component-first numpy operands, one row per component.
 """
 
 from __future__ import annotations
@@ -322,24 +322,23 @@ def cross(r, s) -> ReducedPoint:
 
 
 def qmul(p, q) -> np.ndarray:
-    """Hamilton product of quaternion arrays of shape (..., 4), broadcast.
-
-    Each entry is formed by the same expressions, in the same order, as
-    ``Quaternion.__mul__``, so it equals the scalar product bit for bit.
-    """
-    a0, a1, a2, a3 = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
-    b0, b1, b2, b3 = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    """Hamilton product of component-first operands ((4, ...) arrays or four
+    component rows), broadcast, as a (4, ...) array.  Each entry is formed
+    by the same expressions, in the same order, as ``Quaternion.__mul__``,
+    so it equals the scalar product bit for bit."""
+    a0, a1, a2, a3 = p
+    b0, b1, b2, b3 = q
     return np.stack((
         a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
         a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
         a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
         a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-    ), axis=-1)
+    ))
 
 
 _CONJUGATION = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def qconj(q) -> np.ndarray:
-    """Conjugate of a quaternion array of shape (..., 4)."""
-    return np.asarray(q, dtype=float) * _CONJUGATION
+    """Conjugate of a component-first (4, ...) array, in its memory order."""
+    return (np.asarray(q, dtype=float).T * _CONJUGATION).T

@@ -170,10 +170,8 @@ class ChartNodes:
         return list(as_points(self.normal_array))
 
     def normal_quaternions(self) -> np.ndarray:
-        """The (N, 4) reduced quaternions n1 + n2 i + n3 j of dsigma / dS."""
-        out = np.zeros((len(self.weights), 4))
-        out[:, :3] = self.normal_array
-        return out
+        """The (4, N) component rows of n1 + n2 i + n3 j, dsigma / dS."""
+        return np.vstack((self.normal_array.T, np.zeros(len(self.weights))))
 
 
 class ParametricSurface:
@@ -440,13 +438,9 @@ def in_node_order(evaluate, node_calls, xyz: np.ndarray):
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a b for (N, 4) quaternion rows; (N,) real rows scale the other side,
-    as Quaternion's scalar product does."""
-    if a.ndim == 1:
-        return b * a[:, None]
-    if b.ndim == 1:
-        return a * b[:, None]
-    return qmul(a, b)
+    """a b for (4, N) quaternion component rows; (N,) real rows scale the
+    other side, as Quaternion's scalar product does."""
+    return a * b if a.ndim == 1 or b.ndim == 1 else qmul(a, b)
 
 
 def quadrature_sum(blocks, rows) -> np.ndarray:
@@ -455,6 +449,7 @@ def quadrature_sum(blocks, rows) -> np.ndarray:
     block is summed by numpy and the block sums are added in order from 0."""
     total = 0.0
     for block, r in zip(blocks, rows):
+        r = np.ascontiguousarray(r)   # one rounding, whatever the layout
         w = block.weights.reshape((-1,) + (1,) * (r.ndim - 1))
         total = total + np.sum(r * w, axis=0)
     return total
@@ -492,8 +487,8 @@ def integrate_g_dsigma_f(surface, g, f, order: int) -> Quaternion:
             lambda p: [h(p) for h in sides], cn.point_array)
         out = cn.normal_quaternions()
         if g is not None:
-            out = _times(values[0], out)
-        return out if f is None else _times(out, values[-1])
+            out = _times(values[0].T, out)
+        return (out if f is None else _times(out, values[-1].T)).T
 
     return Quaternion(*_chart_sum(surface, order, rows))
 

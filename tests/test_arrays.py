@@ -8,9 +8,11 @@ monogenic-form force it now admits, were recorded from the array code
 when the gate came to test the normal flux v.n alone.
 """
 
+import functools
 import gc
 import json
 import math
+import pathlib
 import random
 import re
 import weakref
@@ -29,6 +31,8 @@ from quatflow import (
     box_body,
     catalog,
     cylinder_body,
+    dipole_flow,
+    embedded_cylinder_flow,
     force_monogenic_form,
     harmonic_catalog,
     integrate_g_dsigma_f,
@@ -38,6 +42,7 @@ from quatflow import (
     monogenic_from_gradient,
     point_source,
     pressure_field,
+    saddle_flow,
     scenario_catalog,
     scalar_dbar_field,
     sphere_body,
@@ -313,6 +318,103 @@ def test_routes_reproduce_the_node_by_node_values(name):
     assert close(mp.as_tuple(), want["moment_pressure"], 1e-12)
 
 
+# ----------------------------------------------------------------------
+# the forces-warm benchmark's potential kinds, pinned to the last bit
+# ----------------------------------------------------------------------
+
+PIN_FILE = pathlib.Path(__file__).with_name("forces_warm_pins.json")
+PIN_KINDS = ("uniform+source", "uniform+dipole", "sphere", "vortex", "saddle")
+PIN_ORDERS = (32, 48)
+
+
+@functools.lru_cache(maxsize=None)
+def pin_bodies():
+    return {"sphere": sphere_body(1.0),
+            "box": box_body((-0.6, 0.7), (-0.5, 0.5), (-0.4, 0.55)),
+            "cylinder": cylinder_body(1.0, -0.5, 0.5)}
+
+
+def _inner_center(rng, nodes, source):
+    """A seeded point of [-0.3, 0.3]^3 at least 0.2 from every node; for a
+    source, its cut ray along -x also passes at least 0.02 from them."""
+    while True:
+        c = np.array([rng.uniform(-0.3, 0.3) for _ in range(3)])
+        rel = nodes - c
+        dist = np.sqrt(np.sum(rel * rel, axis=1))
+        ray = np.where(rel[:, 0] <= 0.0, np.hypot(rel[:, 1], rel[:, 2]), dist)
+        if dist.min() >= 0.2 and (not source or ray.min() >= 0.02):
+            return ReducedPoint(*c.tolist())
+
+
+def pin_case(body_name, kind, order):
+    """The seeded potential, body, rho and moment point of one pinned case."""
+    rng = random.Random(f"{body_name}/{kind}/{order}")
+    body = pin_bodies()[body_name]
+    nodes = np.concatenate([cn.point_array
+                            for cn in body.surface.quadrature(order)])
+    rho = rng.uniform(0.8, 1.25)
+    about = ReducedPoint(*(rng.uniform(-0.3, 0.3) for _ in range(3)))
+    if kind.startswith("uniform+"):
+        speed = rng.uniform(0.5, 1.5)
+        direction = np.array([rng.uniform(-1.0, 1.0) for _ in range(3)])
+        stream = speed * direction / np.linalg.norm(direction)
+        pot = uniform_flow(*stream.tolist())
+        sign = rng.choice((-1.0, 1.0))
+        center = _inner_center(rng, nodes, kind == "uniform+source")
+        if kind == "uniform+source":
+            pot = pot + point_source(sign * rng.uniform(0.5, 1.5), center)
+        else:
+            pot = pot + dipole_flow(sign * rng.uniform(0.3, 1.0), center)
+    elif kind == "sphere":
+        radius = 1.0 if body_name == "sphere" else rng.uniform(0.3, 0.6)
+        pot = sphere_flow(rng.uniform(0.5, 1.5), radius)
+    elif kind == "vortex":
+        pot = embedded_cylinder_flow(rng.uniform(0.5, 1.5), 1.0,
+                                     rng.uniform(-2.0 * math.pi,
+                                                 2.0 * math.pi))
+    else:
+        pot = saddle_flow()
+    return pot, body, rho, about
+
+
+def pin_results(body_name, kind, order):
+    """Every route force, gate text, their largest gap and both moments."""
+    pot, body, rho, about = pin_case(body_name, kind, order)
+    comparison = all_force_methods(pot, body, rho=rho, order=order)
+    mq = moment_quadratic(pot, body, about, rho=rho, order=order)
+    mp = moment_from_pressure(pressure_field(pot, rho=rho), body, about,
+                              order=order)
+    return {"forces": {route: list(r.force.as_tuple())
+                       for route, r in sorted(comparison.results.items())},
+            "gated": dict(sorted(comparison.gated.items())),
+            "max_disagreement": comparison.max_disagreement,
+            "moment_quadratic": list(mq.moment.as_tuple()),
+            "moment_pressure": list(mp.moment.as_tuple())}
+
+
+def _hex(value):
+    """Floats as float.hex, which tells -0.0 from 0.0; other values as is."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: _hex(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_hex(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("case", [f"{body}/{kind}/{order}"
+                                  for body in ("sphere", "box", "cylinder")
+                                  for kind in PIN_KINDS
+                                  for order in PIN_ORDERS])
+def test_forces_warm_kinds_reproduce_their_pinned_bits(case):
+    """Values recorded from the code whose jet tables were row-major
+    (quaternion components contiguous); the layout must not move a bit."""
+    want = json.loads(PIN_FILE.read_text())[case]
+    body_name, kind, order = case.split("/")
+    assert _hex(pin_results(body_name, kind, int(order))) == _hex(want)
+
+
 def scalar_only(field):
     """The same field without its array forms."""
     return QuaternionField(field._evaluate, jet=field._jet,
@@ -450,6 +552,49 @@ def read_only(xyz):
     xyz = np.array(xyz, dtype=float)
     xyz.setflags(write=False)
     return xyz
+
+
+def row_major(field):
+    """The same field whose array jet returns a row-major copy of its table."""
+    return QuaternionField(
+        field._evaluate, jet=field._jet, domain=field._domain,
+        name=field.name,
+        jet_array=lambda xyz: np.ascontiguousarray(field._jet_array(xyz)))
+
+
+def layout_cases():
+    """Fields whose array jets equal their scalar jets exactly: a closed
+    form, its lifts, a user array jet and the row-by-row fallback."""
+    saddle = saddle_flow().field
+    return {"closed-form": saddle,
+            "sum": saddle + uniform_flow(0.8, -0.3, 0.5).field,
+            "multiple": 2.5 * saddle,
+            "conjugate": saddle.conjugated(),
+            "user-row-major": row_major(saddle),
+            "row-by-row": scalar_only(saddle)}
+
+
+@pytest.mark.parametrize("name", sorted(layout_cases()))
+def test_remembered_jet_tables_are_component_major(name):
+    field = layout_cases()[name]
+    points = sample_points()
+    xyz = read_only([p.as_tuple() for p in points])
+    expected = np.array([[q.as_tuple() for q in field.jet_at(p)]
+                         for p in points]).transpose(1, 0, 2)
+    table = field.jet_array(xyz)
+    assert table.shape == (4, len(points), 4)
+    assert table.tobytes() == expected.tobytes()
+    # closed forms and their lifts are built component-major; any other
+    # table is converted once, when jet_table remembers it
+    built_so = name not in ("user-row-major", "row-by-row")
+    assert table.transpose(0, 2, 1).flags.c_contiguous == built_so
+    kept = field.jet_table(xyz)
+    assert kept.transpose(0, 2, 1).flags.c_contiguous
+    assert kept.tobytes() == expected.tobytes()
+    assert field.jet_table(xyz) is kept and not kept.flags.writeable
+    values = field.value_array(xyz)
+    assert values.shape == (len(points), 4)
+    assert values.tobytes() == expected[0].tobytes()
 
 
 def test_jet_table_of_a_writable_array_follows_its_values():

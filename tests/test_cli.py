@@ -388,6 +388,26 @@ def test_single_order_subcommands_reject_a_repeated_order(argv, capsys):
     assert f"{argv[0]} takes one --order, got 8, 12" in captured.err
 
 
+def test_the_parser_built_once_keeps_no_state_between_calls(capsys):
+    argvs = [["force", "--threads", "0"],
+             ["convergence", "--scenario", "sphere-stream", "--order", "8",
+              "--order", "12"],
+             ["force", "--scenario", "cylinder-vortex", "--order", "8",
+              "--format", "csv"]]
+
+    def run(argv):
+        code = cli.main(argv)
+        return (code,) + tuple(capsys.readouterr())
+
+    # one parser for the three calls, the erroring one first
+    in_turn = [run(argv) for argv in argvs]
+    assert in_turn[0][0] == 2 and "thread count" in in_turn[0][2]
+    assert [result[0] for result in in_turn[1:]] == [0, 0]
+    for argv, result in zip(argvs, in_turn):
+        cli._build_parser.cache_clear()
+        assert run(argv) == result, argv
+
+
 def test_help_exits_cleanly():
     proc = run_cli("--help")
     assert proc.returncode == 0

@@ -544,12 +544,15 @@ def lifted_cases():
 
     def times(q):
         return q * 2.5
+
+    def conj(q):   # tables and values hold the components on the last axis
+        return qconj(q.T).T
     return [
         ("source+dipole", a, (source, dipole), operator.add, np.add),
         ("cylinder+saddle", cylinder + saddle, (cylinder, saddle),
          operator.add, np.add),
         ("2.5*a", 2.5 * a, (a,), times, times),
-        ("conj(a)", a.conjugated(), (a,), Quaternion.conjugate, qconj),
+        ("conj(a)", a.conjugated(), (a,), Quaternion.conjugate, conj),
     ]
 
 

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from quatflow import (
@@ -21,6 +22,7 @@ from quatflow import (
     sc,
     vec,
 )
+from quatflow.quaternion import qconj, qmul
 
 
 def random_quaternion(rng, span=2.0):
@@ -191,3 +193,63 @@ def test_quaternion_hash_consistent_with_equality():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+SPECIALS = (0.0, -0.0, 1.0, -2.5, 0.75, math.inf, -math.inf, math.nan,
+            5e-324, 1e308)
+
+
+def special_quaternions(rng, count):
+    """Components drawn from SPECIALS and from a random spread."""
+    def component():
+        if rng.random() < 0.5:
+            return rng.choice(SPECIALS)
+        return rng.uniform(-3.0, 3.0)
+    return [Quaternion(*(component() for _ in range(4)))
+            for _ in range(count)]
+
+
+def float_bits(values):
+    """The IEEE bit patterns: NaN, -0.0 and infinities compare exactly."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def test_qmul_on_component_rows_equals_the_scalar_product_bit_for_bit():
+    rng = random.Random(31)
+    ps, qs = special_quaternions(rng, 400), special_quaternions(rng, 400)
+    expected = [(p * q).as_tuple() for p, q in zip(ps, qs)]
+    rows_p = np.array([p.as_tuple() for p in ps]).T   # (4, N)
+    rows_q = np.array([q.as_tuple() for q in qs]).T
+    with np.errstate(all="ignore"):
+        got = qmul(rows_p, rows_q)
+        # four separate rows, and a (4, N) array against them
+        as_rows = qmul(tuple(rows_p), list(rows_q))
+    assert got.shape == (4, 400)
+    assert float_bits(got.T) == float_bits(expected)
+    assert float_bits(as_rows) == float_bits(got)
+
+
+def test_qmul_broadcasts_a_constant_quaternion_against_rows():
+    rng = random.Random(32)
+    ps = special_quaternions(rng, 200)
+    rows = np.array([p.as_tuple() for p in ps]).T
+    for unit in (ONE, I, J, K, Quaternion(0.0, -1.0, 0.0, 0.0)):
+        with np.errstate(all="ignore"):
+            right = qmul(rows, unit.as_tuple())
+            left = qmul(unit.as_tuple(), rows)
+        assert float_bits(right.T) == float_bits(
+            [(p * unit).as_tuple() for p in ps])
+        assert float_bits(left.T) == float_bits(
+            [(unit * p).as_tuple() for p in ps])
+
+
+def test_qconj_on_component_rows_matches_the_scalar_conjugate():
+    rng = random.Random(33)
+    ps = [p for p in special_quaternions(rng, 200)
+          if not any(map(math.isnan, p.as_tuple()))]
+    rows = np.array([p.as_tuple() for p in ps]).T
+    assert float_bits(qconj(rows).T) == float_bits(
+        [p.conjugate().as_tuple() for p in ps])
+    stacked = np.stack([rows, rows[:, ::-1]], axis=1)   # (4, 2, N)
+    assert float_bits(qconj(stacked)) == float_bits(
+        np.stack([qconj(rows), qconj(rows[:, ::-1])], axis=1))
