@@ -149,8 +149,9 @@ def _kind(cfg: dict, what: str, kinds: dict):
 class ScenarioConfig:
     """JSON-facing description of a potential, a body, and a density.
 
-    An unknown potential or body kind, a key its kind does not read, or
-    a value that is not finite or has the wrong length raises ValueError.
+    An unknown potential or body kind, a key its kind does not read, a
+    value that is not finite or has the wrong length, or a density rho
+    that is not positive raises ValueError.
     """
 
     name: str
@@ -159,6 +160,8 @@ class ScenarioConfig:
     rho: float = 1.0
 
     def __post_init__(self):
+        if not self.rho > 0.0:
+            raise ValueError(f"'rho' must be positive, got {self.rho!r}")
         _kind(self.potential, "potential", _POTENTIAL_KINDS)
         _kind(self.body, "body", _BODY_KINDS)
 
@@ -480,11 +483,15 @@ def _cmd_reduce2d(args) -> int:
 # parser
 # ----------------------------------------------------------------------
 
-def _finite_arg(text: str) -> float:
+def _tolerance(text: str) -> float:
     try:
-        return _finite(text, "the value")
+        tol = _finite(text, "the value")
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
+    if tol < 0.0:
+        raise argparse.ArgumentTypeError(
+            f"the tolerance must not be negative, got {text!r}")
+    return tol
 
 
 def _thread_count(text: str) -> int:
@@ -506,7 +513,7 @@ _OPTIONS = {
     "order": ("--order", {"action": "append", "type": int,
                           "help": "quadrature order (repeatable for "
                                   "convergence)"}),
-    "tol": ("--tol", {"type": _finite_arg, "default": 1e-8,
+    "tol": ("--tol", {"type": _tolerance, "default": 1e-8,
                       "help": "pass/fail tolerance (default 1e-8)"}),
     "about": ("--about", {"default": "0,0,0",
                           "help": "reference point, three comma-separated "

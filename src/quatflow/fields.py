@@ -578,9 +578,10 @@ def coordinate_field() -> QuaternionField:
 # ----------------------------------------------------------------------
 
 def _as_field(f) -> QuaternionField:
+    """The quaternion field of a field, a ScalarField or a FlowPotential."""
     if isinstance(f, ScalarField):
         return f.as_quaternion_field()
-    return f
+    return getattr(f, "field", f)   # a FlowPotential's field
 
 
 def _d_of(jet: Jet) -> Quaternion:

@@ -10,9 +10,10 @@ with n the outward unit normal.  Integrals of the two-sided form
 g dsigma f are the workhorse for Cauchy-type theorems and for force and
 moment evaluation.
 
-Nodes are numpy arrays: a chart maps the whole parameter grid at once
-to (N, 3) points and unit normals, generated chart-major
-in a fixed order, and a body's volume nodes form one (N, 3) tensor grid.
+Nodes are numpy arrays: a chart's one geometry form, evaluated on the
+axes of its Gauss grid, gives (N, 3) points and unit normals, generated
+chart-major in a fixed order, and a body's volume nodes form one (N, 3)
+tensor grid the same way.
 Every integral evaluates its callables on those arrays (``node_values``):
 a field with an array form in one call per chart, any other callable
 node by node.  One reduction, ``quadrature_sum``, sums the rows against
@@ -95,23 +96,23 @@ def as_points(xyz: np.ndarray) -> Iterator[ReducedPoint]:
 class Chart:
     """One oriented parametric patch.
 
-    ``position`` and the two analytic ``partial`` callables take parameter
-    arrays s, t of equal shape within ``s_range`` x ``t_range`` and
-    return an array of shape ``s.shape + (3,)``, or a 3-vector that is
-    the same at every node.  The oriented normal is
+    ``geometry(s, t)`` returns ``(r, r_s, r_t)``: the position and its two
+    analytic partials.  It receives parameter arrays s, t within
+    ``s_range`` x ``t_range`` that broadcast against each other (the Gauss
+    nodes of s as a column, those of t as a row), and each result is an
+    array that broadcasts to the grid with a trailing 3, or a 3-vector
+    that is the same at every node.  The oriented normal is
     ``orientation * (r_s x r_t)`` normalized; orientation is +1 or -1.
     ``node_counts`` maps a quadrature order to per-axis node counts.
     """
 
-    def __init__(self, position, partial_s, partial_t,
+    def __init__(self, geometry,
                  s_range: tuple[float, float], t_range: tuple[float, float],
                  orientation: int = 1, name: str = "",
                  node_counts: Optional[Callable[[int], tuple[int, int]]] = None):
         if orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
-        self.position = position
-        self.partial_s = partial_s
-        self.partial_t = partial_t
+        self.geometry = geometry
         self.s_range = (float(s_range[0]), float(s_range[1]))
         self.t_range = (float(t_range[0]), float(t_range[1]))
         self.orientation = orientation
@@ -120,27 +121,24 @@ class Chart:
 
     def nodes(self, order: int) -> "ChartNodes":
         ns, nt = self.node_counts(order)
-        s_nodes, s_w = _scaled_gauss(ns, *self.s_range)
-        t_nodes, t_w = _scaled_gauss(nt, *self.t_range)
+        s, s_w = _scaled_gauss(ns, *self.s_range)
+        t, t_w = _scaled_gauss(nt, *self.t_range)
         # s-major tensor grid: node k sits at (s[k // nt], t[k % nt])
-        s = np.repeat(s_nodes, nt)
-        t = np.tile(t_nodes, ns)
-        shape = (ns * nt, 3)
-        points = np.broadcast_to(self.position(s, t), shape).astype(float)
-        rs = np.broadcast_to(self.partial_s(s, t), shape)
-        rt = np.broadcast_to(self.partial_t(s, t), shape)
-        cr = cross_rows(rs, rt)
+        r, rs, rt = (np.broadcast_to(v, (ns, nt, 3))
+                     for v in self.geometry(s[:, None], t[None, :]))
+        cr = cross_rows(rs, rt).reshape(ns * nt, 3)
         area = norm_rows(cr)
-        degenerate = area <= 0.0
+        degenerate = ~(area > 0.0)   # NaN elements too
         if degenerate.any():
             k = int(np.argmax(degenerate))
             raise ValueError(
                 f"degenerate surface element on chart "
-                f"{self.name or '<anonymous>'} at ({s[k]}, {t[k]})")
+                f"{self.name or '<anonymous>'} at ({s[k // nt]}, {t[k % nt]})")
         normals = cr / area[:, None]
         if self.orientation < 0:
             normals = -normals
-        weights = np.repeat(s_w, nt) * np.tile(t_w, ns) * area
+        weights = (s_w[:, None] * t_w).reshape(-1) * area
+        points = r.reshape(ns * nt, 3).astype(float)
         return ChartNodes(self, _frozen(points), _frozen(normals),
                           _frozen(weights))
 
@@ -265,21 +263,14 @@ def sphere_body(radius: float,
     if not (r0 > 0.0 and all(map(math.isfinite, (r0, cx, cy, cz)))):
         raise ValueError("sphere needs a finite positive radius and center")
 
-    def pos(u, phi):
+    def geometry(u, phi):
         s = np.sqrt(np.maximum(0.0, 1.0 - u * u))
-        return _vectors(cx + r0 * s * np.cos(phi), cy + r0 * s * np.sin(phi),
-                        cz + r0 * u)
+        c, n = np.cos(phi), np.sin(phi)
+        return (_vectors(cx + r0 * s * c, cy + r0 * s * n, cz + r0 * u),
+                _vectors(-r0 * u * c / s, -r0 * u * n / s, r0),
+                _vectors(-r0 * s * n, r0 * s * c, 0.0))
 
-    def dpos_du(u, phi):
-        s = np.sqrt(np.maximum(0.0, 1.0 - u * u))
-        return _vectors(-r0 * u * np.cos(phi) / s, -r0 * u * np.sin(phi) / s,
-                        r0)
-
-    def dpos_dphi(u, phi):
-        s = np.sqrt(np.maximum(0.0, 1.0 - u * u))
-        return _vectors(-r0 * s * np.sin(phi), r0 * s * np.cos(phi), 0.0)
-
-    chart = Chart(pos, dpos_du, dpos_dphi, (-1.0, 1.0), (0.0, 2.0 * math.pi),
+    chart = Chart(geometry, (-1.0, 1.0), (0.0, 2.0 * math.pi),
                   orientation=-1, name="sphere",
                   node_counts=lambda order: (order, 2 * order))
     surface = ParametricSurface([chart], name=name or f"sphere(R={r0})")
@@ -306,28 +297,23 @@ def box_body(x_range: tuple[float, float], y_range: tuple[float, float],
             and all(map(math.isfinite, (x0, x1, y0, y1, z0, z1)))):
         raise ValueError("box ranges must be finite and increasing")
 
-    ex = np.array([1.0, 0.0, 0.0])
-    ey = np.array([0.0, 1.0, 0.0])
-    ez = np.array([0.0, 0.0, 1.0])
-
-    def const(v):
-        return lambda s, t: v
+    ex, ey, ez = np.eye(3)
 
     charts = [
         # r_s x r_t for (y, z) parameters is +x; flip on the low face.
-        Chart(lambda s, t: _vectors(x1, s, t), const(ey), const(ez),
+        Chart(lambda s, t: (_vectors(x1, s, t), ey, ez),
               (y0, y1), (z0, z1), orientation=1, name="face+x"),
-        Chart(lambda s, t: _vectors(x0, s, t), const(ey), const(ez),
+        Chart(lambda s, t: (_vectors(x0, s, t), ey, ez),
               (y0, y1), (z0, z1), orientation=-1, name="face-x"),
         # (x, z) parameters give r_s x r_t = -y; flip on the high face.
-        Chart(lambda s, t: _vectors(s, y1, t), const(ex), const(ez),
+        Chart(lambda s, t: (_vectors(s, y1, t), ex, ez),
               (x0, x1), (z0, z1), orientation=-1, name="face+y"),
-        Chart(lambda s, t: _vectors(s, y0, t), const(ex), const(ez),
+        Chart(lambda s, t: (_vectors(s, y0, t), ex, ez),
               (x0, x1), (z0, z1), orientation=1, name="face-y"),
         # (x, y) parameters give r_s x r_t = +z; flip on the low face.
-        Chart(lambda s, t: _vectors(s, t, z1), const(ex), const(ey),
+        Chart(lambda s, t: (_vectors(s, t, z1), ex, ey),
               (x0, x1), (y0, y1), orientation=1, name="face+z"),
-        Chart(lambda s, t: _vectors(s, t, z0), const(ex), const(ey),
+        Chart(lambda s, t: (_vectors(s, t, z0), ex, ey),
               (x0, x1), (y0, y1), orientation=-1, name="face-z"),
     ]
     surface = ParametricSurface(charts, name=name or "box")
@@ -358,33 +344,28 @@ def cylinder_body(radius: float, z_min: float, z_max: float,
             and all(map(math.isfinite, (r0, z0, z1, cx, cy)))):
         raise ValueError("cylinder needs finite r > 0, z_min < z_max, center")
 
-    def side_pos(s, t):
-        return _vectors(cx + r0 * np.cos(s), cy + r0 * np.sin(s), t)
+    def side_geometry(s, z):
+        c, n = np.cos(s), np.sin(s)
+        return (_vectors(cx + r0 * c, cy + r0 * n, z),
+                _vectors(-r0 * n, r0 * c, 0.0), np.array([0.0, 0.0, 1.0]))
 
-    def side_ds(s, t):
-        return _vectors(-r0 * np.sin(s), r0 * np.cos(s), 0.0)
-
-    side = Chart(side_pos, side_ds,
-                 lambda s, t: np.array([0.0, 0.0, 1.0]),
-                 (0.0, 2.0 * math.pi), (z0, z1), orientation=1,
-                 name="cylinder_side",
+    side = Chart(side_geometry, (0.0, 2.0 * math.pi), (z0, z1),
+                 orientation=1, name="cylinder_side",
                  node_counts=lambda order: (2 * order, order))
 
-    def cap_pos(z_cap):
-        return lambda u, s: _vectors(cx + u * r0 * np.cos(s),
-                                     cy + u * r0 * np.sin(s), z_cap)
+    def cap(z_cap):
+        def geometry(u, s):
+            c, n = np.cos(s), np.sin(s)
+            return (_vectors(cx + u * r0 * c, cy + u * r0 * n, z_cap),
+                    _vectors(r0 * c, r0 * n, 0.0),
+                    _vectors(-u * r0 * n, u * r0 * c, 0.0))
+        return geometry
 
-    def cap_du(u, s):
-        return _vectors(r0 * np.cos(s), r0 * np.sin(s), 0.0)
-
-    def cap_ds(u, s):
-        return _vectors(-u * r0 * np.sin(s), u * r0 * np.cos(s), 0.0)
-
-    top = Chart(cap_pos(z1), cap_du, cap_ds, (0.0, 1.0), (0.0, 2.0 * math.pi),
+    top = Chart(cap(z1), (0.0, 1.0), (0.0, 2.0 * math.pi),
                 orientation=1, name="cap_top",
                 node_counts=lambda order: (order, 2 * order))
-    bottom = Chart(cap_pos(z0), cap_du, cap_ds, (0.0, 1.0),
-                   (0.0, 2.0 * math.pi), orientation=-1, name="cap_bottom",
+    bottom = Chart(cap(z0), (0.0, 1.0), (0.0, 2.0 * math.pi),
+                   orientation=-1, name="cap_bottom",
                    node_counts=lambda order: (order, 2 * order))
 
     surface = ParametricSurface([side, top, bottom],

@@ -523,6 +523,7 @@ def test_gate_refuses_when_overflowing_jets_make_its_tolerance_inf(
     {"potential": {"kind": "uniform", "components": [1.0, float("nan"), 0.0]}},
     {"body": {"kind": "box", "x": [-0.5, "-inf"]}},
     {"body": {"kind": "sphere", "center": [0.0, 0.0]}},
+    {"rho": 0}, {"rho": -1.0},
 ])
 def test_cli_rejects_non_finite_config_numbers(change, tmp_path, capsys):
     config = {"name": "bad", "potential": {"kind": "sphere"},
@@ -537,7 +538,7 @@ def test_cli_rejects_non_finite_config_numbers(change, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["force", "--threads", "0"], ["force", "--threads", "-3"],
     ["verify", "--threads", "0"], ["force", "--tol", "nan"],
-    ["moment", "--about", "0,inf,0"],
+    ["moment", "--about", "0,inf,0"], ["force", "--tol", "-1"],
 ])
 def test_cli_rejects_bad_numeric_arguments(argv, capsys):
     assert cli.main(argv + ["--order", "4"]) == 2

@@ -335,6 +335,8 @@ UNIFORM = {"kind": "uniform"}
      "body": SPHERE},
     {"potential": {"kind": "dipole", "coefficient": "1.5"}, "body": SPHERE},
     {"potential": UNIFORM, "body": {"kind": "sphere", "radius": True}},
+    {"rho": 0, "potential": UNIFORM, "body": SPHERE},
+    {"rho": -1, "potential": UNIFORM, "body": SPHERE},
 ])
 def test_config_value_that_is_not_a_finite_number_exits_with_usage_error(
         config, tmp_path, capsys):
@@ -344,6 +346,23 @@ def test_config_value_that_is_not_a_finite_number_exits_with_usage_error(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be" in captured.err
+
+
+def test_a_negative_tol_or_a_non_positive_rho_is_named(tmp_path, capsys):
+    assert cli.main(["force", "--tol", "-1", "--order", "4"]) == 2
+    assert ("argument --tol: the tolerance must not be negative, got '-1'"
+            in capsys.readouterr().err)
+    path = tmp_path / "still.json"
+    path.write_text(json.dumps({"name": "still", "rho": 0,
+                                "potential": UNIFORM, "body": SPHERE}))
+    assert cli.main(["force", "--config", str(path), "--order", "4"]) == 2
+    assert (capsys.readouterr().err
+            == "quatflow: 'rho' must be positive, got 0.0\n")
+
+
+def test_a_zero_tol_is_valid(capsys):
+    assert cli.main(["force", "--tol", "0", "--order", "4"]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["tol"] == 0.0
 
 
 def test_unknown_scenario_exits_with_usage_error():

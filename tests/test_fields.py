@@ -10,6 +10,7 @@ import pytest
 
 from quatflow import (
     DomainError,
+    FlowPotential,
     Jet,
     MonogenicityReport,
     Quaternion,
@@ -251,6 +252,39 @@ def test_is_monogenic_takes_catalog_potentials_point_by_point(name):
     calls = counting_jets(field)
     got = is_monogenic(field, points)
     assert calls == {"jet_array": 0, "jet_at": len(points)}
+    assert repr(got) == repr(want)
+
+
+POTENTIAL_OPERATORS = (apply_D, apply_Dbar, apply_D_right, apply_Dbar_right,
+                       laplacian, euler_operator, moisil_theodorescu_residual)
+
+
+def potential_case(name):
+    """A catalog potential or a completion, and points in its domain."""
+    field, points = completion_case("x/r^3")
+    pot = (FlowPotential(field, name="completion") if name == "completion"
+           else catalog()[name])
+    return pot, [p for p in points[:3] if pot.in_domain(p)]
+
+
+@pytest.mark.parametrize("name", sorted(catalog()) + ["completion"])
+def test_operators_take_a_flow_potential_as_its_field(name):
+    pot, points = potential_case(name)
+    for op in POTENTIAL_OPERATORS:
+        for p in points:
+            assert repr(op(pot, p)) == repr(op(pot.field, p)), op.__name__
+    assert default_monogenicity_tol(pot) == default_monogenicity_tol(
+        pot.field)
+    assert (repr(is_monogenic(pot, points, tol=1e-3))
+            == repr(is_monogenic(pot.field, points, tol=1e-3)))
+
+
+def test_is_monogenic_takes_a_completion_potential_in_one_batch():
+    pot, points = potential_case("completion")
+    want = point_loop_report(pot.field, points)
+    calls = counting_jets(pot.field)
+    got = is_monogenic(pot, points)
+    assert calls == {"jet_array": 1, "jet_at": 0}
     assert repr(got) == repr(want)
 
 

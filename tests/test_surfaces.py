@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from quatflow import (
+    Chart,
     PlanarContour,
     Quaternion,
     ReducedPoint,
@@ -18,6 +19,7 @@ from quatflow import (
     integrate_vector_area,
     sphere_body,
 )
+from quatflow.surfaces import _scaled_gauss
 
 ORDER = 12
 
@@ -169,6 +171,7 @@ def test_builder_rejects_degenerate_input():
 
 NAN, INF = float("nan"), float("inf")
 
+
 NON_FINITE_GEOMETRY = {
     "sphere-nan-radius": lambda: sphere_body(NAN),
     "sphere-inf-radius": lambda: sphere_body(INF),
@@ -192,3 +195,181 @@ def test_non_finite_geometry_fails_when_built(name):
     # NaN compares False both ways, so sign and closure tests let it pass
     with pytest.raises(ValueError):
         NON_FINITE_GEOMETRY[name]()
+
+
+# ----------------------------------------------------------------------
+# node bits, pinned to per-chart reference forms on a flat grid
+# ----------------------------------------------------------------------
+
+def vectors(x, y, z):
+    return np.stack(np.broadcast_arrays(x, y, z), axis=-1).astype(float)
+
+
+def sphere_forms(r0, cx, cy, cz):
+    def pos(u, phi):
+        s = np.sqrt(np.maximum(0.0, 1.0 - u * u))
+        return vectors(cx + r0 * s * np.cos(phi), cy + r0 * s * np.sin(phi),
+                       cz + r0 * u)
+
+    def dpos_du(u, phi):
+        s = np.sqrt(np.maximum(0.0, 1.0 - u * u))
+        return vectors(-r0 * u * np.cos(phi) / s, -r0 * u * np.sin(phi) / s,
+                       r0)
+
+    def dpos_dphi(u, phi):
+        s = np.sqrt(np.maximum(0.0, 1.0 - u * u))
+        return vectors(-r0 * s * np.sin(phi), r0 * s * np.cos(phi), 0.0)
+
+    return [("sphere", (pos, dpos_du, dpos_dphi), (-1.0, 1.0),
+             (0.0, 2.0 * math.pi), -1, lambda order: (order, 2 * order))]
+
+
+def box_forms(x_range, y_range, z_range):
+    (x0, x1), (y0, y1), (z0, z1) = x_range, y_range, z_range
+    ex, ey, ez = np.eye(3)
+    square = lambda order: (order, order)
+    return [
+        ("face+x", (lambda s, t: vectors(x1, s, t), lambda s, t: ey,
+                    lambda s, t: ez), (y0, y1), (z0, z1), 1, square),
+        ("face-x", (lambda s, t: vectors(x0, s, t), lambda s, t: ey,
+                    lambda s, t: ez), (y0, y1), (z0, z1), -1, square),
+        ("face+y", (lambda s, t: vectors(s, y1, t), lambda s, t: ex,
+                    lambda s, t: ez), (x0, x1), (z0, z1), -1, square),
+        ("face-y", (lambda s, t: vectors(s, y0, t), lambda s, t: ex,
+                    lambda s, t: ez), (x0, x1), (z0, z1), 1, square),
+        ("face+z", (lambda s, t: vectors(s, t, z1), lambda s, t: ex,
+                    lambda s, t: ey), (x0, x1), (y0, y1), 1, square),
+        ("face-z", (lambda s, t: vectors(s, t, z0), lambda s, t: ex,
+                    lambda s, t: ey), (x0, x1), (y0, y1), -1, square),
+    ]
+
+
+def cylinder_forms(r0, z0, z1, cx, cy):
+    def cap_pos(z_cap):
+        return lambda u, s: vectors(cx + u * r0 * np.cos(s),
+                                    cy + u * r0 * np.sin(s), z_cap)
+
+    def cap_du(u, s):
+        return vectors(r0 * np.cos(s), r0 * np.sin(s), 0.0)
+
+    def cap_ds(u, s):
+        return vectors(-u * r0 * np.sin(s), u * r0 * np.cos(s), 0.0)
+
+    turn = (0.0, 2.0 * math.pi)
+    caps = lambda order: (order, 2 * order)
+    return [
+        ("cylinder_side",
+         (lambda s, t: vectors(cx + r0 * np.cos(s), cy + r0 * np.sin(s), t),
+          lambda s, t: vectors(-r0 * np.sin(s), r0 * np.cos(s), 0.0),
+          lambda s, t: np.array([0.0, 0.0, 1.0])),
+         turn, (z0, z1), 1, lambda order: (2 * order, order)),
+        ("cap_top", (cap_pos(z1), cap_du, cap_ds), (0.0, 1.0), turn, 1, caps),
+        ("cap_bottom", (cap_pos(z0), cap_du, cap_ds), (0.0, 1.0), turn, -1,
+         caps),
+    ]
+
+
+def reference_chart_nodes(forms, s_range, t_range, orientation, counts,
+                          order):
+    """Points, normals and weights from three per-chart forms evaluated on
+    the flat s-major grid (node k at s[k // nt], t[k % nt])."""
+    position, partial_s, partial_t = forms
+    ns, nt = counts(order)
+    s_nodes, s_w = _scaled_gauss(ns, *s_range)
+    t_nodes, t_w = _scaled_gauss(nt, *t_range)
+    s, t = np.repeat(s_nodes, nt), np.tile(t_nodes, ns)
+    shape = (ns * nt, 3)
+    points = np.broadcast_to(position(s, t), shape).astype(float)
+    a = np.broadcast_to(partial_s(s, t), shape)
+    b = np.broadcast_to(partial_t(s, t), shape)
+    ax, ay, az, bx, by, bz = a[:, 0], a[:, 1], a[:, 2], b[:, 0], b[:, 1], \
+        b[:, 2]
+    cr = np.stack((ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx),
+                  axis=-1)
+    area = np.sqrt(cr[:, 0] * cr[:, 0] + cr[:, 1] * cr[:, 1]
+                   + cr[:, 2] * cr[:, 2])
+    normals = cr / area[:, None]
+    if orientation < 0:
+        normals = -normals
+    return points, normals, np.repeat(s_w, nt) * np.tile(t_w, ns) * area
+
+
+def reference_volume_grid(name, args, order):
+    """The solid's Gauss grid on flat arrays, the first axis slowest."""
+    if name.endswith("sphere"):
+        r0, cx, cy, cz = args
+        axes = ((order, 0.0, r0), (order, -1.0, 1.0),
+                (2 * order, 0.0, 2.0 * math.pi))
+    elif name == "box":
+        axes = tuple((order,) + tuple(a) for a in args)
+    else:
+        r0, z0, z1, cx, cy = args
+        axes = ((order, 0.0, r0), (2 * order, 0.0, 2.0 * math.pi),
+                (order, z0, z1))
+    (a, wa), (b, wb), (c, wc) = (_scaled_gauss(*axis) for axis in axes)
+    na, nb, nc = len(a), len(b), len(c)
+    a, wa = np.repeat(a, nb * nc), np.repeat(wa, nb * nc)
+    b, wb = np.tile(np.repeat(b, nc), na), np.tile(np.repeat(wb, nc), na)
+    c, wc = np.tile(c, na * nb), np.tile(wc, na * nb)
+    w = wa * wb * wc
+    if name.endswith("sphere"):
+        s = np.sqrt(np.maximum(0.0, 1.0 - b * b))
+        return (vectors(cx + a * s * np.cos(c), cy + a * s * np.sin(c),
+                        cz + a * b), w * a * a)
+    if name == "box":
+        return vectors(a, b, c), w
+    return vectors(cx + a * np.cos(b), cy + a * np.sin(b), c), w * a
+
+
+PINNED_BODIES = {
+    # name: (builder, its arguments, reference forms of its charts)
+    "unit-sphere": (lambda r0, cx, cy, cz: sphere_body(r0),
+                    (1.0, 0.0, 0.0, 0.0), sphere_forms),
+    "sphere": (lambda r0, cx, cy, cz: sphere_body(
+                   r0, ReducedPoint(cx, cy, cz)),
+               (0.7, 0.1, -0.2, 0.3), sphere_forms),
+    "box": (box_body, ((-0.6, 0.7), (-0.5, 0.5), (-0.4, 0.55)), box_forms),
+    "cylinder": (lambda r0, z0, z1, cx, cy: cylinder_body(r0, z0, z1),
+                 (1.0, -0.5, 0.5, 0.0, 0.0), cylinder_forms),
+    "off-axis-cylinder": (lambda r0, z0, z1, cx, cy: cylinder_body(
+                              r0, z0, z1, (cx, cy)),
+                          (0.8, -0.3, 0.9, 0.25, -0.15), cylinder_forms),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BODIES))
+def test_nodes_equal_the_flat_grid_of_per_chart_forms_bit_for_bit(name):
+    make, args, forms = PINNED_BODIES[name]
+    for order in (2, 8, 16, 32, 48, 64):
+        charts = forms(*args)
+        quadrature = make(*args).surface.quadrature(order)
+        assert [cn.chart.name for cn in quadrature] == [c[0] for c in charts]
+        for cn, (chart, *reference) in zip(quadrature, charts):
+            points, normals, weights = reference_chart_nodes(*reference,
+                                                             order)
+            assert np.array_equal(cn.point_array, points), (chart, order)
+            assert np.array_equal(cn.normal_array, normals), (chart, order)
+            assert np.array_equal(cn.weights, weights), (chart, order)
+    for order in (2, 5, 12, 24):
+        vn = make(*args).volume_nodes(order)
+        points, weights = reference_volume_grid(name, args, order)
+        assert np.array_equal(vn.point_array, points), order
+        assert np.array_equal(vn.weights, weights), order
+
+
+@pytest.mark.parametrize("bad", [0.0, NAN])
+def test_a_degenerate_or_nan_element_names_its_first_node(bad):
+    # r_s x r_t has length `bad` where s > 0.5 and t > 0.8: on the 4 x 4
+    # Gauss grid of the unit square, whose two axes share their nodes,
+    # first at (s[2], t[3]) in s-major order
+    def geometry(s, t):
+        height = np.where((s > 0.5) & (t > 0.8), bad, 1.0)
+        return (vectors(s, t, 0.0), np.array([1.0, 0.0, 0.0]),
+                vectors(0.0, height, 0.0))
+
+    chart = Chart(geometry, (0.0, 1.0), (0.0, 1.0), name="pinched")
+    nodes, _ = _scaled_gauss(4, 0.0, 1.0)
+    with pytest.raises(ValueError) as error:
+        chart.nodes(4)
+    assert str(error.value) == (f"degenerate surface element on chart "
+                                f"pinched at ({nodes[2]}, {nodes[3]})")
