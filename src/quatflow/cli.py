@@ -491,7 +491,7 @@ def _tolerance(text: str) -> float:
     if tol < 0.0:
         raise argparse.ArgumentTypeError(
             f"the tolerance must not be negative, got {text!r}")
-    return tol
+    return tol + 0.0   # -0 reads as 0.0
 
 
 def _thread_count(text: str) -> int:

@@ -617,15 +617,18 @@ def laplacian(f, p: ReducedPoint) -> Quaternion:
 
     Scalar fields with analytic second-derivative data use it; otherwise
     second-order central differences with step FD_STEP2 are applied to
-    each quaternion component.
+    each quaternion component, at p and its six stencil points read by
+    one ``value_array`` call (an error is the first point's to fail).
     """
     if isinstance(f, ScalarField) and f.has_analytic_laplacian:
         return Quaternion(f.laplacian_at(p))
     g = _as_field(f)
-    g._check(p)
-    c = g(p)
+    axes = _fd_stencil(ReducedPoint.as_tuple, p, FD_STEP2)
+    xyz = np.array([p.as_tuple()] + [q for _, plus, minus in axes
+                                     for q in (plus, minus)])
+    c, *sides = (Quaternion(*row) for row in g.value_array(xyz).tolist())
     total = Quaternion()
-    for h, plus, minus in _fd_stencil(g, p, FD_STEP2):
+    for (h, _, _), plus, minus in zip(axes, sides[::2], sides[1::2]):
         total = total + (plus - c * 2.0 + minus) / (h * h)
     return total
 

@@ -229,6 +229,44 @@ def _gauss01(n: int):
     return _frozen(0.5 * (x + 1.0)), _frozen(0.5 * w)
 
 
+@lru_cache(maxsize=64)
+def _kronrod01(n: int):
+    """The Kronrod rule K_2n+1 on [0, 1], cached and read-only: its nodes,
+    ascending, with those of ``_gauss01(n)`` (their bits) at the odd
+    places, and its weights.  Laurie's algorithm (Math. Comp. 66, 1997)
+    extends the Legendre recurrence's off-diagonal squares b (the diagonal
+    stays 0 for an even weight) to the Jacobi-Kronrod matrix; the nodes
+    are its eigenvalues, the weights its Christoffel numbers."""
+    k = np.arange(1.0, 2 * n + 1)
+    b = np.concatenate(([2.0], k * k / (4.0 * k * k - 1.0)))
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        s[k + 1] = np.cumsum(b[k + n + 1] * s[k] - b[m - k] * s[k + 1])
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        j = n - m + k
+        s[j] = np.cumsum(b[m - k] * s[j + 1] - b[k + n + 1] * s[j])
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j[-1]] / s[j[-1] + 1]
+        s, t = t, s
+    r = np.sqrt(b)
+    x = np.linalg.eigvalsh(np.diag(r[1:], -1))
+    x = 0.5 * (x - x[::-1])   # the rule is symmetric about 0
+    # 1 / w = sum_k p_k(x)^2 over the matrix's orthonormal polynomials
+    p_prev, p = np.zeros_like(x), np.full_like(x, 1.0 / r[0])
+    total = p * p
+    for k in range(2 * n):
+        p_prev, p = p, (x * p - r[k] * p_prev) / r[k + 1]
+        total += p * p
+    ts = 0.5 * (x + 1.0)
+    ts[1::2] = _gauss01(n)[0]
+    return _frozen(ts), _frozen(0.25 / total + 0.25 / total[::-1])
+
+
 def _completion_parameters(order, tol, max_doublings) -> None:
     """Raise ValueError naming the first unusable completion parameter."""
     def is_int(v):
@@ -245,8 +283,9 @@ def _completion_parameters(order, tol, max_doublings) -> None:
                          f">= 0, not {max_doublings!r}")
 
 
-# Most segment points in one Dbar u batch of a completion level: memory
-# stays bounded (peak near 7 MB), and 72 rows stay one batch to n = 128.
+# Most segment points in one Dbar u batch of a completion level, whose
+# table on the 2m + 1 Kronrod nodes gives both sums: memory stays bounded
+# (peak near 9 MB), and 72 rows stay one batch to m = 64 (129 nodes).
 _COMPLETION_BLOCK = 2 ** 14
 
 
@@ -270,20 +309,23 @@ def monogenic_completion(u: ScalarField,
 
         f(x) = u(x) + Vec( integral_0^1 (Dbar u)(c + t(x-c)) (x-c) t dt )
 
-    evaluated with Gauss-Legendre quadrature, doubling the order until
-    two successive levels agree to ``tol`` componentwise (value and all
-    three partials).  The domain of u must contain the center c, which is
-    checked here, and the whole segment from c to the evaluation point,
-    which is checked when evaluating; either failure raises DomainError.
-    CompletionError is raised when the quadrature gap is still above
-    1e-8 after ``max_doublings`` doublings.  ``order`` must be an integer
-    of at least 1, ``max_doublings`` one of at least 0 and ``tol`` finite
-    and positive; otherwise ValueError is raised here.
+    evaluated with nested Gauss-Kronrod levels in t.  Level j reads the
+    Dbar u jets at the 2m + 1 nodes of K_2m+1, m = order 2^j, once, and
+    sums them with the Gauss weights of G_m (every second node) and with
+    the Kronrod weights; a point where G_m and K_2m+1 agree to ``tol``
+    (value and all three partials) takes K_2m+1.  Levels 0 to
+    ``max_doublings`` use ``tol`` and one more level 1e-8, above which
+    CompletionError is raised.  The domain of u must contain the center
+    c, which is checked here, and the whole segment from c to the
+    evaluation point, which is checked when evaluating; either failure
+    raises DomainError.  ``order`` must be an integer of at least 1,
+    ``max_doublings`` one of at least 0 and ``tol`` finite and positive;
+    otherwise ValueError is raised here.
 
     The field has one array path.  Its jet on N points fills the Dbar u
-    jets of the (N n, 3) grid of segment points block by block (at most
-    ``_COMPLETION_BLOCK`` points a block) and sums over t with numpy;
-    doubling runs per point through a mask, so each point takes the
+    jets of the (N (2m + 1), 3) grid of segment points block by block (at
+    most ``_COMPLETION_BLOCK`` points a block) and sums over t with numpy;
+    the levels run per point through a mask, so each point takes the
     levels it would take alone.  ``jet_at`` and calls are the one-row case
     and ``value_array`` is the value slot.  A block's table is one pass
     over its grid points in node order: at each point u's domain check,
@@ -302,7 +344,7 @@ def monogenic_completion(u: ScalarField,
     """
     _completion_parameters(order, tol, max_doublings)
     if not u.in_domain(center):
-        # the Gauss nodes in t skip t = 0, so no evaluation would notice
+        # the nodes in t skip t = 0, so no evaluation would notice
         raise DomainError(f"completion center {center!r} is outside the "
                           f"domain of {u.name or '<anonymous>'}")
     dbar = scalar_dbar_field(u)
@@ -329,62 +371,62 @@ def monogenic_completion(u: ScalarField,
         h = u._hessian_unchecked(q)
         return _dbar_entries(u._gradient_unchecked(q), h)
 
-    def level(xyz: np.ndarray, n: int) -> np.ndarray:
-        """The jets at the rows of xyz from n Gauss nodes in t."""
-        ts, ws = _gauss01(n)
-        w1 = ws * ts
-        w2 = w1 * ts
-        out = np.empty((4, len(xyz), 4))
+    def level(xyz: np.ndarray, m: int) -> np.ndarray:
+        """The vector parts of G_m and K_2m+1 at the rows of xyz, (2, 4,
+        N, 4), from one segment table on the nodes of K_2m+1."""
+        ts, wk = _kronrod01(m)
+        tg, wg = _gauss01(m)
+        # each rule: the nodes it reads, w t and w t^2
+        rules = ((slice(1, None, 2), wg * tg, wg * tg * tg),
+                 (slice(None), wk * ts, wk * ts * ts))
+        units = {2: I.as_tuple(), 3: J.as_tuple()}
+        n = len(ts)
+        out = np.empty((2, 4, len(xyz), 4))
         step = max(1, _COMPLETION_BLOCK // n)
         for start in range(0, len(xyz), step):
             rows = slice(start, start + step)
             arm = xyz[rows] - c
             grid = (c + ts[:, None] * arm[:, None, :]).reshape(-1, 3)
             jd = _jet_rows(segment_row, grid).reshape(4, len(arm), n, 4)
-            jd = np.moveaxis(jd, -1, 1)   # slot, component, m, n
+            jd = np.moveaxis(jd, -1, 1)   # slot, component, row, node
             xq = np.zeros((4, len(arm), 1))
             xq[:3, :, 0] = arm.T
-
-            def sum_t(slot: int, terms: np.ndarray) -> None:
-                # numpy adds along t in order; + 0.0 gives an all -0.0 sum
-                # the +0.0 of a sum started at 0.0, whichever start it takes
-                terms = np.stack(terms, axis=-1)   # the (m, n, 4) rows
-                out[slot, rows, 1:] = np.add.reduce(terms, axis=1)[:, 1:] + 0.0
-
             # chain rule: the x-derivative sees t * (d Dbar u) plus the
             # derivative of the segment endpoint factor (x - c).
-            sum_t(0, qmul(jd[0], xq) * w1)
-            sum_t(1, qmul(jd[1], xq) * w2 + jd[0] * w1)
-            sum_t(2, qmul(jd[2], xq) * w2 + qmul(jd[0], I.as_tuple()) * w1)
-            sum_t(3, qmul(jd[3], xq) * w2 + qmul(jd[0], J.as_tuple()) * w1)
-        # the rows of xyz passed the field's own domain check
-        for k, p in enumerate(as_points(xyz)):
-            gx, gy, gz = u._gradient_unchecked(p)
-            out[:, k, 0] = float(u._evaluate(p)), gx, gy, gz
+            for slot in range(4):
+                outer = qmul(jd[slot], xq)
+                end = qmul(jd[0], units[slot]) if slot > 1 else jd[0]
+                for table, (nodes, w1, w2) in zip(out, rules):
+                    terms = (outer[..., nodes] * w2 + end[..., nodes] * w1
+                             if slot else outer[..., nodes] * w1)
+                    # numpy adds along t in order; + 0.0 turns an all -0.0
+                    # sum into the +0.0 of a sum started at 0.0
+                    sums = np.add.reduce(np.stack(terms, axis=-1), axis=1)
+                    table[slot, rows, 1:] = sums[:, 1:] + 0.0
         return out
 
     def jet_array(xyz: np.ndarray) -> np.ndarray:
-        n = order
-        prev = level(xyz, n)
-        out = np.empty_like(prev)
+        out = np.empty((4, len(xyz), 4))
         rows = np.arange(len(xyz))
-        for _ in range(max_doublings):
-            n *= 2
-            cur = level(xyz[rows], n)
-            done = _gap(prev, cur) <= tol
-            out[:, rows[done]] = cur[:, done]
-            rows, prev = rows[~done], cur[:, ~done]
+        for j in range(max_doublings + 2):
+            m = order * 2 ** j
+            pair = level(xyz[rows], m)
+            if not j:
+                # the rows of xyz passed the field's own domain check
+                for k, p in enumerate(as_points(xyz)):
+                    gx, gy, gz = u._gradient_unchecked(p)
+                    out[:, k, 0] = float(u._evaluate(p)), gx, gy, gz
+            pair[..., 0] = out[:, rows, 0]   # a NaN there fails the gap
+            done = _gap(*pair) <= (tol if j <= max_doublings else hard_cap)
+            if not done.all() and j > max_doublings:
+                p = ReducedPoint(*xyz[rows[np.argmin(done)]].tolist())
+                raise CompletionError(
+                    f"completion quadrature for {u.name or '<anonymous>'} "
+                    f"stuck above {hard_cap:.0e} at {p!r} (order {m})")
+            out[:, rows[done]] = pair[1][:, done]
+            rows = rows[~done]
             if not len(rows):
-                return out
-        n *= 2
-        cur = level(xyz[rows], n)
-        stuck = ~(_gap(prev, cur) <= hard_cap)
-        if stuck.any():
-            p = ReducedPoint(*xyz[rows[np.argmax(stuck)]].tolist())
-            raise CompletionError(
-                f"completion quadrature for {u.name or '<anonymous>'} stuck "
-                f"above {hard_cap:.0e} at {p!r} (order {n})")
-        out[:, rows] = cur
+                break
         return out
 
     def jet(p: ReducedPoint) -> Jet:

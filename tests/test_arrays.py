@@ -23,6 +23,7 @@ import pytest
 from quatflow import (
     DomainError,
     FlowPotential,
+    Quaternion,
     QuaternionField,
     ReducedPoint,
     ScalarField,
@@ -37,6 +38,7 @@ from quatflow import (
     harmonic_catalog,
     integrate_g_dsigma_f,
     is_monogenic,
+    laplacian,
     moment_from_pressure,
     moment_quadratic,
     monogenic_from_gradient,
@@ -50,6 +52,7 @@ from quatflow import (
     uniform_flow,
 )
 from quatflow import cli, potentials
+from quatflow.fields import FD_STEP2, _fd_stencil
 from quatflow.planar import cylinder_vortex_2d, embed_2d
 
 ORDER = 12
@@ -240,6 +243,42 @@ def test_array_jet_matches_scalar_jet(name, monkeypatch):
             assert values[k].tolist() == list(field(p).as_tuple()), (name, p)
         else:
             assert close(values[k], field(p).as_tuple(), 1e-13), (name, p)
+
+
+def stencil_laplacian(field, p):
+    """The finite-difference Laplacian with one call of the field a point:
+    p, then x+, x-, y+, y-, z+, z-; the error text if a call raises."""
+    try:
+        field._check(p)
+        c = field(p)
+        total = Quaternion()
+        for h, plus, minus in _fd_stencil(field, p, FD_STEP2):
+            total = total + (plus - c * 2.0 + minus) / (h * h)
+    except DomainError as error:
+        return str(error)
+    return repr(total.as_tuple())
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_VALUES))
+def test_the_laplacian_reads_its_stencil_in_one_value_array_call(name):
+    field = array_fields()[name]
+    value_array = field.value_array
+    calls = []
+
+    def counted(xyz):
+        calls.append(len(xyz))
+        return value_array(xyz)
+
+    field.value_array = counted
+    points = sample_points()
+    for p in points[:20] + points[-7:]:
+        calls.clear()
+        try:
+            got = repr(laplacian(field, p).as_tuple())
+        except DomainError as error:
+            got = str(error)
+        assert calls == [7]
+        assert got == stencil_laplacian(field, p), (name, p)
 
 
 @pytest.mark.parametrize("name", sorted(harmonic_catalog()))

@@ -365,6 +365,13 @@ def test_a_zero_tol_is_valid(capsys):
     assert json.loads(capsys.readouterr().out)["tol"] == 0.0
 
 
+@pytest.mark.parametrize("zero", ["-0", "-0.0"])
+def test_a_negative_zero_tol_reads_as_zero(zero, capsys):
+    assert cli.main(["force", "--tol", zero, "--order", "4"]) in (0, 1)
+    out = capsys.readouterr().out
+    assert re.findall(r'"tol": [^,\n]*', out) == ['"tol": 0.0']
+
+
 def test_unknown_scenario_exits_with_usage_error():
     proc = run_cli("force", "--scenario", "not-a-scenario")
     assert proc.returncode == 2

@@ -18,11 +18,13 @@ from quatflow import (
     ReducedPoint,
     ScalarField,
     harmonic_catalog,
+    laplacian,
     monogenic_completion,
     scalar_dbar_field,
     sphere_body,
 )
 from quatflow import potentials
+from quatflow.fields import FD_STEP2, _fd_stencil
 from quatflow.integrals import verify_cauchy_theorem
 
 NAN = float("nan")
@@ -37,13 +39,26 @@ def reference_jet(u, center, p, order=32, tol=1e-10, max_doublings=3):
     dbar = scalar_dbar_field(u)
     lap_tol = 1e-8 if u.has_analytic_laplacian else 1e-3
     label = u.name or "<anonymous>"
+    dxq = ReducedPoint(p.x - center.x, p.y - center.y, p.z - center.z)
+    xq = dxq.to_quaternion()
 
-    def raw_jet(n):
-        x, w = np.polynomial.legendre.leggauss(n)
-        dxq = ReducedPoint(p.x - center.x, p.y - center.y, p.z - center.z)
-        xq = dxq.to_quaternion()
-        acc = [Quaternion(), Quaternion(), Quaternion(), Quaternion()]
-        for t, wt in zip(0.5 * (x + 1.0), 0.5 * w):
+    def add(acc, jd, t, wt):
+        acc[0] = acc[0] + (jd.value * xq) * (wt * t)
+        acc[1] = acc[1] + (jd.dx * xq * (wt * t * t)
+                           + jd.value * (wt * t))
+        acc[2] = acc[2] + (jd.dy * xq * (wt * t * t)
+                           + (jd.value * Quaternion(0, 1, 0, 0)) * (wt * t))
+        acc[3] = acc[3] + (jd.dz * xq * (wt * t * t)
+                           + (jd.value * Quaternion(0, 0, 1, 0)) * (wt * t))
+
+    def raw_jets(m):
+        """(G_m, K_2m+1) at p from one pass over the 2m + 1 nodes of K in
+        ascending t; the Gauss nodes are every second one."""
+        ts, wk = potentials._kronrod01(m)
+        wg = np.polynomial.legendre.leggauss(m)[1] * 0.5
+        gauss = [Quaternion(), Quaternion(), Quaternion(), Quaternion()]
+        kronrod = list(gauss)
+        for k, (t, wt) in enumerate(zip(ts.tolist(), wk.tolist())):
             q = ReducedPoint(center.x + t * dxq.x, center.y + t * dxq.y,
                              center.z + t * dxq.z)
             lap = u.laplacian_at(q)
@@ -51,35 +66,27 @@ def reference_jet(u, center, p, order=32, tol=1e-10, max_doublings=3):
                 raise ValueError(f"completion input {label} is not harmonic "
                                  f"near {q!r} (laplacian {lap:.3e})")
             jd = dbar.jet_at(q)
-            acc[0] = acc[0] + (jd.value * xq) * (wt * t)
-            acc[1] = acc[1] + (jd.dx * xq * (wt * t * t)
-                               + jd.value * (wt * t))
-            acc[2] = acc[2] + (jd.dy * xq * (wt * t * t)
-                               + (jd.value * Quaternion(0, 1, 0, 0)) * (wt * t))
-            acc[3] = acc[3] + (jd.dz * xq * (wt * t * t)
-                               + (jd.value * Quaternion(0, 0, 1, 0)) * (wt * t))
+            add(kronrod, jd, t, wt)
+            if k % 2:
+                add(gauss, jd, t, float(wg[k // 2]))
         grad = u.gradient_at(p)
         base = (u(p), grad.x, grad.y, grad.z)
-        return Jet(*(Quaternion(b, a.q1, a.q2, a.q3)
-                     for b, a in zip(base, acc)))
+        return [Jet(*(Quaternion(b, a.q1, a.q2, a.q3)
+                      for b, a in zip(base, acc))) for acc in (gauss, kronrod)]
 
     def gap(a, b):
         return float(np.max([(qa - qb).norm() for qa, qb in zip(a, b)]))
 
-    n = order
-    prev = raw_jet(n)
-    for _ in range(max_doublings):
-        n *= 2
-        cur = raw_jet(n)
-        if gap(prev, cur) <= tol:
-            return cur
-        prev = cur
-    n *= 2
-    cur = raw_jet(n)
-    if not gap(prev, cur) <= 1e-8:
+    for level in range(max_doublings + 1):
+        gauss, kronrod = raw_jets(order * 2 ** level)
+        if gap(gauss, kronrod) <= tol:
+            return kronrod
+    m = order * 2 ** (max_doublings + 1)
+    gauss, kronrod = raw_jets(m)
+    if not gap(gauss, kronrod) <= 1e-8:
         raise CompletionError(f"completion quadrature for {label} stuck "
-                              f"above 1e-08 at {p!r} (order {n})")
-    return cur
+                              f"above 1e-08 at {p!r} (order {m})")
+    return kronrod
 
 
 class Counted:
@@ -190,14 +197,41 @@ def test_doubling_decisions_stay_per_point():
         before = counted.calls
         jets.append(pot.jet_at(p))
         single.append(counted.calls - before)
-    # order 4 converging at 8, 16 and 32 calls u 40, 90 and 188 times
-    assert sorted(set(single)) == [40, 90, 188]
+    # order 4 converging at levels 0, 1 and 2 reads 9, 9 + 17 and
+    # 9 + 17 + 33 segment points, three calls into u each, and u and its
+    # gradient once at the point: 29, 80 and 179 calls
+    assert sorted(set(single)) == [29, 80, 179]
     before = counted.calls
     table = pot.jet_array(np.array([p.as_tuple() for p in points]))
     assert counted.calls - before == sum(single)
     assert [exact(j) for j in table_jets(table)] == [exact(j) for j in jets]
     for p, jet in zip(points, jets):
         assert exact(jet) == exact(reference_jet(u, center, p, order=4))
+
+
+@pytest.mark.parametrize("max_doublings", [0, 1, 2])
+def test_max_doublings_counts_the_levels_held_to_tol(max_doublings):
+    # levels 0 to max_doublings use tol, one more level the 1e-8 cap
+    u = harmonic_catalog()["1/r"]
+    center = ReducedPoint(1.6, 0.1, -0.2)
+    points = [ReducedPoint(0.6, 0.0, 0.1), ReducedPoint(1.7, 0.2, -0.1),
+              ReducedPoint(1.2, 0.0, 0.0), ReducedPoint(0.4, 0.1, -0.1)]
+    pot = monogenic_completion(u, center=center, order=2,
+                               max_doublings=max_doublings)
+
+    def outcome(jet_of, p):
+        try:
+            return exact(jet_of(p))
+        except CompletionError as error:
+            return str(error)
+
+    got = [outcome(pot.jet_at, p) for p in points]
+    assert got == [outcome(lambda p: reference_jet(
+        u, center, p, order=2, max_doublings=max_doublings), p)
+        for p in points]
+    # at order 2 the first and last rows need four levels, so a cap at the
+    # second or third level stops them
+    assert any("stuck above" in g for g in got) == (max_doublings < 2)
 
 
 def test_levels_take_rows_in_bounded_blocks(monkeypatch):
@@ -227,9 +261,84 @@ def test_levels_take_rows_in_bounded_blocks(monkeypatch):
     table = pot.jet_array(np.array([p.as_tuple() for p in points]))
     assert counted.calls - before == sum(single)
     assert [exact(j) for j in table_jets(table)] == [exact(j) for j in jets]
-    # 12 rows at n = 4 are two blocks; n = 32 takes one row per block
-    assert batches[:2] == [40, 8]
-    assert max(batches) == 40
+    # 12 rows at m = 4 (9 nodes of K) are three blocks of four rows;
+    # m = 8 (17 nodes) takes two rows a block and m = 16 (33 nodes) one
+    assert batches[:3] == [36, 36, 36]
+    assert set(batches[3:]) == {34, 17, 33}
+    assert max(batches) == 36
+
+
+def test_a_jet_converged_at_level_0_reads_the_nodes_of_k_once():
+    # G_32 and K_65 come from one table of 2 * 32 + 1 segment points, in
+    # ascending t (Gauss doubling read 32 + 64).  Each takes u's Laplacian,
+    # Hessian and gradient once; the point itself u and its gradient.
+    xyz_u = harmonic_catalog()["xyz"]
+    segment = []
+
+    def laplacian(p):
+        segment.append(p.as_tuple())
+        return xyz_u.laplacian_at(p)
+
+    counted = Counted(ScalarField(xyz_u, gradient=xyz_u.gradient_at,
+                                  laplacian=laplacian,
+                                  hessian=xyz_u.hessian_at, name="xyz"))
+    _, center, points = case("xyz")
+    pot = monogenic_completion(counted.field, center=center)
+    ts = potentials._kronrod01(32)[0]
+    c = np.array(center.as_tuple())
+    for p in points:
+        segment.clear()
+        before = counted.calls
+        pot.jet_at(p)
+        assert counted.calls - before == 3 * 65 + 2
+        want = c + ts[:, None] * (np.array(p.as_tuple()) - c)
+        assert np.array(segment).tolist() == want.tolist()
+    before = counted.calls
+    pot.jet_array(np.array([p.as_tuple() for p in points]))
+    assert counted.calls - before == 3 * (3 * 65 + 2)
+
+
+# QUADPACK's qk15 on [-1, 1]: the nonnegative nodes of K_15, the Gauss
+# nodes of G_7 at the odd places, and their K_15 weights
+XGK15 = (0.991455371120812639206854697526329,
+         0.949107912342758524526189684047851,
+         0.864864423359769072789712788640926,
+         0.741531185599394439863864773280788,
+         0.586087235467691130294144845693013,
+         0.405845151377397166906606412076961,
+         0.207784955007898467600689403773245,
+         0.0)
+WGK15 = (0.022935322010529224963732008058970,
+         0.063092092629978553290700663189204,
+         0.104790010322250183839876322541518,
+         0.140653259715525918745189590510238,
+         0.169004726639267902826583426598550,
+         0.190350578064785409913256402421014,
+         0.204432940075298892414161999234649,
+         0.209482141084727828012999174891714)
+
+
+def test_kronrod_rule_reproduces_the_published_g7_k15_table():
+    ts, ws = potentials._kronrod01(7)
+    xs = [-x for x in XGK15] + list(XGK15[-2::-1])
+    wk = list(WGK15) + list(WGK15[-2::-1])
+    assert np.abs(2.0 * ts - 1.0 - xs).max() <= 1e-15
+    assert np.abs(2.0 * ws - wk).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 32, 64])
+def test_kronrod_rule_extends_the_gauss_rule(n):
+    ts, ws = potentials._kronrod01(n)
+    tg, _ = potentials._gauss01(n)
+    assert ts.shape == ws.shape == (2 * n + 1,)
+    assert (np.diff(ts) > 0.0).all() and 0.0 < ts[0] and ts[-1] < 1.0
+    assert (ws > 0.0).all()
+    assert ts[1::2].tobytes() == tg.tobytes()
+    # exact for every monomial on [0, 1] up to degree 3n + 1
+    for degree in range(3 * n + 2):
+        assert abs(ws @ ts ** degree - 1.0 / (degree + 1)) <= 1e-14, degree
+    assert not ts.flags.writeable and not ws.flags.writeable
+    assert potentials._kronrod01(n)[0] is ts
 
 
 def test_a_completion_checks_the_domain_once_per_grid_point():
@@ -254,17 +363,45 @@ def test_a_completion_checks_the_domain_once_per_grid_point():
     pot = monogenic_completion(u, center=ReducedPoint(1.6, 0.1, -0.2),
                                order=4)
     assert len(checks) == 1   # the centre
+    per_point = []
     for p in points:
         checks.clear()
         laplacians.clear()
         pot.jet_at(p)
-        # the harmonic check runs once at every grid point of every level
+        # the harmonic check runs once at every grid point of every level:
+        # the 2m + 1 nodes of K at m = 4, 8, ... until the row converges
+        assert len(laplacians) in (9, 9 + 17, 9 + 17 + 33), p
         assert len(checks) <= len(laplacians) + 1, p
+        per_point.append(len(laplacians))
     checks.clear()
     laplacians.clear()
     pot.jet_array(np.array([p.as_tuple() for p in points]))
-    assert len(laplacians) > 0
+    assert len(laplacians) == sum(per_point)
     assert len(checks) <= len(laplacians) + len(points)
+
+
+def test_the_laplacian_of_a_completion_is_one_jet_array_call(monkeypatch):
+    calls = []
+    field_class = potentials.QuaternionField
+
+    def counting_field(*args, jet_array, **kwargs):
+        def counted(xyz):
+            calls.append(len(xyz))
+            return jet_array(xyz)
+        return field_class(*args, jet_array=counted, **kwargs)
+
+    monkeypatch.setattr(potentials, "QuaternionField", counting_field)
+    u, center, points = case("x/r^3")
+    pot = monogenic_completion(u, center=center)
+    for p in points:
+        calls.clear()
+        got = laplacian(pot, p)
+        assert calls == [7]   # p and its six stencil points
+        # the stencil one point at a time, as the scalar calls give it
+        want = Quaternion()
+        for h, plus, minus in _fd_stencil(pot, p, FD_STEP2):
+            want = want + (plus - pot(p) * 2.0 + minus) / (h * h)
+        assert repr(got.as_tuple()) == repr(want.as_tuple())
 
 
 def first_error(u, center, points, **kwargs):
