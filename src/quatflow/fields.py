@@ -103,14 +103,17 @@ def _lift(op, *forms):
     return lambda xyz: op(*(form(xyz) for form in forms))
 
 
-def _lifted_field(name: str, op, array_op, *fields) -> "QuaternionField":
+def _lifted_field(name: str, op, array_op, *fields,
+                  writers=()) -> "QuaternionField":
     """The field p -> op(f(p), ...) of the operand fields, named ``name``.
 
     ``op`` combines the operands' quaternions and ``array_op`` their
     arrays.  The scalar jet applies ``op`` slot by slot to the operands'
     jets, and the array jet and value-only array form apply ``array_op``
-    to their tables; each exists where every operand has it.  The domain,
-    point and array, is the intersection of the operands' domains.
+    to their tables; each exists where every operand has it.  Given
+    term ``writers`` (``_written_field``), the array forms are theirs
+    instead.  The domain, point and array, is the intersection of the
+    operands' domains.
     """
     jets = [f._jet for f in fields]
     jet = None
@@ -128,11 +131,15 @@ def _lifted_field(name: str, op, array_op, *fields) -> "QuaternionField":
         def domain_array(xyz: np.ndarray) -> np.ndarray:
             return np.logical_and.reduce([f.in_domain_array(xyz)
                                           for f in bounded])
+    forms = dict(jet=jet, domain=domain, name=name, domain_array=domain_array)
+
+    def evaluate(p: ReducedPoint) -> Quaternion:
+        return op(*(f._evaluate(p) for f in fields))
+    if writers:
+        return _written_field(writers, evaluate, **forms)
     return QuaternionField(
-        lambda p: op(*(f._evaluate(p) for f in fields)), jet=jet,
-        domain=domain, name=name,
+        evaluate, **forms,
         jet_array=_lift(array_op, *(f._jet_array for f in fields)),
-        domain_array=domain_array,
         value_array=_lift(array_op, *(f._value_array for f in fields)))
 
 
@@ -226,7 +233,8 @@ class QuaternionField(_Field):
     The domain checks and ``value_array`` come from the base shared with
     :class:`ScalarField`.  ``_closed_form`` derives every form from one
     closed form; sums, multiples and conjugates lift the operands' forms
-    (``_lifted_field``).
+    (``_lifted_field``), and a left-nested sum of closed forms writes its
+    terms into one table (``_written_field``).
     """
 
     # True when jet_array forms each row with the scalar jet's own
@@ -234,6 +242,9 @@ class QuaternionField(_Field):
     # ``scalar_dbar_field`` and ``monogenic_completion``).  A closed form
     # rounds differently on numpy columns than on floats at some points.
     _array_jet_is_rowwise = False
+    # The term writers of a closed form or of a left-nested sum of closed
+    # forms (see ``_written_field``); empty for any other field.
+    _writers: tuple = ()
 
     def __init__(self, evaluate: Callable[[ReducedPoint], Quaternion],
                  jet: Optional[Callable[[ReducedPoint], Jet]] = None,
@@ -318,8 +329,13 @@ class QuaternionField(_Field):
     def __add__(self, other: "QuaternionField") -> "QuaternionField":
         if not isinstance(other, QuaternionField):
             return NotImplemented
+        # a sum of closed forms fills one table while it nests to the left:
+        # a + (b + c) rounds differently from (a + b) + c
+        writers = ()
+        if self._writers and len(other._writers) == 1:
+            writers = self._writers + other._writers
         return _lifted_field(f"({self.name}+{other.name})", operator.add,
-                             np.add, self, other)
+                             np.add, self, other, writers=writers)
 
     def __mul__(self, s):
         if not isinstance(s, (int, float)):
@@ -367,27 +383,47 @@ def _closed_form(value, partials, domain=None, name="") -> QuaternionField:
         def point_domain(p: ReducedPoint) -> bool:
             return domain(p.x, p.y, p.z, math)
 
-    def fill(rows: np.ndarray, entries) -> np.ndarray:
-        for idx, entry in enumerate(entries):
-            rows[idx] = entry
-        return rows
+    def fill(rows: np.ndarray, entries, add: bool) -> None:
+        for row, entry in zip(rows, entries):
+            if add:
+                row += entry
+            else:
+                row[...] = entry
 
-    def jet_array(xyz: np.ndarray) -> np.ndarray:
+    def write(rows: np.ndarray, xyz: np.ndarray, add: bool) -> None:
         # the value's rows are stored before the partials run, so they are
         # not held beside the partials' temporaries
         x, y, z = xyz.T
-        rows = fill(np.empty((16, len(xyz))), value(x, y, z, np))
-        fill(rows[4:], partials(x, y, z, np))
-        return rows.reshape(4, 4, len(xyz)).transpose(0, 2, 1)
-
-    def value_array(xyz: np.ndarray) -> np.ndarray:
-        return fill(np.empty((4, len(xyz))), value(*xyz.T, np)).T
+        fill(rows, value(x, y, z, np), add)
+        if len(rows) > 4:
+            fill(rows[4:], partials(x, y, z, np), add)
 
     domain_array = None if domain is None else \
         (lambda xyz: domain(*xyz.T, np))
-    return QuaternionField(evaluate, jet=jet, domain=point_domain, name=name,
-                           jet_array=jet_array, domain_array=domain_array,
-                           value_array=value_array)
+    return _written_field((write,), evaluate, jet=jet, domain=point_domain,
+                          name=name, domain_array=domain_array)
+
+
+def _written_field(writers, evaluate, **forms) -> QuaternionField:
+    """A QuaternionField whose array jet and values are the sum of the
+    terms ``writers`` put into one (16, N) or (4, N) table of component
+    rows: ``write(rows, xyz, add)`` stores its term's components there,
+    or adds them in place with ``add``, the value's four rows first and,
+    in a 16-row table, the twelve partials' after them.  The terms are
+    added in order, as a left-nested sum (a + b) + c rounds."""
+    def table(xyz: np.ndarray, count: int) -> np.ndarray:
+        rows = np.empty((count, len(xyz)))
+        for k, write in enumerate(writers):
+            write(rows, xyz, k > 0)
+        return rows
+
+    field = QuaternionField(
+        evaluate, **forms,
+        jet_array=lambda xyz: table(xyz, 16).reshape(
+            4, 4, len(xyz)).transpose(0, 2, 1),
+        value_array=lambda xyz: table(xyz, 4).T)
+    field._writers = writers
+    return field
 
 
 class ScalarField(_Field):

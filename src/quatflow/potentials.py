@@ -300,8 +300,8 @@ def _gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def monogenic_completion(u: ScalarField,
                          center: ReducedPoint = ReducedPoint(0.0, 0.0, 0.0),
-                         order: int = 32, tol: float = 1e-10,
-                         max_doublings: int = 3,
+                         order: int = 8, tol: float = 1e-10,
+                         max_doublings: int = 5,
                          check_harmonic: bool = True) -> FlowPotential:
     """Monogenic extension of a harmonic u by a radial line integral.
 
@@ -315,12 +315,14 @@ def monogenic_completion(u: ScalarField,
     the Kronrod weights; a point where G_m and K_2m+1 agree to ``tol``
     (value and all three partials) takes K_2m+1.  Levels 0 to
     ``max_doublings`` use ``tol`` and one more level 1e-8, above which
-    CompletionError is raised.  The domain of u must contain the center
-    c, which is checked here, and the whole segment from c to the
-    evaluation point, which is checked when evaluating; either failure
-    raises DomainError.  ``order`` must be an integer of at least 1,
-    ``max_doublings`` one of at least 0 and ``tol`` finite and positive;
-    otherwise ValueError is raised here.
+    CompletionError is raised.  The defaults start at G_8/K_17, so a
+    point that converges at once reads 17 segment points; levels
+    m = 8, ..., 256 use ``tol`` and the cap level is m = 512.  The domain
+    of u must contain the center c, which is checked here, and the whole
+    segment from c to the evaluation point, which is checked when
+    evaluating; either failure raises DomainError.  ``order`` must be an
+    integer of at least 1, ``max_doublings`` one of at least 0 and
+    ``tol`` finite and positive; otherwise ValueError is raised here.
 
     The field has one array path.  Its jet on N points fills the Dbar u
     jets of the (N (2m + 1), 3) grid of segment points block by block (at

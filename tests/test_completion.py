@@ -2,10 +2,13 @@
 
 ``reference_jet`` is the radial line integral written point by point:
 one segment point at a time with Quaternion arithmetic, the harmonic
-check before the Dbar u jet at each t, and the adaptive doubling of
-``monogenic_completion``.  The array path must reproduce its jets,
-values, Cauchy integrals, errors and calls into u bit for bit.
+check before the Dbar u jet at each t, and the nested Gauss-Kronrod
+levels of ``monogenic_completion``, with its defaults.  The array path
+must reproduce its jets, values, Cauchy integrals, errors and calls into
+u bit for bit.
 """
+
+import inspect
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ NAN = float("nan")
 SINGULAR = ("1/r", "x/r^3", "log(x+r)")
 
 
-def reference_jet(u, center, p, order=32, tol=1e-10, max_doublings=3):
+def reference_jet(u, center, p, order=8, tol=1e-10, max_doublings=5):
     """The completion jet of u about center at p, point by point."""
     if not u.in_domain(p):
         raise DomainError(f"field completion({u.name}) is not defined "
@@ -269,8 +272,8 @@ def test_levels_take_rows_in_bounded_blocks(monkeypatch):
 
 
 def test_a_jet_converged_at_level_0_reads_the_nodes_of_k_once():
-    # G_32 and K_65 come from one table of 2 * 32 + 1 segment points, in
-    # ascending t (Gauss doubling read 32 + 64).  Each takes u's Laplacian,
+    # At the default order 8, G_8 and K_17 come from one table of
+    # 2 * 8 + 1 segment points, in ascending t.  Each takes u's Laplacian,
     # Hessian and gradient once; the point itself u and its gradient.
     xyz_u = harmonic_catalog()["xyz"]
     segment = []
@@ -284,18 +287,69 @@ def test_a_jet_converged_at_level_0_reads_the_nodes_of_k_once():
                                   hessian=xyz_u.hessian_at, name="xyz"))
     _, center, points = case("xyz")
     pot = monogenic_completion(counted.field, center=center)
-    ts = potentials._kronrod01(32)[0]
+    ts = potentials._kronrod01(8)[0]
     c = np.array(center.as_tuple())
     for p in points:
         segment.clear()
         before = counted.calls
         pot.jet_at(p)
-        assert counted.calls - before == 3 * 65 + 2
+        assert counted.calls - before == 3 * 17 + 2 == 53
         want = c + ts[:, None] * (np.array(p.as_tuple()) - c)
         assert np.array(segment).tolist() == want.tolist()
     before = counted.calls
     pot.jet_array(np.array([p.as_tuple() for p in points]))
-    assert counted.calls - before == 3 * (3 * 65 + 2)
+    assert counted.calls - before == 3 * 53
+
+
+def test_reference_jet_takes_the_librarys_defaults():
+    library = inspect.signature(monogenic_completion).parameters
+    reference = inspect.signature(reference_jet).parameters
+    for name in ("order", "tol", "max_doublings"):
+        assert reference[name].default == library[name].default, name
+
+
+def guard_case(name, seed):
+    """(u, center, six points), seeded.  Every segment from the center to
+    a point stays at least 0.5 from u's singular set (the origin, and for
+    log(x+r) the negative x axis): a singular u's center has x >= 1.2 and
+    its points lie within 0.7 of it."""
+    rng = np.random.default_rng([seed, sorted(harmonic_catalog()).index(name)])
+    if name in SINGULAR:
+        c, reach = rng.uniform((1.2, -0.4, -0.4), (2.0, 0.4, 0.4)), 0.7
+    else:
+        c, reach = rng.uniform(-0.5, 0.5, 3), 0.9
+    arms = rng.normal(size=(6, 3))
+    arms *= rng.uniform(0.2, reach, (6, 1)) / np.linalg.norm(
+        arms, axis=1, keepdims=True)
+    return harmonic_catalog()[name], ReducedPoint(*c.tolist()), c + arms
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(harmonic_catalog()))
+def test_the_default_ladder_keeps_the_accuracy_of_a_high_order_rule(name,
+                                                                     seed):
+    u, center, xyz = guard_case(name, seed)
+    got = monogenic_completion(u, center=center).jet_array(xyz)
+    # one level of G_96 / K_193, accepted whatever its gap
+    high = monogenic_completion(u, center=center, order=96, tol=1.0,
+                                max_doublings=0).jet_array(xyz)
+    scale = 1.0 + np.abs(high).max(axis=(0, 2))
+    assert (np.abs(got - high).max(axis=(0, 2)) <= 1e-12 * scale).all()
+    # the ladder that started at order 32 agrees to tol
+    old = monogenic_completion(u, center=center, order=32,
+                               max_doublings=3).jet_array(xyz)
+    assert (potentials._gap(got, old) <= 1e-10).all()
+
+
+def test_a_stuck_row_still_names_the_cap_level_order_512():
+    u = ScalarField(lambda p: p.x, gradient=nan_above,
+                    laplacian=lambda p: 0.0,
+                    hessian=lambda p: ZERO_HESSIAN, name="nan-above")
+    # the old defaults (32, 3) and the new (8, 5) cap at the same order
+    for kwargs in ({}, {"order": 32, "max_doublings": 3}):
+        pot = monogenic_completion(u, **kwargs)
+        with pytest.raises(CompletionError, match=r"\(order 512\)$"):
+            pot.jet_at(STUCK)
 
 
 # QUADPACK's qk15 on [-1, 1]: the nonnegative nodes of K_15, the Gauss
@@ -441,13 +495,13 @@ def test_a_completion_error_row_before_a_domain_error_row():
                     laplacian=lambda p: 0.0,
                     hessian=lambda p: ZERO_HESSIAN,
                     domain=lambda p: p.z < 1.0, name="nan-above")
-    pot = monogenic_completion(u, order=4)
+    pot = monogenic_completion(u)
     outside = ReducedPoint(0.1, -0.2, 2.0)
-    message = assert_raises_in_node_order(pot, u, ORIGIN, [STUCK, outside],
-                                          order=4)
-    assert message.startswith("completion quadrature for nan-above stuck")
-    message = assert_raises_in_node_order(pot, u, ORIGIN, [outside, STUCK],
-                                          order=4)
+    message = assert_raises_in_node_order(pot, u, ORIGIN, [STUCK, outside])
+    # the default ladder m = 8, ..., 256 held to tol, then the cap at 512
+    assert message == ("completion quadrature for nan-above stuck above "
+                       "1e-08 at ReducedPoint(0.3, 0.1, 0.2) (order 512)")
+    message = assert_raises_in_node_order(pot, u, ORIGIN, [outside, STUCK])
     assert "is not defined at ReducedPoint(0.1, -0.2, 2.0)" in message
 
 
@@ -455,14 +509,17 @@ def test_a_non_harmonic_row_before_a_nan_jet_row():
     u = ScalarField(lambda p: p.x, gradient=nan_above,
                     laplacian=lambda p: 1.0 if p.z < 0.0 else 0.0,
                     hessian=lambda p: ZERO_HESSIAN, name="half-harmonic")
-    pot = monogenic_completion(u, order=4)
+    pot = monogenic_completion(u)
     bent = ReducedPoint(0.3, -0.1, -0.2)
-    message = assert_raises_in_node_order(pot, u, ORIGIN, [bent, STUCK],
-                                          order=4)
-    assert "is not harmonic near" in message
-    message = assert_raises_in_node_order(pot, u, ORIGIN, [STUCK, bent],
-                                          order=4)
+    message = assert_raises_in_node_order(pot, u, ORIGIN, [bent, STUCK])
+    # the row fails at its first segment point, the lowest node of K_17
+    t = potentials._kronrod01(8)[0][0]
+    first = ReducedPoint(*(t * np.array(bent.as_tuple())).tolist())
+    assert message.startswith(f"completion input half-harmonic is not "
+                              f"harmonic near {first!r}")
+    message = assert_raises_in_node_order(pot, u, ORIGIN, [STUCK, bent])
     assert message.startswith("completion quadrature")
+    assert message.endswith("(order 512)")
 
 
 def test_within_a_row_the_lower_t_fails_first():
@@ -512,9 +569,16 @@ def test_a_segment_through_a_hole_names_the_field_checked_first(
         pot.jet_at(p)
     with pytest.raises(DomainError) as on_array:
         pot.jet_array(np.array([p.as_tuple()]))
+    # K_17's nodes 0 to 6 lie before the hole and node 7 in it
+    ts = potentials._kronrod01(8)[0]
+    c = np.array(center.as_tuple())
+    q = c + ts[7] * (np.array(p.as_tuple()) - c)
+    assert not domain(ReducedPoint(*q.tolist()))
+    assert all(domain(ReducedPoint(*(c + t * (np.array(p.as_tuple()) - c))
+                                   .tolist())) for t in ts[:7])
     owner = "holed" if check_harmonic else "dbar(holed)"
-    assert str(at_point.value).startswith(
-        f"field {owner} is not defined at ReducedPoint(")
+    assert str(at_point.value) == (f"field {owner} is not defined at "
+                                   f"{ReducedPoint(*q.tolist())!r}")
     assert str(on_array.value) == str(at_point.value)
     if check_harmonic:
         assert str(at_point.value) == str(first_error(u, center, [p]))

@@ -652,6 +652,69 @@ def test_lifted_field_names_itself_outside_an_operand(label):
                 call()
 
 
+def sum_cases():
+    """label: (sum, its two operands, term writers it streams)."""
+    source = point_source(1.0, ReducedPoint(0.0, 0.0, 3.0)).field
+    dipole = dipole_flow(0.7, ReducedPoint(0.2, 0.1, 0.0)).field
+    saddle = saddle_flow().field
+    completion = monogenic_completion(
+        harmonic_catalog()["1/r"], center=ReducedPoint(1.6, 0.1, -0.2)).field
+    left, right = source + dipole, dipole + saddle
+    return {
+        "(a+b)+c": (left + saddle, (left, saddle), 3),
+        "a+(b+c)": (source + right, (source, right), 0),
+        "a+completion": (source + completion, (source, completion), 0),
+        "completion+a": (completion + source, (completion, source), 0),
+        "2.5*a+b": (2.5 * source + dipole, (2.5 * source, dipole), 0),
+        "a+2.5*b": (source + 2.5 * dipole, (source, 2.5 * dipole), 0),
+    }
+
+
+SUMS = sum_cases()
+# rows of a batch: seeded points in a ball that every segment of the
+# completion (centre (1.6, 0.1, -0.2)) reaches without nearing the origin,
+# and two points outside the source (its centre and its cut ray)
+SUM_POINTS = [ReducedPoint(1.2 + p.x, 0.2 + p.y, p.z)
+              for p in random_ball_points(17, 24, radius=0.5)]
+OFF_SOURCE = [ReducedPoint(-1.0, 0.0, 3.0), ReducedPoint(0.0, 0.0, 3.0)]
+
+
+@pytest.mark.parametrize("label", sorted(SUMS))
+def test_a_sum_table_is_np_add_of_its_operands_tables(label):
+    field, operands, streamed = SUMS[label]
+    # only a left-nested sum of closed forms writes its terms into one table
+    assert len(field._writers) == streamed
+    xyz = np.array([p.as_tuple() for p in SUM_POINTS])
+    table = field.jet_array(xyz)
+    expected = np.add(*(f.jet_array(xyz) for f in operands))
+    assert table.shape == (4, len(xyz), 4)
+    assert bits(table) == bits(expected)
+    if streamed:   # one component-major table
+        assert table.transpose(0, 2, 1).flags.c_contiguous
+    values = field.value_array(xyz)
+    assert values.shape == (len(xyz), 4)
+    assert bits(values) == bits(np.add(*(f.value_array(xyz)
+                                         for f in operands)))
+    # the first row outside the sum's domain names the sum
+    rows = SUM_POINTS[:5] + OFF_SOURCE + SUM_POINTS[5:]
+    xyz = np.array([p.as_tuple() for p in rows])
+    message = f"field {field.name} is not defined at {OFF_SOURCE[0]!r}"
+    for call in (field.jet_array, field.value_array):
+        with pytest.raises(DomainError) as info:
+            call(xyz)
+        assert str(info.value) == message
+
+
+def test_the_nesting_of_a_sum_shows_in_its_bits():
+    # the sum tests above tell the two nestings apart only if they round
+    # differently at some of their rows
+    xyz = np.array([p.as_tuple() for p in SUM_POINTS])
+    a = SUMS["(a+b)+c"][0].jet_array(xyz)
+    b = SUMS["a+(b+c)"][0].jet_array(xyz)
+    assert bits(a) != bits(b)
+    assert np.allclose(a, b, rtol=1e-14, atol=1e-14)
+
+
 def test_scalar_value_array_raises_the_first_point_error():
     # the point form fails at some nodes, the array form with another error
     def point_form(p):
