@@ -22,9 +22,9 @@ Moments use the same quadratic densities against the moment arm
 Every route works on arrays: one (4, N, 4) jet table per chart from the
 potential's array jet (or, for fields without one, from ``jet_at`` node
 by node), component-major in memory, so each component is a contiguous
-row; (N, 3) node arrays; and ``qmul`` of component rows, or only its
-scalar entry where a route keeps no more.  Rows are reduced by
-``surfaces.quadrature_sum``, chart by chart.  The pressure
+row; (3, N) rows of chart points and normals; and ``qmul`` of component
+rows, or its scalar entry alone.  The (3, N) kernel rows are reduced in
+node order by ``surfaces.quadrature_sum``, chart by chart.  The pressure
 integrals for a given pressure are the surface integrals
 ``integrate_scalar_dsigma`` and ``integrate_moment_kernel``, negated.
 The potential's field remembers one read-only table per chart node array
@@ -103,7 +103,7 @@ class FlowScenario:
 
 
 # ----------------------------------------------------------------------
-# per-chart row kernels on (4, N, 4) jet tables and (N, 3) node arrays
+# per-chart row kernels on (4, N, 4) jet tables and (3, N) node rows
 # ----------------------------------------------------------------------
 
 def _conj_grad(jets: np.ndarray) -> tuple:
@@ -119,11 +119,11 @@ def _norm_sq(q) -> np.ndarray:
 
 
 def _sc_rows(t, s: float) -> np.ndarray:
-    """Sc t, Sc(t (s i)) and Sc(t (s j)) as (N, 3) rows; the last two are
+    """Sc t, Sc(t (s i)) and Sc(t (s j)) as (3, N) rows; the last two are
     the first entries of ``qmul`` by s i and s j, formed alone."""
     t0, t1, t2, t3 = t
     return np.stack((t0, t0 * 0.0 - t1 * s - t2 * 0.0 - t3 * 0.0,
-                     t0 * 0.0 - t1 * 0.0 - t2 * s - t3 * 0.0), axis=1)
+                     t0 * 0.0 - t1 * 0.0 - t2 * s - t3 * 0.0))
 
 
 def _bernoulli(jets: np.ndarray, rho: float, stagnation: float) -> np.ndarray:
@@ -150,7 +150,7 @@ def _force(potential, body, order, rows_fn, scale, method):
 
 
 def _blasius_rows(cn: ChartNodes, jets: np.ndarray) -> np.ndarray:
-    return _norm_sq(_conj_grad(jets))[:, None] * cn.normal_array
+    return _norm_sq(_conj_grad(jets)) * cn.normal_rows
 
 
 def _components_sc_rows(cn: ChartNodes, jets: np.ndarray) -> np.ndarray:
@@ -203,7 +203,7 @@ def force_pressure_direct(potential, body, rho: float = 1.0,
                           stagnation: float = 0.0) -> ForceResult:
     """The pressure route, with p from the Bernoulli relation."""
     def rows(cn, j):
-        return -_bernoulli(j, rho, stagnation)[:, None] * cn.normal_array
+        return -_bernoulli(j, rho, stagnation) * cn.normal_rows
 
     return _force(potential, body, order, rows, 1.0, "pressure")
 
@@ -243,8 +243,8 @@ def _gate_stream_surface(quadrature, jets_per_chart) -> None:
     is reported, in chart-major node order.  When the velocities overflow
     the tolerance is not finite and admits nothing.
     """
-    # v = (dx, dy, dz) of Sc w at every node, as (N, 3) views
-    velocities = [jets[1:, :, 0].T for jets in jets_per_chart]
+    # v = (dx, dy, dz) of Sc w at every node, as (3, N) rows
+    velocities = [jets[1:, :, 0] for jets in jets_per_chart]
     scale = 0.0
     for v in velocities:
         # fmax skips NaN, as a running max over the nodes would
@@ -256,7 +256,7 @@ def _gate_stream_surface(quadrature, jets_per_chart) -> None:
             f"finite")
 
     for cn, v in zip(quadrature, velocities):
-        flux = np.sum(v * cn.normal_array, axis=1)
+        flux = sum(v * cn.normal_rows)   # the rows added in turn to 0
         bad = ~(np.abs(flux) <= tol)
         if bad.any():
             k = int(np.argmax(bad))
@@ -291,7 +291,7 @@ def moment_quadratic(potential, body, about: ReducedPoint, rho: float = 1.0,
                      order: int = 16) -> MomentResult:
     """M = (rho/8) (integral of) |w Dbar|^2 (x - about) x n dS."""
     def rows(cn, jets):
-        return _norm_sq(_conj_grad(jets))[:, None] * moment_arms(cn, about)
+        return _norm_sq(_conj_grad(jets)) * moment_arms(cn, about)
 
     return MomentResult(_reduce(potential, body, order, rows, rho / 8.0),
                         about, "quadratic-form", order,

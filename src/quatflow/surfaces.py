@@ -11,13 +11,14 @@ g dsigma f are the workhorse for Cauchy-type theorems and for force and
 moment evaluation.
 
 Nodes are numpy arrays: a chart's one geometry form, evaluated on the
-axes of its Gauss grid, gives (N, 3) points and unit normals, generated
-chart-major in a fixed order, and a body's volume nodes form one (N, 3)
-tensor grid the same way.
-Every integral evaluates its callables on those arrays (``node_values``):
-a field with an array form in one call per chart, any other callable
-node by node.  One reduction, ``quadrature_sum``, sums the rows against
-the weights block by block (chart or volume grid), adding in order.
+axes of its Gauss grid, gives (3, N) rows of points and unit normals,
+generated chart-major in a fixed order, and a body's volume nodes form
+one (N, 3) tensor grid the same way.
+Every integral evaluates its callables on (N, 3) point arrays
+(``node_values``): a field with an array form in one call per chart, any
+other callable node by node.  One reduction, ``quadrature_sum``, sums
+(k, N) kernel rows against the weights block by block (chart or volume
+grid), adding in node order.
 """
 
 from __future__ import annotations
@@ -68,18 +69,18 @@ def _vectors(x, y, z) -> np.ndarray:
     return np.stack(np.broadcast_arrays(x, y, z), axis=-1).astype(float)
 
 
-def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise vector product, the expressions of ReducedPoint.cross."""
-    ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
-    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack((ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx),
-                    axis=-1)
+def cross_rows(a, b) -> np.ndarray:
+    """Vector product of (3, ...) component rows, as a (3, ...) array; the
+    expressions of ReducedPoint.cross."""
+    ax, ay, az = a
+    bx, by, bz = b
+    return np.stack((ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx))
 
 
-def norm_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise Euclidean norm, the expression of ReducedPoint.norm."""
-    return np.sqrt(a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1]
-                   + a[..., 2] * a[..., 2])
+def norm_rows(a) -> np.ndarray:
+    """Euclidean norm of (3, ...) component rows, as ReducedPoint.norm."""
+    ax, ay, az = a
+    return np.sqrt(ax * ax + ay * ay + az * az)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -124,9 +125,9 @@ class Chart:
         s, s_w = _scaled_gauss(ns, *self.s_range)
         t, t_w = _scaled_gauss(nt, *self.t_range)
         # s-major tensor grid: node k sits at (s[k // nt], t[k % nt])
-        r, rs, rt = (np.broadcast_to(v, (ns, nt, 3))
+        r, rs, rt = (np.broadcast_to(v, (ns, nt, 3)).reshape(-1, 3).T
                      for v in self.geometry(s[:, None], t[None, :]))
-        cr = cross_rows(rs, rt).reshape(ns * nt, 3)
+        cr = cross_rows(rs, rt)
         area = norm_rows(cr)
         degenerate = ~(area > 0.0)   # NaN elements too
         if degenerate.any():
@@ -134,11 +135,11 @@ class Chart:
             raise ValueError(
                 f"degenerate surface element on chart "
                 f"{self.name or '<anonymous>'} at ({s[k // nt]}, {t[k % nt]})")
-        normals = cr / area[:, None]
+        normals = cr / area
         if self.orientation < 0:
             normals = -normals
         weights = (s_w[:, None] * t_w).reshape(-1) * area
-        points = r.reshape(ns * nt, 3).astype(float)
+        points = np.array(r, dtype=float, order="C")
         return ChartNodes(self, _frozen(points), _frozen(normals),
                           _frozen(weights))
 
@@ -146,18 +147,22 @@ class Chart:
 class ChartNodes:
     """Quadrature data for one chart, in chart-major node order.
 
-    ``point_array`` holds the (N, 3) node positions, ``normal_array`` the
-    outward unit normals and ``weights`` the dS weights; all are read-only.
+    ``point_rows`` and ``normal_rows`` hold the node positions and outward
+    unit normals as (3, N) rows, ``weights`` the dS weights; all read-only,
+    C-contiguous and owning their data.  ``point_array`` and
+    ``normal_array`` are the rows' (N, 3) transposed views.
     ``points`` and ``normals`` give the same nodes as ReducedPoint lists,
     built on first use.
     """
 
-    def __init__(self, chart: Chart, point_array: np.ndarray,
-                 normal_array: np.ndarray, weights: np.ndarray):
+    def __init__(self, chart: Chart, point_rows: np.ndarray,
+                 normal_rows: np.ndarray, weights: np.ndarray):
         self.chart = chart
-        self.point_array = point_array
-        self.normal_array = normal_array
+        self.point_rows = point_rows
+        self.normal_rows = normal_rows
         self.weights = weights
+        self.point_array = point_rows.T
+        self.normal_array = normal_rows.T
 
     @cached_property
     def points(self) -> list[ReducedPoint]:
@@ -169,7 +174,7 @@ class ChartNodes:
 
     def normal_quaternions(self) -> np.ndarray:
         """The (4, N) component rows of n1 + n2 i + n3 j, dsigma / dS."""
-        return np.vstack((self.normal_array.T, np.zeros(len(self.weights))))
+        return np.vstack((self.normal_rows, np.zeros(len(self.weights))))
 
 
 class ParametricSurface:
@@ -426,13 +431,16 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def quadrature_sum(blocks, rows) -> np.ndarray:
     """Sum of rows times weights over ChartNodes or VolumeNodes blocks:
-    ``rows`` yields one array per block, first axis over its nodes, each
-    block is summed by numpy and the block sums are added in order from 0."""
+    ``rows`` yields (k, N) component rows or (N,) reals per block.  A row
+    is summed in node order, in one pass along it, by ``np.add.accumulate``;
+    ``np.sum`` along it would add pairwise, with other last bits.  (N,)
+    rows are summed by ``np.sum``.  The block sums are added in order
+    from 0."""
     total = 0.0
     for block, r in zip(blocks, rows):
-        r = np.ascontiguousarray(r)   # one rounding, whatever the layout
-        w = block.weights.reshape((-1,) + (1,) * (r.ndim - 1))
-        total = total + np.sum(r * w, axis=0)
+        r = r * block.weights
+        total = total + (np.sum(r) if r.ndim == 1
+                         else np.add.accumulate(r, axis=-1, out=r)[..., -1])
     return total
 
 
@@ -448,9 +456,9 @@ def _chart_sum(surface, order: int, rows_fn, *per_chart) -> np.ndarray:
 
 
 def moment_arms(cn: ChartNodes, about: ReducedPoint) -> np.ndarray:
-    """(x - about) x n at every node of a chart."""
-    arm = cn.point_array - np.array(about.as_tuple())
-    return cross_rows(arm, cn.normal_array)
+    """(x - about) x n at every node of a chart, as (3, N) rows."""
+    arm = cn.point_rows - np.array(about.as_tuple())[:, None]
+    return cross_rows(arm, cn.normal_rows)
 
 
 def integrate_g_dsigma_f(surface, g, f, order: int) -> Quaternion:
@@ -469,7 +477,7 @@ def integrate_g_dsigma_f(surface, g, f, order: int) -> Quaternion:
         out = cn.normal_quaternions()
         if g is not None:
             out = _times(values[0].T, out)
-        return (out if f is None else _times(out, values[-1].T)).T
+        return out if f is None else _times(out, values[-1].T)
 
     return Quaternion(*_chart_sum(surface, order, rows))
 
@@ -488,13 +496,13 @@ def integrate_scalar(surface, h, order: int) -> float:
 def integrate_vector_area(surface, order: int) -> ReducedPoint:
     """The vector area: integral of the unit normal dS; zero when closed."""
     return ReducedPoint(*_chart_sum(surface, order,
-                                    lambda cn: cn.normal_array))
+                                    lambda cn: cn.normal_rows))
 
 
 def integrate_moment_kernel(surface, h, about: ReducedPoint,
                             order: int) -> ReducedPoint:
     """Integral of h(x) (x - about) x n dS, the moment-arm weighted normal."""
     def rows(cn: ChartNodes) -> np.ndarray:
-        return node_values(h, cn.point_array)[:, None] * moment_arms(cn, about)
+        return node_values(h, cn.point_array) * moment_arms(cn, about)
 
     return ReducedPoint(*_chart_sum(surface, order, rows))

@@ -36,7 +36,12 @@ from quatflow import (
     verify_cauchy_theorem,
     verify_stokes,
 )
-from quatflow.surfaces import _scaled_gauss, gauss_legendre
+from quatflow.surfaces import (
+    VolumeNodes,
+    _scaled_gauss,
+    gauss_legendre,
+    quadrature_sum,
+)
 
 ORDER = 6
 ABOUT = ReducedPoint(0.3, -0.2, 0.1)
@@ -214,6 +219,87 @@ def test_volume_nodes_keep_the_nested_loop_order(name):
     assert not vn.point_array.flags.writeable
     assert not vn.weights.flags.writeable
     assert [list(p.as_tuple()) for p in vn.points] == vn.point_array.tolist()
+
+
+# ----------------------------------------------------------------------
+# the reduction: component rows summed in node order
+# ----------------------------------------------------------------------
+
+def node_order_sum(weights, rows):
+    """Left to right in Python floats: per block and row, w_0 r_0 + w_1 r_1
+    + ... from the first node; the block sums added in turn to 0.0."""
+    total = [0.0] * len(rows[0])
+    for w, r in zip(weights, rows):
+        for k, row in enumerate(r.tolist()):
+            terms = [wi * x for wi, x in zip(w.tolist(), row)]
+            block = terms[0]
+            for term in terms[1:]:
+                block = block + term
+            total[k] = total[k] + block
+    return total
+
+
+def blocks_of(weights):
+    return [VolumeNodes(np.zeros((len(w), 3)), w) for w in weights]
+
+
+INF, NAN = math.inf, math.nan
+RNG = np.random.default_rng(2024)
+SUM_CASES = {
+    # case: (weights of each block, (k, N) rows of each block)
+    "random": ([RNG.random(n) for n in (300, 17, 1000)],
+               [RNG.standard_normal((4, n)) * 10.0 ** RNG.integers(
+                    -8, 9, (4, n)) for n in (300, 17, 1000)]),
+    "signed-zeros": ([np.full(5, 0.5), np.array([2.0, 0.25])],
+                     [np.array([[-0.0] * 5, [0.0, -0.0, 0.0, -0.0, 0.0],
+                                [-0.0, 1e-300, -1e-300, -0.0, -0.0]]),
+                      np.array([[-0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]])]),
+    "non-finite": ([np.array([1.0, 2.0, 0.5, 1.0]), np.array([0.0, 1.0])],
+                   [np.array([[1.0, INF, 2.0, 3.0], [INF, -INF, 1.0, 0.0],
+                              [NAN, 1.0, 2.0, 3.0], [1e308, 1e308, 0.0, 0.0]]),
+                    np.array([[INF, 1.0], [1.0, 2.0], [1.0, 2.0],
+                              [-1e308, 3.0]])]),
+    "one-node-block": ([np.array([0.75]), np.array([0.5, 0.25, 2.0])],
+                       [np.array([[3.0], [-0.0], [1e-310]]),
+                        np.array([[1.0, 1e-17, 1e-17], [-0.0, -0.0, -0.0],
+                                  [2.0, -3.0, 0.1]])]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUM_CASES))
+def test_quadrature_sum_adds_component_rows_in_node_order(case):
+    weights, rows = SUM_CASES[case]
+    with np.errstate(all="ignore"):
+        total = quadrature_sum(blocks_of(weights), rows)
+        # the layout of the rows does not change the bits
+        fortran = quadrature_sum(blocks_of(weights),
+                                 [np.asfortranarray(r) for r in rows])
+        # nor does it differ from np.sum over the nodes of (N, k) rows
+        by_node_rows = 0.0
+        for w, r in zip(weights, rows):
+            by_node_rows = by_node_rows + np.sum(
+                np.ascontiguousarray(r.T) * w[:, None], axis=0)
+    # repr tells -0.0 from 0.0 and matches any NaN
+    expected = list(map(repr, node_order_sum(weights, rows)))
+    for sums in (total, fortran, by_node_rows):
+        assert list(map(repr, sums.tolist())) == expected
+
+
+def test_the_node_order_sum_is_not_a_pairwise_row_sum():
+    # numpy sums a contiguous row pairwise: other bits on these rows, so
+    # the node-order test above can tell the two apart
+    weights, rows = SUM_CASES["random"]
+    pairwise = sum(np.sum(r * w, axis=-1) for w, r in zip(weights, rows))
+    assert pairwise.tolist() != node_order_sum(weights, rows)
+
+
+def test_quadrature_sum_of_real_rows_is_np_sum():
+    weights, rows = SUM_CASES["random"]
+    reals = [r[0] for r in rows]
+    expected = 0.0
+    for w, r in zip(weights, reals):
+        expected = expected + np.sum(r * w)
+    assert quadrature_sum(blocks_of(weights), reals) == expected
 
 
 # ----------------------------------------------------------------------

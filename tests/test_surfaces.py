@@ -18,6 +18,7 @@ from quatflow import (
     integrate_scalar_dsigma,
     integrate_vector_area,
     sphere_body,
+    uniform_flow,
 )
 from quatflow.surfaces import _scaled_gauss
 
@@ -355,6 +356,24 @@ def test_nodes_equal_the_flat_grid_of_per_chart_forms_bit_for_bit(name):
         points, weights = reference_volume_grid(name, args, order)
         assert np.array_equal(vn.point_array, points), order
         assert np.array_equal(vn.weights, weights), order
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BODIES))
+def test_chart_nodes_are_read_only_component_rows_with_array_views(name):
+    make, args, _ = PINNED_BODIES[name]
+    field = uniform_flow(1.0).field
+    for cn in make(*args).surface.quadrature(6):
+        n = len(cn.weights)
+        for rows, array in ((cn.point_rows, cn.point_array),
+                            (cn.normal_rows, cn.normal_array)):
+            assert rows.shape == (3, n) and rows.dtype == np.float64
+            assert rows.flags.c_contiguous and not rows.flags.writeable
+            # the (N, 3) array is the rows' transpose, not a second copy
+            assert array.base is rows and array.shape == (n, 3)
+            assert np.array_equal(array, rows.T)
+        assert cn.point_rows.base is None and cn.normal_rows.base is None
+        table = field.jet_table(cn.point_array)
+        assert field.jet_table(cn.point_array) is table
 
 
 @pytest.mark.parametrize("bad", [0.0, NAN])
