@@ -8,8 +8,6 @@ the classical formulas they restate.
 import json
 import math
 import random
-import subprocess
-import sys
 
 from quatflow import (
     Quaternion,
@@ -238,35 +236,11 @@ def test_09_force_routes_agree_on_every_scenario():
             assert "monogenic-form" in comparison.gated, name
 
 
-# Runs each argv of argv[1] (a JSON list) through quatflow.cli.main in
-# this interpreter and prints [exit code, stdout, stderr] per argv as JSON.
-CLI_RUNS = """
-import contextlib, io, json, sys
-from quatflow.cli import main
-runs = []
-for argv in json.loads(sys.argv[1]):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    runs.append([code, out.getvalue(), err.getvalue()])
-print(json.dumps(runs))
-"""
-
-
-def test_10_cli_reports_are_thread_deterministic():
+def test_10_cli_reports_are_thread_deterministic(cli_thread_runs):
     # one fresh interpreter per thread count, each running every argv
-    argvs = (["verify"], ["force", "--scenario", "cylinder-vortex"])
-    outputs = []
-    for threads in (1, 4, 8):
-        proc = subprocess.run(
-            [sys.executable, "-c", CLI_RUNS, json.dumps(
-                [[*argv, "--threads", str(threads)] for argv in argvs])],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        runs = json.loads(proc.stdout)
-        assert len(runs) == len(argvs)
-        for argv, (code, stdout, stderr) in zip(argvs, runs):
+    for argv, runs in cli_thread_runs.items():
+        for threads, (code, stdout, stderr) in runs.items():
             assert code == 0, (argv[0], threads, stderr)
             assert json.loads(stdout)["status"] == "pass", argv[0]
-        outputs.append([stdout for _, stdout, _ in runs])
-    assert outputs[0] == outputs[1] == outputs[2]
+        outputs = [stdout for _, stdout, _ in runs.values()]
+        assert outputs[0] == outputs[1] == outputs[2], argv[0]

@@ -47,6 +47,13 @@ def test_verify_passes_and_reports_every_check():
         assert check["gap"] <= check["tol"]
 
 
+def test_verify_is_deterministic_across_thread_counts(cli_thread_runs):
+    runs = cli_thread_runs[("verify",)]
+    assert all(code == 0 for code, _, _ in runs.values())
+    outputs = [stdout for _, stdout, _ in runs.values()]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_verify_reports_failure_when_tolerance_is_unreachable():
     proc = run_cli("verify", "--tol", "1e-30")
     assert proc.returncode == 1
@@ -66,6 +73,13 @@ def test_force_default_scenario_passes():
     assert set(payload["results"]) >= {"pressure", "blasius",
                                        "components-sc"}
     assert payload["max_disagreement"] <= payload["tol"]
+
+
+def test_force_is_deterministic_across_thread_counts(cli_thread_runs):
+    runs = cli_thread_runs[("force", "--scenario", "cylinder-vortex")]
+    assert all(code == 0 for code, _, _ in runs.values())
+    outputs = [stdout for _, stdout, _ in runs.values()]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_force_reports_the_lift_oracle():
