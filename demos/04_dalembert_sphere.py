@@ -13,12 +13,12 @@ from quatflow import (
     all_force_methods,
     moment_quadratic,
     pressure_field,
-    sphere_stream_scenario,
+    scenario_catalog,
 )
 
 
 def main():
-    sc = sphere_stream_scenario()
+    sc = scenario_catalog()["sphere-stream"]
     print(f"scenario: {sc.name} ({sc.description})")
 
     print("\n== velocity on the surface is tangent ==")

@@ -16,12 +16,12 @@ from quatflow import (
     blasius_moment_2d,
     cylinder_body,
     cylinder_vortex_2d,
-    cylinder_vortex_scenario,
     kutta_joukowski_lift,
     moment_quadratic,
     moment_reference_shift,
     force_blasius,
     reduce_and_compare,
+    scenario_catalog,
 )
 
 U, A, GAMMA = 1.0, 1.0, 2.0 * math.pi
@@ -47,7 +47,7 @@ def main():
     print(f"  {report}")
 
     print("\n== all four force routes on the 3D cylinder ==")
-    sc = cylinder_vortex_scenario()
+    sc = scenario_catalog()["cylinder-vortex"]
     comparison = all_force_methods(sc.potential, sc.body, order=16)
     for name, result in sorted(comparison.results.items()):
         f = result.force

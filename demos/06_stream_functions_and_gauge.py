@@ -13,11 +13,11 @@ from quatflow import (
     StreamSurfaceError,
     VelocityField,
     cylinder_body,
-    cylinder_vortex_scenario,
     force_blasius,
     force_monogenic_form,
     gauge_transform,
     geometric_stream_functions,
+    scenario_catalog,
     sphere_body,
     uniform_flow,
     vector_gauge_field,
@@ -54,7 +54,7 @@ def main():
               f"potential moved {dw:.3f}")
 
     print("\n== the quadratic force form and its gate ==")
-    sc = cylinder_vortex_scenario()
+    sc = scenario_catalog()["cylinder-vortex"]
     f_gate = force_monogenic_form(sc.potential, sc.body, order=16)
     f_ref = force_blasius(sc.potential, sc.body, order=16)
     print(f"  cylinder admitted: F = {f_gate.force.as_tuple()}")

@@ -108,12 +108,6 @@ from .forces import (
     all_force_methods,
 )
 from .scenarios import (
-    cylinder_uniform_scenario,
-    cylinder_vortex_scenario,
-    sphere_stream_scenario,
-    control_sphere_scenario,
-    control_box_scenario,
-    control_cylinder_scenario,
     scenario_catalog,
     vanishing_force_cases,
     vanishing_integral_cases,

@@ -22,23 +22,13 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .quaternion import ReducedPoint
 from .fields import coordinate_field
-from .potentials import (
-    catalog,
-    dipole_flow,
-    embedded_cylinder_flow,
-    identity_flow,
-    point_source,
-    saddle_flow,
-    sphere_flow,
-    uniform_flow,
-)
+from .potentials import catalog, saddle_flow
 from .surfaces import (
     box_body,
     cylinder_body,
@@ -55,142 +45,21 @@ from .forces import (
     moment_reference_shift,
     pressure_field,
 )
-from .scenarios import scenario_catalog, vanishing_integral_cases
+from .scenarios import (
+    _BODY_KINDS,
+    _POTENTIAL_KINDS,
+    _SCENARIOS,
+    ScenarioConfig,
+    _build,
+    _finite,
+    _kind,
+    vanishing_integral_cases,
+)
 from .planar import PlanarContour, cylinder_vortex_2d, reduce_and_compare
 
 __all__ = ["ScenarioConfig", "main", "console_main"]
 
 DEFAULT_SCENARIO = "sphere-stream"
-
-
-# ----------------------------------------------------------------------
-# configuration
-# ----------------------------------------------------------------------
-
-def _finite(value, what: str) -> float:
-    """A finite float from outside input; ValueError otherwise."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
-    except OverflowError:   # an int beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValueError(f"{what} must be finite, got {value!r}")
-    return number
-
-
-def _number(value, key: str) -> float:
-    """A finite JSON number of config key; not a string or a boolean."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key!r} must be a number, got {value!r}")
-    return _finite(value, repr(key))
-
-
-def _read(cfg: dict, key: str, default):
-    """cfg[key] shaped like its default: a float default reads one finite
-    number, a tuple default reads that many."""
-    value = cfg.get(key, default)
-    if not isinstance(default, tuple):
-        return _number(value, key)
-    if not isinstance(value, (list, tuple)) or len(value) != len(default):
-        raise ValueError(f"{key!r} needs {len(default)} numbers, got {value!r}")
-    return tuple(_number(v, key) for v in value)
-
-
-# Each potential and body kind: its constructor and the keys it reads
-# besides "kind", with their defaults.
-_POTENTIAL_KINDS = {
-    "uniform": (lambda components: uniform_flow(*components),
-                {"components": (1.0, 0.0, 0.0)}),
-    "identity": (identity_flow, {}),
-    "saddle": (saddle_flow, {}),
-    "source": (lambda strength, center:
-               point_source(strength, ReducedPoint(*center)),
-               {"strength": 1.0, "center": (0.0, 0.0, 0.0)}),
-    "dipole": (lambda coefficient, center:
-               dipole_flow(coefficient, ReducedPoint(*center)),
-               {"coefficient": 1.0, "center": (0.0, 0.0, 0.0)}),
-    "sphere": (sphere_flow, {"speed": 1.0, "radius": 1.0}),
-    "embedded_cylinder": (embedded_cylinder_flow,
-                          {"speed": 1.0, "radius": 1.0, "circulation": 0.0}),
-}
-_BODY_KINDS = {
-    "sphere": (lambda radius, center: sphere_body(radius,
-                                                  ReducedPoint(*center)),
-               {"radius": 1.0, "center": (0.0, 0.0, 0.0)}),
-    "box": (lambda x, y, z: box_body(x, y, z),
-            {"x": (-0.5, 0.5), "y": (-0.5, 0.5), "z": (-0.5, 0.5)}),
-    "cylinder": (lambda radius, z, center2d:
-                 cylinder_body(radius, z[0], z[1], center2d),
-                 {"radius": 1.0, "z": (-0.5, 0.5), "center2d": (0.0, 0.0)}),
-}
-
-
-def _kind(cfg: dict, what: str, kinds: dict):
-    """The constructor of a config object's kind and its parsed keys.
-
-    An unknown kind, a key the kind does not read, or a value of the
-    wrong shape raises ValueError.
-    """
-    kind = cfg.get("kind")
-    if not isinstance(kind, str) or kind not in kinds:
-        raise ValueError(f"unknown {what} kind {kind!r}")
-    make, defaults = kinds[kind]
-    unknown = set(cfg) - {"kind"} - set(defaults)
-    if unknown:
-        raise ValueError(
-            f"unknown {what} keys for kind {kind!r}: {sorted(unknown)}")
-    return make, {key: _read(cfg, key, default)
-                  for key, default in defaults.items()}
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """JSON-facing description of a potential, a body, and a density.
-
-    An unknown potential or body kind, a key its kind does not read, a
-    value that is not finite or has the wrong length, or a density rho
-    that is not positive raises ValueError.
-    """
-
-    name: str
-    potential: dict
-    body: dict
-    rho: float = 1.0
-
-    def __post_init__(self):
-        if not self.rho > 0.0:
-            raise ValueError(f"'rho' must be positive, got {self.rho!r}")
-        _kind(self.potential, "potential", _POTENTIAL_KINDS)
-        _kind(self.body, "body", _BODY_KINDS)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioConfig":
-        if not isinstance(data, dict):
-            raise ValueError("scenario config must be a JSON object")
-        unknown = set(data) - {"name", "potential", "body", "rho"}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("potential", "body"):
-            if key not in data or not isinstance(data[key], dict):
-                raise ValueError(f"config needs a {key!r} object")
-        return cls(name=str(data.get("name", "custom")),
-                   potential=dict(data["potential"]),
-                   body=dict(data["body"]),
-                   rho=_read(data, "rho", 1.0))
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "potential": dict(self.potential),
-                "body": dict(self.body), "rho": self.rho}
-
-    def build(self) -> FlowScenario:
-        make_potential, potential = _kind(self.potential, "potential",
-                                          _POTENTIAL_KINDS)
-        make_body, body = _kind(self.body, "body", _BODY_KINDS)
-        return FlowScenario(name=self.name,
-                            potential=make_potential(**potential),
-                            body=make_body(**body), rho=self.rho)
 
 
 def _resolve_scenario(args) -> FlowScenario:
@@ -201,11 +70,10 @@ def _resolve_scenario(args) -> FlowScenario:
             data = json.load(fh)
         return ScenarioConfig.from_dict(data).build()
     name = args.scenario or DEFAULT_SCENARIO
-    cat = scenario_catalog()
-    if name not in cat:
-        raise ValueError(
-            f"unknown scenario {name!r}; known: {', '.join(sorted(cat))}")
-    return cat[name]
+    if name not in _SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}; known: "
+                         f"{', '.join(sorted(_SCENARIOS))}")
+    return _build(name, *_SCENARIOS[name])
 
 
 # ----------------------------------------------------------------------
@@ -432,26 +300,24 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_reduce2d(args) -> int:
-    speed, radius, circulation = 1.0, 1.0, 2.0 * math.pi
-    (z_min, z_max), rho = (-0.5, 0.5), 1.0
+    cfg = ScenarioConfig("cylinder-vortex", *_SCENARIOS["cylinder-vortex"][:2])
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = ScenarioConfig.from_dict(json.load(fh))
-        # the comparison needs the extrusion of the circular contour, a
-        # streamline of the planar flow
-        pot = _kind(cfg.potential, "potential", _POTENTIAL_KINDS)[1]
-        body = _kind(cfg.body, "body", _BODY_KINDS)[1]
-        if cfg.potential["kind"] != "embedded_cylinder":
-            raise ValueError(
-                "reduce2d config needs an embedded_cylinder potential")
-        if (cfg.body["kind"] != "cylinder" or body["radius"] != pot["radius"]
-                or body["center2d"] != (0.0, 0.0)):
-            raise ValueError(
-                "reduce2d config needs a cylinder body about the z axis "
-                "with the potential's radius")
-        speed, radius, circulation = (pot["speed"], pot["radius"],
-                                      pot["circulation"])
-        (z_min, z_max), rho = body["z"], cfg.rho
+    # the comparison needs the extrusion of the circular contour, a
+    # streamline of the planar flow
+    pot = _kind(cfg.potential, "potential", _POTENTIAL_KINDS)[1]
+    body = _kind(cfg.body, "body", _BODY_KINDS)[1]
+    if cfg.potential["kind"] != "embedded_cylinder":
+        raise ValueError(
+            "reduce2d config needs an embedded_cylinder potential")
+    if (cfg.body["kind"] != "cylinder" or body["radius"] != pot["radius"]
+            or body["center2d"] != (0.0, 0.0)):
+        raise ValueError("reduce2d config needs a cylinder body about the z "
+                         "axis with the potential's radius")
+    speed, radius, circulation = (pot["speed"], pot["radius"],
+                                  pot["circulation"])
+    (z_min, z_max), rho = body["z"], cfg.rho
     about = complex(*_parse_components(args.about, 2)) if args.about else 0j
     report = reduce_and_compare(cylinder_vortex_2d(speed, radius, circulation),
                                 PlanarContour.circle(radius),

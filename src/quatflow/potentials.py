@@ -664,6 +664,8 @@ def dipole_flow(coefficient: float,
 def sphere_flow(speed: float, radius: float) -> FlowPotential:
     """Uniform stream past a sphere of the given radius at the origin."""
     u, a = float(speed), float(radius)
+    if not (a > 0.0 and math.isfinite(a)):
+        raise ValueError(f"sphere flow needs a finite radius > 0, got {a!r}")
     pot = uniform_flow(u) + dipole_flow(0.5 * u * a ** 3)
     pot.name = f"sphere(U={u},a={a})"
     pot.description = "uniform stream plus image dipole"
@@ -717,6 +719,8 @@ def _cylinder_forms(speed: float, radius: float, circulation: float = 0.0):
     arrays alike.
     """
     u, a, gamma = float(speed), float(radius), float(circulation)
+    if not (a > 0.0 and math.isfinite(a)):
+        raise ValueError(f"cylinder flow needs a finite radius > 0, got {a!r}")
     k = gamma / (2.0 * math.pi)
 
     def f(z):

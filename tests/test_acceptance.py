@@ -32,7 +32,6 @@ from quatflow import (
     scalar_dbar_field,
     scenario_catalog,
     sphere_body,
-    sphere_stream_scenario,
     vanishing_force_cases,
     vanishing_integral_cases,
     verify_cauchy_theorem,
@@ -154,7 +153,7 @@ def test_04_integral_theorems_on_cube_ball_and_builders():
 
 
 def test_05_sphere_in_uniform_stream_feels_no_load():
-    sc = sphere_stream_scenario()
+    sc = scenario_catalog()["sphere-stream"]
     for route in (force_pressure_direct, force_blasius, force_components_sc):
         f = route(sc.potential, sc.body, rho=sc.rho, order=32).force
         assert f.norm() <= 1e-6, route.__name__

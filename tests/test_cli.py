@@ -23,7 +23,7 @@ from quatflow import (
     sphere_flow,
     uniform_flow,
 )
-from quatflow import cli
+from quatflow import cli, scenarios
 
 CLI = [sys.executable, "-m", "quatflow.cli"]
 
@@ -221,7 +221,7 @@ def _forces(potential, body):
             dict(comparison.gated))
 
 
-@pytest.mark.parametrize("kind", sorted(cli._POTENTIAL_KINDS))
+@pytest.mark.parametrize("kind", sorted(scenarios._POTENTIAL_KINDS))
 def test_potential_kind_defaults_match_the_direct_constructor(kind):
     cfg = cli.ScenarioConfig(name="k", potential={"kind": kind},
                              body={"kind": "sphere"})
@@ -231,7 +231,7 @@ def test_potential_kind_defaults_match_the_direct_constructor(kind):
             == _forces(DIRECT_POTENTIALS[kind](), DIRECT_BODIES["sphere"]()))
 
 
-@pytest.mark.parametrize("kind", sorted(cli._BODY_KINDS))
+@pytest.mark.parametrize("kind", sorted(scenarios._BODY_KINDS))
 def test_body_kind_defaults_match_the_direct_constructor(kind):
     cfg = cli.ScenarioConfig(name="k", potential={"kind": "uniform"},
                              body={"kind": kind})
@@ -255,9 +255,9 @@ def test_readme_names_every_config_kind_and_key():
                                "Body kinds:")
     bodies = _readme_kinds("Body kinds:", "Every key is optional")
     assert potentials == {kind: set(defaults) for kind, (_, defaults)
-                          in cli._POTENTIAL_KINDS.items()}
+                          in scenarios._POTENTIAL_KINDS.items()}
     assert bodies == {kind: set(defaults) for kind, (_, defaults)
-                      in cli._BODY_KINDS.items()}
+                      in scenarios._BODY_KINDS.items()}
 
 
 @pytest.mark.parametrize("what", ["potential", "body"])
@@ -441,3 +441,51 @@ def test_help_exits_cleanly():
     assert proc.returncode == 0
     for name in ("force", "moment", "verify", "convergence", "reduce2d"):
         assert name in proc.stdout
+
+
+@pytest.mark.parametrize("name", [None, {"a": 1}, 3])
+def test_a_config_name_that_is_not_a_string_exits_with_usage_error(
+        name, tmp_path, capsys):
+    path = tmp_path / "name.json"
+    path.write_text(json.dumps({"name": name, "potential": UNIFORM,
+                                "body": SPHERE}))
+    assert cli.main(["force", "--config", str(path), "--order", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"quatflow: 'name' must be a string, got {name!r}\n"
+
+
+@pytest.mark.parametrize("potential", [
+    {"kind": "sphere", "radius": 0},
+    {"kind": "sphere", "radius": -1.0},
+    {"kind": "embedded_cylinder", "radius": 0.0},
+    {"kind": "embedded_cylinder", "radius": -2.0, "circulation": 1.0},
+])
+@pytest.mark.parametrize("command", ["force", "moment", "convergence"])
+def test_a_potential_radius_that_is_not_positive_exits_with_usage_error(
+        potential, command, tmp_path, capsys):
+    path = tmp_path / "radius.json"
+    path.write_text(json.dumps({"name": "r", "potential": potential,
+                                "body": SPHERE}))
+    assert cli.main([command, "--config", str(path), "--order", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs a finite radius > 0" in captured.err
+
+
+@pytest.mark.parametrize("name", sorted(scenarios._SCENARIOS))
+def test_a_named_scenario_and_its_row_as_a_config_give_the_same_forces(
+        name, tmp_path, capsys):
+    potential, body = scenarios._SCENARIOS[name][:2]
+    path = tmp_path / "row.json"
+    path.write_text(json.dumps({"name": name, "potential": potential,
+                                "body": body}))
+    reports = []
+    for source in (["--scenario", name], ["--config", str(path)]):
+        cli.main(["force", *source, "--order", "12"])
+        reports.append(json.loads(capsys.readouterr().out))
+    named, config = reports
+    for key in ("results", "gated", "max_disagreement"):
+        assert json.dumps(named[key]) == json.dumps(config[key]), key
+    assert config["expected_force"] is None
+    assert named["scenario"] == config["scenario"] == name

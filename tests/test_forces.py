@@ -15,8 +15,6 @@ from quatflow import (
     all_force_methods,
     box_body,
     cylinder_body,
-    cylinder_uniform_scenario,
-    cylinder_vortex_scenario,
     dipole_flow,
     embedded_cylinder_flow,
     force_blasius,
@@ -33,10 +31,10 @@ from quatflow import (
     scenario_catalog,
     sphere_body,
     sphere_flow,
-    sphere_stream_scenario,
     uniform_flow,
     vanishing_force_cases,
 )
+from quatflow.scenarios import ScenarioConfig
 
 GAMMA = 2.0 * math.pi
 ORDER = 16
@@ -44,7 +42,7 @@ ORDER = 16
 
 def test_circulating_cylinder_lift_all_methods():
     # rho U Gamma downward for positive circulation: F = (0, -2 pi, 0).
-    sc = cylinder_vortex_scenario()
+    sc = scenario_catalog()["cylinder-vortex"]
     expect = ReducedPoint(0.0, -GAMMA, 0.0)
     assert sc.expected_force is not None
     assert (sc.expected_force - expect).norm() <= 1e-12
@@ -61,14 +59,16 @@ def test_circulating_cylinder_lift_all_methods():
 def test_lift_scales_with_circulation_and_density():
     rho = 1.7
     gamma = 3.0
-    sc = cylinder_vortex_scenario(circulation=gamma)
+    sc = ScenarioConfig(name="lift", body={"kind": "cylinder"},
+                        potential={"kind": "embedded_cylinder",
+                                   "circulation": gamma}).build()
     f = force_blasius(sc.potential, sc.body, rho=rho, order=ORDER).force
     assert abs(f.y + rho * gamma) <= 1e-8
     assert abs(f.x) <= 1e-8 and abs(f.z) <= 1e-10
 
 
 def test_lift_independent_of_cylinder_height():
-    pot = cylinder_vortex_scenario().potential
+    pot = scenario_catalog()["cylinder-vortex"].potential
     per_height = []
     for h in (0.5, 1.0, 2.0):
         body = cylinder_body(1.0, -h, h)
@@ -133,7 +133,7 @@ def test_pressure_route_agrees_with_quadratic_routes():
 
 
 def test_stagnation_pressure_offset_never_loads_a_closed_surface():
-    sc = cylinder_vortex_scenario()
+    sc = scenario_catalog()["cylinder-vortex"]
     base = force_pressure_direct(sc.potential, sc.body, order=ORDER).force
     offset = force_pressure_direct(sc.potential, sc.body, order=ORDER,
                                    stagnation=5.0).force
@@ -149,7 +149,7 @@ def test_vanishing_force_scenarios():
 
 
 def test_dalembert_sphere_at_higher_order():
-    sc = sphere_stream_scenario()
+    sc = scenario_catalog()["sphere-stream"]
     for route in (force_pressure_direct, force_blasius, force_components_sc):
         f = route(sc.potential, sc.body, order=32).force
         assert f.norm() <= 1e-6, route.__name__
@@ -171,7 +171,7 @@ def test_gate_refuses_non_stream_surfaces():
 def test_gate_admits_the_stream_past_a_sphere(order):
     # v.n = 0 on the sphere, so the form is the pressure-route force:
     # zero by d'Alembert
-    sc = sphere_stream_scenario()
+    sc = scenario_catalog()["sphere-stream"]
     f = force_monogenic_form(sc.potential, sc.body, order=order).force
     p = force_pressure_direct(sc.potential, sc.body, order=order).force
     assert f.norm() <= 1e-12
@@ -179,7 +179,8 @@ def test_gate_admits_the_stream_past_a_sphere(order):
 
 
 def test_gate_admits_cylinder_scenarios():
-    for sc in (cylinder_uniform_scenario(), cylinder_vortex_scenario()):
+    catalog = scenario_catalog()
+    for sc in (catalog["cylinder-uniform"], catalog["cylinder-vortex"]):
         f = force_monogenic_form(sc.potential, sc.body, order=ORDER).force
         b = force_blasius(sc.potential, sc.body, order=ORDER).force
         assert (f - b).norm() <= 1e-6, sc.name
@@ -198,14 +199,14 @@ def test_monogenic_form_is_deformation_invariant_for_pure_vortex():
 
 
 def test_moment_about_axis_vanishes():
-    sc = cylinder_vortex_scenario()
+    sc = scenario_catalog()["cylinder-vortex"]
     m = moment_quadratic(sc.potential, sc.body, ReducedPoint(0, 0, 0),
                          order=ORDER).moment
     assert m.norm() <= 1e-6
 
 
 def test_moment_about_offset_axis_matches_lift_times_arm():
-    sc = cylinder_vortex_scenario()
+    sc = scenario_catalog()["cylinder-vortex"]
     about = ReducedPoint(0.3, 0.0, 0.0)
     m = moment_quadratic(sc.potential, sc.body, about, order=ORDER)
     # rho U Gamma x1, the couple of the lift about the shifted axis.
@@ -215,7 +216,7 @@ def test_moment_about_offset_axis_matches_lift_times_arm():
 
 
 def test_moment_pressure_route_agrees():
-    sc = cylinder_vortex_scenario()
+    sc = scenario_catalog()["cylinder-vortex"]
     about = ReducedPoint(0.3, 0.0, 0.0)
     pressure = pressure_field(sc.potential, rho=sc.rho)
     a = moment_quadratic(sc.potential, sc.body, about, order=ORDER).moment
@@ -224,7 +225,7 @@ def test_moment_pressure_route_agrees():
 
 
 def test_moment_shift_law():
-    sc = cylinder_vortex_scenario()
+    sc = scenario_catalog()["cylinder-vortex"]
     origin = ReducedPoint(0.0, 0.0, 0.0)
     target = ReducedPoint(0.3, -0.2, 0.1)
     force = force_blasius(sc.potential, sc.body, order=ORDER)
@@ -449,7 +450,7 @@ def test_gate_admits_the_form_exactly_where_v_dot_n_vanishes(case):
 def test_gate_refuses_a_nan_jet_and_the_comparison_reads_nan():
     # the cylinder is a stream surface of the vortex flow, so the one node
     # whose jet is NaN is the only place the flux test can fail
-    sc = cylinder_vortex_scenario()
+    sc = scenario_catalog()["cylinder-vortex"]
     field = sc.potential.field
     cap = sc.body.surface.quadrature(ORDER)[1]
     bad = cap.point_array[5]
