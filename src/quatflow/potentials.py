@@ -236,7 +236,9 @@ def _kronrod01(n: int):
     places, and its weights.  Laurie's algorithm (Math. Comp. 66, 1997)
     extends the Legendre recurrence's off-diagonal squares b (the diagonal
     stays 0 for an even weight) to the Jacobi-Kronrod matrix; the nodes
-    are its eigenvalues, the weights its Christoffel numbers."""
+    are its eigenvalues, the weights its Christoffel numbers.  Even and odd
+    indices grouped, the matrix is [[0, B], [B^T, 0]] with B bidiagonal, so
+    the eigenvalues are 0 and +- the singular values of B."""
     k = np.arange(1.0, 2 * n + 1)
     b = np.concatenate(([2.0], k * k / (4.0 * k * k - 1.0)))
     s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
@@ -254,8 +256,9 @@ def _kronrod01(n: int):
             b[(m + 1) // 2 + n + 1] = s[j[-1]] / s[j[-1] + 1]
         s, t = t, s
     r = np.sqrt(b)
-    x = np.linalg.eigvalsh(np.diag(r[1:], -1))
-    x = 0.5 * (x - x[::-1])   # the rule is symmetric about 0
+    bidiagonal = np.eye(n + 1, n) * r[1::2] + np.eye(n + 1, n, -1) * r[2::2]
+    s = np.linalg.svd(bidiagonal, compute_uv=False)   # descending
+    x = np.concatenate((-s, [0.0], s[::-1]))   # symmetric about 0
     # 1 / w = sum_k p_k(x)^2 over the matrix's orthonormal polynomials
     p_prev, p = np.zeros_like(x), np.full_like(x, 1.0 / r[0])
     total = p * p
@@ -284,8 +287,8 @@ def _completion_parameters(order, tol, max_doublings) -> None:
 
 
 # Most segment points in one Dbar u batch of a completion level, whose
-# table on the 2m + 1 Kronrod nodes gives both sums: memory stays bounded
-# (peak near 9 MB), and 72 rows stay one batch to m = 64 (129 nodes).
+# table on the 2m + 1 Kronrod nodes gives both sums: a full block peaks
+# near 8 MB, and 72 rows stay one batch to m = 64 (129 nodes).
 _COMPLETION_BLOCK = 2 ** 14
 
 
@@ -324,19 +327,20 @@ def monogenic_completion(u: ScalarField,
     integer of at least 1, ``max_doublings`` one of at least 0 and
     ``tol`` finite and positive; otherwise ValueError is raised here.
 
-    The field has one array path.  Its jet on N points fills the Dbar u
-    jets of the (N (2m + 1), 3) grid of segment points block by block (at
-    most ``_COMPLETION_BLOCK`` points a block) and sums over t with numpy;
-    the levels run per point through a mask, so each point takes the
-    levels it would take alone.  ``jet_at`` and calls are the one-row case
-    and ``value_array`` is the value slot.  A block's table is one pass
-    over its grid points in node order: at each point u's domain check,
-    the harmonic check, then u's Hessian and gradient (or, for a u without
-    a Hessian, the finite-difference jet of Dbar u), streamed into one
-    float table.  So each grid point costs one domain check per level, and
-    the first failing point raises first, with the error it meets alone
-    (levels in order, then t).  Results equal the point-by-point sum bit
-    for bit.
+    The field has one array path; ``jet_at``, calls and ``value_array``
+    are its one-row case and value slot.  Its jet on N points takes the
+    (N (2m + 1), 3) grid of segment points in blocks of at most
+    ``_COMPLETION_BLOCK`` points, and the levels run per point through a
+    mask, so each point takes the levels it would take alone.  A block is
+    one pass over its grid points in node order (at each, u's domain
+    check, the harmonic check, then u's Hessian and gradient, or the
+    finite-difference jet of Dbar u for a u without a Hessian), streamed
+    into one float table; these calls into u are most of the time.  The
+    sums are one pass too: two quaternion products give the integrands of
+    all four slots, and each rule's weighted table is added along t from
+    the first node.  The first failing point raises first, with the error
+    it meets alone (levels in order, then t), and results equal the
+    point-by-point sum bit for bit.
 
     The scalar part of the result reproduces u exactly by construction;
     monogenicity holds when u is harmonic on a region star-shaped about
@@ -358,6 +362,7 @@ def monogenic_completion(u: ScalarField,
     # there first: u's in the harmonic check, else the Dbar u jet's
     check = u._check if check_harmonic else dbar._check
     fd_jet = not u.has_analytic_hessian
+    units = np.array((I.as_tuple(), J.as_tuple())).T[..., None, None]
 
     def segment_row(q: ReducedPoint):
         """The Dbar u jet at one segment point, after its checks."""
@@ -381,7 +386,6 @@ def monogenic_completion(u: ScalarField,
         # each rule: the nodes it reads, w t and w t^2
         rules = ((slice(1, None, 2), wg * tg, wg * tg * tg),
                  (slice(None), wk * ts, wk * ts * ts))
-        units = {2: I.as_tuple(), 3: J.as_tuple()}
         n = len(ts)
         out = np.empty((2, 4, len(xyz), 4))
         step = max(1, _COMPLETION_BLOCK // n)
@@ -390,21 +394,22 @@ def monogenic_completion(u: ScalarField,
             arm = xyz[rows] - c
             grid = (c + ts[:, None] * arm[:, None, :]).reshape(-1, 3)
             jd = _jet_rows(segment_row, grid).reshape(4, len(arm), n, 4)
-            jd = np.moveaxis(jd, -1, 1)   # slot, component, row, node
-            xq = np.zeros((4, len(arm), 1))
-            xq[:3, :, 0] = arm.T
-            # chain rule: the x-derivative sees t * (d Dbar u) plus the
-            # derivative of the segment endpoint factor (x - c).
-            for slot in range(4):
-                outer = qmul(jd[slot], xq)
-                end = qmul(jd[0], units[slot]) if slot > 1 else jd[0]
-                for table, (nodes, w1, w2) in zip(out, rules):
-                    terms = (outer[..., nodes] * w2 + end[..., nodes] * w1
-                             if slot else outer[..., nodes] * w1)
-                    # numpy adds along t in order; + 0.0 turns an all -0.0
-                    # sum into the +0.0 of a sum started at 0.0
-                    sums = np.add.reduce(np.stack(terms, axis=-1), axis=1)
-                    table[slot, rows, 1:] = sums[:, 1:] + 0.0
+            jd = jd.transpose(3, 0, 1, 2)   # component, slot, row, node
+            xq = np.zeros((4, 1, len(arm), 1))
+            xq[:3, 0, :, 0] = arm.T
+            # chain rule: a partial sees t (d Dbar u)(x - c) plus Dbar u
+            # times the partial of x - c (1, i or j); vector parts only
+            outer = qmul(jd, xq)[1:]
+            end = np.concatenate((jd[1:, :1], qmul(jd[:, :1], units)[1:]), 1)
+            del jd   # free the segment table before the sums
+            for table, (nodes, w1, w2) in zip(out, rules):
+                # the value's outer term takes w t, the partials' w t^2
+                terms = outer[..., nodes] * np.array((w1, w2, w2, w2))[:, None]
+                terms[:, 1:] += end[..., nodes] * w1
+                # one pass along t from the first node; + 0.0 turns an all
+                # -0.0 sum into the +0.0 of a sum started at 0.0
+                sums = np.add.accumulate(terms, axis=-1, out=terms)[..., -1]
+                table[:, rows, 1:] = sums.transpose(1, 2, 0) + 0.0
         return out
 
     def jet_array(xyz: np.ndarray) -> np.ndarray:

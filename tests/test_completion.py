@@ -9,6 +9,7 @@ u bit for bit.
 """
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,95 @@ def test_levels_take_rows_in_bounded_blocks(monkeypatch):
     assert max(batches) == 36
 
 
+# points about the origin with signed-zero coordinates, and points about
+# a singular scalar's centre whose rows converge at different levels
+SIGNED_ZERO_POINTS = [
+    ReducedPoint(0.3, -0.0, 0.2), ReducedPoint(-0.0, 0.4, 0.0),
+    ReducedPoint(0.0, -0.0, -0.5), ReducedPoint(-0.2, 0.0, -0.0),
+    ReducedPoint(-0.0, -0.3, -0.0)]
+SPREAD_CENTER = ReducedPoint(1.6, 0.1, -0.2)
+SPREAD_POINTS = [ReducedPoint(0.6, 0.0, 0.1), ReducedPoint(1.7, 0.2, -0.1),
+                 ReducedPoint(1.2, 0.0, 0.0), ReducedPoint(0.4, 0.1, -0.1),
+                 ReducedPoint(1.9, -0.3, 0.2)]
+
+
+@pytest.mark.parametrize("order", [1, 4, 8])
+@pytest.mark.parametrize("name",
+                         ["x", "xy", "x^2-y^2", "xyz"] + list(SINGULAR))
+def test_every_slot_of_a_split_batch_equals_the_definition(monkeypatch, name,
+                                                           order):
+    # blocks of two rows at level 0 and of one row at every later level
+    monkeypatch.setattr(potentials, "_COMPLETION_BLOCK", 2 * (2 * order + 1))
+    counted = Counted(harmonic_catalog()[name])
+    u = counted.field
+    if name in SINGULAR:
+        center, points = SPREAD_CENTER, SPREAD_POINTS
+    else:
+        center, points = ORIGIN, SIGNED_ZERO_POINTS
+    pot = monogenic_completion(u, center=center, order=order)
+    calls = []
+    jets = []
+    for p in points:
+        before = counted.calls
+        jets.append(pot.jet_at(p))
+        calls.append(counted.calls - before)
+    if name in SINGULAR:
+        assert len(set(calls)) > 1   # the rows take different levels
+    table = pot.jet_array(np.array([p.as_tuple() for p in points]))
+    for p, jet, row in zip(points, jets, table_jets(table)):
+        want = exact(reference_jet(u, center, p, order=order))
+        assert exact(jet) == want, p
+        assert exact(row) == want, p
+
+
+def test_a_level_block_takes_two_quaternion_products(monkeypatch):
+    # one product for the four slots' outer terms and one for the endpoint
+    # terms of the y and z partials, however many rows a block holds
+    products, blocks = [], []
+    qmul, jet_rows = potentials.qmul, potentials._jet_rows
+
+    def counting_qmul(p, q):
+        products.append(1)
+        return qmul(p, q)
+
+    def counting_jet_rows(row, xyz, *slots):
+        blocks.append(len(xyz))
+        return jet_rows(row, xyz, *slots)
+
+    monkeypatch.setattr(potentials, "qmul", counting_qmul)
+    monkeypatch.setattr(potentials, "_jet_rows", counting_jet_rows)
+    u, center, _ = guard_case("xyz", 0)
+    pot = monogenic_completion(u, center=center)
+    rng = np.random.default_rng(7)
+    for rows in (1, 72):
+        products.clear()
+        blocks.clear()
+        points = center.as_tuple() + rng.uniform(-0.5, 0.5, (rows, 3))
+        pot.jet_array(points)
+        # a polynomial converges at level 0: one block of 17 nodes a row
+        assert blocks == [17 * rows]
+        assert len(products) == 2
+
+
+def test_a_thousand_row_completion_stays_within_its_memory_bound():
+    u, center, _ = case("x/r^3")
+    c = np.array(center.as_tuple())
+    rng = np.random.default_rng(3)
+    arms = rng.normal(size=(1000, 3))
+    arms *= rng.uniform(0.2, 0.7, (1000, 1)) / np.linalg.norm(
+        arms, axis=1, keepdims=True)
+    pot = monogenic_completion(u, center=center)
+    pot.jet_array(c + arms[:2])   # the rules' caches
+    # 963 rows fill the first block of _COMPLETION_BLOCK segment points
+    tracemalloc.start()
+    try:
+        pot.jet_array(c + arms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9e6
+
+
 def test_a_jet_converged_at_level_0_reads_the_nodes_of_k_once():
     # At the default order 8, G_8 and K_17 come from one table of
     # 2 * 8 + 1 segment points, in ascending t.  Each takes u's Laplacian,
@@ -380,7 +470,7 @@ def test_kronrod_rule_reproduces_the_published_g7_k15_table():
     assert np.abs(2.0 * ws - wk).max() <= 1e-15
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 16, 32, 64])
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 32, 64, 256, 512])
 def test_kronrod_rule_extends_the_gauss_rule(n):
     ts, ws = potentials._kronrod01(n)
     tg, _ = potentials._gauss01(n)
