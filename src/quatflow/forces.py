@@ -49,7 +49,6 @@ from .surfaces import (
     _surface_of,
     integrate_moment_kernel,
     integrate_scalar_dsigma,
-    moment_arms,
     norm_rows,
 )
 
@@ -291,7 +290,7 @@ def moment_quadratic(potential, body, about: ReducedPoint, rho: float = 1.0,
                      order: int = 16) -> MomentResult:
     """M = (rho/8) (integral of) |w Dbar|^2 (x - about) x n dS."""
     def rows(cn, jets):
-        return _norm_sq(_conj_grad(jets)) * moment_arms(cn, about)
+        return _norm_sq(_conj_grad(jets)) * cn.moment_arms(about)
 
     return MomentResult(_reduce(potential, body, order, rows, rho / 8.0),
                         about, "quadratic-form", order,

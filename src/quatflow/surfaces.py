@@ -11,9 +11,10 @@ g dsigma f are the workhorse for Cauchy-type theorems and for force and
 moment evaluation.
 
 Nodes are numpy arrays: a chart's one geometry form, evaluated on the
-axes of its Gauss grid, gives (3, N) rows of points and unit normals,
-generated chart-major in a fixed order, and a body's volume nodes form
-one (N, 3) tensor grid the same way.
+axes of its Gauss grid, gives (x, y, z) component triples that are
+written straight into (3, N) rows of points and unit normals, chart-major
+in a fixed order, and a body's volume nodes form one (3, N) tensor grid
+the same way, read as its (N, 3) transposed view.
 Every integral evaluates its callables on (N, 3) point arrays
 (``node_values``): a field with an array form in one call per chart, any
 other callable node by node.  One reduction, ``quadrature_sum``, sums
@@ -64,17 +65,14 @@ def _scaled_gauss(n: int, a: float, b: float):
     return mid + half * x, half * w
 
 
-def _vectors(x, y, z) -> np.ndarray:
-    """Stack three coordinate arrays (or scalars) into an (..., 3) array."""
-    return np.stack(np.broadcast_arrays(x, y, z), axis=-1).astype(float)
-
-
-def cross_rows(a, b) -> np.ndarray:
-    """Vector product of (3, ...) component rows, as a (3, ...) array; the
-    expressions of ReducedPoint.cross."""
+def cross_rows(a, b, out: np.ndarray) -> np.ndarray:
+    """Vector product of (x, y, z) triples, written into out's (3, ...) rows
+    (out may be a or b) and returned; the expressions of ReducedPoint.cross."""
     ax, ay, az = a
     bx, by, bz = b
-    return np.stack((ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx))
+    out[0], out[1], out[2] = (ay * bz - az * by, az * bx - ax * bz,
+                              ax * by - ay * bx)
+    return out
 
 
 def norm_rows(a) -> np.ndarray:
@@ -100,9 +98,10 @@ class Chart:
     ``geometry(s, t)`` returns ``(r, r_s, r_t)``: the position and its two
     analytic partials.  It receives parameter arrays s, t within
     ``s_range`` x ``t_range`` that broadcast against each other (the Gauss
-    nodes of s as a column, those of t as a row), and each result is an
-    array that broadcasts to the grid with a trailing 3, or a 3-vector
-    that is the same at every node.  The oriented normal is
+    nodes of s as an (ns, 1) column, those of t as a (1, nt) row), and
+    each result is an ``(x, y, z)`` tuple or list of components, each a
+    scalar or an array that broadcasts to the (ns, nt) grid; anything
+    else raises ValueError.  The oriented normal is
     ``orientation * (r_s x r_t)`` normalized; orientation is +1 or -1.
     ``node_counts`` maps a quadrature order to per-axis node counts.
     """
@@ -124,22 +123,27 @@ class Chart:
         ns, nt = self.node_counts(order)
         s, s_w = _scaled_gauss(ns, *self.s_range)
         t, t_w = _scaled_gauss(nt, *self.t_range)
+        forms = self.geometry(s[:, None], t[None, :])
+        if not all(isinstance(v, (tuple, list)) and len(v) == 3
+                   for v in forms):
+            raise ValueError(f"chart {self.name or '<anonymous>'}: geometry "
+                             f"must give r, r_s, r_t as (x, y, z) triples")
         # s-major tensor grid: node k sits at (s[k // nt], t[k % nt])
-        r, rs, rt = (np.broadcast_to(v, (ns, nt, 3)).reshape(-1, 3).T
-                     for v in self.geometry(s[:, None], t[None, :]))
-        cr = cross_rows(rs, rt)
-        area = norm_rows(cr)
+        points, normals = np.empty((3, ns * nt)), np.empty((3, ns * nt))
+        r = points.reshape(3, ns, nt)
+        r[0], r[1], r[2] = forms[0]
+        cross_rows(*forms[1:], normals.reshape(3, ns, nt))
+        area = norm_rows(normals)
         degenerate = ~(area > 0.0)   # NaN elements too
         if degenerate.any():
             k = int(np.argmax(degenerate))
             raise ValueError(
                 f"degenerate surface element on chart "
                 f"{self.name or '<anonymous>'} at ({s[k // nt]}, {t[k % nt]})")
-        normals = cr / area
+        normals /= area
         if self.orientation < 0:
-            normals = -normals
+            np.negative(normals, out=normals)
         weights = (s_w[:, None] * t_w).reshape(-1) * area
-        points = np.array(r, dtype=float, order="C")
         return ChartNodes(self, _frozen(points), _frozen(normals),
                           _frozen(weights))
 
@@ -163,6 +167,7 @@ class ChartNodes:
         self.weights = weights
         self.point_array = point_rows.T
         self.normal_array = normal_rows.T
+        self._arms = (None, None)
 
     @cached_property
     def points(self) -> list[ReducedPoint]:
@@ -173,8 +178,24 @@ class ChartNodes:
         return list(as_points(self.normal_array))
 
     def normal_quaternions(self) -> np.ndarray:
-        """The (4, N) component rows of n1 + n2 i + n3 j, dsigma / dS."""
-        return np.vstack((self.normal_rows, np.zeros(len(self.weights))))
+        """The read-only (4, N) component rows of n1 + n2 i + n3 j,
+        dsigma / dS, built on the first call."""
+        return self._normal_quaternions
+
+    @cached_property
+    def _normal_quaternions(self) -> np.ndarray:
+        return _frozen(np.vstack((self.normal_rows,
+                                  np.zeros(len(self.weights)))))
+
+    def moment_arms(self, about: ReducedPoint) -> np.ndarray:
+        """(x - about) x n at every node, as read-only (3, N) rows; those of
+        the last reference point (keyed by its bits) are kept."""
+        centre = np.array(about.as_tuple())
+        key = centre.tobytes()
+        if self._arms[0] != key:
+            arm = self.point_rows - centre[:, None]
+            self._arms = (key, _frozen(cross_rows(arm, self.normal_rows, arm)))
+        return self._arms[1]
 
 
 class ParametricSurface:
@@ -220,8 +241,10 @@ def _volume_grid(axes, nodes) -> VolumeNodes:
     grid = (a[:, None, None], b[None, :, None], c[None, None, :])
     w = wa[:, None, None] * wb[None, :, None] * wc[None, None, :]
     x, y, z, weight = nodes(*grid, w)
-    return VolumeNodes(_frozen(_vectors(x, y, z).reshape(w.size, 3)),
-                       _frozen(weight.reshape(w.size)))
+    rows = np.empty((3, w.size))
+    xyz = rows.reshape(3, *w.shape)
+    xyz[0], xyz[1], xyz[2] = x, y, z
+    return VolumeNodes(_frozen(rows).T, _frozen(weight.reshape(w.size)))
 
 
 class RegularBody:
@@ -271,9 +294,9 @@ def sphere_body(radius: float,
     def geometry(u, phi):
         s = np.sqrt(np.maximum(0.0, 1.0 - u * u))
         c, n = np.cos(phi), np.sin(phi)
-        return (_vectors(cx + r0 * s * c, cy + r0 * s * n, cz + r0 * u),
-                _vectors(-r0 * u * c / s, -r0 * u * n / s, r0),
-                _vectors(-r0 * s * n, r0 * s * c, 0.0))
+        return ((cx + r0 * s * c, cy + r0 * s * n, cz + r0 * u),
+                (-r0 * u * c / s, -r0 * u * n / s, r0),
+                (-r0 * s * n, r0 * s * c, 0.0))
 
     chart = Chart(geometry, (-1.0, 1.0), (0.0, 2.0 * math.pi),
                   orientation=-1, name="sphere",
@@ -302,23 +325,23 @@ def box_body(x_range: tuple[float, float], y_range: tuple[float, float],
             and all(map(math.isfinite, (x0, x1, y0, y1, z0, z1)))):
         raise ValueError("box ranges must be finite and increasing")
 
-    ex, ey, ez = np.eye(3)
+    ex, ey, ez = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
 
     charts = [
         # r_s x r_t for (y, z) parameters is +x; flip on the low face.
-        Chart(lambda s, t: (_vectors(x1, s, t), ey, ez),
+        Chart(lambda s, t: ((x1, s, t), ey, ez),
               (y0, y1), (z0, z1), orientation=1, name="face+x"),
-        Chart(lambda s, t: (_vectors(x0, s, t), ey, ez),
+        Chart(lambda s, t: ((x0, s, t), ey, ez),
               (y0, y1), (z0, z1), orientation=-1, name="face-x"),
         # (x, z) parameters give r_s x r_t = -y; flip on the high face.
-        Chart(lambda s, t: (_vectors(s, y1, t), ex, ez),
+        Chart(lambda s, t: ((s, y1, t), ex, ez),
               (x0, x1), (z0, z1), orientation=-1, name="face+y"),
-        Chart(lambda s, t: (_vectors(s, y0, t), ex, ez),
+        Chart(lambda s, t: ((s, y0, t), ex, ez),
               (x0, x1), (z0, z1), orientation=1, name="face-y"),
         # (x, y) parameters give r_s x r_t = +z; flip on the low face.
-        Chart(lambda s, t: (_vectors(s, t, z1), ex, ey),
+        Chart(lambda s, t: ((s, t, z1), ex, ey),
               (x0, x1), (y0, y1), orientation=1, name="face+z"),
-        Chart(lambda s, t: (_vectors(s, t, z0), ex, ey),
+        Chart(lambda s, t: ((s, t, z0), ex, ey),
               (x0, x1), (y0, y1), orientation=-1, name="face-z"),
     ]
     surface = ParametricSurface(charts, name=name or "box")
@@ -351,8 +374,8 @@ def cylinder_body(radius: float, z_min: float, z_max: float,
 
     def side_geometry(s, z):
         c, n = np.cos(s), np.sin(s)
-        return (_vectors(cx + r0 * c, cy + r0 * n, z),
-                _vectors(-r0 * n, r0 * c, 0.0), np.array([0.0, 0.0, 1.0]))
+        return ((cx + r0 * c, cy + r0 * n, z), (-r0 * n, r0 * c, 0.0),
+                (0.0, 0.0, 1.0))
 
     side = Chart(side_geometry, (0.0, 2.0 * math.pi), (z0, z1),
                  orientation=1, name="cylinder_side",
@@ -361,9 +384,8 @@ def cylinder_body(radius: float, z_min: float, z_max: float,
     def cap(z_cap):
         def geometry(u, s):
             c, n = np.cos(s), np.sin(s)
-            return (_vectors(cx + u * r0 * c, cy + u * r0 * n, z_cap),
-                    _vectors(r0 * c, r0 * n, 0.0),
-                    _vectors(-u * r0 * n, u * r0 * c, 0.0))
+            return ((cx + u * r0 * c, cy + u * r0 * n, z_cap),
+                    (r0 * c, r0 * n, 0.0), (-u * r0 * n, u * r0 * c, 0.0))
         return geometry
 
     top = Chart(cap(z1), (0.0, 1.0), (0.0, 2.0 * math.pi),
@@ -455,12 +477,6 @@ def _chart_sum(surface, order: int, rows_fn, *per_chart) -> np.ndarray:
     return quadrature_sum(quadrature, map(rows_fn, quadrature, *per_chart))
 
 
-def moment_arms(cn: ChartNodes, about: ReducedPoint) -> np.ndarray:
-    """(x - about) x n at every node of a chart, as (3, N) rows."""
-    arm = cn.point_rows - np.array(about.as_tuple())[:, None]
-    return cross_rows(arm, cn.normal_rows)
-
-
 def integrate_g_dsigma_f(surface, g, f, order: int) -> Quaternion:
     """The two-sided surface integral of g dsigma f.
 
@@ -503,6 +519,6 @@ def integrate_moment_kernel(surface, h, about: ReducedPoint,
                             order: int) -> ReducedPoint:
     """Integral of h(x) (x - about) x n dS, the moment-arm weighted normal."""
     def rows(cn: ChartNodes) -> np.ndarray:
-        return node_values(h, cn.point_array) * moment_arms(cn, about)
+        return node_values(h, cn.point_array) * cn.moment_arms(about)
 
     return ReducedPoint(*_chart_sum(surface, order, rows))

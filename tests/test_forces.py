@@ -34,6 +34,7 @@ from quatflow import (
     uniform_flow,
     vanishing_force_cases,
 )
+from quatflow import surfaces
 from quatflow.scenarios import ScenarioConfig
 
 GAMMA = 2.0 * math.pi
@@ -304,6 +305,46 @@ def test_forces_and_moments_evaluate_each_chart_once(body):
         order=ORDER)
     assert mq.moment == fresh_mq.moment
     assert mp.moment == fresh_mp.moment
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sphere_body(1.0),
+    lambda: box_body((-1.0, 1.0), (-1.1, 1.0), (-1.0, 1.2)),
+    lambda: cylinder_body(1.0, -1.0, 1.0),
+], ids=["sphere", "box", "cylinder"])
+def test_both_moment_routes_build_the_arms_once_per_chart(make, monkeypatch):
+    about, other = ReducedPoint(0.3, -0.2, 0.1), ReducedPoint(-0.5, 0.4, 0.0)
+
+    routes = (
+        lambda body, about: moment_quadratic(
+            counting_potential([]), body, about, rho=1.3, order=ORDER),
+        lambda body, about: moment_from_pressure(
+            pressure_field(counting_potential([]), rho=1.3), body, about,
+            order=ORDER))
+
+    def moments(body, about):
+        return tuple(route(body, about).moment for route in routes)
+
+    # each route alone on its own fresh body
+    alone = tuple(route(make(), about).moment for route in routes)
+    body = make()
+    quadrature = body.surface.quadrature(ORDER)
+    cross_rows, built = surfaces.cross_rows, []
+    monkeypatch.setattr(surfaces, "cross_rows",
+                        lambda *args: built.append(1) or cross_rows(*args))
+    assert moments(body, about) == alone
+    assert len(built) == len(quadrature)
+    centre = np.array(about.as_tuple())[:, None]
+    for cn in quadrature:
+        arms = cn.moment_arms(about)
+        assert cn.moment_arms(about) is arms and not arms.flags.writeable
+        assert np.array_equal(arms, cross_rows(
+            cn.point_rows - centre, cn.normal_rows, np.empty(arms.shape)))
+    # a second reference point replaces the kept arms; the first comes back
+    # with the same bits
+    moments(body, other)
+    assert moments(body, about) == alone
+    assert len(built) == 3 * len(quadrature)
 
 
 @pytest.mark.parametrize("box", [

@@ -374,6 +374,52 @@ def test_chart_nodes_are_read_only_component_rows_with_array_views(name):
         assert cn.point_rows.base is None and cn.normal_rows.base is None
         table = field.jet_table(cn.point_array)
         assert field.jet_table(cn.point_array) is table
+        # dsigma / dS is built once, read-only, with the normals' bits
+        quaternions = cn.normal_quaternions()
+        assert cn.normal_quaternions() is quaternions
+        assert quaternions.shape == (4, n) and not quaternions.flags.writeable
+        assert np.array_equal(quaternions[:3], cn.normal_rows)
+        assert np.array_equal(quaternions[3], np.zeros(n))
+    vn = make(*args).volume_nodes(5)
+    rows = vn.point_array.base
+    assert rows.shape == (3, len(vn.weights)) and rows.dtype == np.float64
+    assert rows.flags.c_contiguous and rows.flags.owndata
+    assert not rows.flags.writeable and not vn.point_array.flags.writeable
+    assert np.array_equal(vn.point_array, rows.T)
+
+
+def test_components_of_any_broadcast_shape_give_the_reference_bits():
+    # x on the t row, y a scalar, z on the s column; constant partials
+    def geometry(s, t):
+        return (0.5 * t - 0.2, 0.3, 2.0 * s), (0.0, 0.0, 2.0), (0.5, 0.0, 0.0)
+
+    forms = (lambda s, t: vectors(0.5 * t - 0.2, 0.3, 2.0 * s),
+             lambda s, t: np.array([0.0, 0.0, 2.0]),
+             lambda s, t: np.array([0.5, 0.0, 0.0]))
+    counts = lambda order: (order, order + 3)
+    chart = Chart(geometry, (-0.4, 0.9), (0.1, 1.7), orientation=-1,
+                  name="slab", node_counts=counts)
+    for order in (2, 3, 8, 17):
+        cn = chart.nodes(order)
+        points, normals, weights = reference_chart_nodes(
+            forms, (-0.4, 0.9), (0.1, 1.7), -1, counts, order)
+        assert np.array_equal(cn.point_array, points), order
+        assert np.array_equal(cn.normal_array, normals), order
+        assert np.array_equal(cn.weights, weights), order
+
+
+@pytest.mark.parametrize("stacked", [0, 1, 2], ids=["r", "r_s", "r_t"])
+def test_a_geometry_in_the_stacked_layout_is_refused(stacked):
+    # an (ns, nt, 3) array would unpack along s on a 3 x 3 grid and give
+    # wrong nodes without an error
+    def geometry(s, t):
+        forms = [(s, t, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+        forms[stacked] = vectors(*forms[stacked])
+        return tuple(forms)
+
+    chart = Chart(geometry, (0.0, 1.0), (0.0, 1.0), name="stacked")
+    with pytest.raises(ValueError, match="^chart stacked: geometry must "):
+        chart.nodes(3)
 
 
 @pytest.mark.parametrize("bad", [0.0, NAN])
@@ -383,8 +429,7 @@ def test_a_degenerate_or_nan_element_names_its_first_node(bad):
     # first at (s[2], t[3]) in s-major order
     def geometry(s, t):
         height = np.where((s > 0.5) & (t > 0.8), bad, 1.0)
-        return (vectors(s, t, 0.0), np.array([1.0, 0.0, 0.0]),
-                vectors(0.0, height, 0.0))
+        return (s, t, 0.0), (1.0, 0.0, 0.0), (0.0, height, 0.0)
 
     chart = Chart(geometry, (0.0, 1.0), (0.0, 1.0), name="pinched")
     nodes, _ = _scaled_gauss(4, 0.0, 1.0)
