@@ -154,12 +154,12 @@ def _blasius_rows(cn: ChartNodes, jets: np.ndarray) -> np.ndarray:
 
 def _components_sc_rows(cn: ChartNodes, jets: np.ndarray) -> np.ndarray:
     g = _conj_grad(jets)
-    return _sc_rows(qmul(qmul(qconj(g), g), cn.normal_quaternions()), -1.0)
+    return _sc_rows(qmul(qmul(qconj(g), g), cn.normal_rows), -1.0)
 
 
 def _monogenic_form_rows(cn: ChartNodes, jets: np.ndarray) -> np.ndarray:
     g = _conj_grad(jets)
-    return _sc_rows(qmul(qmul(g, cn.normal_quaternions()), g), 1.0)
+    return _sc_rows(qmul(qmul(g, cn.normal_rows), g), 1.0)
 
 
 # ----------------------------------------------------------------------

@@ -165,9 +165,11 @@ def cauchy_reconstruct(surface, f, point: ReducedPoint,
     point must keep a distance of at least ``_MARGIN_FACTOR`` (10) mean
     node spacings from every quadrature node; closer points raise
     MarginError because the kernel peak outruns the grid resolution there.
-    Points outside the body are not detected; for them the integral
-    simply returns (approximately) zero.
+    Points outside the body are not detected (the integral is then about
+    zero); a point with a NaN or infinite coordinate raises ValueError.
     """
+    if not all(map(math.isfinite, point.as_tuple())):
+        raise ValueError(f"point {point.as_tuple()} is not finite")
     surf = _surface_of(surface)
     margin = reconstruction_margin(surf, order)
     centre = np.array(point.as_tuple())[:, None]
@@ -178,5 +180,4 @@ def cauchy_reconstruct(surface, f, point: ReducedPoint,
             f"point {point.as_tuple()} is {dist:.3f} from the surface but "
             f"the order-{order} grid needs a margin of {margin:.3f}; "
             f"raise the order or move the point inward")
-    kernel = cauchy_kernel_field(pole=point)
-    return integrate_g_dsigma_f(surf, kernel, f, order)
+    return integrate_g_dsigma_f(surf, cauchy_kernel_field(point), f, order)

@@ -395,11 +395,9 @@ def monogenic_completion(u: ScalarField,
             grid = (c + ts[:, None] * arm[:, None, :]).reshape(-1, 3)
             jd = _jet_rows(segment_row, grid).reshape(4, len(arm), n, 4)
             jd = jd.transpose(3, 0, 1, 2)   # component, slot, row, node
-            xq = np.zeros((4, 1, len(arm), 1))
-            xq[:3, 0, :, 0] = arm.T
             # chain rule: a partial sees t (d Dbar u)(x - c) plus Dbar u
             # times the partial of x - c (1, i or j); vector parts only
-            outer = qmul(jd, xq)[1:]
+            outer = qmul(jd, arm.T[:, None, :, None])[1:]
             end = np.concatenate((jd[1:, :1], qmul(jd[:, :1], units)[1:]), 1)
             del jd   # free the segment table before the sums
             for table, (nodes, w1, w2) in zip(out, rules):

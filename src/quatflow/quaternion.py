@@ -6,7 +6,8 @@ vanishes, x + y*i + z*j, is called reduced and is identified with the
 point (x, y, z) of 3-space.  Vector geometry (dot, cross, distances)
 lives on :class:`ReducedPoint`; the noncommutative algebra lives on
 :class:`Quaternion`.  :func:`qmul` and :func:`qconj` apply the same
-algebra to component-first numpy operands, one row per component.
+algebra to component-first numpy operands, one row per component
+(``qmul`` also reads three rows as a reduced quaternion, k = 0).
 """
 
 from __future__ import annotations
@@ -322,12 +323,12 @@ def cross(r, s) -> ReducedPoint:
 
 
 def qmul(p, q) -> np.ndarray:
-    """Hamilton product of component-first operands ((4, ...) arrays or four
-    component rows), broadcast, as a (4, ...) array.  Each entry is formed
-    by the same expressions, in the same order, as ``Quaternion.__mul__``,
-    so it equals the scalar product bit for bit."""
-    a0, a1, a2, a3 = p
-    b0, b1, b2, b3 = q
+    """Hamilton product of component-first operands ((4, ...) arrays, four
+    component rows, or three rows of a reduced quaternion, k = 0.0) as a
+    broadcast (4, ...) array, each entry formed by the expressions of
+    ``Quaternion.__mul__`` in order, so equal to it bit for bit."""
+    a0, a1, a2, a3 = p if len(p) == 4 else (*p, 0.0)
+    b0, b1, b2, b3 = q if len(q) == 4 else (*q, 0.0)
     return np.stack((
         a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
         a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,

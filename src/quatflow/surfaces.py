@@ -177,16 +177,6 @@ class ChartNodes:
     def normals(self) -> list[ReducedPoint]:
         return list(as_points(self.normal_array))
 
-    def normal_quaternions(self) -> np.ndarray:
-        """The read-only (4, N) component rows of n1 + n2 i + n3 j,
-        dsigma / dS, built on the first call."""
-        return self._normal_quaternions
-
-    @cached_property
-    def _normal_quaternions(self) -> np.ndarray:
-        return _frozen(np.vstack((self.normal_rows,
-                                  np.zeros(len(self.weights)))))
-
     def moment_arms(self, about: ReducedPoint) -> np.ndarray:
         """(x - about) x n at every node, as read-only (3, N) rows; those of
         the last reference point (keyed by its bits) are kept."""
@@ -446,8 +436,8 @@ def in_node_order(evaluate, node_calls, xyz: np.ndarray):
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a b for (4, N) quaternion component rows; (N,) real rows scale the
-    other side, as Quaternion's scalar product does."""
+    """a b for (4, N) quaternion or (3, N) reduced component rows; (N,)
+    real rows scale the other side, as Quaternion's scalar product does."""
     return a * b if a.ndim == 1 or b.ndim == 1 else qmul(a, b)
 
 
@@ -490,7 +480,7 @@ def integrate_g_dsigma_f(surface, g, f, order: int) -> Quaternion:
         values = in_node_order(
             lambda xyz: [node_values(h, xyz) for h in sides],
             lambda p: [h(p) for h in sides], cn.point_array)
-        out = cn.normal_quaternions()
+        out = cn.normal_rows   # dsigma / dS = n1 + n2 i + n3 j
         if g is not None:
             out = _times(values[0].T, out)
         return out if f is None else _times(out, values[-1].T)

@@ -1,6 +1,7 @@
 """Stokes, closed-surface and reconstruction identities."""
 
 import math
+import warnings
 
 import pytest
 
@@ -134,6 +135,19 @@ def test_reconstruction_margin_value_and_refusals():
     # A coarse grid has a margin above the radius: nothing is deep enough.
     with pytest.raises(MarginError):
         cauchy_reconstruct(surface, f, ReducedPoint(0.0, 0.0, 0.0), order=24)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_reconstruction_refuses_a_non_finite_point(bad):
+    surface = sphere_body(1.0).surface
+    point = ReducedPoint(0.1, bad, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite") as err:
+            cauchy_reconstruct(surface, saddle_flow().field, point, order=16)
+    # named before the margin check and before the kernel's pole
+    assert type(err.value) is ValueError
+    assert str(point.as_tuple()) in str(err.value)
 
 
 def test_reconstruction_outside_point_sees_zero():

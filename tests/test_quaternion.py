@@ -227,6 +227,23 @@ def test_qmul_on_component_rows_equals_the_scalar_product_bit_for_bit():
     assert got.shape == (4, 400)
     assert float_bits(got.T) == float_bits(expected)
     assert float_bits(as_rows) == float_bits(got)
+    # three rows are a reduced quaternion: its k is 0.0 in every product
+    reduced = [Quaternion(*p.as_tuple()[:3], 0.0) for p in ps]
+    reduced_q = [Quaternion(*q.as_tuple()[:3], 0.0) for q in qs]
+    for left, right, pairs in ((rows_p[:3], rows_q, zip(reduced, qs)),
+                               (rows_p, rows_q[:3], zip(ps, reduced_q)),
+                               (rows_p[:3], tuple(rows_q[:3]),
+                                zip(reduced, reduced_q))):
+        with np.errstate(all="ignore"):
+            got = qmul(left, right)
+        assert got.shape == (4, 400)
+        assert float_bits(got.T) == float_bits(
+            [(p * q).as_tuple() for p, q in pairs])
+    for rows in (rows_p[:2], np.vstack((rows_p, rows_p[:1]))):
+        with pytest.raises(ValueError):
+            qmul(rows, rows_q)
+        with pytest.raises(ValueError):
+            qmul(rows_q, rows)
 
 
 def test_qmul_broadcasts_a_constant_quaternion_against_rows():

@@ -10,6 +10,7 @@ from quatflow import (
     PlanarContour,
     Quaternion,
     ReducedPoint,
+    all_force_methods,
     box_body,
     cylinder_body,
     integrate_g_dsigma_f,
@@ -17,10 +18,15 @@ from quatflow import (
     integrate_scalar,
     integrate_scalar_dsigma,
     integrate_vector_area,
+    moment_from_pressure,
+    moment_quadratic,
+    pressure_field,
+    saddle_flow,
     sphere_body,
     uniform_flow,
 )
-from quatflow.surfaces import _scaled_gauss
+from quatflow.surfaces import (_scaled_gauss, _times, node_values,
+                               quadrature_sum)
 
 ORDER = 12
 
@@ -146,6 +152,44 @@ def test_scalar_weighted_form_matches_two_sided_form():
     a = integrate_scalar_dsigma(cube, lambda p: p.y, ORDER)
     b = integrate_g_dsigma_f(cube, None, lambda p: Quaternion(p.y), ORDER)
     assert (a - b).norm() <= 1e-13
+
+
+def padded_g_dsigma_f(surface, g, f, order):
+    """integrate_g_dsigma_f's sum with dsigma / dS as (4, N) rows whose k row
+    is zeros, the layout the reduced normal rows replaced."""
+    def rows(cn):
+        out = np.vstack((cn.normal_rows, np.zeros(len(cn.weights))))
+        if g is not None:
+            out = _times(node_values(g, cn.point_array).T, out)
+        if f is not None:
+            out = _times(out, node_values(f, cn.point_array).T)
+        return out
+
+    quadrature = surface.quadrature(order)
+    return quadrature_sum(quadrature, map(rows, quadrature))
+
+
+def real_weight(p):
+    return p.x * p.y - 0.5 * p.z
+
+
+def quaternion_weight(p):
+    return Quaternion(p.y - p.z, p.x * p.z, -p.y, p.x * p.y + 0.25)
+
+
+@pytest.mark.parametrize("body", [sphere_body(0.8, ReducedPoint(0.1, 0, -0.2)),
+                                  unit_cube(), cylinder_body(0.6, -0.4, 0.7)],
+                         ids=["sphere", "box", "cylinder"])
+def test_reduced_normal_rows_keep_the_padded_rows_bits(body):
+    for g, f in ((None, None), (real_weight, None), (None, quaternion_weight),
+                 (quaternion_weight, saddle_flow().field),
+                 (real_weight, quaternion_weight)):
+        got = integrate_g_dsigma_f(body, g, f, 8).as_tuple()
+        expected = padded_g_dsigma_f(body.surface, g, f, 8)
+        assert np.array_equal(np.array(got).view(np.int64),
+                              expected.view(np.int64)), (g, f)
+        if f is None:   # a real weight's k slot is +0.0 exactly
+            assert math.copysign(1.0, got[3]) == 1.0 and got[3] == 0.0
 
 
 def test_integrate_scalar_recovers_area():
@@ -361,8 +405,14 @@ def test_nodes_equal_the_flat_grid_of_per_chart_forms_bit_for_bit(name):
 @pytest.mark.parametrize("name", sorted(PINNED_BODIES))
 def test_chart_nodes_are_read_only_component_rows_with_array_views(name):
     make, args, _ = PINNED_BODIES[name]
-    field = uniform_flow(1.0).field
-    for cn in make(*args).surface.quadrature(6):
+    body, field = make(*args), uniform_flow(1.0).field
+    # every route on these nodes; the still flow's gate admits the form
+    about = ReducedPoint(0.3, -0.2, 0.1)
+    for pot in (uniform_flow(1.0), uniform_flow(0.0)):
+        all_force_methods(pot, body, order=6)
+        moment_quadratic(pot, body, about, order=6)
+        moment_from_pressure(pressure_field(pot), body, about, order=6)
+    for cn in body.surface.quadrature(6):
         n = len(cn.weights)
         for rows, array in ((cn.point_rows, cn.point_array),
                             (cn.normal_rows, cn.normal_array)):
@@ -374,12 +424,12 @@ def test_chart_nodes_are_read_only_component_rows_with_array_views(name):
         assert cn.point_rows.base is None and cn.normal_rows.base is None
         table = field.jet_table(cn.point_array)
         assert field.jet_table(cn.point_array) is table
-        # dsigma / dS is built once, read-only, with the normals' bits
-        quaternions = cn.normal_quaternions()
-        assert cn.normal_quaternions() is quaternions
-        assert quaternions.shape == (4, n) and not quaternions.flags.writeable
-        assert np.array_equal(quaternions[:3], cn.normal_rows)
-        assert np.array_equal(quaternions[3], np.zeros(n))
+        # dsigma / dS is the normal rows themselves: no zero-padded copy
+        assert not hasattr(cn, "normal_quaternions")
+        held = [v for value in vars(cn).values()
+                for v in (value if isinstance(value, tuple) else (value,))]
+        assert not any(isinstance(v, np.ndarray) and v.ndim == 2
+                       and len(v) == 4 for v in held)
     vn = make(*args).volume_nodes(5)
     rows = vn.point_array.base
     assert rows.shape == (3, len(vn.weights)) and rows.dtype == np.float64
