@@ -265,7 +265,7 @@ class QuaternionField(_Field):
         self._domain_array = domain_array
         self._value_array = value_array
         self.name = name
-        self._tables: dict[int, tuple] = {}   # see jet_table
+        self._tables: dict[int, tuple] = {}   # see _remembered
 
     @property
     def has_analytic_jet(self) -> bool:
@@ -294,19 +294,36 @@ class QuaternionField(_Field):
         Remembered tables are read-only and kept, each beside its xyz so
         that no other array takes that id, for the ``_TABLES_KEPT`` most
         recently used arrays, component-major.  An error stores nothing."""
+        entry = self._remembered(xyz)
+        return self.jet_array(xyz) if entry is None else entry[1]
+
+    def table_rows(self, xyz: np.ndarray, derive: Callable):
+        """``derive(jet_table(xyz))``, kept beside a remembered table (one
+        result per ``derive`` function) and evicted with it; derived afresh
+        for a table that is not remembered.  An error stores nothing."""
+        entry = self._remembered(xyz)
+        if entry is None:
+            return derive(self.jet_array(xyz))
+        if derive not in entry[2]:
+            entry[2][derive] = derive(entry[1])
+        return entry[2][derive]
+
+    def _remembered(self, xyz: np.ndarray) -> Optional[tuple]:
+        """The kept (xyz, table, derived rows) of a read-only xyz, made on
+        a miss, now the most recently used; None for a writable xyz."""
         base = xyz
         while isinstance(base, np.ndarray) and not base.flags.writeable:
             base = base.base
         if base is not None:   # a writable array, or data numpy cannot see
-            return self.jet_array(xyz)
+            return None
         entry = self._tables.pop(id(xyz), None)
         if entry is None:
             rows = np.ascontiguousarray(self.jet_array(xyz).swapaxes(1, 2))
-            entry = (xyz, _frozen(rows.swapaxes(1, 2)))
+            entry = (xyz, _frozen(rows.swapaxes(1, 2)), {})
             if len(self._tables) == _TABLES_KEPT:
                 self._tables.pop(next(iter(self._tables)), None)
         self._tables[id(xyz)] = entry
-        return entry[1]
+        return entry
 
     def __call__(self, p: ReducedPoint) -> Quaternion:
         self._check(p)
@@ -359,24 +376,30 @@ class QuaternionField(_Field):
                                domain_array=self._domain_array)
 
 
-def _closed_form(value, partials, domain=None, name="") -> QuaternionField:
+def _closed_form(value, partials, domain=None, name="",
+                 prelude=None) -> QuaternionField:
     """A field from one closed form written over coordinate columns.
 
     ``value(x, y, z, xp)`` returns the four components of the field,
     ``partials(x, y, z, xp)`` the twelve of its x, y and z partials (four
     each) and ``domain(x, y, z, xp)`` where it is defined.  ``xp`` is
     ``math`` when x, y, z are the floats of one point and ``numpy`` when
-    they are the (N,) columns of a point array.  The scalar value and jet
-    run on floats; the array jet, the value-only array form and the array
-    domain run on columns, each component filling one contiguous row.
+    they are the (N,) columns of a point array.  With a ``prelude``, value
+    and partials take what ``prelude(x, y, z, xp)`` returns, computed once
+    per jet.  The scalar value and jet run on floats; the array jet, the
+    value-only array form and the array domain run on columns, each
+    component filling one contiguous row.
     """
+    prelude = prelude or (lambda *columns: columns)
+
     def evaluate(p: ReducedPoint) -> Quaternion:
-        return Quaternion(*value(p.x, p.y, p.z, math))
+        return Quaternion(*value(*prelude(p.x, p.y, p.z, math)))
 
     def jet(p: ReducedPoint) -> Jet:
-        d = partials(p.x, p.y, p.z, math)
-        return Jet(evaluate(p), Quaternion(*d[:4]), Quaternion(*d[4:8]),
-                   Quaternion(*d[8:]))
+        columns = prelude(p.x, p.y, p.z, math)
+        d = partials(*columns)
+        return Jet(Quaternion(*value(*columns)), Quaternion(*d[:4]),
+                   Quaternion(*d[4:8]), Quaternion(*d[8:]))
 
     point_domain = None
     if domain is not None:
@@ -393,10 +416,10 @@ def _closed_form(value, partials, domain=None, name="") -> QuaternionField:
     def write(rows: np.ndarray, xyz: np.ndarray, add: bool) -> None:
         # the value's rows are stored before the partials run, so they are
         # not held beside the partials' temporaries
-        x, y, z = xyz.T
-        fill(rows, value(x, y, z, np), add)
+        columns = prelude(*xyz.T, np)
+        fill(rows, value(*columns), add)
         if len(rows) > 4:
-            fill(rows[4:], partials(x, y, z, np), add)
+            fill(rows[4:], partials(*columns), add)
 
     domain_array = None if domain is None else \
         (lambda xyz: domain(*xyz.T, np))
@@ -756,52 +779,57 @@ def _poly(name, evaluate, gradient, hessian):
                        hessian=hessian, name=name)
 
 
-def _column_scalar(name: str, value, gradient, hessian,
+def _column_scalar(name: str, value, prelude, gradient, hessian,
                    domain) -> ScalarField:
-    """A harmonic ScalarField from its value, gradient (three entries),
-    Hessian (three rows) and domain over columns, as ``_closed_form``
-    takes them: each gives its point form on floats, and the value and
-    domain give ``evaluate_array`` and ``domain_array`` on columns."""
+    """A harmonic ScalarField from its value and domain over columns, and
+    its gradient (three entries) and Hessian (three rows) over the columns
+    ``prelude(x, y, z, xp)`` returns, as ``_closed_form`` takes them: each
+    gives its point form on floats, and the value and domain give
+    ``evaluate_array`` and ``domain_array`` on columns."""
     def at_point(form):
         return lambda p: form(p.x, p.y, p.z, math)
+
+    def after_prelude(form):
+        return lambda p: form(*prelude(p.x, p.y, p.z, math))
 
     def on_columns(form):
         return lambda xyz: form(*xyz.T, np)
 
-    return ScalarField(at_point(value), gradient=at_point(gradient),
-                       laplacian=lambda p: 0.0, hessian=at_point(hessian),
+    return ScalarField(at_point(value), gradient=after_prelude(gradient),
+                       laplacian=lambda p: 0.0,
+                       hessian=after_prelude(hessian),
                        domain=at_point(domain), name=name,
                        evaluate_array=on_columns(value),
                        domain_array=on_columns(domain))
 
 
-def _relative(center: ReducedPoint):
-    """(x, y, z, xp) -> (u, v, w, r): the offset from center and its norm."""
+def _relative(center: ReducedPoint, cubed: bool = False):
+    """(x, y, z, xp) -> (u, v, w, r): the offset from center and its norm,
+    followed by r ** 3 when ``cubed``."""
     cx, cy, cz = center.x, center.y, center.z
 
     def relative(x, y, z, xp):
         u, v, w = x - cx, y - cy, z - cz
-        return u, v, w, xp.sqrt(u * u + v * v + w * w)
+        r = xp.sqrt(u * u + v * v + w * w)
+        return (u, v, w, r, r ** 3) if cubed else (u, v, w, r)
     return relative
 
 
 def _inv_r(scale: float = 1.0, center: ReducedPoint = ReducedPoint()):
-    """scale / r with r = |x - c|, over columns: its value, gradient,
-    Hessian and domain as ``_log_x_plus_r`` gives them.  The domain
-    excludes a ball of radius ``DEFAULT_EXCLUSION`` about c."""
+    """scale / r with r = |x - c|, over columns: its value, prelude,
+    gradient, Hessian and domain as ``_log_x_plus_r`` gives them; the
+    prelude is (u, v, w, r, r ** 3).  The domain excludes a ball of radius
+    ``DEFAULT_EXCLUSION`` about c."""
     relative = _relative(center)
 
     def value(x, y, z, xp):
         return scale / relative(x, y, z, xp)[3]
 
-    def gradient(x, y, z, xp):
-        u, v, w, r = relative(x, y, z, xp)
-        r3 = r ** 3
+    def gradient(u, v, w, r, r3):
         return -scale * u / r3, -scale * v / r3, -scale * w / r3
 
-    def hessian(x, y, z, xp):
-        u, v, w, r = relative(x, y, z, xp)
-        r3, r5 = r ** 3, r ** 5
+    def hessian(u, v, w, r, r3):
+        r5 = r ** 5
         uv = scale * 3.0 * u * v / r5
         uw = scale * 3.0 * u * w / r5
         vw = scale * 3.0 * v * w / r5
@@ -812,14 +840,15 @@ def _inv_r(scale: float = 1.0, center: ReducedPoint = ReducedPoint()):
     def domain(x, y, z, xp):
         return relative(x, y, z, xp)[3] > DEFAULT_EXCLUSION
 
-    return value, gradient, hessian, domain
+    return value, _relative(center, cubed=True), gradient, hessian, domain
 
 
 def _log_x_plus_r(scale: float = 1.0, center: ReducedPoint = ReducedPoint()):
     """scale * log(u + r) with u = x - c_x and r = |x - c|, over columns.
 
-    Returns its value, gradient (three entries), Hessian (three rows) and
-    domain, each a function of (x, y, z, xp) as in ``_closed_form``.  The
+    Returns its value, prelude (u, v, w, r), gradient (three entries),
+    Hessian (three rows) and domain as in ``_closed_form``: the gradient
+    and Hessian take the prelude's columns, the rest (x, y, z, xp).  The
     domain excludes a ball of radius ``DEFAULT_EXCLUSION`` about c and a
     tube of that radius about the ray from c along -x, where u + r = 0.
     """
@@ -829,13 +858,11 @@ def _log_x_plus_r(scale: float = 1.0, center: ReducedPoint = ReducedPoint()):
         u, v, w, r = relative(x, y, z, xp)
         return scale * xp.log(u + r)
 
-    def gradient(x, y, z, xp):
-        u, v, w, r = relative(x, y, z, xp)
+    def gradient(u, v, w, r):
         s = u + r
         return scale / r, scale * v / (r * s), scale * w / (r * s)
 
-    def hessian(x, y, z, xp):
-        u, v, w, r = relative(x, y, z, xp)
+    def hessian(u, v, w, r):
         s = u + r
         r3 = r ** 3
         c = (s + r) / (r3 * s * s)
@@ -850,7 +877,7 @@ def _log_x_plus_r(scale: float = 1.0, center: ReducedPoint = ReducedPoint()):
         off_ray = (u > 0.0) | (xp.hypot(v, w) > DEFAULT_EXCLUSION)
         return (r > DEFAULT_EXCLUSION) & off_ray
 
-    return value, gradient, hessian, domain
+    return value, relative, gradient, hessian, domain
 
 
 def harmonic_catalog() -> dict[str, ScalarField]:
@@ -903,14 +930,12 @@ def harmonic_catalog() -> dict[str, ScalarField]:
     def x_over_r3(x, y, z, xp):
         return x / norm(x, y, z, xp)[3] ** 3
 
-    def x_over_r3_grad(x, y, z, xp):
-        r = norm(x, y, z, xp)[3]
+    def x_over_r3_grad(x, y, z, r):
         r3, r5 = r ** 3, r ** 5
         return (1.0 / r3 - 3.0 * x * x / r5, -3.0 * x * y / r5,
                 -3.0 * x * z / r5)
 
-    def x_over_r3_hess(x, y, z, xp):
-        r = norm(x, y, z, xp)[3]
+    def x_over_r3_hess(x, y, z, r):
         r5, r7 = r ** 5, r ** 7
         xy = -3.0 * y / r5 + 15.0 * x * x * y / r7
         xz = -3.0 * z / r5 + 15.0 * x * x * z / r7
@@ -919,7 +944,8 @@ def harmonic_catalog() -> dict[str, ScalarField]:
                 (xy, -3.0 * x / r5 + 15.0 * x * y * y / r7, yz),
                 (xz, yz, -3.0 * x / r5 + 15.0 * x * z * z / r7))
 
-    fields["x/r^3"] = _column_scalar("x/r^3", x_over_r3, x_over_r3_grad,
-                                     x_over_r3_hess, _inv_r()[3])
+    fields["x/r^3"] = _column_scalar("x/r^3", x_over_r3, norm,
+                                     x_over_r3_grad, x_over_r3_hess,
+                                     _inv_r()[4])
     fields["log(x+r)"] = _column_scalar("log(x+r)", *_log_x_plus_r())
     return fields

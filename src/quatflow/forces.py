@@ -29,7 +29,12 @@ integrals for a given pressure are the surface integrals
 ``integrate_scalar_dsigma`` and ``integrate_moment_kernel``, negated.
 The potential's field remembers one read-only table per chart node array
 (``QuaternionField.jet_table``), so all force and moment routes, the gate
-and ``pressure_field`` evaluate each chart once per potential.
+and ``pressure_field`` evaluate each chart once per potential.  Beside
+each table it keeps the read-only rows derived from it that several
+routes read (``QuaternionField.table_rows``): w Dbar and |w Dbar|^2
+(``_flow_rows``) and |v|^2 (``_speed_sq``), formed once per table and
+evicted with it.  ``pressure_field``'s array form relies on the table's
+own domain check, made before the table is, and runs no second one.
 """
 
 from __future__ import annotations
@@ -46,7 +51,9 @@ from .surfaces import (
     ChartNodes,
     RegularBody,
     _chart_sum,
+    _frozen,
     _surface_of,
+    in_node_order,
     integrate_moment_kernel,
     integrate_scalar_dsigma,
     norm_rows,
@@ -117,6 +124,12 @@ def _norm_sq(q) -> np.ndarray:
     return q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
 
 
+def _flow_rows(jets: np.ndarray) -> tuple:
+    """w Dbar as read-only (4, N) rows and |w Dbar|^2 as a read-only row."""
+    g = _frozen(np.array(_conj_grad(jets)))
+    return g, _frozen(_norm_sq(g))
+
+
 def _sc_rows(t, s: float) -> np.ndarray:
     """Sc t, Sc(t (s i)) and Sc(t (s j)) as (3, N) rows; the last two are
     the first entries of ``qmul`` by s i and s j, formed alone."""
@@ -125,40 +138,43 @@ def _sc_rows(t, s: float) -> np.ndarray:
                      t0 * 0.0 - t1 * 0.0 - t2 * s - t3 * 0.0))
 
 
-def _bernoulli(jets: np.ndarray, rho: float, stagnation: float) -> np.ndarray:
-    """p0 - (rho/2) |grad Sc w|^2 at every node of a jet table."""
+def _speed_sq(jets: np.ndarray) -> np.ndarray:
+    """|grad Sc w|^2 at every node of a jet table, as a read-only row."""
     vx, vy, vz = jets[1][:, 0], jets[2][:, 0], jets[3][:, 0]
-    return stagnation - 0.5 * rho * (vx * vx + vy * vy + vz * vz)
+    return _frozen(vx * vx + vy * vy + vz * vz)
 
 
-def _jet_tables(potential, body, order) -> list[np.ndarray]:
-    """The potential's remembered jet table of each chart of body."""
-    return [potential.jet_table(cn.point_array)
+def _bernoulli(speed_sq, rho: float, stagnation: float) -> np.ndarray:
+    """p0 - (rho/2) |grad Sc w|^2 from a ``_speed_sq`` row."""
+    return stagnation - 0.5 * rho * speed_sq
+
+
+def _reduce(potential, body, order, derive, rows_fn,
+            scale: float) -> ReducedPoint:
+    """scale times the quadrature sum of rows_fn(chart nodes, rows), with
+    rows the derive(jet table) the potential keeps beside each table."""
+    rows = [potential.table_rows(cn.point_array, derive)
             for cn in _surface_of(body).quadrature(order)]
+    return ReducedPoint(*(scale * _chart_sum(body, order, rows_fn, rows)))
 
 
-def _reduce(potential, body, order, rows_fn, scale: float) -> ReducedPoint:
-    """scale times the quadrature sum of rows_fn(chart nodes, jet table)."""
-    jets = _jet_tables(potential, body, order)
-    return ReducedPoint(*(scale * _chart_sum(body, order, rows_fn, jets)))
+def _force(potential, body, order, derive, rows_fn, scale, method):
+    force = _reduce(potential, body, order, derive, rows_fn, scale)
+    return ForceResult(force, method, order,
+                       _surface_of(body).node_count(order))
 
 
-def _force(potential, body, order, rows_fn, scale, method):
-    return ForceResult(_reduce(potential, body, order, rows_fn, scale),
-                       method, order, _surface_of(body).node_count(order))
+def _blasius_rows(cn: ChartNodes, flow: tuple) -> np.ndarray:
+    return flow[1] * cn.normal_rows
 
 
-def _blasius_rows(cn: ChartNodes, jets: np.ndarray) -> np.ndarray:
-    return _norm_sq(_conj_grad(jets)) * cn.normal_rows
-
-
-def _components_sc_rows(cn: ChartNodes, jets: np.ndarray) -> np.ndarray:
-    g = _conj_grad(jets)
+def _components_sc_rows(cn: ChartNodes, flow: tuple) -> np.ndarray:
+    g = flow[0]
     return _sc_rows(qmul(qmul(qconj(g), g), cn.normal_rows), -1.0)
 
 
-def _monogenic_form_rows(cn: ChartNodes, jets: np.ndarray) -> np.ndarray:
-    g = _conj_grad(jets)
+def _monogenic_form_rows(cn: ChartNodes, flow: tuple) -> np.ndarray:
+    g = flow[0]
     return _sc_rows(qmul(qmul(g, cn.normal_rows), g), 1.0)
 
 
@@ -166,11 +182,21 @@ def _monogenic_form_rows(cn: ChartNodes, jets: np.ndarray) -> np.ndarray:
 # force routes
 # ----------------------------------------------------------------------
 
+class _Pressure(ScalarField):
+    """A pressure whose array form reads jet tables, which the potential's
+    field makes only after its own domain check, so ``value_array`` makes
+    no second one; an error is still the pressure's, row by row."""
+
+    def value_array(self, xyz: np.ndarray) -> np.ndarray:
+        return in_node_order(self._value_array, self, xyz)
+
+
 def pressure_field(potential, rho: float = 1.0,
                    stagnation: float = 0.0) -> ScalarField:
     """Bernoulli pressure p0 - (rho/2) |grad Sc w|^2.
 
-    Its array form reads the jet tables the potential's field remembers.
+    Its array form reads the |v|^2 rows kept beside the jet tables the
+    potential's field remembers.
     """
     pot = potential if isinstance(potential, FlowPotential) \
         else FlowPotential(potential)
@@ -180,11 +206,11 @@ def pressure_field(potential, rho: float = 1.0,
         return stagnation - 0.5 * rho * pot.speed_squared_at(p)
 
     def ev_array(xyz: np.ndarray) -> np.ndarray:
-        return _bernoulli(field.jet_table(xyz), rho, stagnation)
+        return _bernoulli(field.table_rows(xyz, _speed_sq), rho, stagnation)
 
-    return ScalarField(ev, domain=field.in_domain,
-                       name=f"pressure({pot.name})", evaluate_array=ev_array,
-                       domain_array=field.in_domain_array)
+    return _Pressure(ev, domain=field.in_domain, name=f"pressure({pot.name})",
+                     evaluate_array=ev_array,
+                     domain_array=field.in_domain_array)
 
 
 def force_from_pressure(pressure, body, order: int = 16, *,
@@ -201,17 +227,17 @@ def force_pressure_direct(potential, body, rho: float = 1.0,
                           order: int = 16, *,
                           stagnation: float = 0.0) -> ForceResult:
     """The pressure route, with p from the Bernoulli relation."""
-    def rows(cn, j):
-        return -_bernoulli(j, rho, stagnation) * cn.normal_rows
+    def rows(cn, speed_sq):
+        return -_bernoulli(speed_sq, rho, stagnation) * cn.normal_rows
 
-    return _force(potential, body, order, rows, 1.0, "pressure")
+    return _force(potential, body, order, _speed_sq, rows, 1.0, "pressure")
 
 
 def force_blasius(potential, body, rho: float = 1.0,
                   order: int = 16) -> ForceResult:
     """F = (rho/8) (integral of) |w Dbar|^2 dsigma."""
-    return _force(potential, body, order, _blasius_rows, rho / 8.0,
-                  "blasius")
+    return _force(potential, body, order, _flow_rows, _blasius_rows,
+                  rho / 8.0, "blasius")
 
 
 def force_components_sc(potential, body, rho: float = 1.0,
@@ -223,15 +249,15 @@ def force_components_sc(potential, body, rho: float = 1.0,
     conj(g) g is a scalar, these agree with the norm route exactly, which
     the tests pin down to the last bit.
     """
-    return _force(potential, body, order, _components_sc_rows, rho / 8.0,
-                  "components-sc")
+    return _force(potential, body, order, _flow_rows, _components_sc_rows,
+                  rho / 8.0, "components-sc")
 
 
 # ----------------------------------------------------------------------
 # monogenic form with its stream-surface gate
 # ----------------------------------------------------------------------
 
-def _gate_stream_surface(quadrature, jets_per_chart) -> None:
+def _gate_stream_surface(potential, quadrature) -> None:
     """Raise StreamSurfaceError unless v.n vanishes at every node.
 
     With v = grad Sc w, the density of the monogenic form is
@@ -243,7 +269,8 @@ def _gate_stream_surface(quadrature, jets_per_chart) -> None:
     the tolerance is not finite and admits nothing.
     """
     # v = (dx, dy, dz) of Sc w at every node, as (3, N) rows
-    velocities = [jets[1:, :, 0] for jets in jets_per_chart]
+    velocities = [potential.jet_table(cn.point_array)[1:, :, 0]
+                  for cn in quadrature]
     scale = 0.0
     for v in velocities:
         # fmax skips NaN, as a running max over the nodes would
@@ -276,10 +303,9 @@ def force_monogenic_form(potential, body, rho: float = 1.0,
     only where v.n = 0 at every node, so that an admitted form is the
     pressure-route force; StreamSurfaceError otherwise.
     """
-    _gate_stream_surface(_surface_of(body).quadrature(order),
-                         _jet_tables(potential, body, order))
-    return _force(potential, body, order, _monogenic_form_rows, -rho / 8.0,
-                  "monogenic-form")
+    _gate_stream_surface(potential, _surface_of(body).quadrature(order))
+    return _force(potential, body, order, _flow_rows, _monogenic_form_rows,
+                  -rho / 8.0, "monogenic-form")
 
 
 # ----------------------------------------------------------------------
@@ -289,10 +315,11 @@ def force_monogenic_form(potential, body, rho: float = 1.0,
 def moment_quadratic(potential, body, about: ReducedPoint, rho: float = 1.0,
                      order: int = 16) -> MomentResult:
     """M = (rho/8) (integral of) |w Dbar|^2 (x - about) x n dS."""
-    def rows(cn, jets):
-        return _norm_sq(_conj_grad(jets)) * cn.moment_arms(about)
+    def rows(cn, flow):
+        return flow[1] * cn.moment_arms(about)
 
-    return MomentResult(_reduce(potential, body, order, rows, rho / 8.0),
+    return MomentResult(_reduce(potential, body, order, _flow_rows, rows,
+                                rho / 8.0),
                         about, "quadratic-form", order,
                         _surface_of(body).node_count(order))
 

@@ -100,6 +100,9 @@ class FlowPotential:
     def jet_table(self, xyz: np.ndarray) -> np.ndarray:
         return self.field.jet_table(xyz)
 
+    def table_rows(self, xyz: np.ndarray, derive: Callable):
+        return self.field.table_rows(xyz, derive)
+
     def in_domain(self, p: ReducedPoint) -> bool:
         return self.field.in_domain(p)
 
@@ -627,13 +630,13 @@ def saddle_flow() -> FlowPotential:
 
 
 def _dbar_closed_form(scalar, name: str) -> QuaternionField:
-    """Dbar u as a closed form, for u's value, gradient, Hessian and domain
-    over columns (as ``fields._inv_r`` and ``fields._log_x_plus_r``)."""
-    _, gradient, hessian, domain = scalar
-    return _closed_form(
-        lambda x, y, z, xp: _dbar_entries(gradient(x, y, z, xp)),
-        lambda x, y, z, xp: _dbar_entries(h=hessian(x, y, z, xp)),
-        domain, name=name)
+    """Dbar u as a closed form, for u's value, prelude, gradient, Hessian
+    and domain over columns (as ``fields._inv_r`` and
+    ``fields._log_x_plus_r``); a jet computes the prelude once."""
+    _, prelude, gradient, hessian, domain = scalar
+    return _closed_form(lambda *columns: _dbar_entries(gradient(*columns)),
+                        lambda *columns: _dbar_entries(h=hessian(*columns)),
+                        domain, name=name, prelude=prelude)
 
 
 def point_source(strength: float,

@@ -51,8 +51,8 @@ from quatflow import (
     sphere_flow,
     uniform_flow,
 )
-from quatflow import cli, potentials
-from quatflow.fields import FD_STEP2, _fd_stencil
+from quatflow import cli, fields, potentials
+from quatflow.fields import FD_STEP2, _dbar_entries, _fd_stencil
 from quatflow.planar import cylinder_vortex_2d, embed_2d
 
 ORDER = 12
@@ -243,6 +243,52 @@ def test_array_jet_matches_scalar_jet(name, monkeypatch):
             assert values[k].tolist() == list(field(p).as_tuple()), (name, p)
         else:
             assert close(values[k], field(p).as_tuple(), 1e-13), (name, p)
+
+
+@pytest.mark.parametrize("kind", ["dipole", "source"])
+def test_fused_column_jet_equals_the_separate_forms(kind, monkeypatch):
+    center = ReducedPoint(0.1, -0.2, 0.3)
+    if kind == "dipole":
+        scalar = fields._inv_r(-0.7, center)
+        make = functools.partial(dipole_flow, 0.7, center)
+    else:
+        scalar = fields._log_x_plus_r(-0.9 / (4.0 * math.pi), center)
+        make = functools.partial(point_source, 0.9, center)
+    _, prelude, gradient, hessian, _ = scalar
+    rng = np.random.default_rng(20251019)
+    units = rng.normal(size=(40, 3))
+    units /= np.linalg.norm(units, axis=1)[:, None]
+    units[:, 0] = np.abs(units[:, 0])   # off the cut ray
+    angles = rng.uniform(0.0, 2.0 * math.pi, 40)
+    # seeded points, points just outside the excluded ball about the
+    # centre, and points just off the source's cut ray from it along -x
+    xyz = np.array(center.as_tuple()) + np.concatenate((
+        rng.uniform(-2.0, 2.0, (200, 3)), 3e-8 * units,
+        np.column_stack((-rng.uniform(0.1, 2.0, 40), 3e-8 * np.cos(angles),
+                         3e-8 * np.sin(angles)))))
+
+    preludes = []
+    closed_form = potentials._closed_form
+
+    def counting_closed_form(*args, prelude, **kwargs):
+        def counted(*columns):
+            preludes.append(columns)
+            return prelude(*columns)
+        return closed_form(*args, prelude=counted, **kwargs)
+
+    monkeypatch.setattr(potentials, "_closed_form", counting_closed_form)
+    field = make().field
+    assert field.in_domain_array(xyz).all()
+    table = field.jet_array(xyz)
+    assert len(preludes) == 1   # shared by the value and the partials
+    x, y, z = xyz.T
+    expected = np.empty((16, len(xyz)))
+    entries = (_dbar_entries(gradient(*prelude(x, y, z, np)))
+               + _dbar_entries(h=hessian(*prelude(x, y, z, np))))
+    for row, entry in zip(expected, entries):
+        row[...] = entry
+    assert table.transpose(0, 2, 1).tobytes() == expected.tobytes()
+    assert field.value_array(xyz).tobytes() == expected[:4].T.tobytes()
 
 
 def stencil_laplacian(field, p):

@@ -1,13 +1,16 @@
 """Force and moment routes on closed surfaces, with the classical oracles."""
 
+import gc
 import math
 import random
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 from quatflow import (
+    DomainError,
     FlowPotential,
     QuaternionField,
     ReducedPoint,
@@ -34,7 +37,7 @@ from quatflow import (
     uniform_flow,
     vanishing_force_cases,
 )
-from quatflow import surfaces
+from quatflow import forces, surfaces
 from quatflow.scenarios import ScenarioConfig
 
 GAMMA = 2.0 * math.pi
@@ -305,6 +308,89 @@ def test_forces_and_moments_evaluate_each_chart_once(body):
         order=ORDER)
     assert mq.moment == fresh_mq.moment
     assert mp.moment == fresh_mp.moment
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sphere_body(1.0),
+    lambda: box_body((-1.0, 1.0), (-1.1, 1.0), (-1.0, 1.2)),
+    lambda: cylinder_body(1.0, -1.0, 1.0),
+], ids=["sphere", "box", "cylinder"])
+def test_w_dbar_rows_are_formed_once_per_chart(make, monkeypatch):
+    about = ReducedPoint(0.3, -0.2, 0.1)
+    routes = {
+        "forces": lambda pot, body: all_force_methods(pot, body, rho=1.3,
+                                                      order=ORDER),
+        "quadratic": lambda pot, body: moment_quadratic(
+            pot, body, about, rho=1.3, order=ORDER),
+        "pressure": lambda pot, body: moment_from_pressure(
+            pressure_field(pot, rho=1.3), body, about, order=ORDER)}
+    # each route alone, on a fresh potential and body, before any counting
+    alone = {name: route(counting_potential([]), make())
+             for name, route in routes.items()}
+
+    formed = []
+    conj_grad = forces._conj_grad
+    monkeypatch.setattr(forces, "_conj_grad",
+                        lambda jets: formed.append(jets.shape[1])
+                        or conj_grad(jets))
+    body = make()
+    quadrature = body.surface.quadrature(ORDER)
+    pot = counting_potential([])
+    together = {name: route(pot, body) for name, route in routes.items()}
+    assert formed == [len(cn.weights) for cn in quadrature]
+    assert together == alone
+
+    # the rows are kept beside the remembered table and die with it
+    xyz = quadrature[0].point_array
+    kept = pot.table_rows(xyz, forces._flow_rows)
+    assert pot.table_rows(xyz, forces._flow_rows) is kept
+    assert all(not rows.flags.writeable for rows in kept)
+    assert len(formed) == len(quadrature)
+    # a writable copy of the nodes gets the same bits and remembers nothing
+    other = counting_potential([])
+    fresh = other.table_rows(np.array(xyz), forces._flow_rows)
+    assert [rows.tobytes() for rows in fresh] == \
+        [rows.tobytes() for rows in kept]
+    assert other.field._tables == {}
+    ref = weakref.ref(kept[0])
+    del pot, kept, together
+    gc.collect()
+    assert ref() is None
+
+
+def test_pressure_checks_the_domain_once_per_chart(monkeypatch):
+    calls = []
+    in_domain_array = QuaternionField.in_domain_array
+
+    def counted(field, xyz):
+        calls.append(len(xyz))
+        return in_domain_array(field, xyz)
+
+    monkeypatch.setattr(QuaternionField, "in_domain_array", counted)
+    about = ReducedPoint(0.3, -0.2, 0.1)
+    body = cylinder_body(1.0, -1.0, 1.0)
+    pressure = pressure_field(uniform_flow(1.0) + dipole_flow(0.5))
+    first = moment_from_pressure(pressure, body, about, order=48)
+    assert calls == [4608] * 3
+    # a remembered table passed that check when it was made
+    assert moment_from_pressure(pressure, body, about, order=48) == first
+    assert calls == [4608] * 3
+
+
+@pytest.mark.parametrize("writable", [False, True])
+def test_pressure_names_its_first_row_outside_the_domain(writable):
+    pot = uniform_flow(1.0) + point_source(1.0)
+    pressure = pressure_field(pot)
+    xyz = np.array([[0.5, 0.1, 0.0], [0.3, 0.0, 0.2], [-0.5, 0.0, 0.0],
+                    [0.0, 0.0, 0.0], [0.2, -0.4, 0.1]])
+    xyz.setflags(write=writable)
+    for _ in range(2):
+        with pytest.raises(DomainError) as err:
+            pressure.value_array(xyz)
+        assert str(err.value) == (
+            f"field pressure({pot.name}) is not defined at "
+            f"{ReducedPoint(-0.5, 0.0, 0.0)!r}")
+    assert pot.field._tables == {}
 
 
 @pytest.mark.parametrize("make", [
