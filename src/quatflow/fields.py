@@ -592,13 +592,11 @@ def scalar_dbar_field(u: ScalarField) -> QuaternionField:
     scalar gradient and Hessian, row by row, and equal the scalar jet and
     value bit for bit.  The field checks u's domain (once per point, or
     once per array) before any of its forms runs, so the forms call u's
-    unchecked bodies.
+    unchecked bodies.  ``_entries(p)``, the sixteen jet entries of Dbar u
+    at a point of u's domain (u's Hessian, then gradient, or else the
+    finite-difference jet), serves its jets and the completion's.
     """
     gradient = u._gradient_unchecked
-
-    def entries(p: ReducedPoint) -> tuple:
-        h = u._hessian_unchecked(p)   # the Hessian first, in every form
-        return _dbar_entries(gradient(p), h)
 
     def value(p: ReducedPoint) -> Quaternion:
         return Quaternion(*_dbar_entries(gradient(p)))
@@ -608,18 +606,26 @@ def scalar_dbar_field(u: ScalarField) -> QuaternionField:
 
     jet = jet_array = None
     if u.has_analytic_hessian:
+        def entries(p: ReducedPoint) -> tuple:
+            h = u._hessian_unchecked(p)   # the Hessian first, in every form
+            return _dbar_entries(gradient(p), h)
+
         def jet(p: ReducedPoint) -> Jet:
             e = entries(p)
             return Jet(*(Quaternion(*e[k:k + 4]) for k in (0, 4, 8, 12)))
 
         def jet_array(xyz: np.ndarray) -> np.ndarray:
             return _jet_rows(entries, xyz)
+    else:
+        def entries(p: ReducedPoint) -> list:
+            return _jet_entries(field._fd_jet(p))
 
     field = QuaternionField(value, jet=jet, domain=u._domain,
                             name=f"dbar({u.name})", jet_array=jet_array,
                             domain_array=u._domain_array,
                             value_array=value_array)
     field._array_jet_is_rowwise = jet_array is not None
+    field._entries = entries
     return field
 
 
@@ -803,15 +809,13 @@ def _column_scalar(name: str, value, prelude, gradient, hessian,
                        domain_array=on_columns(domain))
 
 
-def _relative(center: ReducedPoint, cubed: bool = False):
-    """(x, y, z, xp) -> (u, v, w, r): the offset from center and its norm,
-    followed by r ** 3 when ``cubed``."""
+def _relative(center: ReducedPoint):
+    """(x, y, z, xp) -> (u, v, w, r): the offset from center and its norm."""
     cx, cy, cz = center.x, center.y, center.z
 
     def relative(x, y, z, xp):
         u, v, w = x - cx, y - cy, z - cz
-        r = xp.sqrt(u * u + v * v + w * w)
-        return (u, v, w, r, r ** 3) if cubed else (u, v, w, r)
+        return u, v, w, xp.sqrt(u * u + v * v + w * w)
     return relative
 
 
@@ -821,6 +825,10 @@ def _inv_r(scale: float = 1.0, center: ReducedPoint = ReducedPoint()):
     prelude is (u, v, w, r, r ** 3).  The domain excludes a ball of radius
     ``DEFAULT_EXCLUSION`` about c."""
     relative = _relative(center)
+
+    def prelude(x, y, z, xp):
+        u, v, w, r = relative(x, y, z, xp)
+        return u, v, w, r, r ** 3
 
     def value(x, y, z, xp):
         return scale / relative(x, y, z, xp)[3]
@@ -840,7 +848,7 @@ def _inv_r(scale: float = 1.0, center: ReducedPoint = ReducedPoint()):
     def domain(x, y, z, xp):
         return relative(x, y, z, xp)[3] > DEFAULT_EXCLUSION
 
-    return value, _relative(center, cubed=True), gradient, hessian, domain
+    return value, prelude, gradient, hessian, domain
 
 
 def _log_x_plus_r(scale: float = 1.0, center: ReducedPoint = ReducedPoint()):

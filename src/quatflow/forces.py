@@ -32,9 +32,10 @@ The potential's field remembers one read-only table per chart node array
 and ``pressure_field`` evaluate each chart once per potential.  Beside
 each table it keeps the read-only rows derived from it that several
 routes read (``QuaternionField.table_rows``): w Dbar and |w Dbar|^2
-(``_flow_rows``) and |v|^2 (``_speed_sq``), formed once per table and
-evicted with it.  ``pressure_field``'s array form relies on the table's
-own domain check, made before the table is, and runs no second one.
+(``_flow_rows``) and |v|^2 (``_speed_sq``, also the gate's tolerance),
+formed once per table and evicted with it.  ``pressure_field``'s array
+form relies on the table's own domain check, made before the table is,
+and runs no second one.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .surfaces import (
     in_node_order,
     integrate_moment_kernel,
     integrate_scalar_dsigma,
-    norm_rows,
 )
 
 __all__ = [
@@ -213,14 +213,13 @@ def pressure_field(potential, rho: float = 1.0,
                      domain_array=field.in_domain_array)
 
 
-def force_from_pressure(pressure, body, order: int = 16, *,
-                        method: str = "pressure") -> ForceResult:
+def force_from_pressure(pressure, body, order: int = 16) -> ForceResult:
     """F = - (integral of) p dsigma for any scalar pressure callable."""
     surface = _surface_of(body)
     # 0 - F rather than -F, so that a zero integral stays +0.0
     force = ReducedPoint() - integrate_scalar_dsigma(surface, pressure,
                                                      order).to_point()
-    return ForceResult(force, method, order, surface.node_count(order))
+    return ForceResult(force, "pressure", order, surface.node_count(order))
 
 
 def force_pressure_direct(potential, body, rho: float = 1.0,
@@ -264,18 +263,19 @@ def _gate_stream_surface(potential, quadrature) -> None:
     rho (|v|^2 n / 2 - v (v.n)), which equals the Bernoulli pressure
     density -p n exactly where the normal flux v.n is zero, i.e. on a
     stream surface.  The tolerance is 1e-8 (1 + the largest |v| over the
-    nodes); the first node where |v.n| is not within it (NaN included)
-    is reported, in chart-major node order.  When the velocities overflow
-    the tolerance is not finite and admits nothing.
+    nodes), the root of the largest kept |v|^2 (sqrt is monotone); the
+    first node where |v.n| is not within it (NaN included) is reported,
+    in chart-major node order.  When the velocities overflow the
+    tolerance is not finite and admits nothing.
     """
-    # v = (dx, dy, dz) of Sc w at every node, as (3, N) rows
-    velocities = [potential.jet_table(cn.point_array)[1:, :, 0]
-                  for cn in quadrature]
-    scale = 0.0
-    for v in velocities:
+    velocities, scale_sq = [], 0.0
+    for cn in quadrature:
+        # v = (dx, dy, dz) of Sc w at every node, as (3, N) rows
+        velocities.append(potential.jet_table(cn.point_array)[1:, :, 0])
         # fmax skips NaN, as a running max over the nodes would
-        scale = float(np.fmax.reduce(norm_rows(v), initial=scale))
-    tol = 1e-8 * (1.0 + scale)
+        scale_sq = np.fmax.reduce(
+            potential.table_rows(cn.point_array, _speed_sq), initial=scale_sq)
+    tol = 1e-8 * (1.0 + float(np.sqrt(scale_sq)))
     if not np.isfinite(tol):
         raise StreamSurfaceError(
             f"monogenic force form refused: gate tolerance {tol} is not "
@@ -354,8 +354,8 @@ class ForceComparison(NamedTuple):
     max_disagreement: float
 
 
-def all_force_methods(potential, body, rho: float = 1.0, order: int = 16,
-                      *, stagnation: float = 0.0) -> ForceComparison:
+def all_force_methods(potential, body, rho: float = 1.0,
+                      order: int = 16) -> ForceComparison:
     """Run every force route and report their largest pairwise gap.
 
     The routes and the gate share the jet table the field remembers for
@@ -365,8 +365,7 @@ def all_force_methods(potential, body, rho: float = 1.0, order: int = 16,
     """
     shared = {"rho": rho, "order": order}
     results = {
-        "pressure": force_pressure_direct(potential, body,
-                                          stagnation=stagnation, **shared),
+        "pressure": force_pressure_direct(potential, body, **shared),
         "blasius": force_blasius(potential, body, **shared),
         "components-sc": force_components_sc(potential, body, **shared),
     }

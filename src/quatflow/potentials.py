@@ -44,7 +44,6 @@ from .fields import (
     _dbar_entries,
     _fd_stencil,
     _inv_r,
-    _jet_entries,
     _jet_rows,
     _log_x_plus_r,
     apply_Dbar_right,
@@ -273,7 +272,7 @@ def _kronrod01(n: int):
     return _frozen(ts), _frozen(0.25 / total + 0.25 / total[::-1])
 
 
-def _completion_parameters(order, tol, max_doublings) -> None:
+def _completion_parameters(center, order, tol, max_doublings) -> None:
     """Raise ValueError naming the first unusable completion parameter."""
     def is_int(v):
         return isinstance(v, numbers.Integral) and not isinstance(v, bool)
@@ -287,6 +286,8 @@ def _completion_parameters(order, tol, max_doublings) -> None:
     if not (is_int(max_doublings) and max_doublings >= 0):
         raise ValueError(f"completion max_doublings must be an integer "
                          f">= 0, not {max_doublings!r}")
+    if not all(map(math.isfinite, center.as_tuple())):
+        raise ValueError(f"completion center {center!r} is not finite")
 
 
 # Most segment points in one Dbar u batch of a completion level, whose
@@ -307,8 +308,7 @@ def _gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def monogenic_completion(u: ScalarField,
                          center: ReducedPoint = ReducedPoint(0.0, 0.0, 0.0),
                          order: int = 8, tol: float = 1e-10,
-                         max_doublings: int = 5,
-                         check_harmonic: bool = True) -> FlowPotential:
+                         max_doublings: int = 5) -> FlowPotential:
     """Monogenic extension of a harmonic u by a radial line integral.
 
     The returned field is
@@ -323,12 +323,13 @@ def monogenic_completion(u: ScalarField,
     ``max_doublings`` use ``tol`` and one more level 1e-8, above which
     CompletionError is raised.  The defaults start at G_8/K_17, so a
     point that converges at once reads 17 segment points; levels
-    m = 8, ..., 256 use ``tol`` and the cap level is m = 512.  The domain
-    of u must contain the center c, which is checked here, and the whole
-    segment from c to the evaluation point, which is checked when
-    evaluating; either failure raises DomainError.  ``order`` must be an
-    integer of at least 1, ``max_doublings`` one of at least 0 and
-    ``tol`` finite and positive; otherwise ValueError is raised here.
+    m = 8, ..., 256 use ``tol`` and the cap level is m = 512.  The center
+    c must be finite and in the domain of u, which is checked here, and
+    so must the whole segment from c to the evaluation point, which is
+    checked when evaluating; a domain failure raises DomainError.
+    ``order`` must be an integer of at least 1, ``max_doublings`` one of
+    at least 0 and ``tol`` finite and positive; otherwise, as for a
+    non-finite c, ValueError is raised here.
 
     The field has one array path; ``jet_at``, calls and ``value_array``
     are its one-row case and value slot.  Its jet on N points takes the
@@ -336,50 +337,40 @@ def monogenic_completion(u: ScalarField,
     ``_COMPLETION_BLOCK`` points, and the levels run per point through a
     mask, so each point takes the levels it would take alone.  A block is
     one pass over its grid points in node order (at each, u's domain
-    check, the harmonic check, then u's Hessian and gradient, or the
-    finite-difference jet of Dbar u for a u without a Hessian), streamed
-    into one float table; these calls into u are most of the time.  The
-    sums are one pass too: two quaternion products give the integrands of
-    all four slots, and each rule's weighted table is added along t from
-    the first node.  The first failing point raises first, with the error
-    it meets alone (levels in order, then t), and results equal the
-    point-by-point sum bit for bit.
+    check, the harmonic check, then the Dbar u jet entries of
+    ``scalar_dbar_field``), streamed into one float table; these calls
+    into u are most of the time.  The sums are one pass too: two
+    quaternion products give the integrands of all four slots, and each
+    rule's weighted table is added along t from the first node.  The
+    first failing point raises first, with the error it meets alone
+    (levels in order, then t), and results equal the point-by-point sum
+    bit for bit.
 
     The scalar part of the result reproduces u exactly by construction;
     monogenicity holds when u is harmonic on a region star-shaped about
-    the center.  ``check_harmonic`` samples the Laplacian of u at the
-    quadrature points of every evaluation and raises ValueError when it
-    is out of tolerance.
+    the center.  The harmonic check always runs: ValueError is raised
+    where the Laplacian of u at a quadrature point is out of tolerance.
     """
-    _completion_parameters(order, tol, max_doublings)
+    _completion_parameters(center, order, tol, max_doublings)
     if not u.in_domain(center):
         # the nodes in t skip t = 0, so no evaluation would notice
         raise DomainError(f"completion center {center!r} is outside the "
                           f"domain of {u.name or '<anonymous>'}")
-    dbar = scalar_dbar_field(u)
+    entries = scalar_dbar_field(u)._entries
     hard_cap = 1e-8
     lap_tol = _harmonic_tol(u)
     c = np.array(center.as_tuple())
-
-    # a point outside u's domain fails the check the definition meets
-    # there first: u's in the harmonic check, else the Dbar u jet's
-    check = u._check if check_harmonic else dbar._check
-    fd_jet = not u.has_analytic_hessian
     units = np.array((I.as_tuple(), J.as_tuple())).T[..., None, None]
 
     def segment_row(q: ReducedPoint):
         """The Dbar u jet at one segment point, after its checks."""
-        check(q)
-        if check_harmonic:
-            lap = u._laplacian_unchecked(q)
-            if not abs(lap) <= lap_tol:
-                raise ValueError(
-                    f"completion input {u.name or '<anonymous>'} is not "
-                    f"harmonic near {q!r} (laplacian {lap:.3e})")
-        if fd_jet:
-            return _jet_entries(dbar._fd_jet(q))
-        h = u._hessian_unchecked(q)
-        return _dbar_entries(u._gradient_unchecked(q), h)
+        u._check(q)
+        lap = u._laplacian_unchecked(q)
+        if not abs(lap) <= lap_tol:
+            raise ValueError(
+                f"completion input {u.name or '<anonymous>'} is not "
+                f"harmonic near {q!r} (laplacian {lap:.3e})")
+        return entries(q)
 
     def level(xyz: np.ndarray, m: int) -> np.ndarray:
         """The vector parts of G_m and K_2m+1 at the rows of xyz, (2, 4,

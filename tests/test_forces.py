@@ -358,6 +358,33 @@ def test_w_dbar_rows_are_formed_once_per_chart(make, monkeypatch):
     assert ref() is None
 
 
+@pytest.mark.parametrize("make, body, refused", [
+    (lambda: sphere_flow(1.0, 1.0), sphere_body(1.0), False),
+    (lambda: counting_potential([]),
+     box_body((-1.0, 1.0), (-1.1, 1.0), (-1.0, 1.2)), True),
+    (lambda: counting_potential([]), cylinder_body(1.0, -1.0, 1.0), True),
+], ids=["sphere-admitted", "box-refused", "cylinder-refused"])
+def test_speed_rows_are_formed_once_per_chart(make, body, refused,
+                                              monkeypatch):
+    # the gate's tolerance reads the |v|^2 rows the pressure route keeps
+    formed = []
+    speed_sq = forces._speed_sq
+    monkeypatch.setattr(forces, "_speed_sq",
+                        lambda jets: formed.append(jets.shape[1])
+                        or speed_sq(jets))
+    once = [len(cn.weights) for cn in body.surface.quadrature(ORDER)]
+    try:
+        force_monogenic_form(make(), body, rho=1.3, order=ORDER)
+        assert not refused
+    except StreamSurfaceError:
+        assert refused
+    assert formed == once
+    formed.clear()
+    comparison = all_force_methods(make(), body, rho=1.3, order=ORDER)
+    assert ("monogenic-form" in comparison.gated) == refused
+    assert formed == once
+
+
 def test_pressure_checks_the_domain_once_per_chart(monkeypatch):
     calls = []
     in_domain_array = QuaternionField.in_domain_array

@@ -201,6 +201,21 @@ def test_completion_rejects_bad_parameters_when_built(kwargs, name):
         monogenic_completion(harmonic_catalog()["x"], **kwargs)
 
 
+@pytest.mark.parametrize("name", ["x^2-y^2", "1/r"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_completion_rejects_a_non_finite_center_when_built(name, bad):
+    # before the domain check: 1/r's domain holds an infinite point and
+    # rejects a NaN one as "outside the domain"
+    u = harmonic_catalog()[name]
+    for axis in range(3):
+        coords = [1.0, 0.5, 0.25]
+        coords[axis] = bad
+        center = ReducedPoint(*coords)
+        with pytest.raises(ValueError) as err:
+            monogenic_completion(u, center=center)
+        assert str(err.value) == f"completion center {center!r} is not finite"
+
+
 def test_completion_takes_the_smallest_parameters():
     pot = monogenic_completion(harmonic_catalog()["x"], order=1, tol=5e-324,
                                max_doublings=0)

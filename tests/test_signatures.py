@@ -13,6 +13,8 @@ from quatflow import (
     force_from_pressure,
     force_monogenic_form,
     force_pressure_direct,
+    harmonic_catalog,
+    monogenic_completion,
     pressure_field,
     sphere_body,
     sphere_flow,
@@ -85,3 +87,15 @@ def test_parameters_after_order_are_keyword_only():
         force_monogenic_form(pot, body, 1.0, 16, 2)
     with pytest.raises(TypeError):
         force_from_pressure(pressure_field(pot), body, 16, 2)
+
+
+def test_options_no_caller_sets_are_gone():
+    # the harmonic check always runs, the comparison's pressure takes
+    # p0 = 0, and a pressure force is always labelled "pressure"
+    pot, body = sphere_flow(1.0, 1.0), sphere_body(1.0)
+    with pytest.raises(TypeError):
+        monogenic_completion(harmonic_catalog()["x"], check_harmonic=False)
+    with pytest.raises(TypeError):
+        all_force_methods(pot, body, stagnation=1.0)
+    with pytest.raises(TypeError):
+        force_from_pressure(pressure_field(pot), body, method="other")
