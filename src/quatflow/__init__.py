@@ -17,12 +17,6 @@ from .quaternion import (
     J,
     K,
     BASIS,
-    multiply,
-    conjugate,
-    norm,
-    sc,
-    vec,
-    inner,
     cross,
 )
 from .fields import (

@@ -173,6 +173,27 @@ def _fd_stencil(fn, p: ReducedPoint, scale: float, field=None) -> list:
     return [(h, fn(plus), fn(minus)) for h, plus, minus in axes]
 
 
+def _fd_partials(fn, p: ReducedPoint, field=None) -> list:
+    """The x, y and z partials of fn at p by central differences with step
+    ``FD_STEP``, over ``_fd_stencil`` (with its domain check, given a field)."""
+    return [(plus - minus) / (2.0 * h) for h, plus, minus
+            in _fd_stencil(fn, p, FD_STEP, field)]
+
+
+def _fd_laplacian(value_array, p: ReducedPoint):
+    """Second central differences with step ``FD_STEP2``, summed axis by axis
+    from 0: p and its six stencil points are read by one ``value_array``
+    call, so an error is the first point's to fail.  A float for (N,) real
+    values, four components for (N, 4) quaternion rows."""
+    axes = _fd_stencil(ReducedPoint.as_tuple, p, FD_STEP2)
+    c, *sides = value_array(np.array(
+        [p.as_tuple()] + [q for _, plus, minus in axes for q in (plus, minus)]))
+    total = 0.0
+    for (h, _, _), plus, minus in zip(axes, sides[::2], sides[1::2]):
+        total = total + (plus - 2.0 * c + minus) / (h * h)
+    return total
+
+
 class _Field:
     """What both field classes share: a ``name``, a domain predicate
     ``_domain`` (None for everywhere) with its optional (N, 3) array form
@@ -336,8 +357,7 @@ class QuaternionField(_Field):
         return self._fd_jet(p)
 
     def _fd_jet(self, p: ReducedPoint) -> Jet:
-        partials = [(plus - minus) / (2.0 * h) for h, plus, minus
-                    in _fd_stencil(self._evaluate, p, FD_STEP, self)]
+        partials = _fd_partials(self._evaluate, p, self)
         return Jet(self._evaluate(p), *partials)
 
     # ------------------------------------------------------------------
@@ -455,8 +475,9 @@ class ScalarField(_Field):
     ``gradient`` maps a point to a ReducedPoint or three numbers;
     ``hessian`` to a 3x3 nested sequence (row-major, symmetric);
     ``laplacian`` to a float.
-    Missing derivatives fall back to central differences with steps
-    ``FD_STEP`` (first order) and ``FD_STEP2`` (second order).
+    Missing derivatives fall back to central differences: the gradient to
+    ``_fd_partials`` (step ``FD_STEP``), the Laplacian to ``_fd_laplacian``
+    (step ``FD_STEP2``) through the domain-checked ``value_array``.
     ``evaluate_array`` and ``domain_array`` are optional array forms of
     ``evaluate`` and ``domain`` on (N, 3) point arrays; the domain checks
     and ``value_array`` come from the base shared with
@@ -513,8 +534,7 @@ class ScalarField(_Field):
     # is a tuple of three floats.
     def _gradient_unchecked(self, p: ReducedPoint) -> tuple:
         if self._gradient is None:
-            g = [(plus - minus) / (2.0 * h) for h, plus, minus
-                 in _fd_stencil(self._evaluate, p, FD_STEP, self)]
+            g = _fd_partials(self._evaluate, p, self)
         else:
             g = self._gradient(p)
             if isinstance(g, ReducedPoint):
@@ -531,11 +551,7 @@ class ScalarField(_Field):
         if self._hessian is not None:
             h = self._hessian(p)
             return float(h[0][0] + h[1][1] + h[2][2])
-        c = self._evaluate(p)
-        out = 0.0
-        for h, plus, minus in _fd_stencil(self._evaluate, p, FD_STEP2):
-            out += (plus - 2.0 * c + minus) / (h * h)
-        return out
+        return float(_fd_laplacian(self.value_array, p))
 
     def as_quaternion_field(self) -> QuaternionField:
         """Embed into the scalar slot; the jet uses the gradient."""
@@ -680,22 +696,15 @@ def apply_Dbar_right(f, p: ReducedPoint) -> Quaternion:
 def laplacian(f, p: ReducedPoint) -> Quaternion:
     """Componentwise Laplacian; equals D(Dbar f) and Dbar(D f).
 
-    Scalar fields with analytic second-derivative data use it; otherwise
-    second-order central differences with step FD_STEP2 are applied to
-    each quaternion component, at p and its six stencil points read by
-    one ``value_array`` call (an error is the first point's to fail).
+    A ScalarField gives its own ``laplacian_at`` in the scalar slot.  Any
+    other field takes second-order central differences with step FD_STEP2
+    of each quaternion component (``_fd_laplacian``), at p and its six
+    stencil points read by one ``value_array`` call (an error is the first
+    point's to fail).
     """
-    if isinstance(f, ScalarField) and f.has_analytic_laplacian:
+    if isinstance(f, ScalarField):
         return Quaternion(f.laplacian_at(p))
-    g = _as_field(f)
-    axes = _fd_stencil(ReducedPoint.as_tuple, p, FD_STEP2)
-    xyz = np.array([p.as_tuple()] + [q for _, plus, minus in axes
-                                     for q in (plus, minus)])
-    c, *sides = (Quaternion(*row) for row in g.value_array(xyz).tolist())
-    total = Quaternion()
-    for (h, _, _), plus, minus in zip(axes, sides[::2], sides[1::2]):
-        total = total + (plus - c * 2.0 + minus) / (h * h)
-    return total
+    return Quaternion(*_fd_laplacian(_as_field(f).value_array, p))
 
 
 def euler_operator(f, p: ReducedPoint) -> Quaternion:

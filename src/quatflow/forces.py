@@ -4,7 +4,8 @@ All routes start from the Bernoulli pressure p = p0 - (rho/2)|v|^2 and
 the closed-surface identity F = -(integral of) p dsigma, but differ in
 how the quadratic velocity term is expressed:
 
-* ``force_pressure_direct``: the pressure integral as written.
+* ``force_pressure_direct``: the pressure integral as written,
+  ``force_from_pressure`` of the Bernoulli ``pressure_field``.
 * ``force_blasius``: (rho/8) times the integral of |w Dbar|^2 dsigma,
   using |w Dbar|^2 = 4 |v|^2 for a monogenic potential w.
 * ``force_components_sc``: the same quantity component by component as
@@ -144,11 +145,6 @@ def _speed_sq(jets: np.ndarray) -> np.ndarray:
     return _frozen(vx * vx + vy * vy + vz * vz)
 
 
-def _bernoulli(speed_sq, rho: float, stagnation: float) -> np.ndarray:
-    """p0 - (rho/2) |grad Sc w|^2 from a ``_speed_sq`` row."""
-    return stagnation - 0.5 * rho * speed_sq
-
-
 def _reduce(potential, body, order, derive, rows_fn,
             scale: float) -> ReducedPoint:
     """scale times the quadrature sum of rows_fn(chart nodes, rows), with
@@ -202,11 +198,14 @@ def pressure_field(potential, rho: float = 1.0,
         else FlowPotential(potential)
     field = pot.field
 
+    def bernoulli(speed_sq):
+        return stagnation - 0.5 * rho * speed_sq
+
     def ev(p: ReducedPoint) -> float:
-        return stagnation - 0.5 * rho * pot.speed_squared_at(p)
+        return bernoulli(pot.speed_squared_at(p))
 
     def ev_array(xyz: np.ndarray) -> np.ndarray:
-        return _bernoulli(field.table_rows(xyz, _speed_sq), rho, stagnation)
+        return bernoulli(field.table_rows(xyz, _speed_sq))
 
     return _Pressure(ev, domain=field.in_domain, name=f"pressure({pot.name})",
                      evaluate_array=ev_array,
@@ -225,11 +224,9 @@ def force_from_pressure(pressure, body, order: int = 16) -> ForceResult:
 def force_pressure_direct(potential, body, rho: float = 1.0,
                           order: int = 16, *,
                           stagnation: float = 0.0) -> ForceResult:
-    """The pressure route, with p from the Bernoulli relation."""
-    def rows(cn, speed_sq):
-        return -_bernoulli(speed_sq, rho, stagnation) * cn.normal_rows
-
-    return _force(potential, body, order, _speed_sq, rows, 1.0, "pressure")
+    """The pressure route: ``force_from_pressure`` of ``pressure_field``."""
+    return force_from_pressure(pressure_field(potential, rho, stagnation),
+                               body, order)
 
 
 def force_blasius(potential, body, rho: float = 1.0,

@@ -246,9 +246,13 @@ class ReductionReport(NamedTuple):
                 f"{status}")
 
 
+# Gauss order of the planar contour integrals in ``reduce_and_compare``.
+_ORDER_2D = 32
+
+
 def reduce_and_compare(potential: ComplexPotential, contour: PlanarContour,
                        body: RegularBody, rho: float = 1.0,
-                       order_2d: int = 32, order_3d: int = 16,
+                       order_3d: int = 16,
                        about: complex = 0j, height: float = 1.0,
                        tol: float = 1e-8) -> ReductionReport:
     """Check that the embedded 3D force and moment match the 2D formulas.
@@ -261,9 +265,9 @@ def reduce_and_compare(potential: ComplexPotential, contour: PlanarContour,
     the moment formula too, and both 3D routes read the one jet table per
     chart that the embedded potential's field remembers.
     """
-    f2 = blasius_force_2d(potential, contour, rho=rho, order=order_2d)
+    f2 = blasius_force_2d(potential, contour, rho=rho, order=_ORDER_2D)
     m2 = blasius_moment_2d(potential, contour, about=about, rho=rho,
-                           order=order_2d, check_streamline=False)
+                           order=_ORDER_2D, check_streamline=False)
     embedded = embed_2d(potential)
     f3 = force_blasius(embedded, body, rho=rho, order=order_3d).force
     about3 = ReducedPoint(about.real, about.imag, 0.0)

@@ -25,16 +25,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .quaternion import I, J, Quaternion, ReducedPoint, qmul
-from .surfaces import _frozen, as_points, gauss_legendre
+from .surfaces import _gauss01, _kronrod01, as_points
 from .fields import (
     DEFAULT_EXCLUSION,
-    FD_STEP,
     DomainError,
     Jet,
     MonogenicityReport,
@@ -42,7 +40,7 @@ from .fields import (
     ScalarField,
     _closed_form,
     _dbar_entries,
-    _fd_stencil,
+    _fd_partials,
     _inv_r,
     _jet_rows,
     _log_x_plus_r,
@@ -78,11 +76,9 @@ __all__ = [
 class FlowPotential:
     """A quaternion potential together with flow-oriented accessors."""
 
-    def __init__(self, field: QuaternionField, name: str = "",
-                 description: str = ""):
+    def __init__(self, field: QuaternionField, name: str = ""):
         self.field = field
         self.name = name or field.name
-        self.description = description
 
     def __call__(self, p: ReducedPoint) -> Quaternion:
         return self.field(p)
@@ -177,8 +173,7 @@ class VelocityField:
     def jacobian_at(self, p: ReducedPoint):
         if self._jacobian is not None:
             return self._jacobian(p)
-        cols = [((plus - minus) / (2.0 * h)).as_tuple() for h, plus, minus
-                in _fd_stencil(self, p, FD_STEP)]
+        cols = [d.as_tuple() for d in _fd_partials(self, p)]
         return tuple(tuple(cols[b][a] for b in range(3)) for a in range(3))
 
 
@@ -216,60 +211,11 @@ def monogenic_from_gradient(
                 raise ValueError(
                     f"scalar field {u.name or '<anonymous>'} is not harmonic: "
                     f"laplacian {lap:.3e} at {p!r} exceeds {tol:.1e}")
-    return FlowPotential(scalar_dbar_field(u), name=f"dbar({u.name})",
-                         description="conjugate gradient of a harmonic scalar")
+    return FlowPotential(scalar_dbar_field(u), name=f"dbar({u.name})")
 
 
 class CompletionError(ArithmeticError):
     """The completion quadrature did not reach the requested accuracy."""
-
-
-@lru_cache(maxsize=64)
-def _gauss01(n: int):
-    """Gauss-Legendre nodes and weights on [0, 1], cached and read-only."""
-    x, w = gauss_legendre(n)
-    return _frozen(0.5 * (x + 1.0)), _frozen(0.5 * w)
-
-
-@lru_cache(maxsize=64)
-def _kronrod01(n: int):
-    """The Kronrod rule K_2n+1 on [0, 1], cached and read-only: its nodes,
-    ascending, with those of ``_gauss01(n)`` (their bits) at the odd
-    places, and its weights.  Laurie's algorithm (Math. Comp. 66, 1997)
-    extends the Legendre recurrence's off-diagonal squares b (the diagonal
-    stays 0 for an even weight) to the Jacobi-Kronrod matrix; the nodes
-    are its eigenvalues, the weights its Christoffel numbers.  Even and odd
-    indices grouped, the matrix is [[0, B], [B^T, 0]] with B bidiagonal, so
-    the eigenvalues are 0 and +- the singular values of B."""
-    k = np.arange(1.0, 2 * n + 1)
-    b = np.concatenate(([2.0], k * k / (4.0 * k * k - 1.0)))
-    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
-    t[1] = b[n + 1]
-    for m in range(n - 1):
-        k = np.arange((m + 1) // 2, -1, -1)
-        s[k + 1] = np.cumsum(b[k + n + 1] * s[k] - b[m - k] * s[k + 1])
-        s, t = t, s
-    s[1:] = s[:-1].copy()
-    for m in range(n - 1, 2 * n - 2):
-        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
-        j = n - m + k
-        s[j] = np.cumsum(b[m - k] * s[j + 1] - b[k + n + 1] * s[j])
-        if m % 2:
-            b[(m + 1) // 2 + n + 1] = s[j[-1]] / s[j[-1] + 1]
-        s, t = t, s
-    r = np.sqrt(b)
-    bidiagonal = np.eye(n + 1, n) * r[1::2] + np.eye(n + 1, n, -1) * r[2::2]
-    s = np.linalg.svd(bidiagonal, compute_uv=False)   # descending
-    x = np.concatenate((-s, [0.0], s[::-1]))   # symmetric about 0
-    # 1 / w = sum_k p_k(x)^2 over the matrix's orthonormal polynomials
-    p_prev, p = np.zeros_like(x), np.full_like(x, 1.0 / r[0])
-    total = p * p
-    for k in range(2 * n):
-        p_prev, p = p, (x * p - r[k] * p_prev) / r[k + 1]
-        total += p * p
-    ts = 0.5 * (x + 1.0)
-    ts[1::2] = _gauss01(n)[0]
-    return _frozen(ts), _frozen(0.25 / total + 0.25 / total[::-1])
 
 
 def _completion_parameters(center, order, tol, max_doublings) -> None:
@@ -437,8 +383,7 @@ def monogenic_completion(u: ScalarField,
                             jet_array=jet_array,
                             domain_array=u._domain_array)
     field._array_jet_is_rowwise = True
-    return FlowPotential(field, name=f"completion({u.name})",
-                         description="radial monogenic completion")
+    return FlowPotential(field, name=f"completion({u.name})")
 
 
 # ----------------------------------------------------------------------
@@ -589,8 +534,7 @@ def uniform_flow(u1: float, u2: float = 0.0, u3: float = 0.0) -> FlowPotential:
                 u3, 0.0, 0.5 * u1, -0.5 * u2)
 
     field = _closed_form(value, partials, name=f"uniform({u1},{u2},{u3})")
-    return FlowPotential(field, name=field.name,
-                         description="uniform stream")
+    return FlowPotential(field)
 
 
 def identity_flow() -> FlowPotential:
@@ -600,8 +544,7 @@ def identity_flow() -> FlowPotential:
                                               0.0, 0.5, 0.0, 0.0,
                                               0.0, 0.0, 0.5, 0.0),
                          name="identity")
-    return FlowPotential(field, name="identity",
-                         description="monogenic extension of x")
+    return FlowPotential(field, name="identity")
 
 
 def saddle_flow() -> FlowPotential:
@@ -616,8 +559,7 @@ def saddle_flow() -> FlowPotential:
                 0.0, 0.0, 2.0 * x / 3.0, 2.0 * y / 3.0)
 
     field = _closed_form(value, partials, name="saddle")
-    return FlowPotential(field, name="saddle",
-                         description="monogenic extension of x^2 - y^2")
+    return FlowPotential(field, name="saddle")
 
 
 def _dbar_closed_form(scalar, name: str) -> QuaternionField:
@@ -643,9 +585,7 @@ def point_source(strength: float,
     m = float(strength)
     field = _dbar_closed_form(_log_x_plus_r(-m / (4.0 * math.pi), center),
                               name=f"dbar(source_log({m}))")
-    return FlowPotential(field, name=f"source({m})",
-                         description="point source (ray-cut logarithmic "
-                                     "primitive)")
+    return FlowPotential(field, name=f"source({m})")
 
 
 def dipole_flow(coefficient: float,
@@ -654,8 +594,7 @@ def dipole_flow(coefficient: float,
     built as Dbar applied to -c / |x - center|."""
     c0 = float(coefficient)
     field = _dbar_closed_form(_inv_r(-c0, center), name=f"dipole({c0})")
-    return FlowPotential(field, name=field.name,
-                         description="x-directed dipole")
+    return FlowPotential(field)
 
 
 def sphere_flow(speed: float, radius: float) -> FlowPotential:
@@ -665,7 +604,6 @@ def sphere_flow(speed: float, radius: float) -> FlowPotential:
         raise ValueError(f"sphere flow needs a finite radius > 0, got {a!r}")
     pot = uniform_flow(u) + dipole_flow(0.5 * u * a ** 3)
     pot.name = f"sphere(U={u},a={a})"
-    pot.description = "uniform stream plus image dipole"
     return pot
 
 
@@ -704,8 +642,7 @@ def embedded_potential(f: Callable[[complex], complex],
             return domain2d(zeta(x, y, xp))
 
     field = _closed_form(value, partials, domain, name=name or "embedded")
-    return FlowPotential(field, name=field.name,
-                         description="embedded planar potential")
+    return FlowPotential(field)
 
 
 def _cylinder_forms(speed: float, radius: float, circulation: float = 0.0):

@@ -19,12 +19,6 @@ import numpy as np
 __all__ = [
     "Quaternion",
     "ReducedPoint",
-    "multiply",
-    "conjugate",
-    "norm",
-    "sc",
-    "vec",
-    "inner",
     "cross",
     "qmul",
     "qconj",
@@ -272,34 +266,6 @@ I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
 BASIS = (ONE, I, J, K)
-
-
-def multiply(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Hamilton product p*q."""
-    return p * q
-
-
-def conjugate(q: Quaternion) -> Quaternion:
-    return q.conjugate()
-
-
-def norm(q: Quaternion) -> float:
-    return q.norm()
-
-
-def sc(q: Quaternion) -> float:
-    """Scalar part, (q + conj(q)) / 2."""
-    return q.q0
-
-
-def vec(q: Quaternion) -> Quaternion:
-    """Vector part, q - sc(q)."""
-    return q.vector_part()
-
-
-def inner(p: Quaternion, q: Quaternion) -> float:
-    """Euclidean inner product Sc(p * conj(q)) = sum of componentwise products."""
-    return p.inner(q)
 
 
 def _as_point(r, what: str) -> ReducedPoint:

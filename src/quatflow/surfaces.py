@@ -8,7 +8,9 @@ grid on every chart; the oriented element is
 
 with n the outward unit normal.  Integrals of the two-sided form
 g dsigma f are the workhorse for Cauchy-type theorems and for force and
-moment evaluation.
+moment evaluation.  The 1D rules live here too: ``gauss_legendre``,
+``_scaled_gauss``, and the completion's ``_gauss01`` and Kronrod
+``_kronrod01`` on [0, 1].
 
 Nodes are numpy arrays: a chart's one geometry form, evaluated on the
 axes of its Gauss grid, gives (x, y, z) component triples that are
@@ -63,6 +65,53 @@ def _scaled_gauss(n: int, a: float, b: float):
     x, w = gauss_legendre(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
+
+
+@lru_cache(maxsize=64)
+def _gauss01(n: int):
+    """Gauss-Legendre nodes and weights on [0, 1], cached and read-only."""
+    return tuple(map(_frozen, _scaled_gauss(n, 0.0, 1.0)))
+
+
+@lru_cache(maxsize=64)
+def _kronrod01(n: int):
+    """The Kronrod rule K_2n+1 on [0, 1], cached and read-only: its nodes,
+    ascending, with those of ``_gauss01(n)`` (their bits) at the odd
+    places, and its weights.  Laurie's algorithm (Math. Comp. 66, 1997)
+    extends the Legendre recurrence's off-diagonal squares b (the diagonal
+    stays 0 for an even weight) to the Jacobi-Kronrod matrix; the nodes
+    are its eigenvalues, the weights its Christoffel numbers.  Even and odd
+    indices grouped, the matrix is [[0, B], [B^T, 0]] with B bidiagonal, so
+    the eigenvalues are 0 and +- the singular values of B."""
+    k = np.arange(1.0, 2 * n + 1)
+    b = np.concatenate(([2.0], k * k / (4.0 * k * k - 1.0)))
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        s[k + 1] = np.cumsum(b[k + n + 1] * s[k] - b[m - k] * s[k + 1])
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        j = n - m + k
+        s[j] = np.cumsum(b[m - k] * s[j + 1] - b[k + n + 1] * s[j])
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j[-1]] / s[j[-1] + 1]
+        s, t = t, s
+    r = np.sqrt(b)
+    bidiagonal = np.eye(n + 1, n) * r[1::2] + np.eye(n + 1, n, -1) * r[2::2]
+    s = np.linalg.svd(bidiagonal, compute_uv=False)   # descending
+    x = np.concatenate((-s, [0.0], s[::-1]))   # symmetric about 0
+    # 1 / w = sum_k p_k(x)^2 over the matrix's orthonormal polynomials
+    p_prev, p = np.zeros_like(x), np.full_like(x, 1.0 / r[0])
+    total = p * p
+    for k in range(2 * n):
+        p_prev, p = p, (x * p - r[k] * p_prev) / r[k + 1]
+        total += p * p
+    ts = 0.5 * (x + 1.0)
+    ts[1::2] = _gauss01(n)[0]
+    return _frozen(ts), _frozen(0.25 / total + 0.25 / total[::-1])
 
 
 def cross_rows(a, b, out: np.ndarray) -> np.ndarray:

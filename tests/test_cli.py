@@ -374,6 +374,38 @@ def test_a_negative_zero_tol_reads_as_zero(zero, capsys):
     assert re.findall(r'"tol": [^,\n]*', out) == ['"tol": 0.0']
 
 
+def test_verify_fails_on_a_nan_planar_moment_gap(monkeypatch, capsys):
+    real = cli.reduce_and_compare
+
+    def nan_moment(*args, **kwargs):
+        return real(*args, **kwargs)._replace(moment_gap=math.nan)
+    monkeypatch.setattr(cli, "reduce_and_compare", nan_moment)
+    assert cli.main(["verify", "--order", "8"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    planar = [c for c in checks
+              if c["check"] == "planar-reduction:cylinder-vortex"]
+    assert planar == [{"check": "planar-reduction:cylinder-vortex",
+                       "gap": None, "tol": 1e-8, "status": "fail"}]
+
+
+def test_force_reports_a_nan_expected_gap(monkeypatch, capsys):
+    real = cli.all_force_methods
+
+    def nan_route(*args, **kwargs):
+        comparison = real(*args, **kwargs)
+        results = dict(comparison.results)
+        # not the first route, so the builtin max would drop it
+        results["blasius"] = results["blasius"]._replace(
+            force=ReducedPoint(math.nan, 0.0, 0.0))
+        return comparison._replace(results=results)
+    monkeypatch.setattr(cli, "all_force_methods", nan_route)
+    assert cli.main(["force", "--scenario", "cylinder-vortex",
+                     "--order", "8"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["expected_gap"] is None
+    assert payload["status"] == "fail"
+
+
 def test_unknown_scenario_exits_with_usage_error():
     proc = run_cli("force", "--scenario", "not-a-scenario")
     assert proc.returncode == 2

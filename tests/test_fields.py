@@ -534,6 +534,13 @@ def test_fd_paths_keep_their_domain_errors():
     u = ScalarField(one_over_r, domain=one_over_r.in_domain, name="1/r")
     f = pots["source"].field.without_analytic_jet()
     v = velocity_from_potential(pots["source"])
+    # log(x + r) is cut along a tube about the negative x axis; one FD_STEP2
+    # below far_ray in y lands on the axis, where math.log raises
+    logxr = ScalarField(lambda p: math.log(p.x + p.norm()),
+                        domain=lambda p: (p.x > 0.0
+                                          or math.hypot(p.y, p.z) > 5e-5),
+                        name="logxr")
+    far_ray = ReducedPoint(-0.5, 1e-4, 0.0)
     near = ReducedPoint(1e-5, 0.0, 0.0)     # one FD_STEP off the pole
     near2 = ReducedPoint(1e-4, 0.0, 0.0)    # one FD_STEP2 off the pole
     stencil = "finite-difference stencil of {} leaves the domain near {!r}"
@@ -549,6 +556,8 @@ def test_fd_paths_keep_their_domain_errors():
         (lambda: v.jacobian_at(near),
          "velocity grad_sc(source(1.0)) undefined at "
          "ReducedPoint(0.0, 0.0, 0.0)"),
+        (lambda: logxr.laplacian_at(far_ray),
+         "field logxr is not defined at ReducedPoint(-0.5, 0.0, 0.0)"),
     ]
     for call, message in cases:
         with pytest.raises(DomainError) as err:

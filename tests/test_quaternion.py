@@ -14,13 +14,7 @@ from quatflow import (
     ONE,
     Quaternion,
     ReducedPoint,
-    conjugate,
     cross,
-    inner,
-    multiply,
-    norm,
-    sc,
-    vec,
 )
 from quatflow.quaternion import qconj, qmul
 
@@ -98,18 +92,18 @@ def test_norm_squared_equals_self_conjugate_product():
 
 def test_scalar_vector_split():
     q = Quaternion(1.5, -0.5, 2.0, 3.0)
-    assert sc(q) == 1.5
-    assert vec(q) == Quaternion(0.0, -0.5, 2.0, 3.0)
+    assert q.q0 == 1.5
+    assert q.vector_part() == Quaternion(0.0, -0.5, 2.0, 3.0)
     assert q.scalar_part() + 0.0 == 1.5
-    assert q == vec(q) + Quaternion(sc(q))
+    assert q == q.vector_part() + Quaternion(q.q0)
 
 
 def test_inner_product_matches_component_sum():
     p = Quaternion(1.0, 2.0, 3.0, 4.0)
     q = Quaternion(0.5, -1.0, 0.25, 2.0)
     expected = 1.0 * 0.5 + 2.0 * -1.0 + 3.0 * 0.25 + 4.0 * 2.0
-    assert inner(p, q) == expected
-    assert math.isclose(inner(q, q), q.norm_sq(), rel_tol=1e-15)
+    assert p.inner(q) == expected
+    assert math.isclose(q.inner(q), q.norm_sq(), rel_tol=1e-15)
 
 
 def test_scalar_multiplication_and_division():
@@ -170,14 +164,6 @@ def test_cross_of_random_vectors_is_orthogonal():
         c = cross(a, b)
         assert abs(c.dot(a)) <= 1e-14
         assert abs(c.dot(b)) <= 1e-14
-
-
-def test_module_level_helpers_match_methods():
-    p = Quaternion(0.1, 0.2, 0.3, 0.4)
-    q = Quaternion(-1.0, 0.5, 0.0, 2.0)
-    assert multiply(p, q) == p * q
-    assert conjugate(p) == p.conjugate()
-    assert norm(p) == p.norm()
 
 
 def test_repr_round_trips_through_eval():

@@ -9,11 +9,16 @@ import pytest
 
 import quatflow
 from quatflow import (
+    FlowPotential,
+    PlanarContour,
     all_force_methods,
+    cylinder_body,
+    cylinder_vortex_2d,
     force_from_pressure,
     force_monogenic_form,
     force_pressure_direct,
     harmonic_catalog,
+    reduce_and_compare,
     monogenic_completion,
     pressure_field,
     sphere_body,
@@ -91,7 +96,8 @@ def test_parameters_after_order_are_keyword_only():
 
 def test_options_no_caller_sets_are_gone():
     # the harmonic check always runs, the comparison's pressure takes
-    # p0 = 0, and a pressure force is always labelled "pressure"
+    # p0 = 0, a pressure force is always labelled "pressure", a potential
+    # carries no description and the planar integrals take order 32
     pot, body = sphere_flow(1.0, 1.0), sphere_body(1.0)
     with pytest.raises(TypeError):
         monogenic_completion(harmonic_catalog()["x"], check_harmonic=False)
@@ -99,3 +105,9 @@ def test_options_no_caller_sets_are_gone():
         all_force_methods(pot, body, stagnation=1.0)
     with pytest.raises(TypeError):
         force_from_pressure(pressure_field(pot), body, method="other")
+    with pytest.raises(TypeError):
+        FlowPotential(pot.field, description="a sphere in a stream")
+    with pytest.raises(TypeError):
+        reduce_and_compare(cylinder_vortex_2d(1.0, 1.0, 1.0),
+                           PlanarContour.circle(1.0),
+                           cylinder_body(1.0, -0.5, 0.5), order_2d=16)
