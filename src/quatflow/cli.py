@@ -80,30 +80,22 @@ def _resolve_scenario(args) -> FlowScenario:
 # output
 # ----------------------------------------------------------------------
 
-def _strict(value):
-    """The payload with every non-finite float replaced by None."""
+def _strict(value, replaced: list):
+    """The payload, each non-finite float None and appended to replaced."""
     if isinstance(value, dict):
-        return {k: _strict(v) for k, v in value.items()}
+        return {k: _strict(v, replaced) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_strict(v) for v in value]
+        return [_strict(v, replaced) for v in value]
     if isinstance(value, float) and not math.isfinite(value):
+        replaced.append(value)
         return None
     return value
-
-
-def _all_finite(value) -> bool:
-    """True when every float in a nested payload is finite."""
-    if isinstance(value, dict):
-        return all(_all_finite(v) for v in value.values())
-    if isinstance(value, (list, tuple)):
-        return all(_all_finite(v) for v in value)
-    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _emit(args, payload: dict, csv_header: list[str],
           csv_rows: list[list]) -> None:
     if args.format == "json":
-        text = json.dumps(_strict(payload), sort_keys=True, indent=2,
+        text = json.dumps(payload, sort_keys=True, indent=2,
                           allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
@@ -122,8 +114,11 @@ def _emit(args, payload: dict, csv_header: list[str],
 
 def _finish(args, payload: dict, ok: bool, csv_header: list[str],
             csv_rows: list[list]) -> int:
-    """Set the status (a non-finite result fails), emit, return the code."""
-    ok = ok and _all_finite(payload)
+    """Emit the strict payload with its status (a non-finite value fails);
+    return the exit code."""
+    replaced: list = []
+    payload = _strict(payload, replaced)
+    ok = ok and not replaced
     payload["status"] = "pass" if ok else "fail"
     _emit(args, payload, csv_header, csv_rows)
     return 0 if ok else 1
@@ -398,17 +393,17 @@ _OPTIONS = {
 }
 
 # Each subcommand with the options it reads; every one also takes
-# --format, --output and --threads.
+# --format, --output and --threads.  ``main`` looks ``_cmd_<name>`` up
+# in the module when it runs, so a rebinding of that name takes effect.
 _COMMANDS = (
-    ("verify", _cmd_verify, "run the integral-theorem battery",
-     ("order", "tol")),
-    ("force", _cmd_force, "evaluate every force route",
+    ("verify", "run the integral-theorem battery", ("order", "tol")),
+    ("force", "evaluate every force route",
      ("scenario", "config", "order", "tol")),
-    ("moment", _cmd_moment, "evaluate moment routes",
+    ("moment", "evaluate moment routes",
      ("scenario", "config", "order", "tol", "about", "shift-to")),
-    ("convergence", _cmd_convergence, "force across quadrature orders",
+    ("convergence", "force across quadrature orders",
      ("scenario", "config", "order")),
-    ("reduce2d", _cmd_reduce2d, "compare planar formulas with embedded 3D",
+    ("reduce2d", "compare planar formulas with embedded 3D",
      ("config", "order", "tol", "about-2d")),
 )
 
@@ -420,12 +415,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="quaternionic flow potentials, surface integrals, "
                     "and force/moment formulas")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, text, options in _COMMANDS:
+    for name, text, options in _COMMANDS:
         p = sub.add_parser(name, help=text)
         for option in options + ("format", "output", "threads"):
             flag, keywords = _OPTIONS[option]
             p.add_argument(flag, **keywords)
-        p.set_defaults(func=func)
     return parser
 
 
@@ -439,7 +433,7 @@ def main(argv=None) -> int:
         # non-finite results are reported in the JSON verdict, so numpy's
         # overflow and invalid-value warnings would only repeat them
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+            return globals()[f"_cmd_{args.command}"](args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as err:
         print(f"quatflow: {err}", file=sys.stderr)
         return 2

@@ -789,23 +789,21 @@ def is_monogenic(f, points: Sequence[ReducedPoint],
 # harmonic catalog
 # ----------------------------------------------------------------------
 
-def _poly(name, evaluate, gradient, hessian):
-    return ScalarField(evaluate, gradient=gradient, laplacian=lambda p: 0.0,
-                       hessian=hessian, name=name)
-
-
 def _column_scalar(name: str, value, prelude, gradient, hessian,
                    domain) -> ScalarField:
     """A harmonic ScalarField from its value and domain over columns, and
     its gradient (three entries) and Hessian (three rows) over the columns
     ``prelude(x, y, z, xp)`` returns, as ``_closed_form`` takes them: each
     gives its point form on floats, and the value and domain give
-    ``evaluate_array`` and ``domain_array`` on columns."""
+    ``evaluate_array`` and ``domain_array`` on columns.  With ``prelude``
+    None the gradient and Hessian read (x, y, z, xp) too; with ``domain``
+    None the field is defined everywhere, with no domain form."""
     def at_point(form):
         return lambda p: form(p.x, p.y, p.z, math)
 
     def after_prelude(form):
-        return lambda p: form(*prelude(p.x, p.y, p.z, math))
+        return at_point(form) if prelude is None else \
+            (lambda p: form(*prelude(p.x, p.y, p.z, math)))
 
     def on_columns(form):
         return lambda xyz: form(*xyz.T, np)
@@ -813,9 +811,9 @@ def _column_scalar(name: str, value, prelude, gradient, hessian,
     return ScalarField(at_point(value), gradient=after_prelude(gradient),
                        laplacian=lambda p: 0.0,
                        hessian=after_prelude(hessian),
-                       domain=at_point(domain), name=name,
+                       domain=domain and at_point(domain), name=name,
                        evaluate_array=on_columns(value),
-                       domain_array=on_columns(domain))
+                       domain_array=domain and on_columns(domain))
 
 
 def _relative(center: ReducedPoint):
@@ -900,46 +898,44 @@ def _log_x_plus_r(scale: float = 1.0, center: ReducedPoint = ReducedPoint()):
 def harmonic_catalog() -> dict[str, ScalarField]:
     """Named harmonic scalar fields with analytic gradients and Hessians.
 
+    Every entry is a ``_column_scalar``: its value, gradient and Hessian
+    are written once over coordinate columns, and its value (and domain)
+    have array forms too.  The six polynomials are defined everywhere.
     The singular entries exclude a ball of radius ``DEFAULT_EXCLUSION``
     around the singular point, and ``log(x+r)`` additionally excludes a
-    thin tube around the negative x-axis where its argument vanishes;
-    their values and domains have array forms too (``_column_scalar``).
+    thin tube around the negative x-axis where its argument vanishes.
     """
     fields: dict[str, ScalarField] = {}
 
-    fields["x"] = _poly(
-        "x", lambda p: p.x,
-        lambda p: (1.0, 0.0, 0.0),
-        lambda p: ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
-
-    fields["xy"] = _poly(
-        "xy", lambda p: p.x * p.y,
-        lambda p: (p.y, p.x, 0.0),
-        lambda p: ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
-
-    fields["x^2-y^2"] = _poly(
-        "x^2-y^2", lambda p: p.x * p.x - p.y * p.y,
-        lambda p: (2.0 * p.x, -2.0 * p.y, 0.0),
-        lambda p: ((2.0, 0.0, 0.0), (0.0, -2.0, 0.0), (0.0, 0.0, 0.0)))
-
-    fields["1+x+yz"] = _poly(
-        "1+x+yz", lambda p: 1.0 + p.x + p.y * p.z,
-        lambda p: (1.0, p.z, p.y),
-        lambda p: ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0)))
-
-    fields["x^3-3xy^2"] = _poly(
-        "x^3-3xy^2", lambda p: p.x ** 3 - 3.0 * p.x * p.y * p.y,
-        lambda p: (3.0 * p.x * p.x - 3.0 * p.y * p.y, -6.0 * p.x * p.y,
-                   0.0),
-        lambda p: ((6.0 * p.x, -6.0 * p.y, 0.0),
-                   (-6.0 * p.y, -6.0 * p.x, 0.0),
-                   (0.0, 0.0, 0.0)))
-
-    fields["xyz"] = _poly(
-        "xyz", lambda p: p.x * p.y * p.z,
-        lambda p: (p.y * p.z, p.x * p.z, p.x * p.y),
-        lambda p: ((0.0, p.z, p.y), (p.z, 0.0, p.x), (p.y, p.x, 0.0)))
-
+    fields["x"] = _column_scalar(
+        "x", lambda x, y, z, xp: x, None,
+        lambda x, y, z, xp: (1.0, 0.0, 0.0),
+        lambda x, y, z, xp: ((0.0, 0.0, 0.0),) * 3, None)
+    fields["xy"] = _column_scalar(
+        "xy", lambda x, y, z, xp: x * y, None,
+        lambda x, y, z, xp: (y, x, 0.0),
+        lambda x, y, z, xp: ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0),
+                             (0.0, 0.0, 0.0)), None)
+    fields["x^2-y^2"] = _column_scalar(
+        "x^2-y^2", lambda x, y, z, xp: x * x - y * y, None,
+        lambda x, y, z, xp: (2.0 * x, -2.0 * y, 0.0),
+        lambda x, y, z, xp: ((2.0, 0.0, 0.0), (0.0, -2.0, 0.0),
+                             (0.0, 0.0, 0.0)), None)
+    fields["1+x+yz"] = _column_scalar(
+        "1+x+yz", lambda x, y, z, xp: 1.0 + x + y * z, None,
+        lambda x, y, z, xp: (1.0, z, y),
+        lambda x, y, z, xp: ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0),
+                             (0.0, 1.0, 0.0)), None)
+    fields["x^3-3xy^2"] = _column_scalar(
+        "x^3-3xy^2", lambda x, y, z, xp: x ** 3 - 3.0 * x * y * y, None,
+        lambda x, y, z, xp: (3.0 * x * x - 3.0 * y * y, -6.0 * x * y, 0.0),
+        lambda x, y, z, xp: ((6.0 * x, -6.0 * y, 0.0),
+                             (-6.0 * y, -6.0 * x, 0.0), (0.0, 0.0, 0.0)),
+        None)
+    fields["xyz"] = _column_scalar(
+        "xyz", lambda x, y, z, xp: x * y * z, None,
+        lambda x, y, z, xp: (y * z, x * z, x * y),
+        lambda x, y, z, xp: ((0.0, z, y), (z, 0.0, x), (y, x, 0.0)), None)
     fields["1/r"] = _column_scalar("1/r", *_inv_r())
 
     norm = _relative(ReducedPoint())   # (x, y, z, xp) -> (x, y, z, r)

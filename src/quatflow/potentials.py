@@ -39,6 +39,7 @@ from .fields import (
     QuaternionField,
     ScalarField,
     _closed_form,
+    _column_scalar,
     _dbar_entries,
     _fd_partials,
     _inv_r,
@@ -464,16 +465,18 @@ def geometric_stream_functions(velocity: VelocityField,
 
     u1, u2, u3 = v0.x, v0.y, v0.z
 
-    def _plane(name, ev, grad):
-        return ScalarField(ev, gradient=grad, laplacian=lambda p: 0.0,
-                           hessian=lambda p: ((0.0,) * 3,) * 3, name=name)
+    def flat(x, y, z, xp):
+        return ((0.0,) * 3,) * 3
 
-    psi1 = _plane("psi1", lambda p: 0.5 * (u1 * p.y - u2 * p.x),
-                  lambda p: ReducedPoint(-0.5 * u2, 0.5 * u1, 0.0))
-    psi2 = _plane("psi2", lambda p: 0.5 * (u1 * p.z - u3 * p.x),
-                  lambda p: ReducedPoint(-0.5 * u3, 0.0, 0.5 * u1))
-    psi3 = _plane("psi3", lambda p: 0.5 * (u3 * p.y - u2 * p.z),
-                  lambda p: ReducedPoint(0.0, 0.5 * u3, -0.5 * u2))
+    psi1 = _column_scalar("psi1", lambda x, y, z, xp: 0.5 * (u1 * y - u2 * x),
+                          None, lambda x, y, z, xp: (-0.5 * u2, 0.5 * u1, 0.0),
+                          flat, None)
+    psi2 = _column_scalar("psi2", lambda x, y, z, xp: 0.5 * (u1 * z - u3 * x),
+                          None, lambda x, y, z, xp: (-0.5 * u3, 0.0, 0.5 * u1),
+                          flat, None)
+    psi3 = _column_scalar("psi3", lambda x, y, z, xp: 0.5 * (u3 * y - u2 * z),
+                          None, lambda x, y, z, xp: (0.0, 0.5 * u3, -0.5 * u2),
+                          flat, None)
     return StreamFunctions(psi1, psi2, psi3, uniform_flow(u1, u2, u3))
 
 
@@ -482,14 +485,13 @@ def geometric_stream_functions(velocity: VelocityField,
 # ----------------------------------------------------------------------
 
 def vector_gauge_field() -> QuaternionField:
-    """The vector-valued monogenic field x j + y k (zero scalar part)."""
-    def jet(p: ReducedPoint) -> Jet:
-        return Jet(Quaternion(0.0, 0.0, p.x, p.y),
-                   Quaternion(0.0, 0.0, 1.0, 0.0),
-                   Quaternion(0.0, 0.0, 0.0, 1.0),
-                   Quaternion())
-    return QuaternionField(lambda p: Quaternion(0.0, 0.0, p.x, p.y),
-                           jet=jet, name="xj+yk")
+    """The vector-valued monogenic field x j + y k (zero scalar part), as a
+    ``_closed_form``, so a closed form plus it writes one jet table."""
+    return _closed_form(lambda x, y, z, xp: (0.0, 0.0, x, y),
+                        lambda x, y, z, xp: (0.0, 0.0, 1.0, 0.0,
+                                             0.0, 0.0, 0.0, 1.0,
+                                             0.0, 0.0, 0.0, 0.0),
+                        name="xj+yk")
 
 
 def gauge_transform(potential: FlowPotential, extra: QuaternionField,

@@ -468,6 +468,26 @@ def test_the_parser_built_once_keeps_no_state_between_calls(capsys):
         assert run(argv) == result, argv
 
 
+def test_main_calls_the_subcommand_bound_in_the_module(monkeypatch, capsys):
+    # a rebinding of cli._cmd_<name> (as a tracer makes) takes effect,
+    # though the parser is built once and cached
+    cli._build_parser()
+    calls = []
+    original = cli._cmd_force
+
+    def recording(args):
+        calls.append(args.command)
+        return original(args)
+
+    monkeypatch.setattr(cli, "_cmd_force", recording)
+    code = cli.main(["force", "--order", "8"])
+    assert calls == ["force"]
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    monkeypatch.setattr(cli, "_cmd_force", lambda args: 7)
+    assert cli.main(["force"]) == 7
+
+
 def test_help_exits_cleanly():
     proc = run_cli("--help")
     assert proc.returncode == 0

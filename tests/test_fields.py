@@ -746,3 +746,97 @@ def test_scalar_value_array_raises_the_first_point_error():
     with pytest.raises(ZeroDivisionError,
                        match=re.escape(f"no value at {first!r}")):
         integrate_scalar(body, u, 8)
+
+
+# ----------------------------------------------------------------------
+# the catalog scalars are column scalars
+# ----------------------------------------------------------------------
+
+# The catalog's polynomials as point lambdas, the form they were written
+# in before they became column scalars: value, gradient and Hessian.
+POINT_POLYNOMIALS = {
+    "x": (lambda p: p.x, lambda p: (1.0, 0.0, 0.0),
+          lambda p: ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))),
+    "xy": (lambda p: p.x * p.y, lambda p: (p.y, p.x, 0.0),
+           lambda p: ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0))),
+    "x^2-y^2": (lambda p: p.x * p.x - p.y * p.y,
+                lambda p: (2.0 * p.x, -2.0 * p.y, 0.0),
+                lambda p: ((2.0, 0.0, 0.0), (0.0, -2.0, 0.0),
+                           (0.0, 0.0, 0.0))),
+    "1+x+yz": (lambda p: 1.0 + p.x + p.y * p.z, lambda p: (1.0, p.z, p.y),
+               lambda p: ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0),
+                          (0.0, 1.0, 0.0))),
+    "x^3-3xy^2": (lambda p: p.x ** 3 - 3.0 * p.x * p.y * p.y,
+                  lambda p: (3.0 * p.x * p.x - 3.0 * p.y * p.y,
+                             -6.0 * p.x * p.y, 0.0),
+                  lambda p: ((6.0 * p.x, -6.0 * p.y, 0.0),
+                             (-6.0 * p.y, -6.0 * p.x, 0.0),
+                             (0.0, 0.0, 0.0))),
+    "xyz": (lambda p: p.x * p.y * p.z,
+            lambda p: (p.y * p.z, p.x * p.z, p.x * p.y),
+            lambda p: ((0.0, p.z, p.y), (p.z, 0.0, p.x), (p.y, p.x, 0.0))),
+}
+# numpy's SIMD loops for ** and log may round a last bit differently
+# from libm's; every other array form uses only +, -, * and / and
+# rounds as the point form does.
+NOT_EXACT = {"x^3-3xy^2", "x/r^3", "log(x+r)"}
+
+
+def hex_bits(values) -> list:
+    return [float(v).hex() for v in _flatten(values)]
+
+
+def _flatten(values):
+    if isinstance(values, (tuple, list)):
+        return [v for part in values for v in _flatten(part)]
+    return [values]
+
+
+def test_every_catalog_scalar_has_array_forms_matching_its_points():
+    points = sample_points()
+    for name, u in harmonic_catalog().items():
+        assert u._value_array is not None, name
+        inside = [p for p in points if u.in_domain(p)]
+        xyz = np.array([p.as_tuple() for p in inside])
+        assert u.in_domain_array(xyz).all(), name
+        got = u.value_array(xyz)
+        assert got.shape == (len(inside),), name
+        expected = np.array([u(p) for p in inside])
+        if name in NOT_EXACT:
+            assert np.all(np.abs(got - expected)
+                          <= 1e-15 * np.maximum(1.0, np.abs(expected))), name
+        else:
+            assert bits(got) == bits(expected), name
+
+
+@pytest.mark.parametrize("name", sorted(POINT_POLYNOMIALS))
+def test_catalog_polynomials_keep_the_bits_of_their_point_lambdas(name):
+    u = harmonic_catalog()[name]
+    value, gradient, hessian = POINT_POLYNOMIALS[name]
+    # defined everywhere, as before: no point or array domain
+    assert u._domain is None and u._domain_array is None
+    for p in sample_points():
+        assert hex_bits(u(p)) == hex_bits(value(p)), p
+        assert hex_bits(u.gradient_at(p).as_tuple()) == \
+            hex_bits(gradient(p)), p
+        assert hex_bits(u.hessian_at(p)) == hex_bits(hessian(p)), p
+        assert u.laplacian_at(p) == 0.0
+
+
+def test_a_hessian_without_a_laplacian_gives_the_trace():
+    calls = []
+
+    def square(p):
+        calls.append(p)
+        return p.x * p.x
+
+    u = ScalarField(square, gradient=lambda p: (2.0 * p.x, 0.0, 0.0),
+                    hessian=lambda p: ((2.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+                                       (0.0, 0.0, 0.0)), name="x^2")
+    p = ReducedPoint(0.4, -0.1, 0.2)
+    assert u.has_analytic_laplacian
+    assert u.laplacian_at(p) == 2.0
+    assert calls == []   # the trace, not a finite-difference stencil
+    # the completion's harmonic check reads that trace
+    with pytest.raises(ValueError, match="is not harmonic near"):
+        monogenic_completion(u).jet_at(p)

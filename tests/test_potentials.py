@@ -1,13 +1,16 @@
 """Monogenic flow potentials, completion, stream functions, gauge."""
 
+import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from quatflow import (
     CompletionError,
     DomainError,
+    FlowPotential,
     IntegrabilityError,
     Jet,
     Quaternion,
@@ -15,9 +18,12 @@ from quatflow import (
     ReducedPoint,
     ScalarField,
     VelocityField,
+    all_force_methods,
     catalog,
     dipole_flow,
     embedded_cylinder_flow,
+    embedded_potential,
+    force_blasius,
     gauge_transform,
     geometric_stream_functions,
     harmonic_catalog,
@@ -26,6 +32,7 @@ from quatflow import (
     monogenic_from_gradient,
     point_source,
     saddle_flow,
+    sphere_body,
     sphere_flow,
     uniform_flow,
     vector_gauge_field,
@@ -528,3 +535,87 @@ def test_merged_closed_forms_reproduce_the_recorded_values():
     for values in got.values():
         assert all(type(c) in (float, complex)
                    for value in values for c in _flat(value))
+
+
+# ----------------------------------------------------------------------
+# stream functions and the gauge field as column forms
+# ----------------------------------------------------------------------
+
+def test_stream_functions_keep_the_bits_of_their_point_lambdas():
+    rng = random.Random(26)
+    u1, u2, u3 = (rng.uniform(-2.0, 2.0) for _ in range(3))
+    sf = geometric_stream_functions(VelocityField.constant(u1, u2, u3))
+    # the point lambdas the stream functions were written as before
+    forms = {
+        "psi1": (lambda p: 0.5 * (u1 * p.y - u2 * p.x),
+                 (-0.5 * u2, 0.5 * u1, 0.0)),
+        "psi2": (lambda p: 0.5 * (u1 * p.z - u3 * p.x),
+                 (-0.5 * u3, 0.0, 0.5 * u1)),
+        "psi3": (lambda p: 0.5 * (u3 * p.y - u2 * p.z),
+                 (0.0, 0.5 * u3, -0.5 * u2)),
+    }
+    points = ball_points(26, 50, radius=2.0)
+    xyz = np.array([p.as_tuple() for p in points])
+    for psi in sf[:3]:
+        value, gradient = forms[psi.name]
+        assert psi._domain is None and psi._domain_array is None
+        for p in points:
+            assert psi(p).hex() == value(p).hex(), (psi.name, p)
+            g = psi.gradient_at(p)
+            assert isinstance(g, ReducedPoint)
+            assert [c.hex() for c in g.as_tuple()] == \
+                [c.hex() for c in gradient], psi.name
+            assert psi.hessian_at(p) == ((0.0,) * 3,) * 3
+            assert psi.laplacian_at(p) == 0.0
+        # the array form rounds as the point form does
+        assert psi._value_array is not None
+        assert psi.value_array(xyz).tobytes() == \
+            np.array([value(p) for p in points]).tobytes(), psi.name
+
+
+def test_the_gauge_field_has_an_array_jet_equal_to_its_scalar_jet():
+    h = vector_gauge_field()
+    assert h.has_array_jet and h.name == "xj+yk"
+    points = ball_points(27, 40, radius=2.0)
+    table = h.jet_array(np.array([p.as_tuple() for p in points]))
+    assert table.shape == (4, len(points), 4)
+    for k, p in enumerate(points):
+        jet = h.jet_at(p)
+        # the jet written by hand before it became a closed form
+        expected = (Quaternion(0.0, 0.0, p.x, p.y),
+                    Quaternion(0.0, 0.0, 1.0, 0.0),
+                    Quaternion(0.0, 0.0, 0.0, 1.0), Quaternion())
+        rows = [q.as_tuple() for q in jet]
+        assert np.array(rows).tobytes() == \
+            np.array([q.as_tuple() for q in expected]).tobytes(), p
+        assert table[:, k].tobytes() == np.array(rows).tobytes(), p
+        assert h(p) == jet.value
+
+
+def test_a_gauge_transformed_closed_form_keeps_one_array_jet():
+    pot = gauge_transform(sphere_flow(1.0, 1.0), vector_gauge_field())
+    field = pot.field
+    # uniform + dipole + gauge: three closed forms written into one table
+    assert field.has_array_jet and len(field._writers) == 3
+    # the same field evaluated node by node through its scalar jet
+    rows = FlowPotential(QuaternionField(field._evaluate, jet=field._jet,
+                                         domain=field._domain,
+                                         name=field.name))
+    body = sphere_body(1.5)
+    fast = all_force_methods(pot, body, order=32)
+    slow = all_force_methods(rows, body, order=32)
+    assert fast.results.keys() == slow.results.keys()
+    assert dict(fast.gated) == dict(slow.gated)
+    for name, result in fast.results.items():
+        assert (result.force - slow.results[name].force).norm() <= 1e-13
+
+
+def test_an_embedded_potential_of_numbers_only_raises_type_error():
+    # cmath.exp takes one complex number: every node passes one by one,
+    # so the array call's TypeError is the one raised
+    pot = embedded_potential(cmath.exp, cmath.exp)
+    p = ReducedPoint(0.3, -0.2, 0.1)
+    assert pot.jet_at(p).value == Quaternion(cmath.exp(0.3 - 0.2j).real,
+                                             cmath.exp(0.3 - 0.2j).imag)
+    with pytest.raises(TypeError):
+        force_blasius(pot, sphere_body(1.0), order=8)

@@ -166,6 +166,24 @@ def test_cross_of_random_vectors_is_orthogonal():
         assert abs(c.dot(b)) <= 1e-14
 
 
+def test_cross_reads_reduced_quaternions_and_refuses_other_operands():
+    a, b = ReducedPoint(0.3, -1.2, 0.7), ReducedPoint(-0.4, 0.5, 2.0)
+    expected = a.cross(b)
+    for r, s in ((Quaternion(0.3, -1.2, 0.7, 0.0), b),
+                 (a, Quaternion(-0.4, 0.5, 2.0, 0.0)),
+                 (Quaternion(0.3, -1.2, 0.7, 0.0),
+                  Quaternion(-0.4, 0.5, 2.0, 0.0))):
+        got = cross(r, s)
+        assert isinstance(got, ReducedPoint)
+        assert got.as_tuple() == expected.as_tuple()
+    with pytest.raises(ValueError, match="must be reduced"):
+        cross(Quaternion(0.3, -1.2, 0.7, 0.5), b)
+    with pytest.raises(ValueError, match="must be reduced"):
+        cross(a, Quaternion(-0.4, 0.5, 2.0, -1e-3))
+    with pytest.raises(TypeError):
+        cross((0.3, -1.2, 0.7), b)
+
+
 def test_repr_round_trips_through_eval():
     q = Quaternion(1.0, -2.0, 0.5, 0.0)
     assert eval(repr(q), {"Quaternion": Quaternion}) == q
