@@ -232,18 +232,20 @@ class QuaternionField(_Field):
 
     Parameters
     ----------
-    evaluate : callable
-        Maps a ReducedPoint to a Quaternion.
+    evaluate : callable or None
+        Maps a ReducedPoint to a Quaternion.  None reads the value at p as
+        the one-row ``value_array`` of [p], which then must be given.
     jet : callable, optional
-        Maps a ReducedPoint to a :class:`Jet`.  When omitted, jets are
-        formed by central differences of ``evaluate`` with step
+        Maps a ReducedPoint to a :class:`Jet`.  When omitted, jets are the
+        one-row ``jet_array`` of [p], slot by slot, given that, or else
+        central differences of ``evaluate`` with step
         ``FD_STEP * max(1, |coordinate|)`` per axis.
     domain : callable, optional
         Predicate marking where the field may be evaluated.  Violations
-        raise :class:`DomainError`.
+        raise :class:`DomainError` before any form runs.
     jet_array : callable, optional
         The analytic jet on an (N, 3) point array, returning a (4, N, 4)
-        array that matches ``jet`` row by row.  Requires ``jet``.
+        array that matches ``jet`` row by row (bit for bit without ``jet``).
     domain_array : callable, optional
         ``domain`` on an (N, 3) point array, returning (N,) booleans.
     value_array : callable, optional
@@ -258,27 +260,30 @@ class QuaternionField(_Field):
     terms into one table (``_written_field``).
     """
 
-    # True when jet_array forms each row with the scalar jet's own
-    # arithmetic, so that it equals jet_at bit for bit (set by
-    # ``scalar_dbar_field`` and ``monogenic_completion``).  A closed form
-    # rounds differently on numpy columns than on floats at some points.
-    _array_jet_is_rowwise = False
     # The term writers of a closed form or of a left-nested sum of closed
     # forms (see ``_written_field``); empty for any other field.
     _writers: tuple = ()
 
-    def __init__(self, evaluate: Callable[[ReducedPoint], Quaternion],
+    def __init__(self, evaluate: Optional[Callable[[ReducedPoint],
+                                                   Quaternion]],
                  jet: Optional[Callable[[ReducedPoint], Jet]] = None,
                  domain: Optional[Callable[[ReducedPoint], bool]] = None,
                  name: str = "",
                  jet_array: Optional[ArrayMap] = None,
                  domain_array: Optional[ArrayMap] = None,
                  value_array: Optional[ArrayMap] = None):
-        if jet_array is not None and jet is None:
-            raise ValueError("an array jet needs the scalar jet beside it")
         if value_array is None and jet_array is not None:
             def value_array(xyz):
                 return jet_array(xyz)[0]
+        self._array_jet_is_rowwise = jet is None and jet_array is not None
+        if self._array_jet_is_rowwise:
+            def jet(p: ReducedPoint) -> Jet:
+                rows = jet_array(np.array([p.as_tuple()]))[:, 0].tolist()
+                return Jet(*(Quaternion(*q) for q in rows))
+        if evaluate is None:
+            def evaluate(p: ReducedPoint) -> Quaternion:
+                row = value_array(np.array([p.as_tuple()]))[0]
+                return Quaternion(*row.tolist())
         self._evaluate = evaluate
         self._jet = jet
         self._domain = domain
@@ -605,11 +610,11 @@ def scalar_dbar_field(u: ScalarField) -> QuaternionField:
     applying D to the result then reproduces the Laplacian of u exactly,
     since D(Dbar u) = (Laplacian u) holds componentwise.  The array jet
     (with a Hessian) and the array values fill one float table from u's
-    scalar gradient and Hessian, row by row, and equal the scalar jet and
-    value bit for bit.  The field checks u's domain (once per point, or
-    once per array) before any of its forms runs, so the forms call u's
-    unchecked bodies.  ``_entries(p)``, the sixteen jet entries of Dbar u
-    at a point of u's domain (u's Hessian, then gradient, or else the
+    scalar gradient and Hessian, row by row; ``jet_at`` is the one-row
+    array jet.  The field checks u's domain (once per point, or once per
+    array) before any of its forms runs, so the forms call u's unchecked
+    bodies.  ``_entries(p)``, the sixteen jet entries of Dbar u at a point
+    of u's domain (u's Hessian, then gradient, or else the
     finite-difference jet), serves its jets and the completion's.
     """
     gradient = u._gradient_unchecked
@@ -620,15 +625,11 @@ def scalar_dbar_field(u: ScalarField) -> QuaternionField:
     def value_array(xyz: np.ndarray) -> np.ndarray:
         return _jet_rows(lambda p: _dbar_entries(gradient(p)), xyz, 1)[0]
 
-    jet = jet_array = None
+    jet_array = None
     if u.has_analytic_hessian:
         def entries(p: ReducedPoint) -> tuple:
             h = u._hessian_unchecked(p)   # the Hessian first, in every form
             return _dbar_entries(gradient(p), h)
-
-        def jet(p: ReducedPoint) -> Jet:
-            e = entries(p)
-            return Jet(*(Quaternion(*e[k:k + 4]) for k in (0, 4, 8, 12)))
 
         def jet_array(xyz: np.ndarray) -> np.ndarray:
             return _jet_rows(entries, xyz)
@@ -636,11 +637,9 @@ def scalar_dbar_field(u: ScalarField) -> QuaternionField:
         def entries(p: ReducedPoint) -> list:
             return _jet_entries(field._fd_jet(p))
 
-    field = QuaternionField(value, jet=jet, domain=u._domain,
-                            name=f"dbar({u.name})", jet_array=jet_array,
-                            domain_array=u._domain_array,
+    field = QuaternionField(value, domain=u._domain, name=f"dbar({u.name})",
+                            jet_array=jet_array, domain_array=u._domain_array,
                             value_array=value_array)
-    field._array_jet_is_rowwise = jet_array is not None
     field._entries = entries
     return field
 
@@ -761,9 +760,9 @@ def is_monogenic(f, points: Sequence[ReducedPoint],
     """Check max |D f| over sample points against a tolerance.
 
     A NaN residual fails the check at once and is reported with its point.
-    A Dbar u field with an array jet and a monogenic completion, whose
-    array jets equal their scalar jets bit for bit, are evaluated at every
-    point in one ``jet_array`` call; other fields point by point.  If that
+    A field given an array jet and no point jet (Dbar u with a Hessian, a
+    completion) reads a point as its array jet's one-row case, so it is
+    evaluated in one ``jet_array`` call; other fields point by point.  If that
     call raises, the points are taken one by one, so a NaN residual still
     returns its report before a later point raises, and the error raised
     is the one the first failing point meets.

@@ -21,6 +21,7 @@ routes get array jets from ``embed_2d``.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -146,7 +147,7 @@ class PlanarContour:
                    panels=panels, name=f"circle(R={r},c={c})")
 
     def nodes(self, order: int) -> tuple[np.ndarray, np.ndarray]:
-        order = int(order)
+        order = operator.index(order)
         if order < 2:
             raise ValueError("contour quadrature order must be at least 2")
         edges = np.linspace(*self.s_range, self.panels + 1)[:, None]

@@ -278,7 +278,7 @@ def monogenic_completion(u: ScalarField,
     at least 0 and ``tol`` finite and positive; otherwise, as for a
     non-finite c, ValueError is raised here.
 
-    The field has one array path; ``jet_at``, calls and ``value_array``
+    The field is its array jet alone: ``jet_at``, calls and ``value_array``
     are its one-row case and value slot.  Its jet on N points takes the
     (N (2m + 1), 3) grid of segment points in blocks of at most
     ``_COMPLETION_BLOCK`` points, and the levels run per point through a
@@ -375,15 +375,9 @@ def monogenic_completion(u: ScalarField,
                 break
         return out
 
-    def jet(p: ReducedPoint) -> Jet:
-        table = jet_array(np.array([p.as_tuple()]))[:, 0]
-        return Jet(*(Quaternion(*q) for q in table.tolist()))
-
-    field = QuaternionField(lambda p: jet(p).value, jet=jet,
-                            domain=u._domain, name=f"completion({u.name})",
-                            jet_array=jet_array,
+    field = QuaternionField(None, domain=u._domain,
+                            name=f"completion({u.name})", jet_array=jet_array,
                             domain_array=u._domain_array)
-    field._array_jet_is_rowwise = True
     return FlowPotential(field, name=f"completion({u.name})")
 
 

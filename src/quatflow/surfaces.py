@@ -27,6 +27,7 @@ grid), adding in node order.
 from __future__ import annotations
 
 import math
+import operator
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -248,7 +249,7 @@ class ParametricSurface:
         self._node_cache: dict[int, tuple[ChartNodes, ...]] = {}
 
     def quadrature(self, order: int) -> tuple[ChartNodes, ...]:
-        order = int(order)
+        order = operator.index(order)
         if order < 2:
             raise ValueError("quadrature order must be at least 2")
         if order not in self._node_cache:
@@ -302,7 +303,7 @@ class RegularBody:
     def volume_nodes(self, order: int) -> VolumeNodes:
         if self._volume_nodes is None:
             raise ValueError(f"body {self.name!r} has no volume quadrature")
-        order = int(order)
+        order = operator.index(order)
         if order not in self._volume_cache:
             self._volume_cache[order] = self._volume_nodes(order)
         return self._volume_cache[order]

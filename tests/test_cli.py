@@ -421,6 +421,56 @@ def test_scenario_and_config_are_mutually_exclusive(tmp_path):
     assert proc.returncode == 2
 
 
+IDENTITY_IN_SPHERE = {"name": "x", "potential": {"kind": "identity"},
+                      "body": {"kind": "sphere", "radius": 1.0}}
+
+# argv, the config written for --config (None for none) and the message
+REJECTIONS = {
+    "about-with-two-numbers": (
+        ["moment", "--about", "1,2"], None,
+        "quatflow: expected 3 comma-separated numbers, got '1,2'\n"),
+    "threads-not-an-int": (
+        ["force", "--threads", "x"], None,
+        "quatflow force: error: argument --threads: invalid int value: "
+        "'x'\n"),
+    "tol-not-a-number": (
+        ["force", "--tol", "abc"], None,
+        "quatflow force: error: argument --tol: the value must be a number, "
+        "got 'abc'\n"),
+    "config-a-list": (
+        ["force"], [1, 2], "quatflow: scenario config must be a JSON object\n"),
+    "config-unknown-key": (
+        ["force"], dict(IDENTITY_IN_SPHERE, extra=1),
+        "quatflow: unknown config keys: ['extra']\n"),
+    "reduce2d-uniform": (
+        ["reduce2d"], {"name": "x", "potential": {"kind": "uniform"},
+                       "body": {"kind": "cylinder"}},
+        "quatflow: reduce2d config needs an embedded_cylinder potential\n"),
+    "unknown-scenario": (
+        ["force", "--scenario", "not-a-scenario"], None,
+        "quatflow: unknown scenario 'not-a-scenario'; known: "
+        "control-box-uniform, control-cylinder-uniform, "
+        "control-sphere-uniform, cylinder-uniform, cylinder-vortex, "
+        "sphere-stream\n"),
+    "scenario-and-config": (
+        ["force", "--scenario", "cylinder-vortex"], IDENTITY_IN_SPHERE,
+        "quatflow: give either --scenario or --config, not both\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_a_rejected_argv_or_config_names_its_fault(case, tmp_path, capsys):
+    argv, config, message = REJECTIONS[case]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(message)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--scenario", "no-such-scenario"],
     ["verify", "--config", "/nonexistent.json"],

@@ -37,7 +37,8 @@ from quatflow import (
     sphere_body,
     velocity_from_potential,
 )
-from quatflow.fields import default_monogenicity_tol
+from quatflow.fields import (_dbar_entries, _jet_entries,
+                             default_monogenicity_tol)
 from quatflow.quaternion import qconj
 
 from test_arrays import sample_points
@@ -286,6 +287,70 @@ def test_is_monogenic_takes_a_completion_potential_in_one_batch():
     got = is_monogenic(pot, points)
     assert calls == {"jet_array": 1, "jet_at": 0}
     assert repr(got) == repr(want)
+
+
+def hexes(values):
+    return [float.hex(v) for v in values]
+
+
+def array_only_dipole():
+    """The dipole's closed form, and a field given only its array forms."""
+    f = dipole_flow(1.0).field
+    return f, QuaternionField(None, domain=f._domain, name=f.name,
+                              jet_array=f._jet_array,
+                              domain_array=f._domain_array)
+
+
+def test_an_array_only_field_reads_a_point_as_its_one_row_table():
+    _, field = array_only_dipole()
+    assert field.has_array_jet and field.has_analytic_jet
+    for p in [p for p in sample_points() if field.in_domain(p)]:
+        row = field.jet_array(np.array([p.as_tuple()]))[:, 0].tolist()
+        assert hexes(_jet_entries(field.jet_at(p))) == hexes(sum(row, []))
+        assert hexes(field(p).as_tuple()) == hexes(row[0])
+
+
+def test_is_monogenic_takes_an_array_only_field_in_one_batch():
+    _, field = array_only_dipole()
+    points = [p for p in sample_points() if field.in_domain(p)]
+    want = point_loop_report(field, points)
+    calls = counting_jets(field)
+    got = is_monogenic(field, points)
+    assert calls == {"jet_array": 1, "jet_at": 0}
+    assert repr(got) == repr(want)
+
+
+def test_an_array_only_field_raises_the_closed_forms_error_at_a_point():
+    closed, field = array_only_dipole()
+    centre = ReducedPoint(0.0, 0.0, 0.0)
+    for read in (QuaternionField.jet_at, QuaternionField.__call__):
+        with pytest.raises(DomainError) as want:
+            read(closed, centre)
+        with pytest.raises(DomainError, match=re.escape(str(want.value))):
+            read(field, centre)
+
+
+@pytest.mark.parametrize("name", sorted(harmonic_catalog()))
+def test_dbar_u_point_jet_keeps_the_bits_of_its_entries(name):
+    # the point jet Dbar u wrote before it read its one-row array jet
+    u = harmonic_catalog()[name]
+    field = scalar_dbar_field(u)
+    for p in [p for p in sample_points() if u.in_domain(p)]:
+        e = _dbar_entries(u.gradient_at(p).as_tuple(), u.hessian_at(p))
+        want = Jet(*(Quaternion(*e[k:k + 4]) for k in (0, 4, 8, 12)))
+        assert hexes(_jet_entries(field.jet_at(p))) == \
+            hexes(_jet_entries(want))
+
+
+def test_a_sum_with_a_field_without_a_jet_reads_its_jets_row_by_row():
+    total = dipole_flow(1.0).field + QuaternionField(
+        lambda p: Quaternion(p.x, 0.0, p.y * p.z))
+    assert not total.has_array_jet and not total.has_analytic_jet
+    points = [p for p in sample_points() if total.in_domain(p)][:40]
+    table = total.jet_array(np.array([p.as_tuple() for p in points]))
+    for k, p in enumerate(points):
+        assert hexes(table[:, k].ravel().tolist()) == \
+            hexes(_jet_entries(total.jet_at(p)))
 
 
 def nan_left_field():

@@ -136,6 +136,17 @@ def test_pressure_route_agrees_with_quadratic_routes():
         assert (a - b).norm() <= 1e-8, name
 
 
+def test_pressure_of_a_bare_field_is_that_of_its_potential():
+    pot = sphere_flow(1.0, 1.0)
+    bare, wrapped = pressure_field(pot.field, rho=1.3), pressure_field(
+        FlowPotential(pot.field), rho=1.3)
+    assert bare.name == wrapped.name == f"pressure({pot.field.name})"
+    xyz = sphere_body(1.5).surface.quadrature(4)[0].point_array
+    assert bare.value_array(xyz).tolist() == wrapped.value_array(xyz).tolist()
+    p = ReducedPoint(0.3, 1.4, -0.2)
+    assert float.hex(bare(p)) == float.hex(wrapped(p))
+
+
 def test_stagnation_pressure_offset_never_loads_a_closed_surface():
     sc = scenario_catalog()["cylinder-vortex"]
     base = force_pressure_direct(sc.potential, sc.body, order=ORDER).force

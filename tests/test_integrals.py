@@ -49,6 +49,9 @@ def test_kernel_closed_form_values():
     shifted = cauchy_kernel(ReducedPoint(1.5, 0.0, 0.0),
                             pole=ReducedPoint(0.5, 0.0, 0.0))
     assert (shifted - Quaternion(1.0 / (4.0 * math.pi))).norm() <= 1e-15
+    p = ReducedPoint(0.5, -0.25, 2.0)
+    with pytest.raises(ZeroDivisionError, match="at its pole"):
+        cauchy_kernel(p, p)
 
 
 def test_kernel_is_two_sided_monogenic():

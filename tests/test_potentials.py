@@ -264,6 +264,12 @@ def test_stream_functions_refuse_non_uniform_velocity():
         geometric_stream_functions(strain)
 
 
+def test_stream_functions_refuse_an_empty_probe_list():
+    with pytest.raises(ValueError, match="needs probe points"):
+        geometric_stream_functions(VelocityField.constant(1.0, 0.0, 0.0),
+                                   probe_points=[])
+
+
 def test_gauge_field_is_scalar_free_and_monogenic():
     h = vector_gauge_field()
     for p in PROBES:
@@ -290,6 +296,34 @@ def test_gauge_transform_rejects_fields_with_scalar_part():
     bad = QuaternionField(lambda p: Quaternion(p.x, 0.0, p.x, p.y))
     with pytest.raises(ValueError):
         gauge_transform(uniform_flow(1.0), bad, probe_points=PROBES)
+
+
+def test_gauge_transform_rejects_a_non_monogenic_field():
+    # x i has no scalar part, and D (x i) = i, so |D f| = 1 everywhere
+    def x_i(p):
+        return Quaternion(0.0, p.x)
+
+    zero = Quaternion()
+    extra = QuaternionField(
+        x_i, jet=lambda p: Jet(x_i(p), Quaternion(0.0, 1.0), zero, zero),
+        name="xi")
+    with pytest.raises(ValueError, match=r"not monogenic: \|D f\| = 1\.000e\+00"):
+        gauge_transform(uniform_flow(1.0), extra, probe_points=PROBES)
+
+
+@pytest.mark.parametrize("op", [lambda a: a + 1, lambda a: a * "a",
+                                lambda a: 1 + a, lambda a: "a" * a])
+def test_a_potential_or_field_refuses_other_operands(op):
+    pot = uniform_flow(1.0)
+    for operand in (pot, pot.field):
+        with pytest.raises(TypeError):
+            op(operand)
+
+
+def test_a_potential_repr_names_it():
+    assert repr(FlowPotential(uniform_flow(1.0).field, name="u")) == \
+        "FlowPotential('u')"
+    assert repr(dipole_flow(1.0)) == f"FlowPotential({dipole_flow(1.0).name!r})"
 
 
 def test_embedded_cylinder_matches_planar_derivative():

@@ -184,6 +184,47 @@ def test_cross_reads_reduced_quaternions_and_refuses_other_operands():
         cross((0.3, -1.2, 0.7), b)
 
 
+def test_a_real_operand_acts_on_the_scalar_part():
+    q = Quaternion(1.0, -2.0, 0.5, 3.0)
+    assert (q + 2.0).as_tuple() == (3.0, -2.0, 0.5, 3.0)
+    assert (2.0 + q).as_tuple() == (3.0, -2.0, 0.5, 3.0)
+    assert (q - 2.0).as_tuple() == (-1.0, -2.0, 0.5, 3.0)
+    assert (2.0 - q).as_tuple() == (1.0, 2.0, -0.5, -3.0)
+
+
+@pytest.mark.parametrize("op", [
+    lambda a: a + "x", lambda a: a - "x", lambda a: "x" - a,
+    lambda a: a * "x", lambda a: None * a, lambda a: a / "x",
+])
+@pytest.mark.parametrize("value", [Quaternion(1.0, 2.0),
+                                   ReducedPoint(1.0, 2.0, 3.0)])
+def test_an_unsupported_operand_raises_type_error(op, value):
+    with pytest.raises(TypeError):
+        op(value)
+
+
+def test_isclose_reads_the_relative_and_absolute_tolerances():
+    q = Quaternion(1.0, 2.0, 2.0, 4.0)   # norm 5
+    assert q.isclose(q + Quaternion(4e-12))
+    assert not q.isclose(q + Quaternion(6e-12))
+    assert q.isclose(q + Quaternion(1e-3), abs_tol=1e-3)
+    p = ReducedPoint(3.0, 4.0, 0.0)      # norm 5
+    assert p.isclose(p + ReducedPoint(0.0, 0.0, 4e-12))
+    assert not p.isclose(p + ReducedPoint(0.0, 0.0, 6e-12))
+    assert p.isclose(p + ReducedPoint(1e-3, 0.0, 0.0), abs_tol=1e-3)
+
+
+def test_point_negation_unit_and_hash():
+    p = ReducedPoint(3.0, -4.0, 0.0)
+    assert (-p).as_tuple() == (-3.0, 4.0, -0.0)
+    assert p.unit() == ReducedPoint(0.6, -0.8, 0.0)
+    with pytest.raises(ZeroDivisionError, match="zero vector"):
+        ReducedPoint().unit()
+    same = ReducedPoint(3.0, -4.0, 0.0)
+    assert hash(same) == hash(p)
+    assert len({p, same}) == 1
+
+
 def test_repr_round_trips_through_eval():
     q = Quaternion(1.0, -2.0, 0.5, 0.0)
     assert eval(repr(q), {"Quaternion": Quaternion}) == q

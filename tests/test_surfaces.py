@@ -7,12 +7,15 @@ import pytest
 
 from quatflow import (
     Chart,
+    ParametricSurface,
     PlanarContour,
     Quaternion,
     ReducedPoint,
+    RegularBody,
     all_force_methods,
     box_body,
     cylinder_body,
+    force_blasius,
     integrate_g_dsigma_f,
     integrate_moment_kernel,
     integrate_scalar,
@@ -23,8 +26,10 @@ from quatflow import (
     pressure_field,
     saddle_flow,
     sphere_body,
+    sphere_flow,
     uniform_flow,
 )
+from quatflow.integrals import verify_stokes
 from quatflow.surfaces import (_scaled_gauss, _times, node_values,
                                quadrature_sum)
 
@@ -212,6 +217,49 @@ def test_builder_rejects_degenerate_input():
         cylinder_body(1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         box_body((0.0, 0.0), (0.0, 1.0), (0.0, 1.0))
+    chart = sphere_body(1.0).surface.charts[0]
+    with pytest.raises(ValueError, match="orientation must be"):
+        Chart(chart.geometry, chart.s_range, chart.t_range, orientation=0)
+    with pytest.raises(ValueError, match="at least one chart"):
+        ParametricSurface([])
+    hollow = RegularBody(sphere_body(1.0).surface, ReducedPoint(), name="b")
+    with pytest.raises(ValueError, match="'b' has no volume quadrature"):
+        hollow.volume_nodes(4)
+    with pytest.raises(ValueError, match="at least one panel"):
+        PlanarContour.circle(1.0, panels=0)
+    with pytest.raises(ValueError, match="order must be at least 2"):
+        PlanarContour.circle(1.0).nodes(1)
+
+
+# Each quadrature order a caller passes, read as an integer index.
+ORDER_SITES = {
+    "surface": lambda order: sphere_body(1.0).surface.quadrature(order),
+    "volume": lambda order: sphere_body(1.0).volume_nodes(order),
+    "contour": lambda order: PlanarContour.circle(1.0).nodes(order),
+    "force": lambda order: force_blasius(sphere_flow(1.0, 1.0),
+                                         sphere_body(1.0), order=order),
+    "stokes": lambda order: verify_stokes(
+        sphere_body(1.0), lambda p: Quaternion(1.0),
+        lambda p: p.to_quaternion(), order=order),
+}
+
+
+@pytest.mark.parametrize("order", [16.9, 16.0])
+@pytest.mark.parametrize("site", sorted(ORDER_SITES))
+def test_a_float_order_is_refused_not_truncated(site, order):
+    # int(16.9) would compute at order 16 and label the result 16.9
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        ORDER_SITES[site](order)
+
+
+def test_a_numpy_integer_order_gives_the_bits_of_an_int():
+    want, got = ORDER_SITES["force"](16), ORDER_SITES["force"](np.int64(16))
+    assert [float.hex(v) for v in got.force.as_tuple()] == \
+        [float.hex(v) for v in want.force.as_tuple()]
+    assert (got.order, got.node_count) == (16, want.node_count) == (16, 512)
+    # True is the integer 1, which the order check still refuses
+    with pytest.raises(ValueError, match="order must be at least 2"):
+        ORDER_SITES["surface"](True)
 
 
 NAN, INF = float("nan"), float("inf")
