@@ -234,7 +234,9 @@ class QuaternionField(_Field):
     ----------
     evaluate : callable or None
         Maps a ReducedPoint to a Quaternion.  None reads the value at p as
-        the one-row ``value_array`` of [p], which then must be given.
+        the one-row ``value_array`` of [p], so ``value_array`` or
+        ``jet_array`` must then be given; with neither, ValueError is
+        raised.
     jet : callable, optional
         Maps a ReducedPoint to a :class:`Jet`.  When omitted, jets are the
         one-row ``jet_array`` of [p], slot by slot, given that, or else
@@ -272,6 +274,10 @@ class QuaternionField(_Field):
                  jet_array: Optional[ArrayMap] = None,
                  domain_array: Optional[ArrayMap] = None,
                  value_array: Optional[ArrayMap] = None):
+        if evaluate is None and value_array is None and jet_array is None:
+            raise ValueError(f"field {name or '<anonymous>'} has no form to "
+                             f"evaluate: give evaluate, value_array or "
+                             f"jet_array")
         if value_array is None and jet_array is not None:
             def value_array(xyz):
                 return jet_array(xyz)[0]

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import math
 import numbers
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .quaternion import I, J, Quaternion, ReducedPoint, qmul
-from .surfaces import _gauss01, _kronrod01, as_points
+from .quaternion import Quaternion, ReducedPoint, _vector_rows
+from .surfaces import _frozen, _gauss01, _kronrod01, as_points
 from .fields import (
     DEFAULT_EXCLUSION,
     DomainError,
@@ -252,6 +253,31 @@ def _gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.max(norms, axis=0)
 
 
+# Endpoint terms Dbar u (1, i, j) of the x, y, z partials, vector parts:
+# component c (i, j, k) of slot s is entry _END[c, s] of Dbar u, signed by
+# _END_SIGN, which _level_rules folds into w t ((-a) w is a (-w)).  The full
+# product adds only exact zeros to that entry, which can change nothing but
+# the sign of a zero, and every level sum ends in + 0.0.
+_END = np.array(((1, 0, 3), (2, 3, 0), (3, 2, 1)))
+_END_SIGN = np.array(((1.0, 1.0, -1.0), (1.0, 1.0, 1.0), (1.0, -1.0, 1.0)))
+
+
+@lru_cache(maxsize=64)
+def _level_rules(m: int):
+    """The nodes of K_2m+1 and, for G_m then K_2m+1, the Kronrod nodes the
+    rule reads, the weights of its outer terms ((w t, w t^2, w t^2, w t^2)
+    over the four slots) and those of its endpoint terms (w t, signed by
+    _END_SIGN); cached and read-only."""
+    ts, wk = _kronrod01(m)
+    tg, wg = _gauss01(m)
+    rules = []
+    for nodes, w, t in ((slice(1, None, 2), wg, tg), (slice(None), wk, ts)):
+        w1, w2 = w * t, w * t * t
+        rules.append((nodes, _frozen(np.array((w1, w2, w2, w2))[:, None]),
+                      _frozen(_END_SIGN[..., None, None] * w1)))
+    return ts, tuple(rules)
+
+
 def monogenic_completion(u: ScalarField,
                          center: ReducedPoint = ReducedPoint(0.0, 0.0, 0.0),
                          order: int = 8, tol: float = 1e-10,
@@ -285,11 +311,15 @@ def monogenic_completion(u: ScalarField,
     mask, so each point takes the levels it would take alone.  A block is
     one pass over its grid points in node order (at each, u's domain
     check, the harmonic check, then the Dbar u jet entries of
-    ``scalar_dbar_field``), streamed into one float table; these calls
-    into u are most of the time.  The sums are one pass too: two
-    quaternion products give the integrands of all four slots, and each
-    rule's weighted table is added along t from the first node.  The
-    first failing point raises first, with the error it meets alone
+    ``scalar_dbar_field``), streamed into one float table.  The sums are
+    one pass too: one product forms the vector parts of the outer terms
+    (d Dbar u)(x - c) of all four slots, the endpoint terms Dbar u (1, i,
+    j) of the partials are a gather of Dbar u's components (``_END``)
+    whose signs sit in the level's cached rule weights
+    (``_level_rules``), and each rule's weighted table is added along t
+    from the first node.  On a few rows the calls into u are about a
+    third of the time and the fixed numpy work of the levels the rest.
+    The first failing point raises first, with the error it meets alone
     (levels in order, then t), and results equal the point-by-point sum
     bit for bit.
 
@@ -307,7 +337,6 @@ def monogenic_completion(u: ScalarField,
     hard_cap = 1e-8
     lap_tol = _harmonic_tol(u)
     c = np.array(center.as_tuple())
-    units = np.array((I.as_tuple(), J.as_tuple())).T[..., None, None]
 
     def segment_row(q: ReducedPoint):
         """The Dbar u jet at one segment point, after its checks."""
@@ -322,11 +351,7 @@ def monogenic_completion(u: ScalarField,
     def level(xyz: np.ndarray, m: int) -> np.ndarray:
         """The vector parts of G_m and K_2m+1 at the rows of xyz, (2, 4,
         N, 4), from one segment table on the nodes of K_2m+1."""
-        ts, wk = _kronrod01(m)
-        tg, wg = _gauss01(m)
-        # each rule: the nodes it reads, w t and w t^2
-        rules = ((slice(1, None, 2), wg * tg, wg * tg * tg),
-                 (slice(None), wk * ts, wk * ts * ts))
+        ts, rules = _level_rules(m)
         n = len(ts)
         out = np.empty((2, 4, len(xyz), 4))
         step = max(1, _COMPLETION_BLOCK // n)
@@ -338,13 +363,12 @@ def monogenic_completion(u: ScalarField,
             jd = jd.transpose(3, 0, 1, 2)   # component, slot, row, node
             # chain rule: a partial sees t (d Dbar u)(x - c) plus Dbar u
             # times the partial of x - c (1, i or j); vector parts only
-            outer = qmul(jd, arm.T[:, None, :, None])[1:]
-            end = np.concatenate((jd[1:, :1], qmul(jd[:, :1], units)[1:]), 1)
+            outer = np.stack(_vector_rows(jd, arm.T[:, None, :, None]))
+            end = jd[_END, 0]
             del jd   # free the segment table before the sums
-            for table, (nodes, w1, w2) in zip(out, rules):
-                # the value's outer term takes w t, the partials' w t^2
-                terms = outer[..., nodes] * np.array((w1, w2, w2, w2))[:, None]
-                terms[:, 1:] += end[..., nodes] * w1
+            for table, (nodes, w_outer, w_end) in zip(out, rules):
+                terms = outer[..., nodes] * w_outer
+                terms[:, 1:] += end[..., nodes] * w_end
                 # one pass along t from the first node; + 0.0 turns an all
                 # -0.0 sum into the +0.0 of a sum started at 0.0
                 sums = np.add.accumulate(terms, axis=-1, out=terms)[..., -1]

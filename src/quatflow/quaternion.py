@@ -288,19 +288,32 @@ def cross(r, s) -> ReducedPoint:
     return _as_point(r, "cross operand").cross(_as_point(s, "cross operand"))
 
 
+def _rows(q):
+    """The four component rows of a component-first operand; three rows are
+    the reduced quaternion x + y i + z j, whose k is the literal 0.0."""
+    return q if len(q) == 4 else (*q, 0.0)
+
+
 def qmul(p, q) -> np.ndarray:
     """Hamilton product of component-first operands ((4, ...) arrays, four
     component rows, or three rows of a reduced quaternion, k = 0.0) as a
     broadcast (4, ...) array, each entry formed by the expressions of
     ``Quaternion.__mul__`` in order, so equal to it bit for bit."""
-    a0, a1, a2, a3 = p if len(p) == 4 else (*p, 0.0)
-    b0, b1, b2, b3 = q if len(q) == 4 else (*q, 0.0)
-    return np.stack((
-        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-    ))
+    p, q = tuple(_rows(p)), tuple(_rows(q))
+    a0, a1, a2, a3 = p
+    b0, b1, b2, b3 = q
+    return np.stack((a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+                     *_vector_rows(p, q)))
+
+
+def _vector_rows(p, q) -> tuple:
+    """The i, j and k components of ``qmul(p, q)``, by its expressions, for
+    a caller that would discard the scalar part."""
+    a0, a1, a2, a3 = _rows(p)
+    b0, b1, b2, b3 = _rows(q)
+    return (a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
 
 
 _CONJUGATION = np.array([1.0, -1.0, -1.0, -1.0])

@@ -188,6 +188,61 @@ def test_signed_zeros_match_the_definition():
     assert exact(jet) == exact(reference_jet(u, center, p))
 
 
+def zero_offset_points(center):
+    """Points on the axes and coordinate planes through center, with each
+    zero offset once +0.0 and once -0.0."""
+    steps = (0.3, -0.2, 0.25)
+    offsets = []
+    for zero in (0.0, -0.0):
+        for k in range(3):
+            axis, plane = [zero] * 3, list(steps)
+            axis[k], plane[k] = steps[k], zero
+            offsets += [axis, plane]
+    return [ReducedPoint(*(c + d for c, d in zip(center.as_tuple(), offset)))
+            for offset in offsets]
+
+
+def assert_jets_match_the_definition(u, center, order):
+    """jet_at, jet_array and value_array on zero_offset_points(center)
+    equal reference_jet bit for bit."""
+    points = zero_offset_points(center)
+    pot = monogenic_completion(u, center=center, order=order)
+    xyz = np.array([p.as_tuple() for p in points])
+    table, values = pot.jet_array(xyz), pot.value_array(xyz)
+    for k, p in enumerate(points):
+        want = reference_jet(u, center, p, order=order)
+        assert exact(pot.jet_at(p)) == exact(want), (p, order)
+        assert exact(table_jets(table)[k]) == exact(want), (p, order)
+        assert repr(tuple(values[k].tolist())) == \
+            repr(want.value.as_tuple()), (p, order)
+
+
+@pytest.mark.parametrize("name", sorted(harmonic_catalog()))
+def test_jets_with_exact_zeros_in_dbar_u_match_the_definition(name):
+    # On the axes and planes through the center, Dbar u, the arm x - c and
+    # the segment points carry exact +-0 entries, the -0.0 centers carry
+    # their signs into the points, and the endpoint terms Dbar u (1, i, j)
+    # differ from a full product only in the signs of zeros.
+    u = harmonic_catalog()[name]
+    centers = ((1.6, 0.0, 0.0), (1.6, -0.0, -0.0)) if name in SINGULAR \
+        else ((0.0, 0.0, 0.0), (-0.0, -0.0, -0.0))
+    for center in centers:
+        for order in (1, 4, 8):
+            assert_jets_match_the_definition(u, ReducedPoint(*center), order)
+
+
+def test_a_gradient_of_negative_zeros_matches_the_definition():
+    # u = y with every zero of its gradient and Hessian -0.0, so Dbar u is
+    # (-0.0, -1.0, 0.0, 0.0) and each partial (-0.0, 0.0, 0.0, 0.0)
+    u = ScalarField(lambda p: p.y, gradient=lambda p: (-0.0, 1.0, -0.0),
+                    hessian=lambda p: ((-0.0,) * 3,) * 3, name="y")
+    counted = Counted(u)
+    for center in ((0.0, 0.0, 0.0), (-0.0, -0.0, -0.0)):
+        for order in (1, 4, 8):
+            assert_jets_match_the_definition(counted.field,
+                                             ReducedPoint(*center), order)
+
+
 def test_doubling_decisions_stay_per_point():
     counted = Counted(harmonic_catalog()["1/r"])
     u = counted.field
@@ -313,21 +368,21 @@ def test_every_slot_of_a_split_batch_equals_the_definition(monkeypatch, name,
         assert exact(row) == want, p
 
 
-def test_a_level_block_takes_two_quaternion_products(monkeypatch):
-    # one product for the four slots' outer terms and one for the endpoint
-    # terms of the y and z partials, however many rows a block holds
+def test_a_level_block_takes_one_vector_part_product(monkeypatch):
+    # one product for the four slots' outer terms, vector parts only; the
+    # endpoint terms are a signed gather, however many rows a block holds
     products, blocks = [], []
-    qmul, jet_rows = potentials.qmul, potentials._jet_rows
+    vector_rows, jet_rows = potentials._vector_rows, potentials._jet_rows
 
-    def counting_qmul(p, q):
+    def counting_vector_rows(p, q):
         products.append(1)
-        return qmul(p, q)
+        return vector_rows(p, q)
 
     def counting_jet_rows(row, xyz, *slots):
         blocks.append(len(xyz))
         return jet_rows(row, xyz, *slots)
 
-    monkeypatch.setattr(potentials, "qmul", counting_qmul)
+    monkeypatch.setattr(potentials, "_vector_rows", counting_vector_rows)
     monkeypatch.setattr(potentials, "_jet_rows", counting_jet_rows)
     u, center, _ = guard_case("xyz", 0)
     pot = monogenic_completion(u, center=center)
@@ -339,7 +394,7 @@ def test_a_level_block_takes_two_quaternion_products(monkeypatch):
         pot.jet_array(points)
         # a polynomial converges at level 0: one block of 17 nodes a row
         assert blocks == [17 * rows]
-        assert len(products) == 2
+        assert len(products) == 1
 
 
 def test_a_thousand_row_completion_stays_within_its_memory_bound():

@@ -330,6 +330,25 @@ def test_an_array_only_field_raises_the_closed_forms_error_at_a_point():
             read(field, centre)
 
 
+def test_a_field_with_no_form_to_evaluate_is_refused():
+    with pytest.raises(ValueError, match="bare has no form to evaluate: "
+                       "give evaluate, value_array or jet_array"):
+        QuaternionField(None, name="bare")
+
+
+def test_an_array_form_alone_builds_a_field_that_evaluates():
+    # the completion's form (an array jet) and an array value alone
+    closed = dipole_flow(1.0).field
+    p = ReducedPoint(0.3, -0.2, 0.5)
+    want = hexes(closed(p).as_tuple())
+    for form in ("jet_array", "value_array"):
+        field = QuaternionField(None, domain=closed._domain,
+                                **{form: getattr(closed, f"_{form}")})
+        assert hexes(field(p).as_tuple()) == want, form
+        row = field.value_array(np.array([p.as_tuple()]))[0].tolist()
+        assert hexes(row) == want, form
+
+
 @pytest.mark.parametrize("name", sorted(harmonic_catalog()))
 def test_dbar_u_point_jet_keeps_the_bits_of_its_entries(name):
     # the point jet Dbar u wrote before it read its one-row array jet

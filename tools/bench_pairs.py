@@ -3,10 +3,13 @@
 Usage, from the repository root:
 
     python3 tools/bench_pairs.py --out BENCH_N.json [--base COMMIT]
+        [--workload NAME ...]
 
 The parent side is the committed tree of ``--base`` (default ``HEAD``),
 exported with ``git archive`` into a temporary directory; the change side
-is the working tree.  For every workload of ``BENCHMARK.json``, pair k
+is the working tree.  For every workload of ``BENCHMARK.json``, or for
+each one named by a repeated ``--workload`` (in ``BENCHMARK.json``'s
+order; an unknown name exits 2), pair k
 (k = 0 to 9) runs ``perfbench/run.py --seed <101 + k> --seconds <s>
 --trace 0``, with s the ``run_seconds`` of ``BENCHMARK.json``, once on
 each side, the parent first for even k and the change first for odd k.  Each side runs its own copy of
@@ -37,11 +40,17 @@ PAIRS = 10
 FIRST_SEED = 101
 
 
-def parse_args(argv=None):
+def parse_args(argv=None, workloads=()):
+    """The options, with ``workload`` the names to run (default all of
+    ``workloads``, the names of ``BENCHMARK.json``, in their order)."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--base", default="HEAD")
-    return parser.parse_args(argv)
+    parser.add_argument("--workload", action="append", choices=workloads)
+    args = parser.parse_args(argv)
+    chosen = args.workload or workloads
+    args.workload = [name for name in workloads if name in chosen]
+    return args
 
 
 def export_commit(commit: str, into: Path) -> None:
@@ -98,8 +107,8 @@ def summarise(parent_runs: list[dict], change_runs: list[dict],
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
+    args = parse_args(argv, [w["name"] for w in declared["workloads"]])
     lower_is_better = {m["name"] for m in declared["end_to_end"]
                        if m["better"] == "lower"}
     seconds = declared["run_seconds"]
@@ -125,7 +134,7 @@ def main(argv=None) -> int:
         trees = {"parent": parent, "change": ROOT}
         record["src_lines"] = {side: src_lines(tree)
                                for side, tree in trees.items()}
-        for workload in (w["name"] for w in declared["workloads"]):
+        for workload in args.workload:
             runs = {"parent": [], "change": []}
             for k in range(PAIRS):
                 seed = FIRST_SEED + k
