@@ -96,6 +96,12 @@ def _checked(field, xyz: np.ndarray) -> np.ndarray:
     return xyz
 
 
+def _undefined(field, p: ReducedPoint) -> DomainError:
+    """The DomainError of a point p outside the field's domain."""
+    return DomainError(
+        f"field {field.name or '<anonymous>'} is not defined at {p!r}")
+
+
 def _lift(op, *forms):
     """The array form xyz -> op(form(xyz), ...), or None if a form is None."""
     if any(form is None for form in forms):
@@ -200,6 +206,10 @@ class _Field:
     ``_domain_array``, and an optional value-only array form
     ``_value_array``, which assumes the points lie in the domain."""
 
+    # The shape of one value in ``value_array``'s rows: () for a real,
+    # (4,) for a quaternion.
+    _value_shape: tuple
+
     def in_domain(self, p: ReducedPoint) -> bool:
         return self._domain is None or self._domain(p)
 
@@ -213,15 +223,16 @@ class _Field:
                         dtype=bool)
 
     def _check(self, p: ReducedPoint) -> None:
-        if not self.in_domain(p):
-            raise DomainError(
-                f"field {self.name or '<anonymous>'} is not defined at {p!r}")
+        if self._domain is not None and not self._domain(p):
+            raise _undefined(self, p)
 
     def value_array(self, xyz: np.ndarray) -> np.ndarray:
         """Values at the rows of an (N, 3) array: (N, 4) quaternion rows or
         (N,) reals, from the value-only array form, or else the field row by
         row.  An error is the one the field meets first row by row."""
         if self._value_array is None:
+            if not len(xyz):
+                return np.empty((0, *self._value_shape))
             return node_rows(self, xyz)
         return in_node_order(
             lambda xyz: self._value_array(_checked(self, xyz)), self, xyz)
@@ -262,6 +273,7 @@ class QuaternionField(_Field):
     terms into one table (``_written_field``).
     """
 
+    _value_shape = (4,)
     # The term writers of a closed form or of a left-nested sum of closed
     # forms (see ``_written_field``); empty for any other field.
     _writers: tuple = ()
@@ -503,6 +515,8 @@ class ScalarField(_Field):
     point rather than once per derivative.
     """
 
+    _value_shape = ()
+
     def __init__(self, evaluate: Callable[[ReducedPoint], float],
                  gradient=None, laplacian=None, hessian=None,
                  domain=None, name: str = "", evaluate_array=None,
@@ -619,9 +633,7 @@ def scalar_dbar_field(u: ScalarField) -> QuaternionField:
     scalar gradient and Hessian, row by row; ``jet_at`` is the one-row
     array jet.  The field checks u's domain (once per point, or once per
     array) before any of its forms runs, so the forms call u's unchecked
-    bodies.  ``_entries(p)``, the sixteen jet entries of Dbar u at a point
-    of u's domain (u's Hessian, then gradient, or else the
-    finite-difference jet), serves its jets and the completion's.
+    bodies, the Hessian before the gradient.
     """
     gradient = u._gradient_unchecked
 
@@ -634,20 +646,15 @@ def scalar_dbar_field(u: ScalarField) -> QuaternionField:
     jet_array = None
     if u.has_analytic_hessian:
         def entries(p: ReducedPoint) -> tuple:
-            h = u._hessian_unchecked(p)   # the Hessian first, in every form
+            h = u._hessian_unchecked(p)
             return _dbar_entries(gradient(p), h)
 
         def jet_array(xyz: np.ndarray) -> np.ndarray:
             return _jet_rows(entries, xyz)
-    else:
-        def entries(p: ReducedPoint) -> list:
-            return _jet_entries(field._fd_jet(p))
 
-    field = QuaternionField(value, domain=u._domain, name=f"dbar({u.name})",
-                            jet_array=jet_array, domain_array=u._domain_array,
-                            value_array=value_array)
-    field._entries = entries
-    return field
+    return QuaternionField(value, domain=u._domain, name=f"dbar({u.name})",
+                           jet_array=jet_array, domain_array=u._domain_array,
+                           value_array=value_array)
 
 
 def coordinate_field() -> QuaternionField:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -44,8 +45,10 @@ from .fields import (
     _dbar_entries,
     _fd_partials,
     _inv_r,
+    _jet_entries,
     _jet_rows,
     _log_x_plus_r,
+    _undefined,
     apply_Dbar_right,
     is_monogenic,
     scalar_dbar_field,
@@ -309,16 +312,19 @@ def monogenic_completion(u: ScalarField,
     (N (2m + 1), 3) grid of segment points in blocks of at most
     ``_COMPLETION_BLOCK`` points, and the levels run per point through a
     mask, so each point takes the levels it would take alone.  A block is
-    one pass over its grid points in node order (at each, u's domain
-    check, the harmonic check, then the Dbar u jet entries of
-    ``scalar_dbar_field``), streamed into one float table.  The sums are
-    one pass too: one product forms the vector parts of the outer terms
-    (d Dbar u)(x - c) of all four slots, the endpoint terms Dbar u (1, i,
-    j) of the partials are a gather of Dbar u's components (``_END``)
-    whose signs sit in the level's cached rule weights
-    (``_level_rules``), and each rule's weighted table is added along t
-    from the first node.  On a few rows the calls into u are about a
-    third of the time and the fixed numpy work of the levels the rest.
+    one pass over its grid points in node order, streamed into one float
+    table: at each, one kernel, with u's forms bound when the field is
+    built, reads u's domain predicate, Laplacian (the harmonic check),
+    Hessian and gradient, in that order, and writes the sixteen Dbar u
+    jet entries (for u without a Hessian, the finite-difference jet of
+    ``scalar_dbar_field``).  The sums are one pass too: one product forms
+    the vector parts of the outer terms (d Dbar u)(x - c) of all four
+    slots, the endpoint terms Dbar u (1, i, j) of the partials are a
+    gather of Dbar u's components (``_END``) whose signs sit in the
+    level's cached rule weights (``_level_rules``), and each rule's
+    weighted table is added along t from the first node.  On one row the
+    segment points (u's calls and the kernel around them) are about a
+    quarter of the time and the fixed numpy work of the levels the rest.
     The first failing point raises first, with the error it meets alone
     (levels in order, then t), and results equal the point-by-point sum
     bit for bit.
@@ -333,20 +339,48 @@ def monogenic_completion(u: ScalarField,
         # the nodes in t skip t = 0, so no evaluation would notice
         raise DomainError(f"completion center {center!r} is outside the "
                           f"domain of {u.name or '<anonymous>'}")
-    entries = scalar_dbar_field(u)._entries
     hard_cap = 1e-8
     lap_tol = _harmonic_tol(u)
     c = np.array(center.as_tuple())
+    # u's forms, bound once: each analytic one itself, a missing one the
+    # unchecked body that takes its fallback; without a Hessian the Dbar u
+    # jet is the finite-difference one of scalar_dbar_field
+    domain, hessian = u._domain, u._hessian
+    laplacian = u._laplacian if u._laplacian is not None \
+        else u._laplacian_unchecked
+    gradient = u._gradient if u._gradient is not None \
+        else u._gradient_unchecked
+    fd_jet = None if hessian is not None else scalar_dbar_field(u)._fd_jet
 
     def segment_row(q: ReducedPoint):
-        """The Dbar u jet at one segment point, after its checks."""
-        u._check(q)
-        lap = u._laplacian_unchecked(q)
+        """The sixteen Dbar u jet entries at one segment point q, after
+        the domain check (``_check``'s error) and the harmonic check;
+        the Laplacian and gradient as the unchecked bodies read them."""
+        if domain is not None and not domain(q):
+            raise _undefined(u, q)
+        lap = float(laplacian(q))
         if not abs(lap) <= lap_tol:
             raise ValueError(
                 f"completion input {u.name or '<anonymous>'} is not "
                 f"harmonic near {q!r} (laplacian {lap:.3e})")
-        return entries(q)
+        if fd_jet is not None:
+            return _jet_entries(fd_jet(q))
+        h = hessian(q)
+        g = gradient(q)
+        if isinstance(g, ReducedPoint):
+            gx, gy, gz = g.x, g.y, g.z
+        else:
+            gx, gy, gz = g
+            gx, gy, gz = float(gx), float(gy), float(gz)
+        (h00, h01, h02), (_, h11, h12), (_, _, h22) = h
+        # _dbar_entries(g, h): Dbar u and its x, y and z partials
+        return (gx, -gy, -gz, 0.0, h00, -h01, -h02, 0.0,
+                h01, -h11, -h12, 0.0, h02, -h12, -h22, 0.0)
+
+    def point_row(p: ReducedPoint) -> tuple:
+        """u and its gradient at an evaluation point; the gradient first."""
+        gx, gy, gz = u._gradient_unchecked(p)
+        return float(u._evaluate(p)), gx, gy, gz
 
     def level(xyz: np.ndarray, m: int) -> np.ndarray:
         """The vector parts of G_m and K_2m+1 at the rows of xyz, (2, 4,
@@ -383,9 +417,10 @@ def monogenic_completion(u: ScalarField,
             pair = level(xyz[rows], m)
             if not j:
                 # the rows of xyz passed the field's own domain check
-                for k, p in enumerate(as_points(xyz)):
-                    gx, gy, gz = u._gradient_unchecked(p)
-                    out[:, k, 0] = float(u._evaluate(p)), gx, gy, gz
+                base = np.fromiter(chain.from_iterable(
+                    map(point_row, as_points(xyz))), float,
+                    count=4 * len(xyz))
+                out[:, :, 0] = base.reshape(-1, 4).T
             pair[..., 0] = out[:, rows, 0]   # a NaN there fails the gap
             done = _gap(*pair) <= (tol if j <= max_doublings else hard_cap)
             if not done.all() and j > max_doublings:

@@ -10,6 +10,7 @@ u bit for bit.
 
 import inspect
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -721,3 +722,130 @@ def test_a_segment_through_a_hole_names_the_field_checked_first():
                                    f"{ReducedPoint(*q.tolist())!r}")
     assert str(on_array.value) == str(at_point.value)
     assert str(at_point.value) == str(first_error(u, center, [p]))
+
+
+class Recorded:
+    """u = xyz whose five forms log (form, point) in call order; a form
+    named by ``missing`` is left out, so u takes its fallback."""
+
+    FORMS = ("value", "gradient", "laplacian", "hessian", "domain")
+
+    def __init__(self, domain=lambda p: True, missing=None):
+        xyz = harmonic_catalog()["xyz"]
+        self.log = []
+
+        def recorded(form, method):
+            def wrapper(p):
+                self.log.append((form, p.as_tuple()))
+                return method(p)
+            return wrapper
+
+        forms = dict(zip(self.FORMS, (xyz, xyz.gradient_at, xyz.laplacian_at,
+                                      xyz.hessian_at, domain)))
+        forms = {form: recorded(form, method) if form != missing else None
+                 for form, method in forms.items()}
+        self.field = ScalarField(forms.pop("value"), name="xyz", **forms)
+
+
+SEGMENT_READS = ("domain", "laplacian", "hessian", "gradient")
+
+
+def test_each_segment_point_reads_domain_laplacian_hessian_gradient():
+    recorded = Recorded()
+    center = ReducedPoint(0.2, -0.1, 0.3)
+    pot = monogenic_completion(recorded.field, center=center)
+    xyz = np.array([(0.5, 0.1, -0.2), (-0.1, 0.2, 0.6)])
+    c = np.array(center.as_tuple())
+    ts = potentials._kronrod01(8)[0]
+
+    def jet_at(rows):
+        return pot.jet_at(ReducedPoint(*rows[0].tolist()))
+
+    for read, rows in ((jet_at, xyz[:1]), (pot.jet_array, xyz[:1]),
+                       (pot.jet_array, xyz)):
+        grid = (c + ts[:, None] * (rows - c)[:, None, :]).reshape(-1, 3)
+        points = [tuple(p) for p in rows.tolist()]
+        # the field's own domain check, the 17 nodes of K_17 of each row
+        # (a polynomial converges at level 0), then u's gradient and value
+        want = [("domain", p) for p in points]
+        want += [(form, tuple(q)) for q in grid.tolist()
+                 for form in SEGMENT_READS]
+        want += [(form, p) for p in points for form in ("gradient", "value")]
+        recorded.log.clear()
+        read(rows)
+        assert recorded.log == want
+
+
+def test_a_domain_failure_at_a_later_segment_point_raises_checks_error():
+    # a slab of x outside u's domain holds node 4 of K_17 alone, so nodes
+    # 0 to 3 read all four forms and node 4 its domain, which fails
+    ts = potentials._kronrod01(8)[0]
+    p = ReducedPoint(0.4, 0.2, -0.1)
+    lo, hi = 0.2 * (ts[3] + ts[4]), 0.2 * (ts[4] + ts[5])
+    recorded = Recorded(domain=lambda q: not lo < q.x < hi)
+    pot = monogenic_completion(recorded.field)
+    nodes = [tuple(q) for q in (ts[:, None] * np.array(p.as_tuple())).tolist()]
+    with pytest.raises(DomainError) as want:
+        recorded.field._check(ReducedPoint(*nodes[4]))
+    assert str(want.value) == \
+        f"field xyz is not defined at {ReducedPoint(*nodes[4])!r}"
+    recorded.log.clear()
+    with pytest.raises(DomainError) as got:
+        pot.jet_at(p)
+    assert str(got.value) == str(want.value)
+    assert recorded.log == [("domain", p.as_tuple())] + [
+        (form, q) for q in nodes[:4] for form in SEGMENT_READS] + [
+        ("domain", nodes[4])]
+    # the array forms, after their row-by-row rerun, raise the same
+    for read in (pot.jet_array, pot.value_array):
+        with pytest.raises(DomainError) as got:
+            read(np.array([p.as_tuple()]))
+        assert str(got.value) == str(want.value)
+
+
+def test_a_gradient_of_any_sequence_kind_gives_the_same_bits():
+    # u = x, whose gradient (1, 0, 0) every kind can carry, integers too
+    x = harmonic_catalog()["x"]
+    kinds = {"tuple": tuple, "ReducedPoint": lambda g: ReducedPoint(*g),
+             "np.float64": lambda g: tuple(map(np.float64, g)), "list": list,
+             "int": lambda g: [int(v) for v in g]}
+    xyz = np.array([p.as_tuple() for p in SIGNED_ZERO_POINTS])
+    got = {}
+    for name, kind in kinds.items():
+        u = ScalarField(x, laplacian=x.laplacian_at, hessian=x.hessian_at,
+                        gradient=lambda p, kind=kind: kind(
+                            x.gradient_at(p).as_tuple()), name="x")
+        pot = monogenic_completion(u)
+        got[name] = [exact(pot.jet_at(p)) for p in SIGNED_ZERO_POINTS]
+        assert [exact(j) for j in table_jets(pot.jet_array(xyz))] == \
+            got[name], name
+    want = [exact(reference_jet(x, ORIGIN, p)) for p in SIGNED_ZERO_POINTS]
+    assert got == dict.fromkeys(kinds, want)
+
+
+# Calls into u, form by form, of one jet_at of the completion of xyz about
+# (0.2, -0.1, 0.3) at (0.5, 0.1, -0.2) when u lacks one form.  Without a
+# Hessian the Dbar u jet takes central differences of the gradient at six
+# stencil points, each domain-checked; without a gradient that is
+# central differences of u; without a Laplacian, the Hessian's trace.
+FALLBACK_CALLS = {
+    "hessian": {"domain": 1 + 17 * 7, "laplacian": 17,
+                "gradient": 17 * 7 + 1, "value": 1},
+    "gradient": {"domain": 1 + 17 * 7 + 6, "laplacian": 17, "hessian": 17,
+                 "value": 17 * 6 + 6 + 1},
+    "laplacian": {"domain": 1 + 17, "hessian": 2 * 17, "gradient": 17 + 1,
+                  "value": 1},
+}
+
+
+@pytest.mark.parametrize("missing", sorted(FALLBACK_CALLS))
+def test_a_scalar_without_a_form_keeps_its_fallbacks_bits_and_calls(missing):
+    recorded = Recorded(missing=missing)
+    center = ReducedPoint(0.2, -0.1, 0.3)
+    p = ReducedPoint(0.5, 0.1, -0.2)
+    pot = monogenic_completion(recorded.field, center=center)
+    recorded.log.clear()
+    jet = pot.jet_at(p)
+    calls = Counter(form for form, _ in recorded.log)
+    assert calls == FALLBACK_CALLS[missing]
+    assert exact(jet) == exact(reference_jet(recorded.field, center, p))

@@ -349,6 +349,17 @@ def test_an_array_form_alone_builds_a_field_that_evaluates():
         assert hexes(row) == want, form
 
 
+def test_a_field_read_row_by_row_gives_an_empty_array_no_rows():
+    # the row-by-row fallback has no first row to tell a real from a
+    # quaternion, so the field's kind gives the row shape
+    for field, row in ((ScalarField(lambda p: 1.0), ()),
+                       (QuaternionField(lambda p: Quaternion(1.0)), (4,))):
+        for count in (0, 2):
+            values = field.value_array(np.zeros((count, 3)))
+            assert values.shape == (count, *row)
+            assert values.dtype == np.float64
+
+
 @pytest.mark.parametrize("name", sorted(harmonic_catalog()))
 def test_dbar_u_point_jet_keeps_the_bits_of_its_entries(name):
     # the point jet Dbar u wrote before it read its one-row array jet
