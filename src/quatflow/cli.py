@@ -356,25 +356,43 @@ def _tolerance(text: str) -> float:
     return tol + 0.0   # -0 reads as 0.0
 
 
-def _thread_count(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        count = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}") from None
+
+
+def _thread_count(text: str) -> int:
+    count = _integer(text)
     if count < 1:
         raise argparse.ArgumentTypeError(
             f"thread count must be at least 1, got {count}")
     return count
 
 
+# The largest --order.  The Gauss-Legendre nodes come from a dense
+# order x order eigenproblem, so a far larger order would run out of memory
+# before any result; orders below 2 fail later, in the quadrature builders.
+_MAX_ORDER = 256
+
+
+def _quadrature_order(text: str) -> int:
+    order = _integer(text)
+    if order > _MAX_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"quadrature order must be at most {_MAX_ORDER}, got {order}")
+    return order
+
+
 # Every option a subcommand may take: its flag and argparse keywords.
 _OPTIONS = {
     "scenario": ("--scenario", {"help": "named scenario from the catalog"}),
     "config": ("--config", {"help": "path to a JSON scenario config"}),
-    "order": ("--order", {"action": "append", "type": int,
-                          "help": "quadrature order (repeatable for "
-                                  "convergence)"}),
+    "order": ("--order", {"action": "append", "type": _quadrature_order,
+                          "help": f"quadrature order, at most {_MAX_ORDER} "
+                                  f"(repeatable for convergence)"}),
     "tol": ("--tol", {"type": _tolerance, "default": 1e-8,
                       "help": "pass/fail tolerance (default 1e-8)"}),
     "about": ("--about", {"default": "0,0,0",

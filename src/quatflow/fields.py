@@ -507,12 +507,12 @@ class ScalarField(_Field):
     :class:`QuaternionField`, so ``value_array`` raises the error the
     field meets first row by row.
 
-    Every public method checks the domain at its point first.  Code that
-    works on a batch of points checks the domain once for the whole
-    batch (``_checked``) and then calls the private unchecked bodies
-    (``_gradient_unchecked``, ``_hessian_unchecked``,
-    ``_laplacian_unchecked``) row by row, so the predicate runs once per
-    point rather than once per derivative.
+    A public read checks the domain once and applies an analytic form in
+    the same frame, one float per number (``gradient_at`` unpacks three
+    into a new ReducedPoint), or else its private unchecked fallback body.
+    Code that works on a batch of points checks the domain once for the
+    whole batch (``_checked``) and then calls the forms or those bodies
+    row by row, so the predicate runs once per point, not per derivative.
     """
 
     _value_shape = ()
@@ -539,20 +539,28 @@ class ScalarField(_Field):
         return self._laplacian is not None or self._hessian is not None
 
     def __call__(self, p: ReducedPoint) -> float:
-        self._check(p)
+        if self._domain is not None and not self._domain(p):
+            raise _undefined(self, p)
         return float(self._evaluate(p))
 
     def gradient_at(self, p: ReducedPoint) -> ReducedPoint:
-        self._check(p)
-        return ReducedPoint(*self._gradient_unchecked(p))
+        if self._domain is not None and not self._domain(p):
+            raise _undefined(self, p)
+        g = self._gradient_unchecked(p) if self._gradient is None \
+            else self._gradient(p)
+        gx, gy, gz = (g.x, g.y, g.z) if isinstance(g, ReducedPoint) else g
+        return ReducedPoint(gx, gy, gz)
 
     def hessian_at(self, p: ReducedPoint):
-        self._check(p)
-        return self._hessian_unchecked(p)
+        if self._domain is not None and not self._domain(p):
+            raise _undefined(self, p)
+        return None if self._hessian is None else self._hessian(p)
 
     def laplacian_at(self, p: ReducedPoint) -> float:
-        self._check(p)
-        return self._laplacian_unchecked(p)
+        if self._domain is not None and not self._domain(p):
+            raise _undefined(self, p)
+        return self._laplacian_unchecked(p) if self._laplacian is None \
+            else float(self._laplacian(p))
 
     # The bodies below assume p lies in the domain; callers that checked a
     # whole grid at once (``_checked``) call them row by row.  The gradient
@@ -566,9 +574,6 @@ class ScalarField(_Field):
                 return g.as_tuple()
         gx, gy, gz = g
         return float(gx), float(gy), float(gz)
-
-    def _hessian_unchecked(self, p: ReducedPoint):
-        return None if self._hessian is None else self._hessian(p)
 
     def _laplacian_unchecked(self, p: ReducedPoint) -> float:
         if self._laplacian is not None:
@@ -612,15 +617,28 @@ def _jet_entries(jet: Jet) -> list:
     return [v for q in jet for v in q.as_tuple()]
 
 
-def _jet_rows(row, xyz: np.ndarray, slots: int = 4) -> np.ndarray:
-    """A (slots, N, 4) table from row(p), the 4 * slots components of p's
-    quaternions, at each row p of xyz in order.  The rows stream into one
-    flat float array (faster than rows of a subarray dtype, and no list of
-    row tuples is held), so the first row that raises stops the table."""
+# [c, s]: the one of u's nine derivatives that component c of slot s maps
+_DBAR_SLOTS = np.array(((0, 3, 4, 5), (1, 4, 6, 7), (2, 5, 7, 8)))
+
+
+def _dbar_table(rows: np.ndarray) -> np.ndarray:
+    """The (4, N, 4) Dbar u jet table of (N, 9) rows (gx, gy, gz, h00, h01,
+    h02, h11, h12, h22): ``_dbar_entries`` of the gradient's and Hessian
+    rows' columns (``_DBAR_SLOTS``), the bits it gives them as floats."""
+    out = np.empty((4, 4, len(rows)))   # component, slot, row
+    out[0], out[1], out[2], out[3] = _dbar_entries(rows.T[_DBAR_SLOTS])
+    return out.transpose(1, 2, 0)
+
+
+def _jet_rows(row, xyz: np.ndarray, slots=4, width=4) -> np.ndarray:
+    """A (slots, N, width) table from row(p), p's slots * width numbers, at
+    each row p of xyz in order.  The rows stream into one flat float array
+    (faster than rows of a subarray dtype, and no list of row tuples is
+    held), so the first row that raises stops the table."""
     rows = np.fromiter(chain.from_iterable(map(row, as_points(xyz))), float,
-                       count=4 * slots * len(xyz))
+                       count=width * slots * len(xyz))
     return np.ascontiguousarray(
-        rows.reshape(len(xyz), slots, 4).transpose(1, 0, 2))
+        rows.reshape(len(xyz), slots, width).transpose(1, 0, 2))
 
 
 def scalar_dbar_field(u: ScalarField) -> QuaternionField:
@@ -628,12 +646,12 @@ def scalar_dbar_field(u: ScalarField) -> QuaternionField:
 
     When u carries an analytic Hessian the jet is analytic as well;
     applying D to the result then reproduces the Laplacian of u exactly,
-    since D(Dbar u) = (Laplacian u) holds componentwise.  The array jet
-    (with a Hessian) and the array values fill one float table from u's
-    scalar gradient and Hessian, row by row; ``jet_at`` is the one-row
-    array jet.  The field checks u's domain (once per point, or once per
-    array) before any of its forms runs, so the forms call u's unchecked
-    bodies, the Hessian before the gradient.
+    since D(Dbar u) = (Laplacian u) holds componentwise.  The array values
+    fill one float table from u's gradient, and the array jet (with a
+    Hessian) one from u's nine distinct derivatives, row by row, as the
+    completion does (``_dbar_table``); ``jet_at`` is the one-row array jet.
+    The field checks u's domain (once per point, or once per array) first,
+    so the forms call u's Hessian, then its unchecked gradient body.
     """
     gradient = u._gradient_unchecked
 
@@ -645,12 +663,12 @@ def scalar_dbar_field(u: ScalarField) -> QuaternionField:
 
     jet_array = None
     if u.has_analytic_hessian:
-        def entries(p: ReducedPoint) -> tuple:
-            h = u._hessian_unchecked(p)
-            return _dbar_entries(gradient(p), h)
+        def distinct(p: ReducedPoint) -> tuple:
+            (h00, h01, h02), (_, h11, h12), (_, _, h22) = u._hessian(p)
+            return (*gradient(p), h00, h01, h02, h11, h12, h22)
 
         def jet_array(xyz: np.ndarray) -> np.ndarray:
-            return _jet_rows(entries, xyz)
+            return _dbar_table(_jet_rows(distinct, xyz, 1, 9)[0])
 
     return QuaternionField(value, domain=u._domain, name=f"dbar({u.name})",
                            jet_array=jet_array, domain_array=u._domain_array,

@@ -43,6 +43,7 @@ from .fields import (
     _closed_form,
     _column_scalar,
     _dbar_entries,
+    _dbar_table,
     _fd_partials,
     _inv_r,
     _jet_entries,
@@ -315,19 +316,20 @@ def monogenic_completion(u: ScalarField,
     one pass over its grid points in node order, streamed into one float
     table: at each, one kernel, with u's forms bound when the field is
     built, reads u's domain predicate, Laplacian (the harmonic check),
-    Hessian and gradient, in that order, and writes the sixteen Dbar u
-    jet entries (for u without a Hessian, the finite-difference jet of
-    ``scalar_dbar_field``).  The sums are one pass too: one product forms
-    the vector parts of the outer terms (d Dbar u)(x - c) of all four
-    slots, the endpoint terms Dbar u (1, i, j) of the partials are a
-    gather of Dbar u's components (``_END``) whose signs sit in the
-    level's cached rule weights (``_level_rules``), and each rule's
-    weighted table is added along t from the first node.  On one row the
-    segment points (u's calls and the kernel around them) are about a
-    quarter of the time and the fixed numpy work of the levels the rest.
-    The first failing point raises first, with the error it meets alone
-    (levels in order, then t), and results equal the point-by-point sum
-    bit for bit.
+    Hessian and gradient, in that order, and writes u's nine distinct
+    derivatives, to which the block applies the sign map of Dbar u on
+    columns (``_dbar_table``); for u without a Hessian it writes the
+    sixteen entries of the finite-difference jet of ``scalar_dbar_field``.
+    The sums are one pass too: one product forms the vector parts of the
+    outer terms (d Dbar u)(x - c) of all four slots, the endpoint terms
+    Dbar u (1, i, j) of the partials are a gather of Dbar u's components
+    (``_END``) whose signs sit in the level's cached rule weights
+    (``_level_rules``), and each rule's weighted table is added along t
+    from the first node.  On one row the segment table (u's calls, the
+    kernels and the sign map) is about a quarter of the time and the fixed
+    numpy work of the levels the rest.  The first failing point raises
+    first, with the error it meets alone (levels in order, then t), and
+    results equal the point-by-point sum bit for bit.
 
     The scalar part of the result reproduces u exactly by construction;
     monogenicity holds when u is harmonic on a region star-shaped about
@@ -353,9 +355,9 @@ def monogenic_completion(u: ScalarField,
     fd_jet = None if hessian is not None else scalar_dbar_field(u)._fd_jet
 
     def segment_row(q: ReducedPoint):
-        """The sixteen Dbar u jet entries at one segment point q, after
-        the domain check (``_check``'s error) and the harmonic check;
-        the Laplacian and gradient as the unchecked bodies read them."""
+        """u's nine distinct derivatives at one segment point q (without a
+        Hessian, the sixteen Dbar u jet entries), after the domain check
+        (``_check``'s error) and the harmonic check."""
         if domain is not None and not domain(q):
             raise _undefined(u, q)
         lap = float(laplacian(q))
@@ -365,17 +367,10 @@ def monogenic_completion(u: ScalarField,
                 f"harmonic near {q!r} (laplacian {lap:.3e})")
         if fd_jet is not None:
             return _jet_entries(fd_jet(q))
-        h = hessian(q)
+        (h00, h01, h02), (_, h11, h12), (_, _, h22) = hessian(q)
         g = gradient(q)
-        if isinstance(g, ReducedPoint):
-            gx, gy, gz = g.x, g.y, g.z
-        else:
-            gx, gy, gz = g
-            gx, gy, gz = float(gx), float(gy), float(gz)
-        (h00, h01, h02), (_, h11, h12), (_, _, h22) = h
-        # _dbar_entries(g, h): Dbar u and its x, y and z partials
-        return (gx, -gy, -gz, 0.0, h00, -h01, -h02, 0.0,
-                h01, -h11, -h12, 0.0, h02, -h12, -h22, 0.0)
+        gx, gy, gz = (g.x, g.y, g.z) if isinstance(g, ReducedPoint) else g
+        return gx, gy, gz, h00, h01, h02, h11, h12, h22
 
     def point_row(p: ReducedPoint) -> tuple:
         """u and its gradient at an evaluation point; the gradient first."""
@@ -393,8 +388,10 @@ def monogenic_completion(u: ScalarField,
             rows = slice(start, start + step)
             arm = xyz[rows] - c
             grid = (c + ts[:, None] * arm[:, None, :]).reshape(-1, 3)
-            jd = _jet_rows(segment_row, grid).reshape(4, len(arm), n, 4)
-            jd = jd.transpose(3, 0, 1, 2)   # component, slot, row, node
+            jd = _jet_rows(segment_row, grid) if fd_jet is not None else \
+                _dbar_table(_jet_rows(segment_row, grid, 1, 9)[0])
+            # component, slot, row, node
+            jd = jd.reshape(4, len(arm), n, 4).transpose(3, 0, 1, 2)
             # chain rule: a partial sees t (d Dbar u)(x - c) plus Dbar u
             # times the partial of x - c (1, i or j); vector parts only
             outer = np.stack(_vector_rows(jd, arm.T[:, None, :, None]))

@@ -437,6 +437,18 @@ REJECTIONS = {
         ["force", "--tol", "abc"], None,
         "quatflow force: error: argument --tol: the value must be a number, "
         "got 'abc'\n"),
+    # refused by its parse type, before any quadrature rule is built
+    "order-above-256": (
+        ["force", "--order", "257"], None,
+        "quatflow force: error: argument --order: quadrature order must be "
+        "at most 256, got 257\n"),
+    "convergence-order-above-256": (
+        ["convergence", "--order", "8", "--order", "300"], None,
+        "quatflow convergence: error: argument --order: quadrature order "
+        "must be at most 256, got 300\n"),
+    "order-below-2": (
+        ["force", "--order", "1"], None,
+        "quatflow: quadrature order must be at least 2\n"),
     "config-a-list": (
         ["force"], [1, 2], "quatflow: scenario config must be a JSON object\n"),
     "config-unknown-key": (

@@ -935,3 +935,116 @@ def test_a_hessian_without_a_laplacian_gives_the_trace():
     # the completion's harmonic check reads that trace
     with pytest.raises(ValueError, match="is not harmonic near"):
         monogenic_completion(u).jet_at(p)
+
+
+class CountedDomain:
+    """The domain x > 0, counting its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, p):
+        self.calls += 1
+        return p.x > 0.0
+
+
+ON_DOMAIN = ReducedPoint(0.3, -0.7, 0.45)
+OFF_DOMAIN = ReducedPoint(-0.5, 0.25, 1.0)
+SCALAR_READS = ("__call__", "gradient_at", "hessian_at", "laplacian_at")
+
+
+def counted_cubic(name="cubic", **forms):
+    """u = x y^2 + z^3 on x > 0 with a counted domain, its value and
+    Laplacian numpy floats; ``forms`` replace its analytic gradient,
+    Hessian and Laplacian (None drops one)."""
+    forms = dict(dict(
+        gradient=lambda p: (p.y * p.y, 2.0 * p.x * p.y, 3.0 * p.z * p.z),
+        hessian=lambda p: ((0.0, 2.0 * p.y, 0.0), (2.0 * p.y, 2.0 * p.x, 0.0),
+                           (0.0, 0.0, 6.0 * p.z)),
+        laplacian=lambda p: np.float64(2.0 * p.x + 6.0 * p.z)), **forms)
+    domain = CountedDomain()
+    u = ScalarField(lambda p: np.float64(p.x * p.y * p.y + p.z ** 3),
+                    domain=domain, name=name, **forms)
+    return u, domain
+
+
+@pytest.mark.parametrize("read", SCALAR_READS)
+def test_a_public_scalar_read_checks_the_domain_once(read):
+    u, domain = counted_cubic()
+    got = getattr(u, read)(ON_DOMAIN)
+    assert domain.calls == 1
+    if read in ("__call__", "laplacian_at"):
+        assert type(got) is float
+    for name, shown in (("cubic", "cubic"), ("", "<anonymous>")):
+        u, domain = counted_cubic(name, gradient=None, hessian=None,
+                                  laplacian=None)
+        with pytest.raises(DomainError) as err:
+            getattr(u, read)(OFF_DOMAIN)
+        assert str(err.value) == \
+            f"field {shown} is not defined at ReducedPoint(-0.5, 0.25, 1.0)"
+        assert domain.calls == 1
+
+
+# A gradient form's result and the bits gradient_at returns for it; the
+# finite differences are u's recorded central differences at ON_DOMAIN.
+GRADIENT_KINDS = {
+    "ReducedPoint": (lambda p: GIVEN_POINT,
+                     ("0x1.999999999999ap-4", "-0x0.0p+0",
+                      "0x1.8000000000000p+1")),
+    "np.float64": (lambda p: (np.float64(0.1), np.float64(-0.0),
+                              np.float64(1e300)),
+                   ("0x1.999999999999ap-4", "-0x0.0p+0",
+                    "0x1.7e43c8800759cp+996")),
+    "int": (lambda p: [1, 0, 2 ** 60 + 1],
+            ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.0000000000000p+60")),
+    "finite-differences": (None, ("0x1.f5c28f5c29e4fp-2",
+                                  "-0x1.ae147ae13fc2fp-2",
+                                  "0x1.370a3d71815c4p-1")),
+}
+GIVEN_POINT = ReducedPoint(0.1, -0.0, 3.0)
+
+
+@pytest.mark.parametrize("kind", sorted(GRADIENT_KINDS))
+def test_gradient_at_returns_a_fresh_point_of_floats(kind):
+    form, want = GRADIENT_KINDS[kind]
+    u, _ = counted_cubic(gradient=form)
+    g = u.gradient_at(ON_DOMAIN)
+    assert type(g) is ReducedPoint and g is not GIVEN_POINT
+    assert all(type(c) is float for c in g.as_tuple())
+    assert [c.hex() for c in g.as_tuple()] == list(want)
+
+
+@pytest.mark.parametrize("entries", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)])
+def test_a_gradient_of_the_wrong_length_raises_value_error(entries):
+    u, _ = counted_cubic(gradient=lambda p: entries)
+    with pytest.raises(ValueError, match="values to unpack"):
+        u.gradient_at(ON_DOMAIN)
+
+
+def test_the_laplacian_of_a_hessian_alone_is_its_trace_in_order():
+    u, domain = counted_cubic(
+        laplacian=None, hessian=lambda p: ((0.1, 5.0, 5.0), (5.0, 0.2, 5.0),
+                                           (5.0, 5.0, 0.3)))
+    lap = u.laplacian_at(ON_DOMAIN)
+    # (0.1 + 0.2) + 0.3, not 0.1 + (0.2 + 0.3) = 0.6
+    assert type(lap) is float and lap.hex() == (0.1 + 0.2 + 0.3).hex()
+    assert lap != 0.6
+    assert domain.calls == 1
+
+
+def test_dbar_u_of_an_int_hessian_has_the_bits_of_its_float_form():
+    # the sign map negates floats, so an int 0 entry reads -0.0 as 0.0 does
+    def hessian(kind):
+        return lambda p: tuple(tuple(map(kind, row))
+                               for row in ((0, 1, 0), (1, 0, 0), (0, 0, 0)))
+
+    p = ReducedPoint(0.3, -0.2, 0.5)
+    jets = [exact_jet(scalar_dbar_field(ScalarField(
+        lambda p: p.x * p.y, gradient=lambda p: (p.y, p.x, 0),
+        hessian=hessian(kind))).jet_at(p)) for kind in (int, float)]
+    assert jets[0] == jets[1]
+    assert "-0.0" in jets[0]
+
+
+def exact_jet(jet):
+    return repr([q.as_tuple() for q in jet])
