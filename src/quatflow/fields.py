@@ -576,8 +576,7 @@ class ScalarField(_Field):
         return float(gx), float(gy), float(gz)
 
     def _laplacian_unchecked(self, p: ReducedPoint) -> float:
-        if self._laplacian is not None:
-            return float(self._laplacian(p))
+        # callers apply an analytic Laplacian themselves
         if self._hessian is not None:
             h = self._hessian(p)
             return float(h[0][0] + h[1][1] + h[2][2])

@@ -476,6 +476,9 @@ def geometric_stream_functions(velocity: VelocityField,
     points (a small lattice by default); any nonzero mixed-divergence or
     coordinate-dependence probe raises IntegrabilityError with the
     failing conditions spelled out.
+
+    The stream functions are the vector part of ``uniform_flow``: psi_k
+    is component k of its value and partials, flat and defined everywhere.
     """
     probes = list(probe_points) if probe_points is not None \
         else _default_probe_lattice()
@@ -513,21 +516,15 @@ def geometric_stream_functions(velocity: VelocityField,
                 "velocity field passes derivative probes but is not "
                 "constant across the probe set")
 
-    u1, u2, u3 = v0.x, v0.y, v0.z
+    value, partials = _uniform_forms(*v0.as_tuple())
 
-    def flat(x, y, z, xp):
-        return ((0.0,) * 3,) * 3
-
-    psi1 = _column_scalar("psi1", lambda x, y, z, xp: 0.5 * (u1 * y - u2 * x),
-                          None, lambda x, y, z, xp: (-0.5 * u2, 0.5 * u1, 0.0),
-                          flat, None)
-    psi2 = _column_scalar("psi2", lambda x, y, z, xp: 0.5 * (u1 * z - u3 * x),
-                          None, lambda x, y, z, xp: (-0.5 * u3, 0.0, 0.5 * u1),
-                          flat, None)
-    psi3 = _column_scalar("psi3", lambda x, y, z, xp: 0.5 * (u3 * y - u2 * z),
-                          None, lambda x, y, z, xp: (0.0, 0.5 * u3, -0.5 * u2),
-                          flat, None)
-    return StreamFunctions(psi1, psi2, psi3, uniform_flow(u1, u2, u3))
+    def psi(k):
+        return _column_scalar(
+            f"psi{k}", lambda x, y, z, xp: value(x, y, z, xp)[k], None,
+            lambda x, y, z, xp: partials(x, y, z, xp)[k::4],
+            lambda x, y, z, xp: ((0.0,) * 3,) * 3, None)
+    return StreamFunctions(psi(1), psi(2), psi(3),
+                           uniform_flow(*v0.as_tuple()))
 
 
 # ----------------------------------------------------------------------
@@ -572,10 +569,9 @@ def gauge_transform(potential: FlowPotential, extra: QuaternionField,
 # closed-form catalog
 # ----------------------------------------------------------------------
 
-def uniform_flow(u1: float, u2: float = 0.0, u3: float = 0.0) -> FlowPotential:
-    """Uniform stream with velocity (u1, u2, u3)."""
-    u1, u2, u3 = float(u1), float(u2), float(u3)
-
+def _uniform_forms(u1: float, u2: float, u3: float):
+    """The value and partials over columns of the uniform stream (u1, u2,
+    u3) for ``_closed_form``; its components are phi, psi1, psi2, psi3."""
     def value(x, y, z, xp):
         return (u1 * x + u2 * y + u3 * z, 0.5 * (u1 * y - u2 * x),
                 0.5 * (u1 * z - u3 * x), 0.5 * (u3 * y - u2 * z))
@@ -584,8 +580,14 @@ def uniform_flow(u1: float, u2: float = 0.0, u3: float = 0.0) -> FlowPotential:
         return (u1, -0.5 * u2, -0.5 * u3, 0.0,
                 u2, 0.5 * u1, 0.0, 0.5 * u3,
                 u3, 0.0, 0.5 * u1, -0.5 * u2)
+    return value, partials
 
-    field = _closed_form(value, partials, name=f"uniform({u1},{u2},{u3})")
+
+def uniform_flow(u1: float, u2: float = 0.0, u3: float = 0.0) -> FlowPotential:
+    """Uniform stream with velocity (u1, u2, u3)."""
+    u1, u2, u3 = float(u1), float(u2), float(u3)
+    field = _closed_form(*_uniform_forms(u1, u2, u3),
+                         name=f"uniform({u1},{u2},{u3})")
     return FlowPotential(field)
 
 

@@ -5,7 +5,8 @@ hence ij = k = -ji and cyclically.  A quaternion whose k-component
 vanishes, x + y*i + z*j, is called reduced and is identified with the
 point (x, y, z) of 3-space.  Vector geometry (dot, cross, distances)
 lives on :class:`ReducedPoint`; the noncommutative algebra lives on
-:class:`Quaternion`.  :func:`qmul` and :func:`qconj` apply the same
+:class:`Quaternion`; a private base gives both their norm, closeness,
+equality, hash and repr.  :func:`qmul` and :func:`qconj` apply the same
 algebra to component-first numpy operands, one row per component
 (``qmul`` also reads three rows as a reduced quaternion, k = 0).
 """
@@ -31,7 +32,35 @@ __all__ = [
 ]
 
 
-class Quaternion:
+class _Components:
+    """A value of float components, read through ``as_tuple``: its norm,
+    closeness, equality within its class, hash and repr."""
+
+    __slots__ = ()
+
+    def norm(self) -> float:
+        return math.sqrt(self.norm_sq())
+
+    __abs__ = norm
+
+    def isclose(self, other, rel: float = 1e-12,
+                abs_tol: float = 0.0) -> bool:
+        return (self - other).norm() <= abs_tol + rel * max(self.norm(),
+                                                            other.norm())
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self.as_tuple() == other.as_tuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.as_tuple())
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self.as_tuple()!r}"
+
+
+class Quaternion(_Components):
     """A quaternion q0 + q1*i + q2*j + q3*k with float components.
 
     Instances are treated as immutable values; all operators return new
@@ -91,12 +120,8 @@ class Quaternion:
                               self.q2 * other, self.q3 * other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        # only scalars reach here; quaternion*quaternion is handled above
-        if isinstance(other, (int, float)):
-            return Quaternion(self.q0 * other, self.q1 * other,
-                              self.q2 * other, self.q3 * other)
-        return NotImplemented
+    # only scalars reach here; quaternion*quaternion is handled above
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
@@ -113,11 +138,6 @@ class Quaternion:
     def norm_sq(self) -> float:
         return (self.q0 * self.q0 + self.q1 * self.q1
                 + self.q2 * self.q2 + self.q3 * self.q3)
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
-    __abs__ = norm
 
     def scalar_part(self) -> float:
         return self.q0
@@ -149,25 +169,8 @@ class Quaternion:
     def as_tuple(self):
         return (self.q0, self.q1, self.q2, self.q3)
 
-    def isclose(self, other: "Quaternion", rel: float = 1e-12,
-                abs_tol: float = 0.0) -> bool:
-        return (self - other).norm() <= abs_tol + rel * max(self.norm(),
-                                                            other.norm())
 
-    def __eq__(self, other):
-        if isinstance(other, Quaternion):
-            return self.as_tuple() == other.as_tuple()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.as_tuple())
-
-    def __repr__(self):
-        return (f"Quaternion({self.q0!r}, {self.q1!r}, "
-                f"{self.q2!r}, {self.q3!r})")
-
-
-class ReducedPoint:
+class ReducedPoint(_Components):
     """A point (x, y, z) of 3-space, alias the reduced quaternion x+y*i+z*j."""
 
     __slots__ = ("x", "y", "z")
@@ -219,11 +222,6 @@ class ReducedPoint:
     def norm_sq(self) -> float:
         return self.x * self.x + self.y * self.y + self.z * self.z
 
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
-    __abs__ = norm
-
     def distance_to(self, other: "ReducedPoint") -> float:
         return (self - other).norm()
 
@@ -242,22 +240,6 @@ class ReducedPoint:
 
     def as_tuple(self):
         return (self.x, self.y, self.z)
-
-    def isclose(self, other: "ReducedPoint", rel: float = 1e-12,
-                abs_tol: float = 0.0) -> bool:
-        return (self - other).norm() <= abs_tol + rel * max(self.norm(),
-                                                            other.norm())
-
-    def __eq__(self, other):
-        if isinstance(other, ReducedPoint):
-            return self.as_tuple() == other.as_tuple()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.as_tuple())
-
-    def __repr__(self):
-        return f"ReducedPoint({self.x!r}, {self.y!r}, {self.z!r})"
 
 
 ZERO = Quaternion(0.0, 0.0, 0.0, 0.0)

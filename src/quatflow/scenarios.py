@@ -27,6 +27,7 @@ from .potentials import (
     uniform_flow,
 )
 from .surfaces import RegularBody, box_body, cylinder_body, sphere_body
+from .planar import kutta_joukowski_lift
 
 __all__ = [
     "ScenarioConfig",
@@ -187,10 +188,11 @@ def _no_force(potential: dict, body: dict, rho: float) -> ReducedPoint:
 
 
 def _kutta_joukowski(potential: dict, body: dict, rho: float) -> ReducedPoint:
-    """(0, -rho U Gamma (z1 - z0), 0) on a cylinder from z0 to z1."""
+    """The planar lift times the height: (0, -rho U Gamma (z1 - z0), 0)."""
     z0, z1 = body["z"]
-    return ReducedPoint(0.0, -rho * potential["speed"]
-                        * potential["circulation"] * (z1 - z0), 0.0)
+    lift = kutta_joukowski_lift(rho, potential["speed"],
+                                potential["circulation"])
+    return ReducedPoint(lift.real * (z1 - z0), lift.imag * (z1 - z0), 0.0)
 
 
 _SKEW_STREAM = {"kind": "uniform", "components": (0.8, -0.3, 0.5)}

@@ -49,6 +49,7 @@ def test_the_record_holds_the_chosen_workloads_only(monkeypatch, tmp_path,
         return {"seed": seed, "correct": True, "attempted": 1, "failed": 0,
                 "metrics": {"latency_p50_ms": float(seed)}}
 
+    monkeypatch.setattr(bench_pairs, "resolve_commit", lambda base: base)
     monkeypatch.setattr(bench_pairs, "export_commit",
                         lambda commit, into: None)
     monkeypatch.setattr(bench_pairs, "run_once", run_once)

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -605,6 +606,34 @@ def test_stream_functions_keep_the_bits_of_their_point_lambdas():
         assert psi._value_array is not None
         assert psi.value_array(xyz).tobytes() == \
             np.array([value(p) for p in points]).tobytes(), psi.name
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+@pytest.mark.parametrize("case", ["random", "zero", "signed-zero"])
+def test_stream_functions_are_the_vector_part_of_the_uniform_flow(case):
+    rng = random.Random(31)
+    u = [rng.uniform(-2.0, 2.0) for _ in range(3)]
+    if case == "zero":
+        u[1] = 0.0
+    elif case == "signed-zero":
+        u[0], u[2] = -0.0, 0.0
+    sf = geometric_stream_functions(VelocityField.constant(*u))
+    pot = uniform_flow(*u)
+    points = ball_points(31, 40, radius=2.0) + [ReducedPoint(0.0, -0.0, 0.0)]
+    xyz = np.random.default_rng(31).uniform(-2.0, 2.0, (60, 3))
+    values = pot.value_array(xyz)
+    for k, psi in enumerate(sf[:3], start=1):
+        assert psi.name == f"psi{k}"
+        for p in points:
+            jet = pot.jet_at(p)
+            assert _bits([psi(p)]) == _bits([jet.value.as_tuple()[k]]), p
+            assert _bits(psi.gradient_at(p).as_tuple()) == _bits(
+                [d.as_tuple()[k] for d in (jet.dx, jet.dy, jet.dz)]), p
+        assert psi.value_array(xyz).tobytes() == \
+            np.ascontiguousarray(values[:, k]).tobytes(), psi.name
 
 
 def test_the_gauge_field_has_an_array_jet_equal_to_its_scalar_jet():

@@ -1,7 +1,9 @@
 """Arithmetic laws of the quaternion layer."""
 
+import itertools
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -240,7 +242,56 @@ def test_quaternion_hash_consistent_with_equality():
     assert len({a, b}) == 1
 
 
-SPECIALS = (0.0, -0.0, 1.0, -2.5, 0.75, math.inf, -math.inf, math.nan,
+REPR_ENTRIES = (0.0, -0.0, math.nan, math.inf, 1e-300)
+
+
+def test_repr_is_the_class_name_and_the_components():
+    # the text DomainError messages and the CLI's stderr carry
+    for q in itertools.product(REPR_ENTRIES, repeat=4):
+        assert repr(Quaternion(*q)) == \
+            f"Quaternion({q[0]!r}, {q[1]!r}, {q[2]!r}, {q[3]!r})"
+    for p in itertools.product(REPR_ENTRIES, repeat=3):
+        assert repr(ReducedPoint(*p)) == \
+            f"ReducedPoint({p[0]!r}, {p[1]!r}, {p[2]!r})"
+
+
+def test_a_quaternion_never_equals_a_point():
+    q, p = Quaternion(1.0, 2.0, 3.0, 0.0), ReducedPoint(1.0, 2.0, 3.0)
+    assert q != p and p != q
+    assert not q == p and not p == q
+    assert Quaternion.__eq__(q, p) is NotImplemented
+    assert ReducedPoint.__eq__(p, q) is NotImplemented
+    assert q == p.to_quaternion() and p == q.to_point()
+
+
+def test_equal_values_hash_equally():
+    # 0.0 == -0.0, so the two signed zeros make equal values
+    for make, n in ((Quaternion, 4), (ReducedPoint, 3)):
+        for signs in itertools.product((0.0, -0.0), repeat=n):
+            a, b = make(*signs), make(*(-s for s in signs))
+            assert a == b and hash(a) == hash(b)
+        a, b = make(*range(1, n + 1)), make(*map(float, range(1, n + 1)))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
+def test_scalar_products_agree_bit_for_bit_in_both_orders():
+    rng = random.Random(31)
+    entries = (0.0, -0.0, math.inf, -math.inf, 1e-300, -2.5)
+    for s in (2.5, -0.0, 3, -1e300, rng.uniform(-4.0, 4.0)):
+        for _ in range(20):
+            q = Quaternion(*(rng.choice(entries + (rng.uniform(-2, 2),))
+                             for _ in range(4)))
+            left, right = s * q, q * s
+            assert type(left) is Quaternion
+            assert struct.pack("<4d", *left.as_tuple()) == \
+                struct.pack("<4d", *right.as_tuple()), (s, q)
+    with pytest.raises(TypeError):
+        "a" * Quaternion(1.0, 2.0, 3.0, 4.0)
+    with pytest.raises(TypeError):
+        [1.0] * Quaternion(1.0, 2.0, 3.0, 4.0)
+
+
+SPECIALS =(0.0, -0.0, 1.0, -2.5, 0.75, math.inf, -math.inf, math.nan,
             5e-324, 1e308)
 
 

@@ -53,6 +53,12 @@ def parse_args(argv=None, workloads=()):
     return args
 
 
+def resolve_commit(base: str) -> str:
+    """The full hash of a commit name such as ``HEAD``."""
+    return subprocess.run(["git", "rev-parse", base], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
 def export_commit(commit: str, into: Path) -> None:
     """The committed files of a commit, written under a directory."""
     archive = subprocess.run(["git", "archive", "--format=tar", commit],
@@ -112,9 +118,7 @@ def main(argv=None) -> int:
     lower_is_better = {m["name"] for m in declared["end_to_end"]
                        if m["better"] == "lower"}
     seconds = declared["run_seconds"]
-    base = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT,
-                          check=True, capture_output=True,
-                          text=True).stdout.strip()
+    base = resolve_commit(args.base)
     record = {
         "command": "perfbench/run.py --seconds %g --trace 0" % seconds,
         "base": base,
