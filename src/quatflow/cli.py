@@ -124,8 +124,8 @@ def _vec(p: ReducedPoint) -> list[float]:
 
 
 def _parse_components(text: str, count: int) -> tuple[float, ...]:
-    parts = [t for t in text.replace(" ", "").split(",") if t]
-    if len(parts) != count:
+    parts = text.replace(" ", "").split(",")
+    if len(parts) != count or not all(parts):
         raise ValueError(f"expected {count} comma-separated numbers, "
                          f"got {text!r}")
     return tuple(_finite(t, "coordinate") for t in parts)

@@ -18,7 +18,7 @@ A field may also carry array forms: a jet on an (N, 3) array of points
 returning a (4, N, 4) array (value, d/dx, d/dy, d/dz; quaternion
 components last, component-major in memory: a view of (4, 4, N)), the
 values alone as an (N, 4) array, and an array domain predicate.
-Quadrature routes use them to evaluate a whole chart in one call; fields
+Quadrature routes use them to evaluate a whole surface in one call; fields
 without them are evaluated point by point through the scalar jet.  A
 closed form written once over coordinate columns (``_closed_form``)
 gives a field all of its scalar and array forms; ``coordinate_field``,
@@ -70,7 +70,7 @@ DEFAULT_EXCLUSION = 1e-8
 # A function of an (N, 3) point array returning an array over its N rows.
 ArrayMap = Callable[[np.ndarray], np.ndarray]
 
-# Jet tables a field keeps: the box's six charts, the most of any body.
+# Jet tables a field keeps, one per node block: six surfaces or orders.
 _TABLES_KEPT = 6
 
 

@@ -20,23 +20,24 @@ how the quadratic velocity term is expressed:
 Moments use the same quadratic densities against the moment arm
 (x - about) x n.
 
-Every route works on arrays: one (4, N, 4) jet table per chart from the
-potential's array jet (or, for fields without one, from ``jet_at`` node
-by node), component-major in memory, so each component is a contiguous
-row; (3, N) rows of chart points and normals; and ``qmul`` of component
+Every route works on arrays over all of a body's nodes at once, the
+surface's ``NodeBlock``: one (4, N, 4) jet table from the potential's
+array jet (or, for fields without one, from ``jet_at`` node by node),
+component-major in memory, so each component is a contiguous row; the
+block's (3, N) rows of points and normals; and ``qmul`` of component
 rows, or its scalar entry alone.  The (3, N) kernel rows are reduced in
-node order by ``surfaces.quadrature_sum``, chart by chart.  The pressure
-integrals for a given pressure are the surface integrals
+node order by ``surfaces.quadrature_sum``, chart span by chart span.  The
+pressure integrals for a given pressure are the surface integrals
 ``integrate_scalar_dsigma`` and ``integrate_moment_kernel``, negated.
-The potential's field remembers one read-only table per chart node array
+The potential's field remembers one read-only table per node block
 (``QuaternionField.jet_table``), so all force and moment routes, the gate
-and ``pressure_field`` evaluate each chart once per potential.  Beside
-each table it keeps the read-only rows derived from it that several
-routes read (``QuaternionField.table_rows``): w Dbar and |w Dbar|^2
-(``_flow_rows``) and |v|^2 (``_speed_sq``, also the gate's tolerance),
-formed once per table and evicted with it.  ``pressure_field``'s array
-form relies on the table's own domain check, made before the table is,
-and runs no second one.
+and ``pressure_field`` evaluate each surface once per order and
+potential.  Beside each table it keeps the read-only rows derived from it
+that several routes read (``QuaternionField.table_rows``): w Dbar and
+|w Dbar|^2 (``_flow_rows``) and |v|^2 (``_speed_sq``, also the gate's
+tolerance), formed once per table and evicted with it.
+``pressure_field``'s array form relies on the table's own domain check,
+made before the table is, and runs no second one.
 """
 
 from __future__ import annotations
@@ -50,14 +51,14 @@ from .quaternion import ReducedPoint, qconj, qmul
 from .fields import ScalarField
 from .potentials import FlowPotential
 from .surfaces import (
-    ChartNodes,
+    NodeBlock,
     RegularBody,
-    _chart_sum,
     _frozen,
     _surface_of,
     in_node_order,
     integrate_moment_kernel,
     integrate_scalar_dsigma,
+    quadrature_sum,
 )
 
 __all__ = [
@@ -110,7 +111,7 @@ class FlowScenario:
 
 
 # ----------------------------------------------------------------------
-# per-chart row kernels on (4, N, 4) jet tables and (3, N) node rows
+# row kernels on (4, N, 4) jet tables and (3, N) node block rows
 # ----------------------------------------------------------------------
 
 def _conj_grad(jets: np.ndarray) -> tuple:
@@ -147,11 +148,11 @@ def _speed_sq(jets: np.ndarray) -> np.ndarray:
 
 def _reduce(potential, body, order, derive, rows_fn,
             scale: float) -> ReducedPoint:
-    """scale times the quadrature sum of rows_fn(chart nodes, rows), with
-    rows the derive(jet table) the potential keeps beside each table."""
-    rows = [potential.table_rows(cn.point_array, derive)
-            for cn in _surface_of(body).quadrature(order)]
-    return ReducedPoint(*(scale * _chart_sum(body, order, rows_fn, rows)))
+    """scale times the quadrature sum of rows_fn(node block, rows), with
+    rows the derive(jet table) the potential keeps beside the table."""
+    block = _surface_of(body).nodes(order)
+    rows = rows_fn(block, potential.table_rows(block.point_array, derive))
+    return ReducedPoint(*(scale * quadrature_sum(block, rows)))
 
 
 def _force(potential, body, order, derive, rows_fn, scale, method):
@@ -160,18 +161,18 @@ def _force(potential, body, order, derive, rows_fn, scale, method):
                        _surface_of(body).node_count(order))
 
 
-def _blasius_rows(cn: ChartNodes, flow: tuple) -> np.ndarray:
-    return flow[1] * cn.normal_rows
+def _blasius_rows(block: NodeBlock, flow: tuple) -> np.ndarray:
+    return flow[1] * block.normal_rows
 
 
-def _components_sc_rows(cn: ChartNodes, flow: tuple) -> np.ndarray:
+def _components_sc_rows(block: NodeBlock, flow: tuple) -> np.ndarray:
     g = flow[0]
-    return _sc_rows(qmul(qmul(qconj(g), g), cn.normal_rows), -1.0)
+    return _sc_rows(qmul(qmul(qconj(g), g), block.normal_rows), -1.0)
 
 
-def _monogenic_form_rows(cn: ChartNodes, flow: tuple) -> np.ndarray:
+def _monogenic_form_rows(block: NodeBlock, flow: tuple) -> np.ndarray:
     g = flow[0]
-    return _sc_rows(qmul(qmul(g, cn.normal_rows), g), 1.0)
+    return _sc_rows(qmul(qmul(g, block.normal_rows), g), 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +254,7 @@ def force_components_sc(potential, body, rho: float = 1.0,
 # monogenic form with its stream-surface gate
 # ----------------------------------------------------------------------
 
-def _gate_stream_surface(potential, quadrature) -> None:
+def _gate_stream_surface(potential, block: NodeBlock) -> None:
     """Raise StreamSurfaceError unless v.n vanishes at every node.
 
     With v = grad Sc w, the density of the monogenic form is
@@ -265,29 +266,27 @@ def _gate_stream_surface(potential, quadrature) -> None:
     in chart-major node order.  When the velocities overflow the
     tolerance is not finite and admits nothing.
     """
-    velocities, scale_sq = [], 0.0
-    for cn in quadrature:
-        # v = (dx, dy, dz) of Sc w at every node, as (3, N) rows
-        velocities.append(potential.jet_table(cn.point_array)[1:, :, 0])
-        # fmax skips NaN, as a running max over the nodes would
-        scale_sq = np.fmax.reduce(
-            potential.table_rows(cn.point_array, _speed_sq), initial=scale_sq)
+    # v = (dx, dy, dz) of Sc w at every node, as (3, N) rows
+    v = potential.jet_table(block.point_array)[1:, :, 0]
+    # fmax skips NaN, as a running max over the nodes would
+    scale_sq = np.fmax.reduce(
+        potential.table_rows(block.point_array, _speed_sq), initial=0.0)
     tol = 1e-8 * (1.0 + float(np.sqrt(scale_sq)))
     if not np.isfinite(tol):
         raise StreamSurfaceError(
             f"monogenic force form refused: gate tolerance {tol} is not "
             f"finite")
 
-    for cn, v in zip(quadrature, velocities):
-        flux = sum(v * cn.normal_rows)   # the rows added in turn to 0
-        bad = ~(np.abs(flux) <= tol)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise StreamSurfaceError(
-                f"monogenic force form refused: v.n = {flux[k]:.3e} "
-                f"(tolerance {tol:.1e}) at "
-                f"{tuple(cn.point_array[k].tolist())} "
-                f"on chart {cn.chart.name!r}")
+    flux = sum(v * block.normal_rows)   # the rows added in turn to 0
+    bad = ~(np.abs(flux) <= tol)
+    if bad.any():
+        k = int(np.argmax(bad))
+        chart = next(cn.chart for cn, span in zip(block.charts, block.spans)
+                     if k < span.stop)
+        raise StreamSurfaceError(
+            f"monogenic force form refused: v.n = {flux[k]:.3e} "
+            f"(tolerance {tol:.1e}) at "
+            f"{tuple(block.point_array[k].tolist())} on chart {chart.name!r}")
 
 
 def force_monogenic_form(potential, body, rho: float = 1.0,
@@ -300,7 +299,7 @@ def force_monogenic_form(potential, body, rho: float = 1.0,
     only where v.n = 0 at every node, so that an admitted form is the
     pressure-route force; StreamSurfaceError otherwise.
     """
-    _gate_stream_surface(potential, _surface_of(body).quadrature(order))
+    _gate_stream_surface(potential, _surface_of(body).nodes(order))
     return _force(potential, body, order, _flow_rows, _monogenic_form_rows,
                   -rho / 8.0, "monogenic-form")
 
@@ -312,8 +311,8 @@ def force_monogenic_form(potential, body, rho: float = 1.0,
 def moment_quadratic(potential, body, about: ReducedPoint, rho: float = 1.0,
                      order: int = 16) -> MomentResult:
     """M = (rho/8) (integral of) |w Dbar|^2 (x - about) x n dS."""
-    def rows(cn, flow):
-        return flow[1] * cn.moment_arms(about)
+    def rows(block, flow):
+        return flow[1] * block.moment_arms(about)
 
     return MomentResult(_reduce(potential, body, order, _flow_rows, rows,
                                 rho / 8.0),
@@ -356,8 +355,9 @@ def all_force_methods(potential, body, rho: float = 1.0,
     """Run every force route and report their largest pairwise gap.
 
     The routes and the gate share the jet table the field remembers for
-    each chart.  The monogenic form participates only when its gate
-    admits the surface; a refusal is recorded verbatim under ``gated``.
+    the surface's node block.  The monogenic form participates only when
+    its gate admits the surface; a refusal is recorded verbatim under
+    ``gated``.
     A non-finite route result makes ``max_disagreement`` non-finite.
     """
     shared = {"rho": rho, "order": order}

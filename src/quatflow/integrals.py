@@ -107,7 +107,7 @@ def _stokes_volume_side(body: RegularBody, g, f, order: int) -> Quaternion:
     if fj is not None:
         df = fj[1] + qmul(I.as_tuple(), fj[2]) + qmul(J.as_tuple(), fj[3])
         rows = rows + (df if gj is None else qmul(gj[0], df))
-    return Quaternion(*quadrature_sum([vn], [rows]))
+    return Quaternion(*quadrature_sum(vn, rows))
 
 
 def verify_stokes(body: RegularBody, g, f, order: int = 12,
@@ -173,8 +173,7 @@ def cauchy_reconstruct(surface, f, point: ReducedPoint,
     surf = _surface_of(surface)
     margin = reconstruction_margin(surf, order)
     centre = np.array(point.as_tuple())[:, None]
-    dist = min(float(np.min(norm_rows(cn.point_rows - centre)))
-               for cn in surf.quadrature(order))
+    dist = float(np.min(norm_rows(surf.nodes(order).point_rows - centre)))
     if dist < margin:
         raise MarginError(
             f"point {point.as_tuple()} is {dist:.3f} from the surface but "

@@ -14,14 +14,14 @@ moment evaluation.  The 1D rules live here too: ``gauss_legendre``,
 
 Nodes are numpy arrays: a chart's one geometry form, evaluated on the
 axes of its Gauss grid, gives (x, y, z) component triples that are
-written straight into (3, N) rows of points and unit normals, chart-major
-in a fixed order, and a body's volume nodes form one (3, N) tensor grid
-the same way, read as its (N, 3) transposed view.
-Every integral evaluates its callables on (N, 3) point arrays
-(``node_values``): a field with an array form in one call per chart, any
-other callable node by node.  One reduction, ``quadrature_sum``, sums
-(k, N) kernel rows against the weights block by block (chart or volume
-grid), adding in node order.
+written straight into (3, N) rows of points and unit normals, copied
+once, chart-major, into one ``NodeBlock`` per surface and order, and a
+body's volume nodes form one (3, N) tensor grid the same way, read as
+its (N, 3) transposed view.  Every integral evaluates its callables on a
+block's (N, 3) point array (``node_values``): a field with an array form
+in one call, any other callable node by node.  One reduction,
+``quadrature_sum``, sums (k, N) kernel rows against the weights span by
+span (chart or volume grid), adding in node order.
 """
 
 from __future__ import annotations
@@ -203,7 +203,8 @@ class ChartNodes:
 
     ``point_rows`` and ``normal_rows`` hold the node positions and outward
     unit normals as (3, N) rows, ``weights`` the dS weights; all read-only,
-    C-contiguous and owning their data.  ``point_array`` and
+    views of the surface's ``NodeBlock`` at the chart's span (those of
+    ``Chart.nodes`` own their data).  ``point_array`` and
     ``normal_array`` are the rows' (N, 3) transposed views.
     ``points`` and ``normals`` give the same nodes as ReducedPoint lists,
     built on first use.
@@ -238,6 +239,24 @@ class ChartNodes:
         return self._arms[1]
 
 
+class NodeBlock(ChartNodes):
+    """A surface's nodes at one order, its charts' ChartNodes copied once,
+    chart-major, into rows that are C-contiguous and own their memory.
+    ``spans`` are the charts' slices of the node axis, in chart order, and
+    ``charts`` the read-only ChartNodes views of the block at them."""
+
+    def __init__(self, parts: Sequence[ChartNodes]):
+        super().__init__(None, *(
+            _frozen(np.concatenate([getattr(cn, name) for cn in parts], -1))
+            for name in ("point_rows", "normal_rows", "weights")))
+        ends = np.cumsum([len(cn.weights) for cn in parts]).tolist()
+        self.spans = tuple(map(slice, [0] + ends[:-1], ends))
+        self.charts = tuple(
+            ChartNodes(cn.chart, self.point_rows[:, span],
+                       self.normal_rows[:, span], self.weights[span])
+            for cn, span in zip(parts, self.spans))
+
+
 class ParametricSurface:
     """An oriented surface assembled from charts, with cached quadrature."""
 
@@ -246,28 +265,36 @@ class ParametricSurface:
         if not self.charts:
             raise ValueError("a surface needs at least one chart")
         self.name = name
-        self._node_cache: dict[int, tuple[ChartNodes, ...]] = {}
+        self._node_cache: dict[int, NodeBlock] = {}
 
     def quadrature(self, order: int) -> tuple[ChartNodes, ...]:
+        """Each chart's nodes at an order, as views of ``nodes(order)``."""
         order = operator.index(order)
         if order < 2:
             raise ValueError("quadrature order must be at least 2")
         if order not in self._node_cache:
-            self._node_cache[order] = tuple(c.nodes(order) for c in self.charts)
-        return self._node_cache[order]
+            self._node_cache[order] = NodeBlock([c.nodes(order)
+                                                 for c in self.charts])
+        return self._node_cache[order].charts
+
+    def nodes(self, order: int) -> NodeBlock:
+        """The node block that ``quadrature(order)`` builds and keeps."""
+        self.quadrature(order)
+        return self._node_cache[operator.index(order)]
 
     def node_count(self, order: int) -> int:
-        return sum(len(cn.weights) for cn in self.quadrature(order))
+        return len(self.nodes(order).weights)
 
     def area(self, order: int) -> float:
         return float(sum(np.sum(cn.weights) for cn in self.quadrature(order)))
 
 
 class VolumeNodes(NamedTuple):
-    """A solid's read-only (N, 3) ``point_array`` and ``weights``."""
+    """A solid's read-only (N, 3) ``point_array`` and ``weights``: one span."""
 
     point_array: np.ndarray
     weights: np.ndarray
+    spans = (slice(None),)
 
     @property
     def points(self) -> list[ReducedPoint]:
@@ -491,18 +518,19 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b if a.ndim == 1 or b.ndim == 1 else qmul(a, b)
 
 
-def quadrature_sum(blocks, rows) -> np.ndarray:
-    """Sum of rows times weights over ChartNodes or VolumeNodes blocks:
-    ``rows`` yields (k, N) component rows or (N,) reals per block.  A row
-    is summed in node order, in one pass along it, by ``np.add.accumulate``;
-    ``np.sum`` along it would add pairwise, with other last bits.  (N,)
-    rows are summed by ``np.sum``.  The block sums are added in order
-    from 0."""
-    total = 0.0
-    for block, r in zip(blocks, rows):
-        r = r * block.weights
-        total = total + (np.sum(r) if r.ndim == 1
-                         else np.add.accumulate(r, axis=-1, out=r)[..., -1])
+def quadrature_sum(block, rows: np.ndarray) -> np.ndarray:
+    """Sum of rows times weights over a NodeBlock or VolumeNodes: ``rows``
+    are (k, N) component rows or (N,) reals over all of the block's nodes,
+    multiplied by its weights at once.  Each span (chart or volume grid)
+    is summed alone: a row in node order, in one pass along it, by
+    ``np.add.accumulate``; ``np.sum`` along it would add pairwise, with
+    other last bits.  (N,) rows are summed by ``np.sum``.  The span sums
+    are added in span order from 0."""
+    r, total = rows * block.weights, 0.0
+    for span in block.spans:
+        part = r[..., span]
+        total = total + (np.sum(part) if r.ndim == 1 else
+                         np.add.accumulate(part, axis=-1, out=part)[..., -1])
     return total
 
 
@@ -511,10 +539,10 @@ def _surface_of(obj) -> ParametricSurface:
     return obj.surface if isinstance(obj, RegularBody) else obj
 
 
-def _chart_sum(surface, order: int, rows_fn, *per_chart) -> np.ndarray:
-    """quadrature_sum of rows_fn(chart nodes, *one entry of each per_chart)."""
-    quadrature = _surface_of(surface).quadrature(order)
-    return quadrature_sum(quadrature, map(rows_fn, quadrature, *per_chart))
+def _block_sum(surface, order: int, rows_fn) -> np.ndarray:
+    """quadrature_sum of rows_fn(the surface's node block)."""
+    block = _surface_of(surface).nodes(order)
+    return quadrature_sum(block, rows_fn(block))
 
 
 def integrate_g_dsigma_f(surface, g, f, order: int) -> Quaternion:
@@ -526,16 +554,16 @@ def integrate_g_dsigma_f(surface, g, f, order: int) -> Quaternion:
     """
     sides = [h for h in (g, f) if h is not None]
 
-    def rows(cn: ChartNodes) -> np.ndarray:
+    def rows(block: NodeBlock) -> np.ndarray:
         values = in_node_order(
             lambda xyz: [node_values(h, xyz) for h in sides],
-            lambda p: [h(p) for h in sides], cn.point_array)
-        out = cn.normal_rows   # dsigma / dS = n1 + n2 i + n3 j
+            lambda p: [h(p) for h in sides], block.point_array)
+        out = block.normal_rows   # dsigma / dS = n1 + n2 i + n3 j
         if g is not None:
             out = _times(values[0].T, out)
         return out if f is None else _times(out, values[-1].T)
 
-    return Quaternion(*_chart_sum(surface, order, rows))
+    return Quaternion(*_block_sum(surface, order, rows))
 
 
 def integrate_scalar_dsigma(surface, h, order: int) -> Quaternion:
@@ -545,20 +573,20 @@ def integrate_scalar_dsigma(surface, h, order: int) -> Quaternion:
 
 def integrate_scalar(surface, h, order: int) -> float:
     """Plain scalar surface integral of h dS."""
-    return float(_chart_sum(surface, order,
-                            lambda cn: node_values(h, cn.point_array)))
+    return float(_block_sum(surface, order,
+                            lambda block: node_values(h, block.point_array)))
 
 
 def integrate_vector_area(surface, order: int) -> ReducedPoint:
     """The vector area: integral of the unit normal dS; zero when closed."""
-    return ReducedPoint(*_chart_sum(surface, order,
-                                    lambda cn: cn.normal_rows))
+    return ReducedPoint(*_block_sum(surface, order,
+                                    lambda block: block.normal_rows))
 
 
 def integrate_moment_kernel(surface, h, about: ReducedPoint,
                             order: int) -> ReducedPoint:
     """Integral of h(x) (x - about) x n dS, the moment-arm weighted normal."""
-    def rows(cn: ChartNodes) -> np.ndarray:
-        return node_values(h, cn.point_array) * cn.moment_arms(about)
+    def rows(block: NodeBlock) -> np.ndarray:
+        return node_values(h, block.point_array) * block.moment_arms(about)
 
-    return ReducedPoint(*_chart_sum(surface, order, rows))
+    return ReducedPoint(*_block_sum(surface, order, rows))

@@ -542,8 +542,8 @@ def test_all_force_methods_evaluates_one_jet_table_per_chart(monkeypatch):
     monkeypatch.setattr(field, "jet_array", counted)
     monkeypatch.setattr(QuaternionField, "jet_at", no_scalar_jets)
     all_force_methods(pot, body, order=8)
-    quadrature = body.surface.quadrature(8)
-    assert tables == [len(cn.weights) for cn in quadrature]
+    # one table for the whole surface: the side and both caps together
+    assert tables == [body.surface.node_count(8)]
     assert scalar_jets == []
 
 

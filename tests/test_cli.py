@@ -429,6 +429,22 @@ REJECTIONS = {
     "about-with-two-numbers": (
         ["moment", "--about", "1,2"], None,
         "quatflow: expected 3 comma-separated numbers, got '1,2'\n"),
+    # an empty component is a fault, not a number to drop
+    "about-with-an-empty-component": (
+        ["moment", "--about", "0.3,,0,0", "--shift-to", "0,0,0"], None,
+        "quatflow: expected 3 comma-separated numbers, got '0.3,,0,0'\n"),
+    "shift-to-with-a-trailing-comma": (
+        ["moment", "--about", "0.3,0,0", "--shift-to", "0,0,0,"], None,
+        "quatflow: expected 3 comma-separated numbers, got '0,0,0,'\n"),
+    "about-with-an-empty-middle": (
+        ["moment", "--about", "1,,2"], None,
+        "quatflow: expected 3 comma-separated numbers, got '1,,2'\n"),
+    "reduce2d-about-with-a-leading-comma": (
+        ["reduce2d", "--about", ",0.3,0"], None,
+        "quatflow: expected 2 comma-separated numbers, got ',0.3,0'\n"),
+    "reduce2d-about-with-a-trailing-comma": (
+        ["reduce2d", "--about", "0.3,"], None,
+        "quatflow: expected 2 comma-separated numbers, got '0.3,'\n"),
     "threads-not-an-int": (
         ["force", "--threads", "x"], None,
         "quatflow force: error: argument --threads: invalid int value: "

@@ -298,7 +298,8 @@ def test_forces_and_moments_evaluate_each_chart_once(body):
     mq = moment_quadratic(pot, body, about, rho=1.3, order=ORDER)
     mp = moment_from_pressure(pressure_field(pot, rho=1.3), body, about,
                               order=ORDER)
-    assert calls == [len(cn.weights) for cn in body.surface.quadrature(ORDER)]
+    # one array jet over every chart of the surface at once
+    assert calls == [body.surface.node_count(ORDER)]
 
     # each route alone, on a freshly built potential, gives the same bits
     routes = {"pressure": force_pressure_direct, "blasius": force_blasius,
@@ -319,6 +320,26 @@ def test_forces_and_moments_evaluate_each_chart_once(body):
         order=ORDER)
     assert mq.moment == fresh_mq.moment
     assert mp.moment == fresh_mp.moment
+
+
+@pytest.mark.parametrize("make, charts", [
+    (lambda: box_body((-1.0, 1.0), (-1.1, 1.0), (-1.0, 1.2)), 6),
+    (lambda: cylinder_body(1.0, -1.0, 1.0), 3),
+], ids=["box", "cylinder"])
+def test_every_route_calls_the_array_jet_once_per_surface_and_order(make,
+                                                                    charts):
+    about = ReducedPoint(0.3, -0.2, 0.1)
+    calls = []
+    pot, body = counting_potential(calls), make()
+    assert len(body.surface.charts) == charts
+    # back to the first order after a second one: its table is remembered
+    for order in (ORDER, ORDER + 4, ORDER):
+        all_force_methods(pot, body, rho=1.3, order=order)
+        moment_quadratic(pot, body, about, rho=1.3, order=order)
+        moment_from_pressure(pressure_field(pot, rho=1.3), body, about,
+                             order=order)
+    assert calls == [body.surface.node_count(ORDER),
+                     body.surface.node_count(ORDER + 4)]
 
 
 @pytest.mark.parametrize("make", [
@@ -345,18 +366,17 @@ def test_w_dbar_rows_are_formed_once_per_chart(make, monkeypatch):
                         lambda jets: formed.append(jets.shape[1])
                         or conj_grad(jets))
     body = make()
-    quadrature = body.surface.quadrature(ORDER)
     pot = counting_potential([])
     together = {name: route(pot, body) for name, route in routes.items()}
-    assert formed == [len(cn.weights) for cn in quadrature]
+    assert formed == [body.surface.node_count(ORDER)]
     assert together == alone
 
     # the rows are kept beside the remembered table and die with it
-    xyz = quadrature[0].point_array
+    xyz = body.surface.nodes(ORDER).point_array
     kept = pot.table_rows(xyz, forces._flow_rows)
     assert pot.table_rows(xyz, forces._flow_rows) is kept
     assert all(not rows.flags.writeable for rows in kept)
-    assert len(formed) == len(quadrature)
+    assert len(formed) == 1
     # a writable copy of the nodes gets the same bits and remembers nothing
     other = counting_potential([])
     fresh = other.table_rows(np.array(xyz), forces._flow_rows)
@@ -383,7 +403,7 @@ def test_speed_rows_are_formed_once_per_chart(make, body, refused,
     monkeypatch.setattr(forces, "_speed_sq",
                         lambda jets: formed.append(jets.shape[1])
                         or speed_sq(jets))
-    once = [len(cn.weights) for cn in body.surface.quadrature(ORDER)]
+    once = [body.surface.node_count(ORDER)]
     try:
         force_monogenic_form(make(), body, rho=1.3, order=ORDER)
         assert not refused
@@ -409,10 +429,11 @@ def test_pressure_checks_the_domain_once_per_chart(monkeypatch):
     body = cylinder_body(1.0, -1.0, 1.0)
     pressure = pressure_field(uniform_flow(1.0) + dipole_flow(0.5))
     first = moment_from_pressure(pressure, body, about, order=48)
-    assert calls == [4608] * 3
+    # once for the side's 4608 nodes and the caps' 2 x 4608 together
+    assert calls == [13824]
     # a remembered table passed that check when it was made
     assert moment_from_pressure(pressure, body, about, order=48) == first
-    assert calls == [4608] * 3
+    assert calls == [13824]
 
 
 @pytest.mark.parametrize("writable", [False, True])
@@ -452,23 +473,27 @@ def test_both_moment_routes_build_the_arms_once_per_chart(make, monkeypatch):
     # each route alone on its own fresh body
     alone = tuple(route(make(), about).moment for route in routes)
     body = make()
-    quadrature = body.surface.quadrature(ORDER)
+    block = body.surface.nodes(ORDER)
     cross_rows, built = surfaces.cross_rows, []
     monkeypatch.setattr(surfaces, "cross_rows",
                         lambda *args: built.append(1) or cross_rows(*args))
     assert moments(body, about) == alone
-    assert len(built) == len(quadrature)
+    # one set of arms over the surface's whole node block
+    assert len(built) == 1
     centre = np.array(about.as_tuple())[:, None]
-    for cn in quadrature:
-        arms = cn.moment_arms(about)
-        assert cn.moment_arms(about) is arms and not arms.flags.writeable
-        assert np.array_equal(arms, cross_rows(
-            cn.point_rows - centre, cn.normal_rows, np.empty(arms.shape)))
+    arms = block.moment_arms(about)
+    assert block.moment_arms(about) is arms and not arms.flags.writeable
+    assert len(built) == 1
+    assert np.array_equal(arms, cross_rows(
+        block.point_rows - centre, block.normal_rows, np.empty(arms.shape)))
     # a second reference point replaces the kept arms; the first comes back
     # with the same bits
     moments(body, other)
     assert moments(body, about) == alone
-    assert len(built) == 3 * len(quadrature)
+    assert len(built) == 3
+    # each chart's own arms are the block's at its span, bit for bit
+    for cn, span in zip(body.surface.quadrature(ORDER), block.spans):
+        assert np.array_equal(cn.moment_arms(about), arms[:, span])
 
 
 @pytest.mark.parametrize("box", [
@@ -610,6 +635,28 @@ def test_gate_admits_the_form_exactly_where_v_dot_n_vanishes(case):
     message = comparison.gated["monogenic-form"]
     assert message.startswith("monogenic force form refused: v.n = ")
     assert message.endswith(f" at {point.as_tuple()} on chart {chart!r}")
+
+
+@pytest.mark.parametrize("make, chart", [
+    (lambda: box_body((-1.0, 1.0), (-1.1, 1.0), (-1.0, 1.2)), "face+z"),
+    (lambda: cylinder_body(1.0, -1.0, 1.0), "cap_top"),
+], ids=["box", "cylinder"])
+def test_a_refusal_on_a_later_chart_names_that_chart_and_node(make, chart):
+    # the upward stream crosses no side and no lower face, where v.n is 0
+    # exactly; every node of the top face has v.n = 1
+    body, pot = make(), uniform_flow(0.0, 0.0, 1.0)
+    quadrature = body.surface.quadrature(ORDER)
+    cn = next(cn for cn in quadrature if cn.chart.name == chart)
+    assert cn is not quadrature[0]
+    message = (f"monogenic force form refused: v.n = 1.000e+00 "
+               f"(tolerance 2.0e-08) at {tuple(cn.point_array[0].tolist())} "
+               f"on chart {chart!r}")
+    with pytest.raises(StreamSurfaceError) as err:
+        force_monogenic_form(pot, body, order=ORDER)
+    assert str(err.value) == message
+    comparison = all_force_methods(uniform_flow(0.0, 0.0, 1.0), body,
+                                   order=ORDER)
+    assert comparison.gated == {"monogenic-form": message}
 
 
 def test_gate_refuses_a_nan_jet_and_the_comparison_reads_nan():

@@ -194,8 +194,8 @@ def test_reduce_and_compare_shares_jets_and_the_streamline_check(monkeypatch):
                                 cylinder_body(A, -0.5, 0.5), order_3d=16,
                                 about=0.3 + 0j)
     assert report.ok, report
-    # one table per chart (the side and two caps) serves force and moment
-    assert batches == [512, 512, 512]
+    # one table for the side and both caps together serves force and moment
+    assert batches == [1536]
     assert len(residual_calls) == 1
 
 
@@ -220,8 +220,8 @@ def test_reduce_and_compare_evaluates_each_chart_once(monkeypatch):
     report = reduce_and_compare(vortex_cylinder(), PlanarContour.circle(A),
                                 body, order_3d=16, about=0.3 + 0j)
     assert report.ok, report
-    assert calls == [512, 512, 512]
-    assert len(fields) == 1 and len(fields[0]._tables) == 3
+    assert calls == [1536]
+    assert len(fields) == 1 and len(fields[0]._tables) == 1
 
 
 def counted(fn, calls, key):

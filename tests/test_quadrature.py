@@ -37,6 +37,8 @@ from quatflow import (
     verify_stokes,
 )
 from quatflow.surfaces import (
+    ChartNodes,
+    NodeBlock,
     VolumeNodes,
     _scaled_gauss,
     gauss_legendre,
@@ -239,8 +241,10 @@ def node_order_sum(weights, rows):
     return total
 
 
-def blocks_of(weights):
-    return [VolumeNodes(np.zeros((len(w), 3)), w) for w in weights]
+def block_of(weights):
+    """A NodeBlock whose chart spans hold the given weights in turn."""
+    return NodeBlock([ChartNodes(None, np.zeros((3, len(w))),
+                                 np.zeros((3, len(w))), w) for w in weights])
 
 
 INF, NAN = math.inf, math.nan
@@ -270,10 +274,10 @@ SUM_CASES = {
 def test_quadrature_sum_adds_component_rows_in_node_order(case):
     weights, rows = SUM_CASES[case]
     with np.errstate(all="ignore"):
-        total = quadrature_sum(blocks_of(weights), rows)
+        block, whole = block_of(weights), np.concatenate(rows, axis=-1)
+        total = quadrature_sum(block, whole)
         # the layout of the rows does not change the bits
-        fortran = quadrature_sum(blocks_of(weights),
-                                 [np.asfortranarray(r) for r in rows])
+        fortran = quadrature_sum(block, np.asfortranarray(whole))
         # nor does it differ from np.sum over the nodes of (N, k) rows
         by_node_rows = 0.0
         for w, r in zip(weights, rows):
@@ -299,7 +303,42 @@ def test_quadrature_sum_of_real_rows_is_np_sum():
     expected = 0.0
     for w, r in zip(weights, reals):
         expected = expected + np.sum(r * w)
-    assert quadrature_sum(blocks_of(weights), reals) == expected
+    assert quadrature_sum(block_of(weights), np.concatenate(reals)) \
+        == expected
+    # a volume grid is a block of one span
+    w, r = weights[0], reals[0]
+    volume = VolumeNodes(np.zeros((len(w), 3)), w)
+    assert quadrature_sum(volume, r) == np.sum(r * w)
+    assert list(quadrature_sum(volume, rows[0])) == \
+        node_order_sum([w], [rows[0]])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sphere_body(1.0),
+    lambda: box_body((-0.6, 0.7), (-0.5, 0.5), (-0.4, 0.55)),
+    lambda: cylinder_body(1.0, -0.5, 0.5),
+], ids=["sphere", "box", "cylinder"])
+def test_the_block_sum_is_the_chart_by_chart_sum_bit_for_bit(make):
+    rng = np.random.default_rng(32)
+    surface = make().surface
+    for order in (2, 5, 16):
+        block = surface.nodes(order)
+        n = len(block.weights)
+        rows = rng.standard_normal((4, n)) * 10.0 ** rng.integers(-8, 9,
+                                                                  (4, n))
+        # each chart's standalone nodes, its rows summed alone in node
+        # order, the chart sums added in turn to 0
+        expected, reals, start = 0.0, 0.0, 0
+        for chart in surface.charts:
+            cn = chart.nodes(order)
+            stop = start + len(cn.weights)
+            part = np.ascontiguousarray(rows[:, start:stop]) * cn.weights
+            expected = expected + np.add.accumulate(part, axis=-1)[:, -1]
+            reals = reals + np.sum(rows[0, start:stop].copy() * cn.weights)
+            start = stop
+        assert start == n
+        assert quadrature_sum(block, rows).tobytes() == expected.tobytes()
+        assert quadrature_sum(block, rows[0]).tobytes() == reals.tobytes()
 
 
 # ----------------------------------------------------------------------

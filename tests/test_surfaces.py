@@ -162,16 +162,13 @@ def test_scalar_weighted_form_matches_two_sided_form():
 def padded_g_dsigma_f(surface, g, f, order):
     """integrate_g_dsigma_f's sum with dsigma / dS as (4, N) rows whose k row
     is zeros, the layout the reduced normal rows replaced."""
-    def rows(cn):
-        out = np.vstack((cn.normal_rows, np.zeros(len(cn.weights))))
-        if g is not None:
-            out = _times(node_values(g, cn.point_array).T, out)
-        if f is not None:
-            out = _times(out, node_values(f, cn.point_array).T)
-        return out
-
-    quadrature = surface.quadrature(order)
-    return quadrature_sum(quadrature, map(rows, quadrature))
+    block = surface.nodes(order)
+    out = np.vstack((block.normal_rows, np.zeros(len(block.weights))))
+    if g is not None:
+        out = _times(node_values(g, block.point_array).T, out)
+    if f is not None:
+        out = _times(out, node_values(f, block.point_array).T)
+    return quadrature_sum(block, out)
 
 
 def real_weight(p):
@@ -460,16 +457,38 @@ def test_chart_nodes_are_read_only_component_rows_with_array_views(name):
         all_force_methods(pot, body, order=6)
         moment_quadratic(pot, body, about, order=6)
         moment_from_pressure(pressure_field(pot), body, about, order=6)
-    for cn in body.surface.quadrature(6):
+    # the surface's one block holds every chart's nodes, chart-major
+    block = body.surface.nodes(6)
+    quadrature = body.surface.quadrature(6)
+    assert block.charts is quadrature
+    assert block.spans[0].start == 0
+    assert block.spans[-1].stop == len(block.weights)
+    assert all(a.stop == b.start for a, b in zip(block.spans,
+                                                  block.spans[1:]))
+    for rows in (block.point_rows, block.normal_rows, block.weights):
+        assert rows.flags.c_contiguous and rows.flags.owndata
+        assert rows.base is None and not rows.flags.writeable
+    for cn, span in zip(quadrature, block.spans):
         n = len(cn.weights)
-        for rows, array in ((cn.point_rows, cn.point_array),
-                            (cn.normal_rows, cn.normal_array)):
+        assert n == span.stop - span.start
+        # the chart's weights are the block's at its span, not a copy
+        assert cn.weights.base is block.weights
+        assert not cn.weights.flags.writeable
+        assert np.array_equal(cn.weights, block.weights[span])
+        for rows, array, whole in (
+                (cn.point_rows, cn.point_array, block.point_rows),
+                (cn.normal_rows, cn.normal_array, block.normal_rows)):
             assert rows.shape == (3, n) and rows.dtype == np.float64
-            assert rows.flags.c_contiguous and not rows.flags.writeable
-            # the (N, 3) array is the rows' transpose, not a second copy
-            assert array.base is rows and array.shape == (n, 3)
+            assert not rows.flags.writeable
+            # the chart's rows are a view of the block's at its span
+            assert rows.base is whole and np.array_equal(rows, whole[:, span])
+            assert rows.strides == whole.strides
+            # the (N, 3) array is the rows' transpose, not a second copy:
+            # numpy makes the block's rows the base of a view of a view
+            assert array.base is whole and array.shape == (n, 3)
+            assert array.strides == rows.T.strides
             assert np.array_equal(array, rows.T)
-        assert cn.point_rows.base is None and cn.normal_rows.base is None
+            assert np.shares_memory(array, rows)
         table = field.jet_table(cn.point_array)
         assert field.jet_table(cn.point_array) is table
         # dsigma / dS is the normal rows themselves: no zero-padded copy
