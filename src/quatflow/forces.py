@@ -25,8 +25,9 @@ surface's ``NodeBlock``: one (4, N, 4) jet table from the potential's
 array jet (or, for fields without one, from ``jet_at`` node by node),
 component-major in memory, so each component is a contiguous row; the
 block's (3, N) rows of points and normals; and ``qmul`` of component
-rows, or its scalar entry alone.  The (3, N) kernel rows are reduced in
-node order by ``surfaces.quadrature_sum``, chart span by chart span.  The
+rows, or its scalar entry alone.  ``surfaces.quadrature_sum`` sums each
+chart span of the (3, N) kernel rows pairwise by ``np.add.reduce`` of
+C-ordered rows, in bits that do not depend on numpy's SIMD level.  The
 pressure integrals for a given pressure are the surface integrals
 ``integrate_scalar_dsigma`` and ``integrate_moment_kernel``, negated.
 The potential's field remembers one read-only table per node block

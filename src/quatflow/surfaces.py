@@ -21,7 +21,8 @@ its (N, 3) transposed view.  Every integral evaluates its callables on a
 block's (N, 3) point array (``node_values``): a field with an array form
 in one call, any other callable node by node.  One reduction,
 ``quadrature_sum``, sums (k, N) kernel rows against the weights span by
-span (chart or volume grid), adding in node order.
+span (chart or volume grid), each row pairwise by ``np.add.reduce`` of
+C-ordered rows, whose bits do not depend on numpy's SIMD level.
 """
 
 from __future__ import annotations
@@ -521,16 +522,14 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def quadrature_sum(block, rows: np.ndarray) -> np.ndarray:
     """Sum of rows times weights over a NodeBlock or VolumeNodes: ``rows``
     are (k, N) component rows or (N,) reals over all of the block's nodes,
-    multiplied by its weights at once.  Each span (chart or volume grid)
-    is summed alone: a row in node order, in one pass along it, by
-    ``np.add.accumulate``; ``np.sum`` along it would add pairwise, with
-    other last bits.  (N,) rows are summed by ``np.sum``.  The span sums
-    are added in span order from 0."""
-    r, total = rows * block.weights, 0.0
+    multiplied by its weights once into C-ordered rows.  Each span (chart
+    or volume grid) is summed alone, every row pairwise by one
+    ``np.add.reduce`` along it, whose bits do not depend on numpy's SIMD
+    level (Fortran-ordered rows would reduce node after node).  The span
+    sums are added in span order from 0."""
+    r, total = np.multiply(rows, block.weights, order="C"), 0.0
     for span in block.spans:
-        part = r[..., span]
-        total = total + (np.sum(part) if r.ndim == 1 else
-                         np.add.accumulate(part, axis=-1, out=part)[..., -1])
+        total = total + np.add.reduce(r[..., span], axis=-1)
     return total
 
 

@@ -413,6 +413,8 @@ def test_routes_reproduce_the_node_by_node_values(name):
 PIN_FILE = pathlib.Path(__file__).with_name("forces_warm_pins.json")
 PIN_KINDS = ("uniform+source", "uniform+dipole", "sphere", "vortex", "saddle")
 PIN_ORDERS = (32, 48)
+PIN_CASES = [f"{body}/{kind}/{order}" for body in ("sphere", "box", "cylinder")
+             for kind in PIN_KINDS for order in PIN_ORDERS]
 
 
 @functools.lru_cache(maxsize=None)
@@ -491,13 +493,11 @@ def _hex(value):
     return value
 
 
-@pytest.mark.parametrize("case", [f"{body}/{kind}/{order}"
-                                  for body in ("sphere", "box", "cylinder")
-                                  for kind in PIN_KINDS
-                                  for order in PIN_ORDERS])
+@pytest.mark.parametrize("case", PIN_CASES)
 def test_forces_warm_kinds_reproduce_their_pinned_bits(case):
-    """Values recorded from the code whose jet tables were row-major
-    (quaternion components contiguous); the layout must not move a bit."""
+    """Values written by ``tools/make_forces_warm_pins.py`` from the code
+    that sums each quadrature span pairwise; a change that moves a bit
+    regenerates them with the tool and names the cases it moved."""
     want = json.loads(PIN_FILE.read_text())[case]
     body_name, kind, order = case.split("/")
     assert _hex(pin_results(body_name, kind, int(order))) == _hex(want)

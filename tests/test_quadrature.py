@@ -224,7 +224,7 @@ def test_volume_nodes_keep_the_nested_loop_order(name):
 
 
 # ----------------------------------------------------------------------
-# the reduction: component rows summed in node order
+# the reduction: each span's component rows summed pairwise
 # ----------------------------------------------------------------------
 
 def node_order_sum(weights, rows):
@@ -238,6 +238,17 @@ def node_order_sum(weights, rows):
             for term in terms[1:]:
                 block = block + term
             total[k] = total[k] + block
+    return total
+
+
+def pairwise_span_sum(weights, rows):
+    """Per block and row, np.sum of the row's weighted terms, which numpy
+    adds pairwise along a contiguous row; the block sums added in turn to
+    0.0."""
+    total = [0.0] * len(rows[0])
+    for w, r in zip(weights, rows):
+        for k, row in enumerate(r):
+            total[k] = total[k] + float(np.sum(row * w))
     return total
 
 
@@ -271,21 +282,18 @@ SUM_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(SUM_CASES))
-def test_quadrature_sum_adds_component_rows_in_node_order(case):
+def test_quadrature_sum_adds_each_span_pairwise_in_span_order(case):
     weights, rows = SUM_CASES[case]
     with np.errstate(all="ignore"):
         block, whole = block_of(weights), np.concatenate(rows, axis=-1)
         total = quadrature_sum(block, whole)
         # the layout of the rows does not change the bits
         fortran = quadrature_sum(block, np.asfortranarray(whole))
-        # nor does it differ from np.sum over the nodes of (N, k) rows
-        by_node_rows = 0.0
-        for w, r in zip(weights, rows):
-            by_node_rows = by_node_rows + np.sum(
-                np.ascontiguousarray(r.T) * w[:, None], axis=0)
+        # nor does summing each component's (N,) row alone
+        by_row = np.array([quadrature_sum(block, row) for row in whole])
+        expected = list(map(repr, pairwise_span_sum(weights, rows)))
     # repr tells -0.0 from 0.0 and matches any NaN
-    expected = list(map(repr, node_order_sum(weights, rows)))
-    for sums in (total, fortran, by_node_rows):
+    for sums in (total, fortran, by_row):
         assert list(map(repr, sums.tolist())) == expected
 
 
@@ -310,7 +318,7 @@ def test_quadrature_sum_of_real_rows_is_np_sum():
     volume = VolumeNodes(np.zeros((len(w), 3)), w)
     assert quadrature_sum(volume, r) == np.sum(r * w)
     assert list(quadrature_sum(volume, rows[0])) == \
-        node_order_sum([w], [rows[0]])
+        pairwise_span_sum([w], [rows[0]])
 
 
 @pytest.mark.parametrize("make", [
@@ -326,19 +334,37 @@ def test_the_block_sum_is_the_chart_by_chart_sum_bit_for_bit(make):
         n = len(block.weights)
         rows = rng.standard_normal((4, n)) * 10.0 ** rng.integers(-8, 9,
                                                                   (4, n))
-        # each chart's standalone nodes, its rows summed alone in node
-        # order, the chart sums added in turn to 0
+        # each chart's standalone nodes, each of its rows summed alone by
+        # np.sum, the chart sums added in turn to 0
         expected, reals, start = 0.0, 0.0, 0
         for chart in surface.charts:
             cn = chart.nodes(order)
             stop = start + len(cn.weights)
             part = np.ascontiguousarray(rows[:, start:stop]) * cn.weights
-            expected = expected + np.add.accumulate(part, axis=-1)[:, -1]
+            expected = expected + np.array([np.sum(row) for row in part])
             reals = reals + np.sum(rows[0, start:stop].copy() * cn.weights)
             start = stop
         assert start == n
         assert quadrature_sum(block, rows).tobytes() == expected.tobytes()
         assert quadrature_sum(block, rows[0]).tobytes() == reals.tobytes()
+
+
+@pytest.mark.parametrize("order", [16, 48])
+@pytest.mark.parametrize("body_name", ["sphere", "box", "cylinder"])
+def test_quadrature_sum_is_within_one_epsilon_of_the_exact_sum(body_name,
+                                                                order):
+    # per row, the error against the correctly rounded sum of the same
+    # weighted terms stays within eps times the sum of their magnitudes;
+    # a row added node after node drifts past it on every case
+    block = bodies()[body_name].surface.nodes(order)
+    rng, eps = np.random.default_rng(33), np.finfo(float).eps
+    for _ in range(20):
+        rows = (rng.standard_normal((3, len(block.weights)))
+                + rng.uniform(-1.0, 1.0, (3, 1)))
+        got = quadrature_sum(block, rows)
+        for total, terms in zip(got, rows * block.weights):
+            exact, size = math.fsum(terms), math.fsum(np.abs(terms))
+            assert abs(total - exact) <= eps * size
 
 
 # ----------------------------------------------------------------------
