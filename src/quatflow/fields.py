@@ -262,9 +262,11 @@ class QuaternionField(_Field):
     domain_array : callable, optional
         ``domain`` on an (N, 3) point array, returning (N,) booleans.
     value_array : callable, optional
-        The values alone on an (N, 3) point array, returning the (N, 4)
-        value slot of ``jet_array`` without computing the partials.  It
-        defaults to that slot of ``jet_array``.
+        The values alone on an (N, 3) point array, returning (N, 4) rows
+        without computing the partials.  It defaults to the value slot of
+        ``jet_array``.  A closed form's equals that slot bit for bit; a
+        completion's sums and converges on the value alone, so it equals
+        the slot wherever both take the same quadrature level.
 
     The domain checks and ``value_array`` come from the base shared with
     :class:`ScalarField`.  ``_closed_form`` derives every form from one
@@ -622,10 +624,12 @@ _DBAR_SLOTS = np.array(((0, 3, 4, 5), (1, 4, 6, 7), (2, 5, 7, 8)))
 
 def _dbar_table(rows: np.ndarray) -> np.ndarray:
     """The (4, N, 4) Dbar u jet table of (N, 9) rows (gx, gy, gz, h00, h01,
-    h02, h11, h12, h22): ``_dbar_entries`` of the gradient's and Hessian
-    rows' columns (``_DBAR_SLOTS``), the bits it gives them as floats."""
-    out = np.empty((4, 4, len(rows)))   # component, slot, row
-    out[0], out[1], out[2], out[3] = _dbar_entries(rows.T[_DBAR_SLOTS])
+    h02, h11, h12, h22), or the (1, N, 4) value slot alone of (N, 3)
+    gradient rows: ``_dbar_entries`` of the gradient's and Hessian rows'
+    columns (``_DBAR_SLOTS``), the bits it gives them as floats."""
+    slots = _DBAR_SLOTS[:, :1] if rows.shape[1] == 3 else _DBAR_SLOTS
+    out = np.empty((4, slots.shape[1], len(rows)))   # component, slot, row
+    out[0], out[1], out[2], out[3] = _dbar_entries(rows.T[slots])
     return out.transpose(1, 2, 0)
 
 

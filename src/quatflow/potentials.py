@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -249,8 +249,9 @@ _COMPLETION_BLOCK = 2 ** 14
 
 
 def _gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per row of two (4, N, 4) jet tables, the largest quaternion norm of
-    their difference over the four slots; NaN where any slot is NaN."""
+    """Per row of two (S, N, 4) tables of S jet slots, the largest
+    quaternion norm of their difference over the slots; NaN where any slot
+    is NaN."""
     d = a - b
     norms = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
                     + d[..., 2] * d[..., 2] + d[..., 3] * d[..., 3])
@@ -296,7 +297,8 @@ def monogenic_completion(u: ScalarField,
     Dbar u jets at the 2m + 1 nodes of K_2m+1, m = order 2^j, once, and
     sums them with the Gauss weights of G_m (every second node) and with
     the Kronrod weights; a point where G_m and K_2m+1 agree to ``tol``
-    (value and all three partials) takes K_2m+1.  Levels 0 to
+    on the slots the read returns (a jet's value and all three partials,
+    a value read's value alone) takes K_2m+1.  Levels 0 to
     ``max_doublings`` use ``tol`` and one more level 1e-8, above which
     CompletionError is raised.  The defaults start at G_8/K_17, so a
     point that converges at once reads 17 segment points; levels
@@ -308,8 +310,18 @@ def monogenic_completion(u: ScalarField,
     at least 0 and ``tol`` finite and positive; otherwise, as for a
     non-finite c, ValueError is raised here.
 
-    The field is its array jet alone: ``jet_at``, calls and ``value_array``
-    are its one-row case and value slot.  Its jet on N points takes the
+    The field has two array reads from one level code, parametrised by
+    the slots read: its jet (``jet_array``, and ``jet_at`` as its one-row
+    case) and its value (``value_array``, and calls as its one-row case).
+    A value read calls u's domain predicate, Laplacian and gradient at
+    each segment point, not its Hessian (without a Hessian it reads the
+    gradient alone, not the finite-difference jet), and u's value, not its
+    gradient, at the evaluation point; it sums the value's vector part
+    alone, with no endpoint terms, and converges on the value alone.  Its
+    rows use the arithmetic of the jet's value slot, so it equals that
+    slot bit for bit wherever both take the same level; where the value
+    converges a level before the partials it is the lower level's sum.
+    A read on N points takes the
     (N (2m + 1), 3) grid of segment points in blocks of at most
     ``_COMPLETION_BLOCK`` points, and the levels run per point through a
     mask, so each point takes the levels it would take alone.  A block is
@@ -317,9 +329,10 @@ def monogenic_completion(u: ScalarField,
     table: at each, one kernel, with u's forms bound when the field is
     built, reads u's domain predicate, Laplacian (the harmonic check),
     Hessian and gradient, in that order, and writes u's nine distinct
-    derivatives, to which the block applies the sign map of Dbar u on
-    columns (``_dbar_table``); for u without a Hessian it writes the
-    sixteen entries of the finite-difference jet of ``scalar_dbar_field``.
+    derivatives (a value read: its gradient), to which the block applies
+    the sign map of Dbar u on columns (``_dbar_table``); for a jet of u
+    without a Hessian it writes the sixteen entries of the
+    finite-difference jet of ``scalar_dbar_field``.
     The sums are one pass too: one product forms the vector parts of the
     outer terms (d Dbar u)(x - c) of all four slots, the endpoint terms
     Dbar u (1, i, j) of the partials are a gather of Dbar u's components
@@ -354,70 +367,88 @@ def monogenic_completion(u: ScalarField,
         else u._gradient_unchecked
     fd_jet = None if hessian is not None else scalar_dbar_field(u)._fd_jet
 
-    def segment_row(q: ReducedPoint):
-        """u's nine distinct derivatives at one segment point q (without a
-        Hessian, the sixteen Dbar u jet entries), after the domain check
-        (``_check``'s error) and the harmonic check."""
-        if domain is not None and not domain(q):
-            raise _undefined(u, q)
-        lap = float(laplacian(q))
-        if not abs(lap) <= lap_tol:
-            raise ValueError(
-                f"completion input {u.name or '<anonymous>'} is not "
-                f"harmonic near {q!r} (laplacian {lap:.3e})")
-        if fd_jet is not None:
-            return _jet_entries(fd_jet(q))
-        (h00, h01, h02), (_, h11, h12), (_, _, h22) = hessian(q)
-        g = gradient(q)
-        gx, gy, gz = (g.x, g.y, g.z) if isinstance(g, ReducedPoint) else g
-        return gx, gy, gz, h00, h01, h02, h11, h12, h22
+    def segment_rows(slots: int):
+        """The kernel of a ``slots``-slot read at one segment point q: after
+        the domain check (``_check``'s error) and the harmonic check, u's
+        nine distinct derivatives for a jet (without a Hessian, the sixteen
+        Dbar u jet entries) or u's gradient alone for a value."""
+        def segment_row(q: ReducedPoint):
+            if domain is not None and not domain(q):
+                raise _undefined(u, q)
+            lap = float(laplacian(q))
+            if not abs(lap) <= lap_tol:
+                raise ValueError(
+                    f"completion input {u.name or '<anonymous>'} is not "
+                    f"harmonic near {q!r} (laplacian {lap:.3e})")
+            if slots > 1:
+                if fd_jet is not None:
+                    return _jet_entries(fd_jet(q))
+                (h00, h01, h02), (_, h11, h12), (_, _, h22) = hessian(q)
+            g = gradient(q)
+            gx, gy, gz = (g.x, g.y, g.z) if isinstance(g, ReducedPoint) else g
+            if slots == 1:
+                return gx, gy, gz
+            return gx, gy, gz, h00, h01, h02, h11, h12, h22
+        return segment_row
+
+    kernels = {slots: segment_rows(slots) for slots in (1, 4)}
 
     def point_row(p: ReducedPoint) -> tuple:
         """u and its gradient at an evaluation point; the gradient first."""
         gx, gy, gz = u._gradient_unchecked(p)
         return float(u._evaluate(p)), gx, gy, gz
 
-    def level(xyz: np.ndarray, m: int) -> np.ndarray:
-        """The vector parts of G_m and K_2m+1 at the rows of xyz, (2, 4,
-        N, 4), from one segment table on the nodes of K_2m+1."""
+    def level(xyz: np.ndarray, m: int, slots: int) -> np.ndarray:
+        """The vector parts of the first ``slots`` slots of G_m and K_2m+1
+        at the rows of xyz, (2, slots, N, 4), from one segment table on the
+        nodes of K_2m+1."""
         ts, rules = _level_rules(m)
         n = len(ts)
-        out = np.empty((2, 4, len(xyz), 4))
+        out = np.empty((2, slots, len(xyz), 4))
         step = max(1, _COMPLETION_BLOCK // n)
+        segment_row = kernels[slots]
         for start in range(0, len(xyz), step):
             rows = slice(start, start + step)
             arm = xyz[rows] - c
             grid = (c + ts[:, None] * arm[:, None, :]).reshape(-1, 3)
-            jd = _jet_rows(segment_row, grid) if fd_jet is not None else \
-                _dbar_table(_jet_rows(segment_row, grid, 1, 9)[0])
+            if slots > 1 and fd_jet is not None:
+                jd = _jet_rows(segment_row, grid)
+            else:
+                jd = _dbar_table(_jet_rows(segment_row, grid, 1,
+                                           3 if slots == 1 else 9)[0])
             # component, slot, row, node
-            jd = jd.reshape(4, len(arm), n, 4).transpose(3, 0, 1, 2)
+            jd = jd.reshape(slots, len(arm), n, 4).transpose(3, 0, 1, 2)
             # chain rule: a partial sees t (d Dbar u)(x - c) plus Dbar u
             # times the partial of x - c (1, i or j); vector parts only
             outer = np.stack(_vector_rows(jd, arm.T[:, None, :, None]))
-            end = jd[_END, 0]
+            end = jd[_END, 0] if slots > 1 else None
             del jd   # free the segment table before the sums
             for table, (nodes, w_outer, w_end) in zip(out, rules):
-                terms = outer[..., nodes] * w_outer
-                terms[:, 1:] += end[..., nodes] * w_end
+                terms = outer[..., nodes] * w_outer[:slots]
+                if slots > 1:
+                    terms[:, 1:] += end[..., nodes] * w_end
                 # one pass along t from the first node; + 0.0 turns an all
                 # -0.0 sum into the +0.0 of a sum started at 0.0
                 sums = np.add.accumulate(terms, axis=-1, out=terms)[..., -1]
                 table[:, rows, 1:] = sums.transpose(1, 2, 0) + 0.0
         return out
 
-    def jet_array(xyz: np.ndarray) -> np.ndarray:
-        out = np.empty((4, len(xyz), 4))
+    def read(slots: int, xyz: np.ndarray) -> np.ndarray:
+        """The first ``slots`` slots of the jet at the rows of xyz, (slots,
+        N, 4), each row converged on those slots alone."""
+        out = np.empty((slots, len(xyz), 4))
         rows = np.arange(len(xyz))
         for j in range(max_doublings + 2):
             m = order * 2 ** j
-            pair = level(xyz[rows], m)
+            pair = level(xyz[rows], m, slots)
             if not j:
                 # the rows of xyz passed the field's own domain check
-                base = np.fromiter(chain.from_iterable(
-                    map(point_row, as_points(xyz))), float,
-                    count=4 * len(xyz))
-                out[:, :, 0] = base.reshape(-1, 4).T
+                points = as_points(xyz)
+                base = np.fromiter(
+                    chain.from_iterable(map(point_row, points)) if slots > 1
+                    else map(u._evaluate, points), float,
+                    count=slots * len(xyz))
+                out[:, :, 0] = base.reshape(-1, slots).T
             pair[..., 0] = out[:, rows, 0]   # a NaN there fails the gap
             done = _gap(*pair) <= (tol if j <= max_doublings else hard_cap)
             if not done.all() and j > max_doublings:
@@ -432,8 +463,10 @@ def monogenic_completion(u: ScalarField,
         return out
 
     field = QuaternionField(None, domain=u._domain,
-                            name=f"completion({u.name})", jet_array=jet_array,
-                            domain_array=u._domain_array)
+                            name=f"completion({u.name})",
+                            jet_array=partial(read, 4),
+                            domain_array=u._domain_array,
+                            value_array=lambda xyz: read(1, xyz)[0])
     return FlowPotential(field, name=f"completion({u.name})")
 
 

@@ -15,7 +15,8 @@ moment evaluation.  The 1D rules live here too: ``gauss_legendre``,
 Nodes are numpy arrays: a chart's one geometry form, evaluated on the
 axes of its Gauss grid, gives (x, y, z) component triples that are
 written straight into (3, N) rows of points and unit normals, copied
-once, chart-major, into one ``NodeBlock`` per surface and order, and a
+once, chart-major, into one ``NodeBlock`` per surface and order (a
+one-chart surface's rows are taken with no copy), and a
 body's volume nodes form one (3, N) tensor grid the same way, read as
 its (N, 3) transposed view.  Every integral evaluates its callables on a
 block's (N, 3) point array (``node_values``): a field with an array form
@@ -242,14 +243,20 @@ class ChartNodes:
 
 class NodeBlock(ChartNodes):
     """A surface's nodes at one order, its charts' ChartNodes copied once,
-    chart-major, into rows that are C-contiguous and own their memory.
-    ``spans`` are the charts' slices of the node axis, in chart order, and
-    ``charts`` the read-only ChartNodes views of the block at them."""
+    chart-major, into rows that are C-contiguous and own their memory; a
+    single chart's rows, which ``Chart.nodes`` makes so, are taken as they
+    are.  ``spans`` are the charts' slices of the node axis, in chart
+    order, and ``charts`` the read-only ChartNodes views of the block at
+    them."""
 
     def __init__(self, parts: Sequence[ChartNodes]):
-        super().__init__(None, *(
-            _frozen(np.concatenate([getattr(cn, name) for cn in parts], -1))
-            for name in ("point_rows", "normal_rows", "weights")))
+        def joined(name: str) -> np.ndarray:
+            rows = [getattr(cn, name) for cn in parts]
+            return rows[0] if len(rows) == 1 else \
+                _frozen(np.concatenate(rows, -1))
+
+        super().__init__(None, *map(joined, ("point_rows", "normal_rows",
+                                             "weights")))
         ends = np.cumsum([len(cn.weights) for cn in parts]).tolist()
         self.spans = tuple(map(slice, [0] + ends[:-1], ends))
         self.charts = tuple(

@@ -3,9 +3,10 @@
 ``reference_jet`` is the radial line integral written point by point:
 one segment point at a time with Quaternion arithmetic, the harmonic
 check before the Dbar u jet at each t, and the nested Gauss-Kronrod
-levels of ``monogenic_completion``, with its defaults.  The array path
-must reproduce its jets, values, Cauchy integrals, errors and calls into
-u bit for bit.
+levels of ``monogenic_completion``, with its defaults; with ``slots=1``
+(``reference_value``) it is the value read, which sums and converges on
+the value alone.  The array path must reproduce its jets, values, Cauchy
+integrals, errors and calls into u bit for bit.
 """
 
 import inspect
@@ -36,8 +37,12 @@ NAN = float("nan")
 SINGULAR = ("1/r", "x/r^3", "log(x+r)")
 
 
-def reference_jet(u, center, p, order=8, tol=1e-10, max_doublings=5):
-    """The completion jet of u about center at p, point by point."""
+def reference_jet(u, center, p, order=8, tol=1e-10, max_doublings=5,
+                  slots=4):
+    """The completion jet of u about center at p, point by point.  With
+    ``slots=1`` the value read instead: the value alone, summed from the
+    value of Dbar u at each segment point (u's gradient, no Hessian) and
+    converged on its own gap, returned as a Quaternion."""
     if not u.in_domain(p):
         raise DomainError(f"field completion({u.name}) is not defined "
                           f"at {p!r}")
@@ -49,6 +54,8 @@ def reference_jet(u, center, p, order=8, tol=1e-10, max_doublings=5):
 
     def add(acc, jd, t, wt):
         acc[0] = acc[0] + (jd.value * xq) * (wt * t)
+        if slots == 1:
+            return
         acc[1] = acc[1] + (jd.dx * xq * (wt * t * t)
                            + jd.value * (wt * t))
         acc[2] = acc[2] + (jd.dy * xq * (wt * t * t)
@@ -61,7 +68,7 @@ def reference_jet(u, center, p, order=8, tol=1e-10, max_doublings=5):
         ascending t; the Gauss nodes are every second one."""
         ts, wk = potentials._kronrod01(m)
         wg = np.polynomial.legendre.leggauss(m)[1] * 0.5
-        gauss = [Quaternion(), Quaternion(), Quaternion(), Quaternion()]
+        gauss = [Quaternion()] * slots
         kronrod = list(gauss)
         for k, (t, wt) in enumerate(zip(ts.tolist(), wk.tolist())):
             q = ReducedPoint(center.x + t * dxq.x, center.y + t * dxq.y,
@@ -70,28 +77,40 @@ def reference_jet(u, center, p, order=8, tol=1e-10, max_doublings=5):
             if not abs(lap) <= lap_tol:
                 raise ValueError(f"completion input {label} is not harmonic "
                                  f"near {q!r} (laplacian {lap:.3e})")
-            jd = dbar.jet_at(q)
+            jd = dbar.jet_at(q) if slots == 4 else Jet(dbar(q), *[None] * 3)
             add(kronrod, jd, t, wt)
             if k % 2:
                 add(gauss, jd, t, float(wg[k // 2]))
-        grad = u.gradient_at(p)
-        base = (u(p), grad.x, grad.y, grad.z)
-        return [Jet(*(Quaternion(b, a.q1, a.q2, a.q3)
-                      for b, a in zip(base, acc))) for acc in (gauss, kronrod)]
+        if slots == 4:
+            grad = u.gradient_at(p)
+            base = (u(p), grad.x, grad.y, grad.z)
+        else:
+            base = (u(p),)
+        return [[Quaternion(b, a.q1, a.q2, a.q3) for b, a in zip(base, acc)]
+                for acc in (gauss, kronrod)]
 
     def gap(a, b):
         return float(np.max([(qa - qb).norm() for qa, qb in zip(a, b)]))
 
+    def result(kronrod):
+        return Jet(*kronrod) if slots == 4 else kronrod[0]
+
     for level in range(max_doublings + 1):
         gauss, kronrod = raw_jets(order * 2 ** level)
         if gap(gauss, kronrod) <= tol:
-            return kronrod
+            return result(kronrod)
     m = order * 2 ** (max_doublings + 1)
     gauss, kronrod = raw_jets(m)
     if not gap(gauss, kronrod) <= 1e-8:
         raise CompletionError(f"completion quadrature for {label} stuck "
                               f"above 1e-08 at {p!r} (order {m})")
-    return kronrod
+    return result(kronrod)
+
+
+def reference_value(u, center, p, **kwargs):
+    """The value read of the completion of u about center at p, point by
+    point: ``reference_jet`` with ``slots=1``."""
+    return reference_jet(u, center, p, slots=1, **kwargs)
 
 
 class Counted:
@@ -153,15 +172,36 @@ def test_completion_matches_the_node_by_node_definition(name, order):
     u, center, points = case(name)
     pot = monogenic_completion(u, center=center, order=order)
     want = [reference_jet(u, center, p, order=order) for p in points]
+    want_values = [reference_value(u, center, p, order=order)
+                   for p in points]
     xyz = np.array([p.as_tuple() for p in points])
     table = pot.jet_array(xyz)
     assert table.shape == (4, 3, 4)
     values = pot.value_array(xyz)
     for k, (p, ref) in enumerate(zip(points, want)):
         assert exact(pot.jet_at(p)) == exact(ref), (name, p)
-        assert repr(pot(p).as_tuple()) == repr(ref.value.as_tuple())
+        value = repr(want_values[k].as_tuple())
+        assert repr(pot(p).as_tuple()) == value
         assert exact(table_jets(table)[k]) == exact(ref), (name, p)
-        assert repr(tuple(values[k].tolist())) == repr(ref.value.as_tuple())
+        assert repr(tuple(values[k].tolist())) == value
+
+
+@pytest.mark.parametrize("name", ["1/r", "log(x+r)", "fd-hessian"])
+def test_a_value_read_converged_a_level_early_keeps_its_accuracy(name):
+    # At order 4 the first point of these cases takes one level fewer for
+    # its value than for its jet, so the two values differ in the last
+    # bits; each lies within 1e-10 (1 + |w|) of an order-64 jet.
+    u, center, points = case(name)
+    xyz = np.array([points[0].as_tuple()])
+    pot = monogenic_completion(u, center=center, order=4)
+    value, jet_value = pot.value_array(xyz)[0], pot.jet_array(xyz)[0, 0]
+    assert value.tobytes() != jet_value.tobytes()
+    high = monogenic_completion(u, center=center, order=64).jet_array(xyz)
+    w = high[0, 0]
+    bound = 1e-10 * (1.0 + np.sqrt(w @ w))
+    for got in (value, jet_value):
+        d = got - w
+        assert np.sqrt(d @ d) <= bound
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -172,7 +212,7 @@ def test_completed_cauchy_integral_matches_the_node_by_node_sum(name):
                                            center.z))
     got = verify_cauchy_theorem(sphere, pot.field, order=6, tol=1e-6)
     want = verify_cauchy_theorem(
-        sphere, lambda p: reference_jet(u, center, p, order=4).value,
+        sphere, lambda p: reference_value(u, center, p, order=4),
         order=6, tol=1e-6)
     assert got.ok
     assert repr(got.lhs.as_tuple()) == repr(want.lhs.as_tuple())
@@ -204,8 +244,8 @@ def zero_offset_points(center):
 
 
 def assert_jets_match_the_definition(u, center, order):
-    """jet_at, jet_array and value_array on zero_offset_points(center)
-    equal reference_jet bit for bit."""
+    """jet_at and jet_array on zero_offset_points(center) equal
+    reference_jet bit for bit, and value_array reference_value."""
     points = zero_offset_points(center)
     pot = monogenic_completion(u, center=center, order=order)
     xyz = np.array([p.as_tuple() for p in points])
@@ -214,8 +254,8 @@ def assert_jets_match_the_definition(u, center, order):
         want = reference_jet(u, center, p, order=order)
         assert exact(pot.jet_at(p)) == exact(want), (p, order)
         assert exact(table_jets(table)[k]) == exact(want), (p, order)
-        assert repr(tuple(values[k].tolist())) == \
-            repr(want.value.as_tuple()), (p, order)
+        assert repr(tuple(values[k].tolist())) == repr(reference_value(
+            u, center, p, order=order).as_tuple()), (p, order)
 
 
 @pytest.mark.parametrize("name", sorted(harmonic_catalog()))
@@ -580,15 +620,19 @@ def test_a_completion_checks_the_domain_once_per_grid_point():
     assert len(checks) <= len(laplacians) + len(points)
 
 
-def test_the_laplacian_of_a_completion_is_one_jet_array_call(monkeypatch):
+def test_the_laplacian_of_a_completion_is_one_value_read_call(monkeypatch):
     calls = []
     field_class = potentials.QuaternionField
 
-    def counting_field(*args, jet_array, **kwargs):
-        def counted(xyz):
-            calls.append(len(xyz))
-            return jet_array(xyz)
-        return field_class(*args, jet_array=counted, **kwargs)
+    def counting_field(*args, jet_array, value_array, **kwargs):
+        def counted(read, kind):
+            def call(xyz):
+                calls.append((kind, len(xyz)))
+                return read(xyz)
+            return call
+        return field_class(*args, jet_array=counted(jet_array, "jet"),
+                           value_array=counted(value_array, "value"),
+                           **kwargs)
 
     monkeypatch.setattr(potentials, "QuaternionField", counting_field)
     u, center, points = case("x/r^3")
@@ -596,7 +640,8 @@ def test_the_laplacian_of_a_completion_is_one_jet_array_call(monkeypatch):
     for p in points:
         calls.clear()
         got = laplacian(pot, p)
-        assert calls == [7]   # p and its six stencil points
+        # p and its six stencil points, values only
+        assert calls == [("value", 7)]
         # the stencil one point at a time, as the scalar calls give it
         want = Quaternion()
         for h, plus, minus in _fd_stencil(pot, p, FD_STEP2):
@@ -615,12 +660,16 @@ def first_error(u, center, points, **kwargs):
 
 
 def assert_raises_in_node_order(pot, u, center, points, **kwargs):
-    want = first_error(u, center, points, **kwargs)
+    """Each read of the rows raises the error its reference meets first
+    row by row: jets reference_jet's, values reference_value's.  Returns
+    the message of jet_at at the first row."""
     xyz = np.array([p.as_tuple() for p in points])
-    for call in (pot.jet_array, pot.value_array):
+    for call, slots in ((pot.jet_array, 4), (pot.value_array, 1)):
+        want = first_error(u, center, points, slots=slots, **kwargs)
         with pytest.raises(type(want)) as info:
             call(xyz)
         assert str(info.value) == str(want)
+    want = first_error(u, center, points, **kwargs)
     with pytest.raises(type(want)) as info:
         pot.jet_at(points[0])
     return str(info.value)
@@ -670,7 +719,8 @@ def test_a_non_harmonic_row_before_a_nan_jet_row():
 
 def test_within_a_row_the_lower_t_fails_first():
     # Far along the segment the Laplacian check fails; near the centre the
-    # Hessian raises.  The Hessian's error comes first, at the lowest t.
+    # Hessian raises.  A jet meets the Hessian's error first, at the lowest
+    # t; a value read calls no Hessian and meets the Laplacian's.
     def hessian(p):
         if p.norm() < 0.1:
             raise ZeroDivisionError(f"no hessian at {p!r}")
@@ -683,6 +733,10 @@ def test_within_a_row_the_lower_t_fails_first():
     rows = [ReducedPoint(0.4, 0.2, 0.1), ReducedPoint(0.1, 0.0, 0.0)]
     message = assert_raises_in_node_order(pot, u, ORIGIN, rows, order=4)
     assert message.startswith("no hessian at")
+    with pytest.raises(ValueError) as info:
+        pot.value_array(np.array([p.as_tuple() for p in rows]))
+    assert str(info.value).startswith(
+        "completion input two-faults is not harmonic near")
 
 
 def test_an_empty_batch_has_no_rows():
@@ -748,6 +802,8 @@ class Recorded:
 
 
 SEGMENT_READS = ("domain", "laplacian", "hessian", "gradient")
+# a value read's: no Hessian
+VALUE_SEGMENT_READS = ("domain", "laplacian", "gradient")
 
 
 def test_each_segment_point_reads_domain_laplacian_hessian_gradient():
@@ -761,16 +817,25 @@ def test_each_segment_point_reads_domain_laplacian_hessian_gradient():
     def jet_at(rows):
         return pot.jet_at(ReducedPoint(*rows[0].tolist()))
 
-    for read, rows in ((jet_at, xyz[:1]), (pot.jet_array, xyz[:1]),
-                       (pot.jet_array, xyz)):
+    def call(rows):
+        return pot(ReducedPoint(*rows[0].tolist()))
+
+    jet_reads = (SEGMENT_READS, ("gradient", "value"))
+    value_reads = (VALUE_SEGMENT_READS, ("value",))
+    for read, rows, (segment_reads, point_reads) in (
+            (jet_at, xyz[:1], jet_reads), (pot.jet_array, xyz[:1], jet_reads),
+            (pot.jet_array, xyz, jet_reads), (call, xyz[:1], value_reads),
+            (pot.value_array, xyz[:1], value_reads),
+            (pot.value_array, xyz, value_reads)):
         grid = (c + ts[:, None] * (rows - c)[:, None, :]).reshape(-1, 3)
         points = [tuple(p) for p in rows.tolist()]
         # the field's own domain check, the 17 nodes of K_17 of each row
-        # (a polynomial converges at level 0), then u's gradient and value
+        # (a polynomial converges at level 0), then u at the point: a jet
+        # reads its gradient and value, a value read its value alone
         want = [("domain", p) for p in points]
         want += [(form, tuple(q)) for q in grid.tolist()
-                 for form in SEGMENT_READS]
-        want += [(form, p) for p in points for form in ("gradient", "value")]
+                 for form in segment_reads]
+        want += [(form, p) for p in points for form in point_reads]
         recorded.log.clear()
         read(rows)
         assert recorded.log == want

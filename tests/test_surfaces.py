@@ -505,6 +505,25 @@ def test_chart_nodes_are_read_only_component_rows_with_array_views(name):
     assert np.array_equal(vn.point_array, rows.T)
 
 
+@pytest.mark.parametrize("name", sorted(PINNED_BODIES))
+def test_a_node_block_copies_only_the_rows_of_several_charts(monkeypatch,
+                                                              name):
+    # a one-chart surface (the sphere) takes its chart's rows as they are
+    made, nodes = [], Chart.nodes
+
+    def recording_nodes(chart, order):
+        made.append(nodes(chart, order))
+        return made[-1]
+
+    monkeypatch.setattr(Chart, "nodes", recording_nodes)
+    make, args, _ = PINNED_BODIES[name]
+    block = make(*args).surface.nodes(6)
+    assert (len(made) == 1) == name.endswith("sphere")
+    for rows in ("point_rows", "normal_rows", "weights"):
+        assert (getattr(block, rows) is getattr(made[0], rows)) == \
+            (len(made) == 1), rows
+
+
 def test_components_of_any_broadcast_shape_give_the_reference_bits():
     # x on the t row, y a scalar, z on the s column; constant partials
     def geometry(s, t):
