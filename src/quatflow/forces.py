@@ -24,10 +24,12 @@ Every route works on arrays over all of a body's nodes at once, the
 surface's ``NodeBlock``: one (4, N, 4) jet table from the potential's
 array jet (or, for fields without one, from ``jet_at`` node by node),
 component-major in memory, so each component is a contiguous row; the
-block's (3, N) rows of points and normals; and ``qmul`` of component
-rows, or its scalar entry alone.  ``surfaces.quadrature_sum`` sums each
-chart span of the (3, N) kernel rows pairwise by ``np.add.reduce`` of
-C-ordered rows, in bits that do not depend on numpy's SIMD level.  The
+block's (3, N) rows of points and normals; and products of component
+rows written in place, of which components-sc and monogenic-form form
+only the three scalar parts of the last product that they sum, never
+its k row.  ``surfaces.quadrature_sum`` sums each chart span of the
+(3, N) kernel rows pairwise by ``np.add.reduce`` of C-ordered rows, in
+bits that do not depend on numpy's SIMD level.  The
 pressure integrals for a given pressure are the surface integrals
 ``integrate_scalar_dsigma`` and ``integrate_moment_kernel``, negated.
 The potential's field remembers one read-only table per node block
@@ -48,7 +50,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .quaternion import ReducedPoint, qconj, qmul
+from .quaternion import ReducedPoint, _product_into, qmul
 from .fields import ScalarField
 from .potentials import FlowPotential
 from .surfaces import (
@@ -133,14 +135,6 @@ def _flow_rows(jets: np.ndarray) -> tuple:
     return g, _frozen(_norm_sq(g))
 
 
-def _sc_rows(t, s: float) -> np.ndarray:
-    """Sc t, Sc(t (s i)) and Sc(t (s j)) as (3, N) rows; the last two are
-    the first entries of ``qmul`` by s i and s j, formed alone."""
-    t0, t1, t2, t3 = t
-    return np.stack((t0, t0 * 0.0 - t1 * s - t2 * 0.0 - t3 * 0.0,
-                     t0 * 0.0 - t1 * 0.0 - t2 * s - t3 * 0.0))
-
-
 def _speed_sq(jets: np.ndarray) -> np.ndarray:
     """|grad Sc w|^2 at every node of a jet table, as a read-only row."""
     vx, vy, vz = jets[1][:, 0], jets[2][:, 0], jets[3][:, 0]
@@ -167,13 +161,21 @@ def _blasius_rows(block: NodeBlock, flow: tuple) -> np.ndarray:
 
 
 def _components_sc_rows(block: NodeBlock, flow: tuple) -> np.ndarray:
-    g = flow[0]
-    return _sc_rows(qmul(qmul(qconj(g), g), block.normal_rows), -1.0)
+    """Sc(t), Sc(t (-i)) and Sc(t (-j)) with t = (conj(g) g) n, which are
+    t0, t1 and t2: the first three components of the last product."""
+    g, n = flow[0], block.normal_rows
+    a = _product_into(np.empty(g.shape), g, g, conj_p=True)
+    return _product_into(np.empty(n.shape), a, n)
 
 
 def _monogenic_form_rows(block: NodeBlock, flow: tuple) -> np.ndarray:
-    g = flow[0]
-    return _sc_rows(qmul(qmul(g, block.normal_rows), g), 1.0)
+    """Sc(t), Sc(t i) and Sc(t j) with t = (g n) g, which are t0, -t1 and
+    -t2; the k component of the last product is never formed."""
+    g, n = flow[0], block.normal_rows
+    a = qmul(g, n)
+    rows = _product_into(np.empty(n.shape), a, g)
+    np.negative(rows[1:], out=rows[1:])
+    return rows
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,8 @@ lives on :class:`ReducedPoint`; the noncommutative algebra lives on
 :class:`Quaternion`; a private base gives both their norm, closeness,
 equality, hash and repr.  :func:`qmul` and :func:`qconj` apply the same
 algebra to component-first numpy operands, one row per component
-(``qmul`` also reads three rows as a reduced quaternion, k = 0).
+(``qmul`` also reads three rows as a reduced quaternion, k = 0); ``qmul``
+writes its rows in place into one output array with one scratch row.
 """
 
 from __future__ import annotations
@@ -273,19 +274,56 @@ def cross(r, s) -> ReducedPoint:
 def _rows(q):
     """The four component rows of a component-first operand; three rows are
     the reduced quaternion x + y i + z j, whose k is the literal 0.0."""
-    return q if len(q) == 4 else (*q, 0.0)
+    return (*q, 0.0) if len(q) == 3 else q
 
 
 def qmul(p, q) -> np.ndarray:
     """Hamilton product of component-first operands ((4, ...) arrays, four
     component rows, or three rows of a reduced quaternion, k = 0.0) as a
-    broadcast (4, ...) array, each entry formed by the expressions of
+    broadcast float (4, ...) array, written in place into one ``np.empty``
+    output with one scratch row; each entry is formed by the expressions of
     ``Quaternion.__mul__`` in order, so equal to it bit for bit."""
-    p, q = tuple(_rows(p)), tuple(_rows(q))
-    a0, a1, a2, a3 = p
-    b0, b1, b2, b3 = q
-    return np.stack((a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-                     *_vector_rows(p, q)))
+    p, q = _rows(p), _rows(q)
+    return _product_into(np.empty((4, *np.broadcast(*p, *q).shape)), p, q)
+
+
+def _product_into(out: np.ndarray, p, q, conj_p: bool = False) -> np.ndarray:
+    """The first len(out) components (3 or 4) of ``qmul(p, q)``, by its
+    expressions, written into the rows of ``out`` with one scratch row; the
+    k component of a 3-row ``out`` is never formed.  Returns ``out``.
+
+    With ``conj_p`` they are those of ``qmul(qconj(p), q)``: every term
+    after a row's first holds a1, a2 or a3, so conjugating p swaps each
+    add of a term for a subtract and back, in the same bits (NaN signs
+    aside) and with no conjugate formed."""
+    a0, a1, a2, a3 = _rows(p)
+    b0, b1, b2, b3 = _rows(q)
+    t = np.empty(out.shape[1:])
+    mul, add, sub = np.multiply, np.add, np.subtract
+    if conj_p:
+        add, sub = sub, add
+    r = out[0]   # a0 b0 - a1 b1 - a2 b2 - a3 b3
+    mul(a0, b0, out=r)
+    sub(r, mul(a1, b1, out=t), out=r)
+    sub(r, mul(a2, b2, out=t), out=r)
+    sub(r, mul(a3, b3, out=t), out=r)
+    r = out[1]   # a0 b1 + a1 b0 + a2 b3 - a3 b2
+    mul(a0, b1, out=r)
+    add(r, mul(a1, b0, out=t), out=r)
+    add(r, mul(a2, b3, out=t), out=r)
+    sub(r, mul(a3, b2, out=t), out=r)
+    r = out[2]   # a0 b2 - a1 b3 + a2 b0 + a3 b1
+    mul(a0, b2, out=r)
+    sub(r, mul(a1, b3, out=t), out=r)
+    add(r, mul(a2, b0, out=t), out=r)
+    add(r, mul(a3, b1, out=t), out=r)
+    if len(out) == 4:
+        r = out[3]   # a0 b3 + a1 b2 - a2 b1 + a3 b0
+        mul(a0, b3, out=r)
+        add(r, mul(a1, b2, out=t), out=r)
+        sub(r, mul(a2, b1, out=t), out=r)
+        add(r, mul(a3, b0, out=t), out=r)
+    return out
 
 
 def _vector_rows(p, q) -> tuple:

@@ -4,7 +4,9 @@ import gc
 import math
 import random
 import re
+import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,7 +40,10 @@ from quatflow import (
     vanishing_force_cases,
 )
 from quatflow import forces, surfaces
+from quatflow.quaternion import qconj, qmul
 from quatflow.scenarios import ScenarioConfig
+
+from test_quaternion import float_bits, special_quaternions
 
 GAMMA = 2.0 * math.pi
 ORDER = 16
@@ -684,3 +689,89 @@ def test_gate_refuses_a_nan_jet_and_the_comparison_reads_nan():
     assert message.startswith("monogenic force form refused: v.n = nan ")
     assert message.endswith(
         f" at {tuple(bad.tolist())} on chart {cap.chart.name!r}")
+
+
+# ----------------------------------------------------------------------
+# the scalar parts the two quadratic routes sum
+# ----------------------------------------------------------------------
+
+PRODUCT_ROUTES = {"components-sc": forces._components_sc_rows,
+                  "monogenic-form": forces._monogenic_form_rows}
+
+
+def full_product_rows(route, g, n):
+    """A route's rows from the whole last product t, k row included:
+    t = (conj(g) g) n with s = -1 or t = (g n) g with s = 1, then Sc t and
+    the first entries of the products of t by s i and s j."""
+    if route == "components-sc":
+        t, s = qmul(qmul(qconj(g), g), n), -1.0
+    else:
+        t, s = qmul(qmul(g, n), g), 1.0
+    t0, t1, t2, t3 = t
+    return np.stack((t0, t0 * 0.0 - t1 * s - t2 * 0.0 - t3 * 0.0,
+                     t0 * 0.0 - t1 * 0.0 - t2 * s - t3 * 0.0))
+
+
+def route_rows(route, g, n):
+    """The rows the route sums, for w Dbar rows g and normal rows n."""
+    block = SimpleNamespace(normal_rows=n)
+    return PRODUCT_ROUTES[route](block, (g, None))
+
+
+@pytest.mark.parametrize("route", sorted(PRODUCT_ROUTES))
+@pytest.mark.parametrize("nodes", [1, 72, 4608])
+def test_route_rows_equal_the_whole_products_bit_for_bit(route, nodes):
+    rng = np.random.default_rng(nodes)
+    g = rng.normal(size=(4, nodes)) * 10.0 ** rng.uniform(-3, 3, (4, nodes))
+    n = rng.normal(size=(3, nodes))
+    got = route_rows(route, g, n)
+    assert got.shape == (3, nodes)
+    assert float_bits(got) == float_bits(full_product_rows(route, g, n))
+
+
+@pytest.mark.parametrize("route", sorted(PRODUCT_ROUTES))
+def test_route_rows_stay_non_finite_where_an_operand_is(route):
+    rng = random.Random(f"product rows/{route}")
+    g = np.array([q.as_tuple() for q in special_quaternions(rng, 2000)]).T
+    n = np.array([q.as_tuple()[:3]
+                  for q in special_quaternions(rng, 2000)]).T
+    with np.errstate(all="ignore"):
+        want, got = full_product_rows(route, g, n), route_rows(route, g, n)
+    operand_bad = ~(np.isfinite(g).all(axis=0) & np.isfinite(n).all(axis=0))
+    assert 0 < operand_bad.sum() < 2000
+    assert not (operand_bad & ~np.isfinite(want) & np.isfinite(got)).any()
+    # at every node: no row less finite, and a finite row the same value
+    # (the whole products also multiply a non-finite t0 or t3 by 0.0)
+    assert not (np.isfinite(want) & ~np.isfinite(got)).any()
+    kept = np.isfinite(want)
+    assert (got[kept] == want[kept]).all()
+
+
+def test_a_k_component_overflowing_alone_leaves_the_form_rows_finite():
+    # t = (g n) g = 1e308 (-1 + k)^2 = -2e308 k: only t3 overflows, and the
+    # whole product made NaN rows of it by t3 * 0.0; the k row is not formed
+    g = np.array([[-1.0], [0.0], [0.0], [1.0]])
+    n = np.array([[1e308], [0.0], [0.0]])
+    with np.errstate(all="ignore"):
+        t = qmul(qmul(g, n), g)
+        want = full_product_rows("monogenic-form", g, n)
+    assert t[:, 0].tolist() == [0.0, 0.0, 0.0, -math.inf]
+    assert np.isnan(want[1:]).all()
+    with np.errstate(all="raise"):
+        got = route_rows("monogenic-form", g, n)
+    assert got[:, 0].tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("route", sorted(PRODUCT_ROUTES))
+def test_route_rows_peak_within_nine_rows(route):
+    # 13,824 nodes, the order-48 box; the slack covers Python objects
+    nodes = 13824
+    rng = np.random.default_rng(nodes)
+    g, n = rng.normal(size=(4, nodes)), rng.normal(size=(3, nodes))
+    tracemalloc.start()
+    try:
+        route_rows(route, g, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 8 * nodes + 4096

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,6 +355,24 @@ def test_qmul_broadcasts_a_constant_quaternion_against_rows():
             [(p * unit).as_tuple() for p in ps])
         assert float_bits(left.T) == float_bits(
             [(unit * p).as_tuple() for p in ps])
+
+
+def test_qmul_peaks_at_its_output_plus_one_scratch_row():
+    # 13,824 nodes, the order-48 box; the slack covers Python objects
+    nodes = 13824
+    rng = np.random.default_rng(nodes)
+    rows_p, rows_q = rng.normal(size=(4, nodes)), rng.normal(size=(4, nodes))
+    row = 8 * nodes
+    for left, right in ((rows_p, rows_q), (rows_p, rows_q[:3]),
+                        (rows_p[:3], rows_q)):
+        tracemalloc.start()
+        try:
+            got = qmul(left, right)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (4, nodes)
+        assert peak <= 5 * row + 4096
 
 
 def test_qconj_on_component_rows_matches_the_scalar_conjugate():
